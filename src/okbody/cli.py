@@ -353,7 +353,7 @@ def _flag_payload(args, d: int) -> tuple[Flag, dict, list[int]]:
 # -- command handlers ------------------------------------------------------
 
 
-def _cmd_body(args) -> tuple[dict, dict, list[int], str | None]:
+def _cmd_body(args) -> tuple[dict, dict, list[int], str, str | None]:
     series, digest = load_series(args.input)
     flag, flag_desc, seeds = _flag_payload(args, series.d)
     rep = okounkov_body(series, flag, args.truncation)
@@ -447,7 +447,7 @@ def _cmd_volume(args):
         )
     else:
         payload["full_check"] = {
-            "volume": fr_str(full.volume),
+            "volume": None if full.volume is None else fr_str(full.volume),
             "expected_volume": full.expected_volume,
             "volume_full": full.volume_full,
             "birational": full.birational,

@@ -6,6 +6,12 @@ normals live inside the direction space of the hull (so lower dimensional
 bodies have one canonical inequality system, not one per normal lift).
 All predicates are float free.
 
+One exact hull serves every dimension: an incremental beneath-beyond
+hull (Edelsbrunner 1987; Barber, Dobkin and Huhdanpaa 1996) on integer
+points in the local coordinates of the affine hull.  Slices and halfspace
+cuts are computed from vertices, as the hull of the kept vertices and of
+the points where segments between vertices cross the cut.
+
 Volumes are lattice normalized: a polytope spanning a proper affine
 subspace is measured against the integer points of its own direction
 space, which is the normalization under which lattice point counts and
@@ -14,7 +20,6 @@ body volumes match up.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -22,7 +27,6 @@ from typing import NamedTuple, Sequence
 from .errors import InputError, InvariantError
 from .exactnum import (
     det,
-    feasible_nonneg,
     hermite_normal_form,
     rank,
     rref_rows,
@@ -60,95 +64,82 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# hull primitives (full dimensional, local coordinates)
+# the hull (full dimensional, local coordinates)
+
+Facet = tuple[tuple[int, ...], Fraction]
 
 
-def _hull_1d(pts: list[Point]) -> tuple[list[Point], list[tuple[Point, Fraction]]]:
-    xs = sorted({p[0] for p in pts})
-    lo, hi = xs[0], xs[-1]
-    if lo == hi:
-        raise InvariantError("hull: 1d input not full dimensional")
-    verts = [(lo,), (hi,)]
-    facets = [((Fraction(-1),), -lo), ((Fraction(1),), hi)]
-    return verts, facets
+def _hyperplane(
+    pts: list[tuple[int, ...]], inside: tuple[int, ...], weight: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The hyperplane a.x = b through the integer points, as a primitive
+    normal oriented so that inside / weight lies strictly below it, or
+    None when the points do not span a unique hyperplane."""
+    q0 = pts[0]
+    # a zero row keeps the matrix nonempty for a lone point on a line
+    ker = nullspace(
+        [[0] * len(q0)] + [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
+    )
+    if len(ker) != 1:
+        return None
+    a = _primitive(ker[0], fix_sign=False)
+    b = sum(x * y for x, y in zip(a, q0))
+    if sum(x * y for x, y in zip(a, inside)) > weight * b:
+        a, b = tuple(-v for v in a), -b
+    return a, b
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _hull(points: list[Point], m: int) -> tuple[list[int], dict[Facet, set[int]]]:
+    """Beneath-beyond hull of points spanning R^m, inserted in the order given.
 
-
-def _hull_2d(pts: list[Point]) -> tuple[list[Point], list[tuple[Point, Fraction]]]:
-    """Monotone chain; returns counterclockwise vertex ring and edge facets."""
-    ps = sorted(set(pts))
-    lower: list[Point] = []
-    for p in ps:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(ps):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    ring = lower[:-1] + upper[:-1]
-    if len(ring) < 3:
-        raise InvariantError("hull: 2d input not full dimensional")
-    facets = []
-    for u, v in zip(ring, ring[1:] + ring[:1]):
-        t = (v[0] - u[0], v[1] - u[1])
-        normal = (t[1], -t[0])
-        facets.append((normal, _dot(normal, u)))
-    return ring, facets
-
-
-def _is_extreme(p: Point, others: list[Point]) -> bool:
-    if not others:
-        return True
-    dim = len(p)
-    A = [[Fraction(q[i]) for q in others] for i in range(dim)]
-    A.append([Fraction(1)] * len(others))
-    b = [Fraction(v) for v in p] + [Fraction(1)]
-    return feasible_nonneg(A, b) is None
-
-
-def _hull_nd(
-    pts: list[Point], m: int
-) -> tuple[list[Point], list[tuple[Point, Fraction]]]:
-    """Extreme point filter plus brute force facet enumeration.
-
-    Intended for the small vertex counts that value semigroup hulls have;
-    every m-subset spanning a hyperplane with all points on one side
-    contributes its (deduplicated) facet.
+    Returns the indices of the vertices and the facets a.x <= b, keyed by
+    primitive integer normal and offset, each with the indices of points
+    on it, among them all its vertices.  A point beyond some facets gets
+    a facet through itself and each ridge between a facet it sees and one
+    it does not; coplanar pieces share a key and merge.  A point beyond
+    no facet lies in the hull so far and can never become a vertex.  The
+    work runs on integer points, scaled by the lcm of the denominators.
     """
-    uniq = sorted(set(pts))
-    verts = [p for p in uniq if _is_extreme(p, [q for q in uniq if q != p])]
-    facets: dict[tuple[tuple[int, ...], Fraction], None] = {}
-    for sub in itertools.combinations(verts, m):
-        diffs = [
-            [sub[i][j] - sub[0][j] for j in range(m)] for i in range(1, m)
-        ]
-        ker = nullspace(diffs)
-        if len(ker) != 1:
+    scale = math.lcm(*(v.denominator for p in points for v in p))
+    ipts = [tuple(int(v * scale) for v in p) for p in points]
+    simplex = [0]
+    spanned: list[list[int]] = []
+    for i, q in enumerate(ipts):
+        diff = [x - y for x, y in zip(q, ipts[0])]
+        if len(spanned) < m and rank(spanned + [diff]) > len(spanned):
+            spanned.append(diff)
+            simplex.append(i)
+    if len(simplex) != m + 1:
+        raise InvariantError("hull: input not full dimensional")
+    # the simplex centroid, times m + 1, lies strictly inside every facet
+    inside = tuple(sum(ipts[i][j] for i in simplex) for j in range(m))
+    facets: dict[tuple[tuple[int, ...], int], set[int]] = {}
+    for skip in simplex:
+        on = [i for i in simplex if i != skip]
+        facets[_hyperplane([ipts[i] for i in on], inside, m + 1)] = set(on)
+    chosen = set(simplex)
+    for i, p in enumerate(ipts):
+        if i in chosen:
             continue
-        normal = ker[0]
-        b = _dot(normal, sub[0])
-        side = [_dot(normal, v) - b for v in verts]
-        if all(s <= 0 for s in side):
-            normal = [-v for v in normal]
-        elif not all(s >= 0 for s in side):
-            continue
-        # normal . v >= offset holds inside; flip to the <= convention and
-        # rescale to a primitive integer normal (offset follows suit since
-        # the facet point stays on the hyperplane)
-        key_n = _primitive([-v for v in normal], fix_sign=False)
-        key_b = _dot(key_n, sub[0])
-        facets[(key_n, key_b)] = None
-    out = [
-        (tuple(Fraction(v) for v in n), b) for (n, b) in facets
+        beyond = {f: sum(x * y for x, y in zip(f[0], p)) > f[1] for f in facets}
+        visible = [f for f, out in beyond.items() if out]
+        hidden = [f for f, out in beyond.items() if not out]
+        for f in visible:
+            for g in hidden:
+                ridge = facets[f] & facets[g]
+                if len(ridge) < m - 1:
+                    continue
+                key = _hyperplane([p] + [ipts[j] for j in ridge], inside, m + 1)
+                if key is not None:
+                    facets.setdefault(key, set()).update(ridge | {i})
+        for f in visible:
+            del facets[f]
+    verts = [
+        i
+        for i in sorted(set().union(*facets.values()))
+        if rank([f[0] for f, on in facets.items() if i in on]) == m
     ]
-    if not out:
-        raise InvariantError("hull: no facets found for full dimensional input")
-    return verts, out
+    return verts, {(a, Fraction(b, scale)): on for (a, b), on in facets.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +148,8 @@ def _hull_nd(
 
 class _AffineData(NamedTuple):
     p0: Point
-    basis: tuple[Point, ...]  # rows spanning the direction space
+    basis: tuple[Point, ...]  # rows spanning the direction space, in RREF
+    pivots: tuple[int, ...]  # the pivot columns of the basis
     equations: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
@@ -167,10 +159,10 @@ def _affine_data(points: list[Point], n: int) -> _AffineData:
         [p[j] - p0[j] for j in range(n)] for p in points[1:]
     ]
     if diffs:
-        red, _ = rref_rows(diffs)
+        red, pivots = rref_rows(diffs)
         basis = tuple(tuple(row) for row in red)
     else:
-        basis = ()
+        basis, pivots = (), []
     if len(basis) == n:
         equations: tuple = ()
     else:
@@ -185,29 +177,14 @@ def _affine_data(points: list[Point], n: int) -> _AffineData:
             )
             for row in red_n
         )
-    return _AffineData(p0, basis, equations)
+    return _AffineData(p0, basis, tuple(pivots), equations)
 
 
-def _to_local(points: list[Point], p0: Point, basis: tuple[Point, ...]) -> list[Point]:
-    m = len(basis)
-    n = len(p0)
-    A = [[basis[i][j] for i in range(m)] for j in range(n)]
-    out = []
-    for p in points:
-        rhs = [p[j] - p0[j] for j in range(n)]
-        c = solve_rational_system(A, rhs)
-        if c is None:
-            raise InvariantError("affine reduction: point outside hull")
-        out.append(tuple(c))
-    return out
-
-
-def _from_local(c: Point, p0: Point, basis: tuple[Point, ...]) -> Point:
-    n = len(p0)
-    return tuple(
-        p0[j] + sum((ci * basis[i][j] for i, ci in enumerate(c)), Fraction(0))
-        for j in range(n)
-    )
+def _to_local(points: list[Point], aff: _AffineData) -> list[Point]:
+    """Local coordinates c with x = p0 + sum c_i basis_i.  The basis is in
+    RREF, so c is x - p0 read at the pivot columns; this equals M (x - p0)
+    for the matrix M of `_coordinate_map`."""
+    return [tuple(p[j] - aff.p0[j] for j in aff.pivots) for p in points]
 
 
 def _coordinate_map(basis: tuple[Point, ...], n: int) -> list[list[Fraction]]:
@@ -269,7 +246,7 @@ class RationalPolytope:
             n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise InputError("from_points: mixed dimensions")
-        pts = sorted(set(pts))
+        pts = list(dict.fromkeys(pts))
         if not pts:
             return cls.empty(n)
         if n == 0:
@@ -278,14 +255,8 @@ class RationalPolytope:
         m = len(aff.basis)
         if m == 0:
             return cls._raw(n, 0, [pts[0]], aff.equations, ())
-        local = _to_local(pts, aff.p0, aff.basis)
-        if m == 1:
-            lverts, lfacets = _hull_1d(local)
-        elif m == 2:
-            lverts, lfacets = _hull_2d(local)
-        else:
-            lverts, lfacets = _hull_nd(local, m)
-        verts = [_from_local(c, aff.p0, aff.basis) for c in lverts]
+        lverts, lfacets = _hull(_to_local(pts, aff), m)
+        verts = [pts[i] for i in lverts]
         cmap = _coordinate_map(aff.basis, n)
         shift = aff.p0
         inequalities = []
@@ -360,10 +331,16 @@ class RationalPolytope:
         polygons in the plane only)."""
         if self.n != 2 or self.affdim != 2:
             raise InputError("ordered_ring: need a full dimensional polygon")
-        pts = list(self.vertices)
-        ring, _ = _hull_2d(pts)
-        start = min(range(len(ring)), key=lambda i: ring[i])
-        return ring[start:] + ring[:start]
+        first, last = self.vertices[0], self.vertices[-1]
+
+        def side(v: Point) -> Fraction:
+            return (last[0] - first[0]) * (v[1] - first[1]) - (
+                last[1] - first[1]
+            ) * (v[0] - first[0])
+
+        below = [v for v in self.vertices if side(v) < 0]
+        above = [v for v in self.vertices if side(v) > 0]
+        return [first, *below, last, *reversed(above)]
 
     # -- volume ---------------------------------------------------------------
 
@@ -380,22 +357,23 @@ class RationalPolytope:
             return Fraction(0)
         if self.affdim == 0:
             return Fraction(1)
-        if self.affdim == self.n:
-            pts = list(self.vertices)
-        else:
-            pts = [self._lattice_coords(v) for v in self.vertices]
         m = self.affdim
-        simplices = _triangulate(pts, m)
+        pts, cell = list(self.vertices), Fraction(1)
+        if m < self.n:
+            pts, cell = self._lattice_coords()
         total = Fraction(0)
-        for sim in simplices:
+        for sim in _triangulate(pts):
             apex = sim[0]
             rows = [
                 [w[j] - apex[j] for j in range(m)] for w in sim[1:]
             ]
             total += abs(det(rows))
-        return total / math.factorial(m)
+        return total / (math.factorial(m) * cell)
 
-    def _lattice_coords(self, v: Point) -> Point:
+    def _lattice_coords(self) -> tuple[list[Point], Fraction]:
+        """The vertices read at affdim coordinates on which the direction
+        space projects one to one, and the volume there of a fundamental
+        cell of the direction lattice."""
         E = [list(a) for a, _ in self.equations]
         Et = [[E[i][j] for i in range(len(E))] for j in range(self.n)]
         H, U = hermite_normal_form(Et)
@@ -406,13 +384,9 @@ class RationalPolytope:
         ]
         if len(lat) != self.affdim:
             raise InvariantError("volume: direction lattice rank mismatch")
-        v0 = self.vertices[0]
-        A = [[Fraction(lat[i][j]) for i in range(len(lat))] for j in range(self.n)]
-        rhs = [v[j] - v0[j] for j in range(self.n)]
-        c = solve_rational_system(A, rhs)
-        if c is None:
-            raise InvariantError("volume: vertex outside direction lattice span")
-        return tuple(c)
+        _, piv = rref_rows(lat)
+        cell = abs(det([[row[j] for j in piv] for row in lat]))
+        return [tuple(v[j] for j in piv) for v in self.vertices], cell
 
     # -- constructive operations ---------------------------------------------
 
@@ -437,20 +411,17 @@ class RationalPolytope:
         )
 
     def intersect_halfspace(self, normal: Sequence, offset) -> RationalPolytope:
-        """Intersection with normal . x <= offset, by exact vertex
-        enumeration over the combined constraint system."""
+        """Intersection with normal . x <= offset: the hull of the kept
+        vertices and of the edge crossings of the cut."""
         a = _fr_point(normal)
         b = Fraction(offset)
-        if len(a) != self.n or self.is_empty:
-            if len(a) != self.n:
-                raise InputError("intersect_halfspace: wrong dimension")
-            return self
-        eqs = [(list(e), v) for e, v in self.equations]
-        ineqs = [(list(e), v) for e, v in self.inequalities]
-        ineqs.append((list(a), b))
-        pts = _enumerate_vertices(eqs, ineqs, self.n)
-        keep = [v for v in self.vertices if _dot(a, v) <= b]
-        return RationalPolytope.from_points(pts + keep, self.n)
+        if len(a) != self.n:
+            raise InputError("intersect_halfspace: wrong dimension")
+        s = [_dot(a, v) - b for v in self.vertices]
+        keep = [v for v, sv in zip(self.vertices, s) if sv <= 0]
+        return RationalPolytope.from_points(
+            keep + _crossings(self.vertices, s), self.n
+        )
 
     def slice_at(self, coord: int, value) -> RationalPolytope:
         """The section at coordinate == value, living in one dimension less
@@ -458,96 +429,44 @@ class RationalPolytope:
         if not 0 <= coord < self.n:
             raise InputError("slice_at: coordinate out of range")
         t = Fraction(value)
-        if self.is_empty:
-            return RationalPolytope.empty(self.n - 1)
-        eqs = []
-        for a, bv in self.equations:
-            eqs.append(
-                ([Fraction(v) for i, v in enumerate(a) if i != coord],
-                 bv - Fraction(a[coord]) * t)
-            )
-        ineqs = []
-        for a, bv in self.inequalities:
-            ineqs.append(
-                ([v for i, v in enumerate(a) if i != coord],
-                 bv - a[coord] * t)
-            )
-        if self.n == 1:
-            ok = all(bv == 0 for e, bv in eqs) and all(bv >= 0 for e, bv in ineqs)
-            if ok:
-                return RationalPolytope._raw(0, 0, [()], (), ())
-            return RationalPolytope.empty(0)
-        pts = _enumerate_vertices(eqs, ineqs, self.n - 1)
-        return RationalPolytope.from_points(pts, self.n - 1)
+        s = [v[coord] - t for v in self.vertices]
+        on = [v for v, sv in zip(self.vertices, s) if sv == 0]
+        return RationalPolytope.from_points(
+            [v[:coord] + v[coord + 1:] for v in on + _crossings(self.vertices, s)],
+            self.n - 1,
+        )
 
 
-def _enumerate_vertices(
-    eqs: list[tuple[list[Fraction], Fraction]],
-    ineqs: list[tuple[list[Fraction], Fraction]],
-    n: int,
-) -> list[Point]:
-    """All basic feasible points of {eq, ineq} by trying active sets."""
-    if n == 0:
-        feas = all(b == 0 for _, b in eqs) and all(b >= 0 for _, b in ineqs)
-        return [()] if feas else []
-    need = n - len(eqs)
-    pts: set[Point] = set()
-    base_rows = [list(a) for a, _ in eqs]
-    base_rhs = [b for _, b in eqs]
-    if need <= 0:
-        sol = solve_rational_system(base_rows, base_rhs)
-        cands = [sol] if sol is not None else []
-    else:
-        cands = []
-        for active in itertools.combinations(range(len(ineqs)), need):
-            rows = base_rows + [list(ineqs[i][0]) for i in active]
-            rhs = base_rhs + [ineqs[i][1] for i in active]
-            if rank(rows) < n:
-                continue
-            sol = solve_rational_system(rows, rhs)
-            if sol is not None:
-                cands.append(sol)
-    for sol in cands:
-        p = tuple(sol)
-        if all(_dot(a, p) == b for a, b in eqs) and all(
-            _dot(a, p) <= b for a, b in ineqs
-        ):
-            pts.add(p)
-    return sorted(pts)
-
-
-def _triangulate(points: list[Point], ambient: int) -> list[tuple[Point, ...]]:
-    """Simplices covering the hull of the points; each simplex is a tuple of
-    affdim + 1 points given in the ambient coordinates."""
-    pts = sorted(set(points))
-    if len(pts) == 1:
-        return [tuple(pts)]
-    aff = _affine_data(pts, ambient)
-    m = len(aff.basis)
-    local = _to_local(pts, aff.p0, aff.basis)
-    if m == 1:
-        lverts, _ = _hull_1d(local)
-        sims = [tuple(lverts)]
-    elif m == 2:
-        ring, _ = _hull_2d(local)
-        sims = [
-            (ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)
-        ]
-    else:
-        lverts, lfacets = _hull_nd(local, m)
-        apex = min(lverts)
-        sims = []
-        for normal, b in lfacets:
-            if _dot(normal, apex) == b:
-                continue
-            fverts = [v for v in lverts if _dot(normal, v) == b]
-            for sub in _triangulate(fverts, m):
-                sims.append((apex,) + sub)
-    # map local simplices back to the ambient coordinates
+def _crossings(vertices: Sequence[Point], s: list[Fraction]) -> list[Point]:
+    """Where the segments between vertices on opposite sides of a
+    hyperplane cross it, s holding each vertex's signed level.  Every
+    vertex of a cut body is a kept vertex or such a crossing on an edge,
+    and every crossing lies in the cut body, so together they span it."""
     out = []
-    for sim in sims:
-        out.append(tuple(_from_local(c, aff.p0, aff.basis) for c in sim))
+    for u, su in zip(vertices, s):
+        if su < 0:
+            for v, sv in zip(vertices, s):
+                if sv > 0:
+                    lam = su / (su - sv)
+                    out.append(tuple(x + lam * (y - x) for x, y in zip(u, v)))
     return out
+
+
+def _triangulate(points: list[Point]) -> list[tuple[Point, ...]]:
+    """Simplices covering the hull of distinct points, each a tuple of
+    affdim + 1 of the points: a cone from the least vertex over every
+    facet that misses it, recursing into the facet."""
+    if len(points) == 1:
+        return [tuple(points)]
+    aff = _affine_data(points, len(points[0]))
+    verts, facets = _hull(_to_local(points, aff), len(aff.basis))
+    apex = min(verts, key=points.__getitem__)
+    sims = []
+    for on in facets.values():
+        if apex not in on:
+            for sub in _triangulate([points[i] for i in verts if i in on]):
+                sims.append((points[apex],) + sub)
+    return sims
 
 
 # ---------------------------------------------------------------------------

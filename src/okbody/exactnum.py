@@ -9,7 +9,8 @@ the rest of the package is built on:
 * `smith_normal_form`   : invariant factors d1 | d2 | ...,
 * `lattice_index`       : index of an integer row span in Z^r,
 * `solve_rational_system`, `rref_rows`, `nullspace`, `rank`, `det`,
-* `feasible_nonneg`, `maximize` : a small exact simplex (Bland's rule).
+* `feasible_nonneg`, `maximize`, `in_cone` : a small exact simplex
+  (Bland's rule), used by the surface engine.
 
 Type aliases: IntMatrix = list[list[int]], RatMatrix = list[list[Fraction]],
 IntVector/RatVector the corresponding row types.

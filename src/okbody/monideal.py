@@ -328,14 +328,14 @@ def is_birational_monomial(
 class FullVolumeReport(NamedTuple):
     """Two independent readings of "the series has full volume"."""
 
-    volume: Fraction
+    volume: int | None  # None while the Hilbert data has not stabilized
     expected_volume: int
     volume_full: bool
     hilbert_stabilized: bool
     birational: bool
     locus_empty: bool
     criterion: bool
-    agree: bool
+    agree: bool | None  # None while the volume side is unknown
 
 
 def full_volume_check(series: GradedSeries, K: int) -> FullVolumeReport:
@@ -345,6 +345,8 @@ def full_volume_check(series: GradedSeries, K: int) -> FullVolumeReport:
     that of the complete series of the same twist; the geometric side asks
     for birationality of the monomial map together with an empty stable
     base locus.  The two agree exactly on the examples this library covers.
+    While the Hilbert data has not stabilized by K the volume side is
+    unknown, and the report gives no volume and no agreement.
     """
     hd = series.hilbert_data(K)
     expected = series.twist**series.d
@@ -360,5 +362,5 @@ def full_volume_check(series: GradedSeries, K: int) -> FullVolumeReport:
         birational=bir.birational,
         locus_empty=locus.empty,
         criterion=criterion,
-        agree=volume_full == criterion,
+        agree=volume_full == criterion if hd.stabilized else None,
     )

@@ -186,6 +186,19 @@ class TestCommands:
         assert pay["full_check"]["criterion"] is False
         assert pay["full_check"]["agree"] is True
 
+    def test_volume_before_hilbert_stabilizes(self, capsys):
+        # at K = 4 the Hilbert data of the cremona net has not stabilized,
+        # so the full-volume check reports its volume side as unknown
+        rc, out, _ = invoke(
+            capsys, "volume", str(CORPUS / "p2_o2_cremona.json"), "-K", "4"
+        )
+        assert rc == 0
+        pay = payload_of(out)
+        assert pay["hilbert"]["stabilized"] is False
+        full = pay["full_check"]
+        assert full["volume"] is None
+        assert full["agree"] is None
+
     def test_sheafify(self, capsys):
         rc, out, _ = invoke(capsys, "sheafify", FLAGSHIP, "--truncation", "2")
         assert rc == 0
