@@ -565,6 +565,8 @@ def _cmd_surface(args):
 
 
 def _cmd_generic_test(args):
+    if args.flags < 2:
+        raise InputError("generic-test: --flags must be at least 2")
     series, digest = load_series(args.input)
     seeds = [args.seed_base + i for i in range(args.flags)]
     per_flag = []
@@ -598,6 +600,10 @@ def _sigma_range(d: int, budget: int):
 
 
 def _cmd_filtered_dims(args):
+    if args.levels < 1:
+        raise InputError("filtered-dims: --levels must be at least 1")
+    if args.sigma_budget < 0:
+        raise InputError("filtered-dims: --sigma-budget must be nonnegative")
     series, digest = load_series(args.input)
     flag, flag_desc, seeds = _flag_payload(args, series.d)
     view = series.under_flag(flag)

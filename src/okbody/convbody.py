@@ -89,8 +89,11 @@ def _hyperplane(
     return a, b
 
 
-def _hull(points: list[Point], m: int) -> tuple[list[int], dict[Facet, set[int]]]:
-    """Beneath-beyond hull of points spanning R^m, inserted in the order given.
+def _hull(
+    points: list[Point], m: int, simplex: Sequence[int]
+) -> tuple[list[int], dict[Facet, set[int]]]:
+    """Beneath-beyond hull of points spanning R^m, inserted in the order given
+    after the m + 1 affinely independent points indexed by simplex.
 
     Returns the indices of the vertices and the facets a.x <= b, keyed by
     primitive integer normal and offset, each with the indices of points
@@ -102,13 +105,6 @@ def _hull(points: list[Point], m: int) -> tuple[list[int], dict[Facet, set[int]]
     """
     scale = math.lcm(*(v.denominator for p in points for v in p))
     ipts = [tuple(int(v * scale) for v in p) for p in points]
-    simplex = [0]
-    spanned: list[list[int]] = []
-    for i, q in enumerate(ipts):
-        diff = [x - y for x, y in zip(q, ipts[0])]
-        if len(spanned) < m and rank(spanned + [diff]) > len(spanned):
-            spanned.append(diff)
-            simplex.append(i)
     if len(simplex) != m + 1:
         raise InvariantError("hull: input not full dimensional")
     # the simplex centroid, times m + 1, lies strictly inside every facet
@@ -151,15 +147,28 @@ class _AffineData(NamedTuple):
     basis: tuple[Point, ...]  # rows spanning the direction space, in RREF
     pivots: tuple[int, ...]  # the pivot columns of the basis
     equations: tuple[tuple[tuple[int, ...], Fraction], ...]
+    simplex: tuple[int, ...]  # affinely independent points, p0 first
 
 
 def _affine_data(points: list[Point], n: int) -> _AffineData:
+    """The affine hull of the points.  Affinely independent points are
+    picked greedily in one pass that stops once n directions are found,
+    and only their differences are row reduced."""
     p0 = points[0]
-    diffs = [
-        [p[j] - p0[j] for j in range(n)] for p in points[1:]
-    ]
-    if diffs:
-        red, pivots = rref_rows(diffs)
+    simplex, echelon = [0], []
+    for i in range(1, len(points)):
+        if len(echelon) == n:
+            break
+        v = [x - y for x, y in zip(points[i], p0)]
+        for lead, row in echelon:
+            if v[lead]:
+                v = [x - v[lead] * y for x, y in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            echelon.append((lead, [x / v[lead] for x in v]))
+            simplex.append(i)
+    if echelon:
+        red, pivots = rref_rows([row for _, row in echelon])
         basis = tuple(tuple(row) for row in red)
     else:
         basis, pivots = (), []
@@ -177,7 +186,7 @@ def _affine_data(points: list[Point], n: int) -> _AffineData:
             )
             for row in red_n
         )
-    return _AffineData(p0, basis, tuple(pivots), equations)
+    return _AffineData(p0, basis, tuple(pivots), equations, tuple(simplex))
 
 
 def _to_local(points: list[Point], aff: _AffineData) -> list[Point]:
@@ -255,7 +264,7 @@ class RationalPolytope:
         m = len(aff.basis)
         if m == 0:
             return cls._raw(n, 0, [pts[0]], aff.equations, ())
-        lverts, lfacets = _hull(_to_local(pts, aff), m)
+        lverts, lfacets = _hull(_to_local(pts, aff), m, aff.simplex)
         verts = [pts[i] for i in lverts]
         cmap = _coordinate_map(aff.basis, n)
         shift = aff.p0
@@ -459,7 +468,7 @@ def _triangulate(points: list[Point]) -> list[tuple[Point, ...]]:
     if len(points) == 1:
         return [tuple(points)]
     aff = _affine_data(points, len(points[0]))
-    verts, facets = _hull(_to_local(points, aff), len(aff.basis))
+    verts, facets = _hull(_to_local(points, aff), len(aff.basis), aff.simplex)
     apex = min(verts, key=points.__getitem__)
     sims = []
     for on in facets.values():

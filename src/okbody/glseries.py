@@ -11,6 +11,7 @@ computations share work.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -39,6 +40,7 @@ class GradedSeries:
         "_provider",
         "_levels",
         "_views",
+        "__weakref__",
     )
 
     def __init__(
@@ -74,7 +76,8 @@ class GradedSeries:
         self.generators = generators
         self._provider = provider
         self._levels: dict[int, FormSpan] = {}
-        self._views: dict[Flag, GradedSeries] = {}
+        # flag -> (weak reference to the view, its levels, its generators)
+        self._views: dict[Flag, tuple] = {}
 
     # -- access --------------------------------------------------------------
 
@@ -214,14 +217,27 @@ class GradedSeries:
 
     def under_flag(self, flag: Flag) -> GradedSeries:
         """The same series written in flag coordinates (a view; levels are
-        computed from the parent and cached per flag)."""
+        computed from the parent and cached per flag).
+
+        The view's provider refers to this series, so this series keeps
+        the view's levels and generators but only a weak reference to the
+        view itself: a reference cycle would hold every cached level until
+        the cyclic garbage collector ran."""
         if flag.d != self.d:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
             return self
-        view = self._views.get(flag)
+        ref, levels, tgens = self._views.get(flag, (None, {}, None))
+        view = ref and ref()
         if view is not None:
             return view
+        if ref is None and self.generators is not None:
+            tgens = {
+                j: tuple(
+                    g.substitute_linear(flag.substitution) for g in forms
+                )
+                for j, forms in self.generators.items()
+            }
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
             span = self.level(k)
@@ -229,14 +245,6 @@ class GradedSeries:
                 return span
             return span.transformed(flag.substitution)
 
-        tgens = None
-        if self.generators is not None:
-            tgens = {
-                j: tuple(
-                    g.substitute_linear(flag.substitution) for g in forms
-                )
-                for j, forms in self.generators.items()
-            }
         view = GradedSeries(
             self.d,
             self.twist,
@@ -245,7 +253,8 @@ class GradedSeries:
             generators=tgens,
             max_level=self.max_level,
         )
-        self._views[flag] = view
+        view._levels = levels
+        self._views[flag] = weakref.ref(view), levels, tgens
         return view
 
     def veronese(self, b: int) -> GradedSeries:

@@ -1,10 +1,12 @@
 """Homogeneous polynomial forms and finite dimensional spaces of them.
 
 Forms are sparse dictionaries from exponent tuples to rational coefficients.
-A FormSpan holds a canonical reduced row echelon basis of a space of forms of
-one degree, with columns ordered by ascending lexicographic exponent; the
-pivot exponents of that basis are what the valuation layer reads off, so the
-ordering convention here is load bearing and must not change.
+A FormSpan holds the canonical reduced row echelon basis of a space of forms
+of one degree as term rows of that kind, with columns ordered by ascending
+lexicographic exponent; every span operation works on the rows, and forms
+are built only at the edges (input, `basis`).  The pivot exponents are what
+the valuation layer reads off, so the ordering convention is load bearing.
+Linear substitution maps every row through one table of monomial images.
 """
 
 from __future__ import annotations
@@ -182,35 +184,11 @@ class HomogeneousForm:
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InputError("substitute_linear: matrix must be nvars x nvars")
-        lines = [
-            {
-                (j_unit(n, k)): Fraction(matrix[j][k])
-                for k in range(n)
-                if Fraction(matrix[j][k]) != 0
-            }
-            for j in range(n)
-        ]
-        one = {(0,) * n: Fraction(1)}
-        powers: dict[tuple[int, int], dict[Exponent, Fraction]] = {}
-
-        def power(j: int, p: int) -> dict[Exponent, Fraction]:
-            if p == 0:
-                return one
-            got = powers.get((j, p))
-            if got is None:
-                got = _mul_terms(power(j, p - 1), lines[j])
-                powers[(j, p)] = got
-            return got
-
-        total: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            prod = one
-            for j, ej in enumerate(e):
-                if ej:
-                    prod = _mul_terms(prod, power(j, ej))
-            for ee, cc in prod.items():
-                total[ee] = total.get(ee, Fraction(0)) + c * cc
-        return HomogeneousForm(n, total, self.degree)
+        if self.is_zero:
+            return self
+        lines = [[Fraction(v) for v in row] for row in matrix]
+        (terms,) = _substitute([self.terms], lines, self.degree)
+        return HomogeneousForm(n, terms, self.degree)
 
     def set_variable_zero(self, i: int) -> HomogeneousForm:
         """Restrict to the hyperplane where variable i vanishes; the variable
@@ -228,15 +206,7 @@ class HomogeneousForm:
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise InputError("evaluate: point length != nvars")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
-            for x, p in zip(pt, e):
-                if p:
-                    val *= x**p
-            total += val
-        return total
+        return _evaluate(self.terms, point)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -252,101 +222,153 @@ class HomogeneousForm:
         return "HomogeneousForm(" + " + ".join(bits) + ")"
 
 
-def j_unit(n: int, k: int) -> Exponent:
-    e = [0] * n
-    e[k] = 1
-    return tuple(e)
+def _evaluate(terms: dict, point: Sequence[Fraction]) -> Fraction:
+    point = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for e, c in terms.items():
+        val = c
+        for x, p in zip(point, e):
+            if p:
+                val *= x**p
+        total += val
+    return total
 
 
-def _mul_terms(
-    a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]
-) -> dict[Exponent, Fraction]:
+def _mul_terms(a: dict, b: dict) -> dict[Exponent, Fraction]:
     out: dict[Exponent, Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, Fraction(0)) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: v for e, v in out.items() if v}
+
+
+def _bump(e: Exponent, j: int, by: int) -> Exponent:
+    return e[:j] + (e[j] + by,) + e[j + 1 :]
+
+
+def _substitute(
+    rows: Sequence[dict], matrix: Sequence[Sequence], degree: int
+) -> list[dict[Exponent, Fraction]]:
+    """The degree-D rows under X_j -> sum_k matrix[j][k] * Y_k, through one
+    table of monomial images shared by every row.  The table is built a
+    degree at a time, X^e = X^(e - u_j) * X_j with j the first variable in
+    e, only for the images that lead to an exponent of the rows, and holds
+    two degrees at once; an image is a dense list over its degree's
+    exponents in ascending lex order."""
+    n = len(matrix)
+    firsts = {}  # exponent -> (j, exponent - u_j)
+    need = {e for row in rows for e in row}
+    chains = [need]
+    for _ in range(degree):
+        for e in need:
+            j = next(i for i, v in enumerate(e) if v)
+            firsts[e] = j, _bump(e, j, -1)
+        need = {parent for _, parent in map(firsts.get, need)}
+        chains.append(need)
+    exps = [(0,) * n]
+    table = {exps[0]: [1]}
+    for t in range(1, degree + 1):
+        prev, exps = exps, list(all_exponents(n, t))
+        index = {e: i for i, e in enumerate(exps)}
+        shifts = [[index[_bump(e, k, 1)] for e in prev] for k in range(n)]
+        images = {}
+        for e in chains[degree - t]:
+            j, parent = firsts[e]
+            low = table[parent]
+            img = [0] * len(exps)
+            for k, m in enumerate(matrix[j]):
+                if m:
+                    shift = shifts[k]
+                    for i, v in enumerate(low):
+                        if v:
+                            img[shift[i]] += m * v
+            images[e] = img
+        table = images
+    out = []
+    for row in rows:
+        total = [0] * len(exps)
+        for e, c in row.items():
+            for i, v in enumerate(table[e]):
+                if v:
+                    total[i] += c * v
+        out.append({exps[i]: v for i, v in enumerate(total) if v})
     return out
+
+
+def _reduce(rows: Iterable[dict]) -> tuple[tuple[dict, ...], tuple]:
+    """Canonical basis rows and pivot exponents of the span of term rows.
+
+    Columns are the exponents present, sorted ascending lex; the basis is the
+    reduced row echelon form, so the output is independent of input order.
+    Monomial rows short circuit: the span is the set of distinct monomials.
+    """
+    rows = [row for row in rows if row]
+    if all(len(row) == 1 for row in rows):
+        exps = sorted({e for row in rows for e in row})
+        return tuple({e: 1} for e in exps), tuple(exps)
+    cols = sorted({e for row in rows for e in row})
+    red, piv = rref_rows([[row.get(e, 0) for e in cols] for row in rows])
+    return (
+        tuple({cols[j]: v for j, v in enumerate(r) if v} for r in red),
+        tuple(cols[j] for j in piv),
+    )
 
 
 def span_reduce(
     nvars: int, degree: int, forms: Iterable[HomogeneousForm]
 ) -> tuple[tuple[HomogeneousForm, ...], tuple[Exponent, ...]]:
-    """Canonical basis and pivot exponents of the span of the given forms.
-
-    Columns are the exponents present, sorted ascending lex; the basis is the
-    reduced row echelon form, so the output is independent of input order.
-    Monomial inputs short circuit: the span is the set of distinct monomials.
-    """
-    kept = []
-    for f in forms:
-        if f.is_zero:
-            continue
-        if f.nvars != nvars or f.degree != degree:
-            raise InputError("span_reduce: form of wrong shape")
-        kept.append(f)
-    if not kept:
-        return (), ()
-    if all(f.is_monomial for f in kept):
-        exps = sorted({next(iter(f.terms)) for f in kept})
-        basis = tuple(HomogeneousForm.monomial(nvars, e) for e in exps)
-        return basis, tuple(exps)
-    cols = sorted({e for f in kept for e in f.terms})
-    colpos = {e: j for j, e in enumerate(cols)}
-    rows = [
-        [Fraction(0)] * len(cols) for _ in kept
-    ]
-    for i, f in enumerate(kept):
-        for e, c in f.terms.items():
-            rows[i][colpos[e]] = c
-    red, piv = rref_rows(rows)
-    basis = tuple(
-        HomogeneousForm(
-            nvars,
-            {cols[j]: v for j, v in enumerate(row) if v != 0},
-            degree,
-        )
-        for row in red
-    )
-    return basis, tuple(cols[j] for j in piv)
+    """Canonical basis and pivot exponents of the span of the given forms."""
+    span = FormSpan(nvars, degree, forms)
+    return span.basis, span.pivots
 
 
 class FormSpan:
     """A vector space of homogeneous forms of one degree, canonically based.
 
-    basis rows are in reduced row echelon form over ascending lex exponent
-    columns; pivots are the corresponding exponent tuples, which double as
-    the valuation set of the space for the standard coordinate flag.
+    The basis is held as term rows in reduced row echelon form over ascending
+    lex exponent columns; pivots are the corresponding exponent tuples, which
+    double as the valuation set of the space for the standard coordinate
+    flag.  Forms are built from the rows only when `basis` is read.
     """
 
-    __slots__ = ("nvars", "degree", "basis", "pivots")
+    __slots__ = ("nvars", "degree", "pivots", "_rows")
 
     def __init__(
         self, nvars: int, degree: int, forms: Iterable[HomogeneousForm] = ()
     ):
+        forms = [f for f in forms if not f.is_zero]
+        if any(f.nvars != nvars or f.degree != degree for f in forms):
+            raise InputError("span_reduce: form of wrong shape")
+        self._set(nvars, degree, [f.terms for f in forms])
+
+    def _set(self, nvars: int, degree: int, rows) -> FormSpan:
         if degree < 0:
             raise InputError("span: negative degree")
         self.nvars = nvars
         self.degree = degree
-        self.basis, self.pivots = span_reduce(nvars, degree, forms)
+        self._rows, self.pivots = _reduce(rows)
+        return self
+
+    @classmethod
+    def _of(cls, nvars: int, degree: int, rows) -> FormSpan:
+        """The span of term rows."""
+        return object.__new__(cls)._set(nvars, degree, rows)
 
     @classmethod
     def complete(cls, nvars: int, degree: int) -> FormSpan:
-        span = cls(nvars, degree)
-        exps = tuple(all_exponents(nvars, degree))
-        span.basis = tuple(
-            HomogeneousForm.monomial(nvars, e) for e in exps
+        rows = [{e: 1} for e in all_exponents(nvars, degree)]
+        return cls._of(nvars, degree, rows)
+
+    @property
+    def basis(self) -> tuple[HomogeneousForm, ...]:
+        return tuple(
+            HomogeneousForm(self.nvars, row, self.degree) for row in self._rows
         )
-        span.pivots = exps
-        return span
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     @property
     def is_complete(self) -> bool:
@@ -354,19 +376,20 @@ class FormSpan:
 
     @property
     def is_monomial_span(self) -> bool:
-        return all(f.is_monomial for f in self.basis)
+        return all(len(row) == 1 for row in self._rows)
 
     def contains(self, form: HomogeneousForm) -> bool:
         if form.is_zero:
             return True
         if form.nvars != self.nvars or form.degree != self.degree:
             return False
-        rem = form
-        for f, p in zip(self.basis, self.pivots):
-            c = rem.coefficient(p)
+        rem = dict(form.terms)
+        for row, p in zip(self._rows, self.pivots):
+            c = rem.get(p)
             if c:
-                rem = rem - f.scaled(c)
-        return rem.is_zero
+                for e, v in row.items():
+                    rem[e] = rem.get(e, 0) - c * v
+        return not any(rem.values())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -374,7 +397,7 @@ class FormSpan:
             and self.nvars == other.nvars
             and self.degree == other.degree
             and self.pivots == other.pivots
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
@@ -383,103 +406,77 @@ class FormSpan:
     def __add__(self, other: FormSpan) -> FormSpan:
         if self.nvars != other.nvars or self.degree != other.degree:
             raise InputError("span sum: shape mismatch")
-        return FormSpan(
-            self.nvars, self.degree, list(self.basis) + list(other.basis)
-        )
+        return self._of(self.nvars, self.degree, self._rows + other._rows)
 
     def __mul__(self, other: FormSpan) -> FormSpan:
         if self.nvars != other.nvars:
             raise InputError("span product: nvars mismatch")
-        prods = [a * b for a in self.basis for b in other.basis]
-        return FormSpan(self.nvars, self.degree + other.degree, prods)
+        prods = [_mul_terms(a, b) for a in self._rows for b in other._rows]
+        return self._of(self.nvars, self.degree + other.degree, prods)
 
     def transformed(self, matrix: Sequence[Sequence[Fraction]]) -> FormSpan:
-        return FormSpan(
-            self.nvars,
-            self.degree,
-            [f.substitute_linear(matrix) for f in self.basis],
-        )
+        """The span under X -> M Y.  M is first scaled to integers by the
+        lcm of its denominators: f(c M y) = c^D f(M y) spans the same."""
+        den = math.lcm(*(Fraction(v).denominator for r in matrix for v in r))
+        lines = [[int(Fraction(v) * den) for v in r] for r in matrix]
+        rows = _substitute(self._rows, lines, self.degree)
+        return self._of(self.nvars, self.degree, rows)
 
     def restricted(self, var: int) -> FormSpan:
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
-        return FormSpan(
-            self.nvars - 1,
-            self.degree,
-            [f.set_variable_zero(var) for f in self.basis],
-        )
+        rows = [
+            {e[:var] + e[var + 1 :]: c for e, c in row.items() if e[var] == 0}
+            for row in self._rows
+        ]
+        return self._of(self.nvars - 1, self.degree, rows)
 
     def divided_by_variable(self, var: int, power: int) -> FormSpan:
         """Quotient by a variable power dividing every element; the degree
         drops by the power."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
-        if power == 0 or not self.basis:
-            return FormSpan(self.nvars, self.degree - power, self.basis)
-        forms = []
-        for f in self.basis:
-            terms = {}
-            for e, c in f.terms.items():
-                if e[var] < power:
-                    raise InputError(
-                        "divided_by_variable: an element is not divisible"
-                    )
-                shifted = list(e)
-                shifted[var] -= power
-                terms[tuple(shifted)] = c
-            forms.append(
-                HomogeneousForm(self.nvars, terms, self.degree - power)
+        if any(e[var] < power for row in self._rows for e in row):
+            raise InputError(
+                "divided_by_variable: an element is not divisible"
             )
-        return FormSpan(self.nvars, self.degree - power, forms)
+        rows = [
+            {_bump(e, var, -power): c for e, c in row.items()}
+            for row in self._rows
+        ]
+        return self._of(self.nvars, self.degree - power, rows)
 
     def subspace_with_min_exponent(self, var: int, minimum: int) -> FormSpan:
         """Elements all of whose terms have exponent >= minimum in the given
         variable (the forms divisible by that variable power)."""
-        if minimum <= 0 or not self.basis:
+        rows = self._rows
+        if minimum <= 0 or not rows:
             return self
-        low = sorted(
-            {e for f in self.basis for e in f.terms if e[var] < minimum}
-        )
+        low = sorted({e for row in rows for e in row if e[var] < minimum})
         if not low:
             return self
-        rows = [
-            [f.coefficient(e) for f in self.basis] for e in low
-        ]
-        combos = nullspace(rows)
-        forms = [
-            _combine(self.basis, c, self.nvars, self.degree) for c in combos
-        ]
-        return FormSpan(self.nvars, self.degree, forms)
+        return self._kernel([[row.get(e, 0) for row in rows] for e in low])
 
     def subspace_vanishing_at(
         self, points: Sequence[Sequence[Fraction]]
     ) -> FormSpan:
-        if not points or not self.basis:
+        rows = self._rows
+        if not points or not rows:
             return self
-        rows = [
-            [f.evaluate(p) for f in self.basis] for p in points
-        ]
-        combos = nullspace(rows)
-        forms = [
-            _combine(self.basis, c, self.nvars, self.degree) for c in combos
-        ]
-        return FormSpan(self.nvars, self.degree, forms)
+        return self._kernel([[_evaluate(r, p) for r in rows] for p in points])
+
+    def _kernel(self, conditions: list[list[Fraction]]) -> FormSpan:
+        """Elements whose basis coefficients c satisfy conditions . c = 0."""
+        rows = []
+        for combo in nullspace(conditions):
+            total: dict[Exponent, Fraction] = {}
+            for row, c in zip(self._rows, combo):
+                if c:
+                    for e, v in row.items():
+                        total[e] = total.get(e, 0) + c * v
+            rows.append({e: v for e, v in total.items() if v})
+        return self._of(self.nvars, self.degree, rows)
 
     def __repr__(self) -> str:
-        return (
-            f"FormSpan(nvars={self.nvars}, degree={self.degree}, "
-            f"dim={self.dim})"
-        )
-
-
-def _combine(
-    basis: Sequence[HomogeneousForm],
-    coeffs: Sequence[Fraction],
-    nvars: int,
-    degree: int,
-) -> HomogeneousForm:
-    total = HomogeneousForm.zero(nvars, degree)
-    for f, c in zip(basis, coeffs):
-        if c:
-            total = total + f.scaled(c)
-    return total
+        shape = f"nvars={self.nvars}, degree={self.degree}, dim={self.dim}"
+        return f"FormSpan({shape})"

@@ -8,6 +8,13 @@ halfspace cuts enumerate basic feasible points of the inequality system
 (`_enumerate_vertices`).  The helpers below are kept as they were; the
 `reference_*` functions wrap them with the old `RationalPolytope` method
 bodies, building every polytope through `reference_polytope`.
+
+The level oracle is the form layer `polyform` had before spans kept their
+reduced term rows: `substitute_linear` multiplying out per-form powers of
+the linear forms in `Fraction` dicts, and `span_reduce` going from forms to
+dense rows and back.  The span operations below are the old `FormSpan`
+method bodies on a reference basis, a tuple of forms in reduced row
+echelon form.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from okbody.exactnum import (
     rref_rows,
     solve_rational_system,
 )
+from okbody.polyform import HomogeneousForm
 
 Point = tuple[Fraction, ...]
 
@@ -443,3 +451,155 @@ def reference_slice_at(poly: RationalPolytope, coord: int, value) -> RationalPol
         return RationalPolytope.empty(0)
     pts = _enumerate_vertices(eqs, ineqs, poly.n - 1)
     return reference_polytope(pts, poly.n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the level oracle
+
+Exponent = tuple[int, ...]
+
+
+def j_unit(n: int, k: int) -> Exponent:
+    e = [0] * n
+    e[k] = 1
+    return tuple(e)
+
+
+def _mul_terms(
+    a: dict[Exponent, Fraction], b: dict[Exponent, Fraction]
+) -> dict[Exponent, Fraction]:
+    out: dict[Exponent, Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            v = out.get(e, Fraction(0)) + ca * cb
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return out
+
+
+def reference_substitute_linear(
+    form: HomogeneousForm, matrix: Sequence[Sequence[Fraction]]
+) -> HomogeneousForm:
+    self = form
+    n = self.nvars
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise InputError("substitute_linear: matrix must be nvars x nvars")
+    lines = [
+        {
+            (j_unit(n, k)): Fraction(matrix[j][k])
+            for k in range(n)
+            if Fraction(matrix[j][k]) != 0
+        }
+        for j in range(n)
+    ]
+    one = {(0,) * n: Fraction(1)}
+    powers: dict[tuple[int, int], dict[Exponent, Fraction]] = {}
+
+    def power(j: int, p: int) -> dict[Exponent, Fraction]:
+        if p == 0:
+            return one
+        got = powers.get((j, p))
+        if got is None:
+            got = _mul_terms(power(j, p - 1), lines[j])
+            powers[(j, p)] = got
+        return got
+
+    total: dict[Exponent, Fraction] = {}
+    for e, c in self.terms.items():
+        prod = one
+        for j, ej in enumerate(e):
+            if ej:
+                prod = _mul_terms(prod, power(j, ej))
+        for ee, cc in prod.items():
+            total[ee] = total.get(ee, Fraction(0)) + c * cc
+    return HomogeneousForm(n, total, self.degree)
+
+
+def reference_span_reduce(
+    nvars: int, degree: int, forms
+) -> tuple[tuple[HomogeneousForm, ...], tuple[Exponent, ...]]:
+    kept = []
+    for f in forms:
+        if f.is_zero:
+            continue
+        if f.nvars != nvars or f.degree != degree:
+            raise InputError("span_reduce: form of wrong shape")
+        kept.append(f)
+    if not kept:
+        return (), ()
+    if all(f.is_monomial for f in kept):
+        exps = sorted({next(iter(f.terms)) for f in kept})
+        basis = tuple(HomogeneousForm.monomial(nvars, e) for e in exps)
+        return basis, tuple(exps)
+    cols = sorted({e for f in kept for e in f.terms})
+    colpos = {e: j for j, e in enumerate(cols)}
+    rows = [
+        [Fraction(0)] * len(cols) for _ in kept
+    ]
+    for i, f in enumerate(kept):
+        for e, c in f.terms.items():
+            rows[i][colpos[e]] = c
+    red, piv = rref_rows(rows)
+    basis = tuple(
+        HomogeneousForm(
+            nvars,
+            {cols[j]: v for j, v in enumerate(row) if v != 0},
+            degree,
+        )
+        for row in red
+    )
+    return basis, tuple(cols[j] for j in piv)
+
+
+def _combine(
+    basis: Sequence[HomogeneousForm],
+    coeffs: Sequence[Fraction],
+    nvars: int,
+    degree: int,
+) -> HomogeneousForm:
+    total = HomogeneousForm.zero(nvars, degree)
+    for f, c in zip(basis, coeffs):
+        if c:
+            total = total + f.scaled(c)
+    return total
+
+
+def reference_contains(basis, pivots, form: HomogeneousForm) -> bool:
+    rem = form
+    for f, p in zip(basis, pivots):
+        c = rem.coefficient(p)
+        if c:
+            rem = rem - f.scaled(c)
+    return rem.is_zero
+
+
+def reference_subspace_with_min_exponent(
+    basis, nvars: int, degree: int, var: int, minimum: int
+):
+    low = sorted(
+        {e for f in basis for e in f.terms if e[var] < minimum}
+    )
+    if not low:
+        return reference_span_reduce(nvars, degree, basis)
+    rows = [
+        [f.coefficient(e) for f in basis] for e in low
+    ]
+    combos = nullspace(rows)
+    forms = [
+        _combine(basis, c, nvars, degree) for c in combos
+    ]
+    return reference_span_reduce(nvars, degree, forms)
+
+
+def reference_subspace_vanishing_at(basis, nvars: int, degree: int, points):
+    rows = [
+        [f.evaluate(p) for f in basis] for p in points
+    ]
+    combos = nullspace(rows)
+    forms = [
+        _combine(basis, c, nvars, degree) for c in combos
+    ]
+    return reference_span_reduce(nvars, degree, forms)

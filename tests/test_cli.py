@@ -362,6 +362,31 @@ class TestExitCodes:
         assert rc == 2
         assert "divisor degree" in err
 
+    @pytest.mark.parametrize("flags", ["1", "0", "-2"])
+    def test_generic_needs_two_flags(self, capsys, flags):
+        rc, out, err = invoke(
+            capsys, "generic-test", str(CORPUS / "p2_o2_squares.json"),
+            "-K", "2", "--flags", flags,
+        )
+        assert rc == 2 and out == ""
+        assert "--flags must be at least 2" in err
+
+    def test_filtered_dims_needs_a_level(self, capsys):
+        rc, out, err = invoke(
+            capsys, "filtered-dims", str(CORPUS / "p2_o1_complete.json"),
+            "--levels", "0",
+        )
+        assert rc == 2 and out == ""
+        assert "--levels must be at least 1" in err
+
+    def test_filtered_dims_needs_a_budget(self, capsys):
+        rc, out, err = invoke(
+            capsys, "filtered-dims", str(CORPUS / "p2_o1_complete.json"),
+            "--sigma-budget", "-1",
+        )
+        assert rc == 2 and out == ""
+        assert "--sigma-budget must be nonnegative" in err
+
     def test_flag_curve_in_support(self, capsys, tmp_path):
         data = {
             "rank": 2,

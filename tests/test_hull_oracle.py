@@ -3,7 +3,7 @@ in `oracles.py`, on small random point sets in dimension at most 4."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from okbody.convbody import RationalPolytope
@@ -14,6 +14,10 @@ from oracles import (
     reference_slice_at,
     reference_volume,
 )
+
+# no shrinking: a failure is reported as found, without rerunning the
+# slow reference many times over
+PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
 
 small = st.builds(
     Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])
@@ -78,13 +82,13 @@ def check_against_oracle(data, d: int, most: int) -> None:
     )
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=300, phases=PHASES)
 @given(st.data(), st.integers(1, 3))
 def test_hull_matches_oracle_up_to_dimension_3(data, d):
     check_against_oracle(data, d, most=8)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(derandomize=True, deadline=None, max_examples=100, phases=PHASES)
 @given(st.data())
 def test_hull_matches_oracle_in_dimension_4(data):
     # the reference filters 4-d points with one exact LP each, so the
