@@ -11,6 +11,7 @@ exit codes: bad input 2, unsupported mode 3, internal invariant 4.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -826,7 +827,9 @@ def _add_truncation(sub, default: int):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `okbody` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="okbody",
         description="Exact Newton-Okounkov bodies of graded linear series.",

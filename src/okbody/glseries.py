@@ -5,7 +5,10 @@ products must land in level sums, which holds by construction for the
 complete and finitely generated providers and is checkable for explicit
 input.  Derived series (flag views, twists, restrictions, punctures) wrap a
 parent lazily and keep their own level caches, so repeated body and slice
-computations share work.
+computations share work.  A flag view of a series with generators builds
+each level from its own lower levels by subduction (see `under_flag`), with
+the parent supplying only the level's dimension; no elimination runs unless
+the products' leads fall short of that dimension.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ class GradedSeries:
         self.generators = generators
         self._provider = provider
         self._levels: dict[int, FormSpan] = {}
-        # flag -> (weak reference to the view, its levels, its generators)
+        # flag -> (weak reference to the view, its levels, its generators,
+        # their spans)
         self._views: dict[Flag, tuple] = {}
 
     # -- access --------------------------------------------------------------
@@ -219,6 +223,14 @@ class GradedSeries:
         """The same series written in flag coordinates (a view; levels are
         computed from the parent and cached per flag).
 
+        A complete parent level is its own image.  When the series has
+        generators, the view's level k is found by subduction: the change
+        of flag is a ring map, so the level is spanned by the products of
+        the view's level k - j with the transformed generator span at each
+        generator level j (and by that span itself when j = k), and its
+        dimension is the parent level's.  Other series transform each
+        parent level.
+
         The view's provider refers to this series, so this series keeps
         the view's levels and generators but only a weak reference to the
         view itself: a reference cycle would hold every cached level until
@@ -227,7 +239,7 @@ class GradedSeries:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
             return self
-        ref, levels, tgens = self._views.get(flag, (None, {}, None))
+        ref, levels, tgens, gspans = self._views.get(flag, (None, {}, None, None))
         view = ref and ref()
         if view is not None:
             return view
@@ -238,12 +250,26 @@ class GradedSeries:
                 )
                 for j, forms in self.generators.items()
             }
+            gspans = {
+                j: FormSpan.echelon(self.d + 1, j * self.twist, forms)
+                for j, forms in sorted(tgens.items())
+            }
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
             span = self.level(k)
             if span.is_complete:
                 return span
-            return span.transformed(flag.substitution)
+            if gspans is None:
+                return span.transformed(flag.substitution)
+            unit = FormSpan.complete(series.d + 1, 0)
+            factors = [
+                (series.level(k - j) if j < k else unit, gspan)
+                for j, gspan in gspans.items()
+                if j <= k
+            ]
+            return FormSpan.subducted(
+                series.d + 1, k * series.twist, span.dim, factors
+            )
 
         view = GradedSeries(
             self.d,
@@ -254,7 +280,7 @@ class GradedSeries:
             max_level=self.max_level,
         )
         view._levels = levels
-        self._views[flag] = weakref.ref(view), levels, tgens
+        self._views[flag] = weakref.ref(view), levels, tgens, gspans
         return view
 
     def veronese(self, b: int) -> GradedSeries:

@@ -7,15 +7,21 @@ lexicographic exponent; every span operation works on the rows, and forms
 are built only at the edges (input, `basis`).  The pivot exponents are what
 the valuation layer reads off, so the ordering convention is load bearing.
 Linear substitution maps every row through one table of monomial images.
+
+A span built from products by subduction (`subducted`, `echelon`) holds
+integer rows with distinct leads instead, the leads being its pivots; they
+are reduced only when an operation, `basis` or `==` first reads the reduced
+rows, so those equal the rows of any other route to the same space.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .exactnum import nullspace, rref_rows
 
 Exponent = tuple[int, ...]
@@ -234,11 +240,18 @@ def _evaluate(terms: dict, point: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _mul_terms(a: dict, b: dict) -> dict[Exponent, Fraction]:
+def _mul_terms(a: dict, b: dict, sums: dict | None = None) -> dict:
+    """The product of two term rows.  sums caches exponent sums across
+    calls (eb -> {ea: ea + eb}), since products of spans repeat them."""
+    if sums is None:
+        sums = {}
     out: dict[Exponent, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+    for eb, cb in b.items():
+        shift = sums.setdefault(eb, {})
+        for ea, ca in a.items():
+            e = shift.get(ea)
+            if e is None:
+                e = shift[ea] = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: v for e, v in out.items() if v}
 
@@ -315,6 +328,36 @@ def _reduce(rows: Iterable[dict]) -> tuple[tuple[dict, ...], tuple]:
     )
 
 
+def _primitive(row: dict) -> dict[Exponent, int]:
+    """The row scaled to coprime integers."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    row = {e: int(v * den) for e, v in row.items()}
+    g = math.gcd(*row.values())
+    return {e: v // g for e, v in row.items()} if g > 1 else row
+
+
+def _top_reduce(row: dict, table: dict) -> dict:
+    """Cancel the lead of an integer row against the table (lead -> row)
+    until its lead is new; the remainder, made primitive after each step,
+    or an empty row."""
+    while row:
+        lead = min(row)
+        top = table.get(lead)
+        if top is None:
+            return row
+        g = math.gcd(top[lead], row[lead])
+        a, b = top[lead] // g, row[lead] // g
+        out = {e: a * v for e, v in row.items()}
+        for e, v in top.items():
+            w = out.get(e, 0) - b * v
+            if w:
+                out[e] = w
+            else:
+                del out[e]
+        row = _primitive(out) if out else out
+    return row
+
+
 def span_reduce(
     nvars: int, degree: int, forms: Iterable[HomogeneousForm]
 ) -> tuple[tuple[HomogeneousForm, ...], tuple[Exponent, ...]]:
@@ -327,12 +370,13 @@ class FormSpan:
     """A vector space of homogeneous forms of one degree, canonically based.
 
     The basis is held as term rows in reduced row echelon form over ascending
-    lex exponent columns; pivots are the corresponding exponent tuples, which
-    double as the valuation set of the space for the standard coordinate
-    flag.  Forms are built from the rows only when `basis` is read.
+    lex exponent columns, or first as integer echelon rows (see the module
+    docstring); pivots are the corresponding exponent tuples, which double
+    as the valuation set of the space for the standard coordinate flag.
+    Forms are built from the rows only when `basis` is read.
     """
 
-    __slots__ = ("nvars", "degree", "pivots", "_rows")
+    __slots__ = ("nvars", "degree", "pivots", "_reduced", "_echelon")
 
     def __init__(
         self, nvars: int, degree: int, forms: Iterable[HomogeneousForm] = ()
@@ -347,7 +391,8 @@ class FormSpan:
             raise InputError("span: negative degree")
         self.nvars = nvars
         self.degree = degree
-        self._rows, self.pivots = _reduce(rows)
+        self._reduced, self.pivots = _reduce(rows)
+        self._echelon = None
         return self
 
     @classmethod
@@ -356,9 +401,102 @@ class FormSpan:
         return object.__new__(cls)._set(nvars, degree, rows)
 
     @classmethod
+    def _of_echelon(cls, nvars: int, degree: int, table: dict) -> FormSpan:
+        """The span of integer rows with distinct leads (lead -> row), kept
+        as they are; the reduced rows are built when first read."""
+        span = object.__new__(cls)
+        span.nvars = nvars
+        span.degree = degree
+        span.pivots = tuple(sorted(table))
+        span._echelon = tuple(table[p] for p in span.pivots)
+        span._reduced = None
+        return span
+
+    @property
+    def _rows(self) -> tuple[dict, ...]:
+        """The canonical basis rows in reduced row echelon form."""
+        if self._reduced is None:
+            self._reduced = _reduce(self._echelon)[0]
+        return self._reduced
+
+    @property
+    def _lead_rows(self) -> tuple[dict, ...]:
+        """Integer basis rows whose leads are the pivots, in pivot order."""
+        if self._echelon is None:
+            return tuple(map(_primitive, self._reduced))
+        return self._echelon
+
+    @classmethod
     def complete(cls, nvars: int, degree: int) -> FormSpan:
         rows = [{e: 1} for e in all_exponents(nvars, degree)]
         return cls._of(nvars, degree, rows)
+
+    @classmethod
+    def echelon(
+        cls, nvars: int, degree: int, forms: Iterable[HomogeneousForm]
+    ) -> FormSpan:
+        """The span of the forms, kept as integer echelon rows."""
+        table: dict[Exponent, dict] = {}
+        for f in forms:
+            if f.nvars != nvars or f.degree != degree:
+                raise InputError("span_reduce: form of wrong shape")
+            row = _top_reduce(_primitive(f.terms), table)
+            if row:
+                table[min(row)] = row
+        return cls._of_echelon(nvars, degree, table)
+
+    @classmethod
+    def subducted(
+        cls,
+        nvars: int,
+        degree: int,
+        dim: int,
+        factors: Sequence[tuple[FormSpan, FormSpan]],
+    ) -> FormSpan:
+        """The dim-dimensional span of the products a * b of basis rows of
+        each pair of spans (A, B), whose degrees add up to degree.
+
+        Lex order is a monomial order, so the lead of a * b is the sum of
+        the leads.  One product per distinct lead sum goes into the table
+        unreduced; the other products, largest lead first, are top-reduced
+        against the table only until it holds dim rows.  Too many distinct
+        leads, or too few rows once the products run out, mean that the
+        products do not span a dim-dimensional space: InvariantError."""
+        firsts: dict[Exponent, tuple[dict, dict]] = {}
+        rest = []
+        for A, B in factors:
+            if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
+                raise InputError("subducted: factors of the wrong shape")
+            rows_b = list(zip(B.pivots, B._lead_rows))
+            for pa, ra in zip(A.pivots, A._lead_rows):
+                for pb, rb in rows_b:
+                    lead = tuple(map(add, pa, pb))
+                    if lead in firsts:
+                        rest.append((lead, ra, rb))
+                    else:
+                        firsts[lead] = ra, rb
+        if len(firsts) > dim:
+            raise InvariantError(
+                f"subduction: {len(firsts)} distinct leads exceed the "
+                f"dimension {dim}"
+            )
+        sums: dict = {}
+        table = {
+            lead: _mul_terms(ra, rb, sums) for lead, (ra, rb) in firsts.items()
+        }
+        rest.sort(key=lambda c: c[0], reverse=True)
+        for _, ra, rb in rest:
+            if len(table) == dim:
+                break
+            row = _top_reduce(_mul_terms(ra, rb, sums), table)
+            if row:
+                table[min(row)] = row
+        if len(table) < dim:
+            raise InvariantError(
+                f"subduction: the products span {len(table)} of {dim} "
+                "dimensions"
+            )
+        return cls._of_echelon(nvars, degree, table)
 
     @property
     def basis(self) -> tuple[HomogeneousForm, ...]:
@@ -411,7 +549,8 @@ class FormSpan:
     def __mul__(self, other: FormSpan) -> FormSpan:
         if self.nvars != other.nvars:
             raise InputError("span product: nvars mismatch")
-        prods = [_mul_terms(a, b) for a in self._rows for b in other._rows]
+        sums: dict = {}
+        prods = [_mul_terms(a, b, sums) for a in self._rows for b in other._rows]
         return self._of(self.nvars, self.degree + other.degree, prods)
 
     def transformed(self, matrix: Sequence[Sequence[Fraction]]) -> FormSpan:

@@ -15,6 +15,10 @@ the linear forms in `Fraction` dicts, and `span_reduce` going from forms to
 dense rows and back.  The span operations below are the old `FormSpan`
 method bodies on a reference basis, a tuple of forms in reduced row
 echelon form.
+
+The view-level oracle is how flag views built their levels before
+subduction: each parent level written in flag coordinates by one
+substitution and a full reduction, complete levels passed through.
 """
 
 from __future__ import annotations
@@ -603,3 +607,15 @@ def reference_subspace_vanishing_at(basis, nvars: int, degree: int, points):
         _combine(basis, c, nvars, degree) for c in combos
     ]
     return reference_span_reduce(nvars, degree, forms)
+
+
+# ---------------------------------------------------------------------------
+# the view-level oracle
+
+
+def reference_view_level(series, flag, k: int):
+    """Level k of the series under the flag, transformed from the parent."""
+    span = series.level(k)
+    if span.is_complete:
+        return span
+    return span.transformed(flag.substitution)

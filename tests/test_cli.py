@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from okbody import cli
 from okbody.cli import (
+    build_parser,
     main,
     parse_rational,
     parse_series,
@@ -14,6 +16,8 @@ from okbody.cli import (
     serialize_series,
 )
 from okbody.errors import InputError
+from okbody.glseries import GradedSeries
+from okbody.polyform import FormSpan, HomogeneousForm
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -290,6 +294,26 @@ class TestDeterminismAndIO:
         assert rc3 == rc4 == 0
         assert out3 == out4
 
+    def test_one_parser_per_process(self, capsys):
+        runs = [
+            ("base-locus", str(CORPUS / "p2_o2_cremona.json"), "-K", "4"),
+            ("birational", str(CORPUS / "p2_o2_squares.json")),
+            ("body", FLAGSHIP, "-K", "3", "--flag-seed", "2"),
+            ("filtered-dims", str(CORPUS / "p2_o1_complete.json"), "--levels", "2"),
+            ("slice", str(CORPUS / "p2_o2_cremona.json"), "--t", "1/2", "-K", "4"),
+            ("body", FLAGSHIP, "-K", "0"),
+            ("fujita", FLAGSHIP, "--p", "2", "-K", "3"),
+        ]
+        fresh = []
+        for argv in runs:
+            build_parser.cache_clear()
+            fresh.append(invoke(capsys, *argv))
+        build_parser.cache_clear()
+        again = [invoke(capsys, *argv) for argv in runs]
+        assert build_parser.cache_info().misses == 1
+        assert again == fresh
+        assert [rc for rc, _, _ in fresh] == [0, 0, 0, 0, 0, 2, 0]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         rc, out, _ = invoke(capsys, "body", FLAGSHIP, "-K", "4", "--out", str(target))
@@ -324,6 +348,21 @@ class TestDeterminismAndIO:
 
 
 class TestExitCodes:
+    def test_subduction_cross_check(self, capsys, monkeypatch):
+        """A series whose provider holds more than its generators make:
+        the flag view's products fall short of the level dimension."""
+
+        def provider(series, k):
+            forms = [HomogeneousForm.monomial(3, e) for e in ((k, 0, 0), (0, k, 0))]
+            return FormSpan(3, k, forms)
+
+        x1 = HomogeneousForm.monomial(3, (1, 0, 0))
+        series = GradedSeries(2, 1, provider, generators={1: [x1]})
+        monkeypatch.setattr(cli, "load_series", lambda path: (series, "0" * 64))
+        rc, out, err = invoke(capsys, "body", FLAGSHIP, "-K", "2", "--flag-seed", "1")
+        assert rc == 4 and out == ""
+        assert "invariant violated: subduction" in err
+
     def test_missing_input(self, capsys):
         rc, _, err = invoke(capsys, "body", str(CORPUS / "nope.json"))
         assert rc == 2

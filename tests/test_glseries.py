@@ -1,14 +1,21 @@
 """Graded series construction, derived series, and dimension data tests."""
 
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from okbody.errors import InputError, TruncationError
+from okbody import polyform
+from okbody.cli import parse_series
+from okbody.convbody import okounkov_body
+from okbody.errors import InputError, InvariantError, TruncationError
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm as HF
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def mono(e):
@@ -124,6 +131,44 @@ def test_complete_level_shortcut_under_flag():
     fl = Flag.random(2, 4)
     view = C.under_flag(fl)
     assert view.level(2) is C.level(2)
+
+
+@pytest.mark.parametrize(
+    "gens, provided, message",
+    [
+        ([(1, 0, 0)], [(1, 0, 0), (0, 1, 0)], "span 1 of 2"),
+        ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0)], "2 distinct leads exceed"),
+    ],
+)
+def test_view_level_cross_checks_the_parent_dimension(gens, provided, message):
+    """The provider's level k is spanned by the k-th powers of the provided
+    monomials, which the generators' products fall short of or exceed."""
+
+    def provider(series, k):
+        return FormSpan(3, k, [mono(tuple(k * x for x in e)) for e in provided])
+
+    series = GradedSeries(2, 1, provider, generators={1: [mono(e) for e in gens]})
+    with pytest.raises(InvariantError, match=message):
+        series.under_flag(Flag.random(2, 1)).level(1)
+
+
+def test_generated_view_levels_need_no_elimination(monkeypatch):
+    S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
+    flag = Flag.random(2, 1)
+    calls = []
+    rref_rows = polyform.rref_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref_rows(rows)
+
+    monkeypatch.setattr(polyform, "rref_rows", counted)
+    rep = okounkov_body(S, flag, 6)
+    assert calls == []
+    assert rep.dims == S.dims(6)
+    # the old route, transforming a parent level, does eliminate
+    S.level(6).transformed(flag.substitution)
+    assert calls
 
 
 def test_veronese():

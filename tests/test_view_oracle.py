@@ -1,0 +1,104 @@
+"""Flag-view levels built by subduction against the oracle that transforms
+each parent level, on small generated series and their level-2 Fujita
+approximations under random invertible rational flags: pivots, bases,
+valuative witnesses and the restricted series of the slice identity."""
+
+from fractions import Fraction
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from okbody.convbody import valuative_witness
+from okbody.exactnum import det
+from okbody.flagval import Flag
+from okbody.glseries import GradedSeries
+from okbody.polyform import HomogeneousForm, all_exponents
+from oracles import reference_view_level
+
+small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+nonzero = small.filter(bool)
+# no shrinking: a failure is reported as found, without rerunning the
+# slow reference many times over
+PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def forms(nvars: int, degree: int, most: int, monomial: bool):
+    exps = list(all_exponents(nvars, degree))
+    size = 1 if monomial else 3
+    terms = st.dictionaries(st.sampled_from(exps), nonzero, min_size=1, max_size=size)
+    form = terms.map(lambda t: HomogeneousForm(nvars, t, degree))
+    return st.lists(form, min_size=1, max_size=most)
+
+
+def flags(n: int):
+    matrix = st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
+    return matrix.filter(lambda m: det(m) != 0).map(Flag)
+
+
+def oracle_view(series: GradedSeries, flag: Flag) -> GradedSeries:
+    return GradedSeries(
+        series.d,
+        series.twist,
+        lambda view, k: reference_view_level(series, flag, k),
+    )
+
+
+def assert_same_levels(got: GradedSeries, want: GradedSeries, K: int):
+    for k in range(1, K + 1):
+        a, b = got.level(k), want.level(k)
+        assert a.pivots == b.pivots  # read before the lazy reduced rows
+        assert a == b
+        assert a.basis == b.basis
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, phases=PHASES)
+@given(st.data())
+def test_view_levels_match_oracle(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    twist = data.draw(st.integers(1, 1 if d == 3 else 2), label="twist")
+    K = data.draw(st.integers(2, 4 if d == 3 else 5), label="K")
+    monomial = data.draw(st.booleans(), label="monomial")
+    gens = {1: data.draw(forms(d + 1, twist, 4, monomial), label="level 1")}
+    if data.draw(st.booleans(), label="level 2"):
+        gens[2] = data.draw(forms(d + 1, 2 * twist, 2, monomial), label="level 2")
+    series = GradedSeries.generated(d, twist, gens)
+    if data.draw(st.booleans(), label="fujita"):
+        series = series.fujita_subseries(2)
+        K = min(K, 3)
+    flag = data.draw(flags(d + 1), label="flag")
+    view, oracle = series.under_flag(flag), oracle_view(series, flag)
+    assert_same_levels(view, oracle, K)
+
+    k = data.draw(st.integers(1, K), label="witness level")
+    pivots = oracle.level(k).pivots
+    if pivots:
+        p = data.draw(st.sampled_from(pivots), label="witness pivot")
+        target = [Fraction(x, k) for x in p[:d]]
+        got = valuative_witness(series, flag, K, target)
+        v, level, form = valuative_witness(oracle, Flag.standard(d), K, target)
+        assert got == (v, level, form.substitute_linear(flag.matrix))
+
+    if d >= 2:
+        b = data.draw(st.integers(1, 2), label="veronese")
+        a = data.draw(st.integers(0, b * series.twist - 1), label="subtracted")
+
+        def restricted(s: GradedSeries) -> GradedSeries:
+            return s.veronese(b).subtract_flag_divisor(a).restrict_to_flag_divisor()
+
+        assert_same_levels(restricted(view), restricted(oracle), K // b)
+
+
+def test_complete_level_as_a_factor():
+    """Level 2 is complete, with rational reduced rows, and level 3 is
+    not, so level 3 multiplies the parent's complete span, unchanged by the
+    flag, by the transformed level-1 generator."""
+
+    def x(*e):
+        return HomogeneousForm.monomial(2, e)
+
+    g2 = [x(2, 0) + x(0, 2).scaled(Fraction(1, 2)), x(1, 1) + x(0, 2)]
+    series = GradedSeries.generated(1, 1, {1: [x(1, 0)], 2: g2})
+    assert series.level(2).is_complete and not series.level(3).is_complete
+    for seed in (1, 2, 3):
+        flag = Flag.random(1, seed)
+        assert_same_levels(series.under_flag(flag), oracle_view(series, flag), 6)
