@@ -5,10 +5,12 @@ products must land in level sums, which holds by construction for the
 complete and finitely generated providers and is checkable for explicit
 input.  Derived series (flag views, twists, restrictions, punctures) wrap a
 parent lazily and keep their own level caches, so repeated body and slice
-computations share work.  A flag view of a series with generators builds
-each level from its own lower levels by subduction (see `under_flag`), with
-the parent supplying only the level's dimension; no elimination runs unless
-the products' leads fall short of that dimension.
+computations share work.  A generated series and a flag view of a series
+with generators build each level on one path, `_generated_level`: the span
+of the products of lower levels with the generator spans, found by
+subduction.  A view knows the level's dimension from its parent, so it
+stops as soon as the products' leads reach it, most often without any
+reduction.
 """
 
 from __future__ import annotations
@@ -159,8 +161,9 @@ class GradedSeries:
 
         generators may be a flat sequence (all level 1) or a mapping from
         level to forms; S_k is the sum of G_j * S_{k-j} over generator
-        levels j, so levels not reachable as sums of generator levels are
-        zero.
+        levels j (`_generated_level`, every product reduced, as no
+        dimension is known), so levels not reachable as sums of generator
+        levels are zero.
         """
         if not isinstance(generators, dict):
             generators = {1: list(generators)}
@@ -175,15 +178,7 @@ class GradedSeries:
                 raise InputError(f"generated series: level {j} generators are zero")
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
-            total = FormSpan(series.d + 1, k * series.twist, [])
-            for j, gspan in spans.items():
-                if j == k:
-                    total = total + gspan
-                elif j < k:
-                    lower = series.level(k - j)
-                    if lower.dim:
-                        total = total + lower * gspan
-            return total
+            return _generated_level(series, k, spans, None)
 
         return cls(d, twist, provider, label=label, generators=gens)
 
@@ -224,12 +219,11 @@ class GradedSeries:
         computed from the parent and cached per flag).
 
         A complete parent level is its own image.  When the series has
-        generators, the view's level k is found by subduction: the change
-        of flag is a ring map, so the level is spanned by the products of
-        the view's level k - j with the transformed generator span at each
-        generator level j (and by that span itself when j = k), and its
-        dimension is the parent level's.  Other series transform each
-        parent level.
+        generators, the change of flag is a ring map, so the view is
+        generated by the transformed generators and its level k is built
+        on the path of `generated` (`_generated_level`), with the parent
+        level's dimension to stop and cross-check the subduction.  Other
+        series transform each parent level.
 
         The view's provider refers to this series, so this series keeps
         the view's levels and generators but only a weak reference to the
@@ -251,7 +245,7 @@ class GradedSeries:
                 for j, forms in self.generators.items()
             }
             gspans = {
-                j: FormSpan.echelon(self.d + 1, j * self.twist, forms)
+                j: FormSpan(self.d + 1, j * self.twist, forms)
                 for j, forms in sorted(tgens.items())
             }
 
@@ -261,15 +255,7 @@ class GradedSeries:
                 return span
             if gspans is None:
                 return span.transformed(flag.substitution)
-            unit = FormSpan.complete(series.d + 1, 0)
-            factors = [
-                (series.level(k - j) if j < k else unit, gspan)
-                for j, gspan in gspans.items()
-                if j <= k
-            ]
-            return FormSpan.subducted(
-                series.d + 1, k * series.twist, span.dim, factors
-            )
+            return _generated_level(series, k, gspans, span.dim)
 
         view = GradedSeries(
             self.d,
@@ -424,3 +410,19 @@ class GradedSeries:
             f"GradedSeries(d={self.d}, twist={self.twist}, "
             f"label={self.label!r})"
         )
+
+
+def _generated_level(
+    series: GradedSeries, k: int, gspans: dict[int, FormSpan], dim: int | None
+) -> FormSpan:
+    """Level k of a series generated by gspans (generator level -> span):
+    the products of its level k - j with the span at each generator level
+    j <= k, level 0 being the constants.  A known dim stops and
+    cross-checks the subduction (`FormSpan.subducted`)."""
+    unit = FormSpan.complete(series.d + 1, 0)
+    factors = [
+        (series.level(k - j) if j < k else unit, gspan)
+        for j, gspan in gspans.items()
+        if j <= k
+    ]
+    return FormSpan.subducted(series.d + 1, k * series.twist, dim, factors)

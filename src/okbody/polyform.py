@@ -1,17 +1,16 @@
 """Homogeneous polynomial forms and finite dimensional spaces of them.
 
 Forms are sparse dictionaries from exponent tuples to rational coefficients.
-A FormSpan holds the canonical reduced row echelon basis of a space of forms
-of one degree as term rows of that kind, with columns ordered by ascending
-lexicographic exponent; every span operation works on the rows, and forms
-are built only at the edges (input, `basis`).  The pivot exponents are what
-the valuation layer reads off, so the ordering convention is load bearing.
-Linear substitution maps every row through one table of monomial images.
-
-A span built from products by subduction (`subducted`, `echelon`) holds
-integer rows with distinct leads instead, the leads being its pivots; they
-are reduced only when an operation, `basis` or `==` first reads the reduced
-rows, so those equal the rows of any other route to the same space.
+A FormSpan holds a space of forms of one degree in one representation:
+primitive integer term rows with distinct leads, the lead of a row being its
+lex-least exponent.  The leads are the pivots the valuation layer reads off,
+so the ordering convention is load bearing.  Every span operation builds its
+rows through one insertion reducer; lex order is a monomial order, so leads
+of products add and shifts and cuts by the first variable keep leads apart
+without any reduction.  The canonical basis, the reduced row echelon form
+over ascending lex exponent columns, is computed only when `basis` or `==`
+reads it.  Forms are built only at the edges (input, `basis`), and linear
+substitution maps every row through one table of monomial images.
 """
 
 from __future__ import annotations
@@ -309,29 +308,13 @@ def _substitute(
     return out
 
 
-def _reduce(rows: Iterable[dict]) -> tuple[tuple[dict, ...], tuple]:
-    """Canonical basis rows and pivot exponents of the span of term rows.
-
-    Columns are the exponents present, sorted ascending lex; the basis is the
-    reduced row echelon form, so the output is independent of input order.
-    Monomial rows short circuit: the span is the set of distinct monomials.
-    """
-    rows = [row for row in rows if row]
-    if all(len(row) == 1 for row in rows):
-        exps = sorted({e for row in rows for e in row})
-        return tuple({e: 1} for e in exps), tuple(exps)
-    cols = sorted({e for row in rows for e in row})
-    red, piv = rref_rows([[row.get(e, 0) for e in cols] for row in rows])
-    return (
-        tuple({cols[j]: v for j, v in enumerate(r) if v} for r in red),
-        tuple(cols[j] for j in piv),
-    )
-
-
 def _primitive(row: dict) -> dict[Exponent, int]:
     """The row scaled to coprime integers."""
     den = math.lcm(*(v.denominator for v in row.values()))
-    row = {e: int(v * den) for e, v in row.items()}
+    return _content_free({e: int(v * den) for e, v in row.items()})
+
+
+def _content_free(row: dict[Exponent, int]) -> dict[Exponent, int]:
     g = math.gcd(*row.values())
     return {e: v // g for e, v in row.items()} if g > 1 else row
 
@@ -354,8 +337,20 @@ def _top_reduce(row: dict, table: dict) -> dict:
                 out[e] = w
             else:
                 del out[e]
-        row = _primitive(out) if out else out
+        if lead in out:
+            raise InvariantError("top reduction: the lead was not cancelled")
+        row = _content_free(out) if out else out
     return row
+
+
+def _insert(table: dict, rows: Iterable[dict]) -> dict:
+    """Enter each row into the table (lead -> primitive integer row) under
+    the new lead of its top-reduced remainder; zero remainders are dropped."""
+    for row in rows:
+        row = _top_reduce(_primitive(row), table)
+        if row:
+            table[min(row)] = row
+    return table
 
 
 def span_reduce(
@@ -367,16 +362,18 @@ def span_reduce(
 
 
 class FormSpan:
-    """A vector space of homogeneous forms of one degree, canonically based.
+    """A vector space of homogeneous forms of one degree.
 
-    The basis is held as term rows in reduced row echelon form over ascending
-    lex exponent columns, or first as integer echelon rows (see the module
-    docstring); pivots are the corresponding exponent tuples, which double
+    `_rows` maps each pivot to a primitive integer term row whose lead
+    (lex-least exponent) it is, in ascending pivot order; the pivots double
     as the valuation set of the space for the standard coordinate flag.
-    Forms are built from the rows only when `basis` is read.
+    Every operation builds its table of rows with `_insert` (or keeps or
+    shifts rows whose leads stay distinct).  The canonical basis is the
+    reduced row echelon form over ascending lex exponent columns, computed
+    and cached when `basis` or `==` first reads it.
     """
 
-    __slots__ = ("nvars", "degree", "pivots", "_reduced", "_echelon")
+    __slots__ = ("nvars", "degree", "pivots", "_rows", "_reduced")
 
     def __init__(
         self, nvars: int, degree: int, forms: Iterable[HomogeneousForm] = ()
@@ -384,98 +381,77 @@ class FormSpan:
         forms = [f for f in forms if not f.is_zero]
         if any(f.nvars != nvars or f.degree != degree for f in forms):
             raise InputError("span_reduce: form of wrong shape")
-        self._set(nvars, degree, [f.terms for f in forms])
+        self._set(nvars, degree, _insert({}, [f.terms for f in forms]))
 
-    def _set(self, nvars: int, degree: int, rows) -> FormSpan:
+    def _set(self, nvars: int, degree: int, table: dict) -> FormSpan:
         if degree < 0:
             raise InputError("span: negative degree")
         self.nvars = nvars
         self.degree = degree
-        self._reduced, self.pivots = _reduce(rows)
-        self._echelon = None
+        self.pivots = tuple(sorted(table))
+        self._rows = {p: table[p] for p in self.pivots}
+        self._reduced = None
         return self
 
     @classmethod
-    def _of(cls, nvars: int, degree: int, rows) -> FormSpan:
-        """The span of term rows."""
-        return object.__new__(cls)._set(nvars, degree, rows)
-
-    @classmethod
-    def _of_echelon(cls, nvars: int, degree: int, table: dict) -> FormSpan:
-        """The span of integer rows with distinct leads (lead -> row), kept
-        as they are; the reduced rows are built when first read."""
-        span = object.__new__(cls)
-        span.nvars = nvars
-        span.degree = degree
-        span.pivots = tuple(sorted(table))
-        span._echelon = tuple(table[p] for p in span.pivots)
-        span._reduced = None
-        return span
+    def _of(cls, nvars: int, degree: int, table: dict) -> FormSpan:
+        """The span of the rows of a table (lead -> primitive integer row)."""
+        return object.__new__(cls)._set(nvars, degree, table)
 
     @property
-    def _rows(self) -> tuple[dict, ...]:
+    def _canonical(self) -> tuple[dict, ...]:
         """The canonical basis rows in reduced row echelon form."""
         if self._reduced is None:
-            self._reduced = _reduce(self._echelon)[0]
+            if self.is_monomial_span:
+                self._reduced = tuple({p: 1} for p in self.pivots)
+            else:
+                rows = self._rows.values()
+                cols = sorted({e for row in rows for e in row})
+                red, _ = rref_rows([[r.get(e, 0) for e in cols] for r in rows])
+                self._reduced = tuple(
+                    {cols[j]: v for j, v in enumerate(r) if v} for r in red
+                )
         return self._reduced
-
-    @property
-    def _lead_rows(self) -> tuple[dict, ...]:
-        """Integer basis rows whose leads are the pivots, in pivot order."""
-        if self._echelon is None:
-            return tuple(map(_primitive, self._reduced))
-        return self._echelon
 
     @classmethod
     def complete(cls, nvars: int, degree: int) -> FormSpan:
-        rows = [{e: 1} for e in all_exponents(nvars, degree)]
+        rows = {e: {e: 1} for e in all_exponents(nvars, degree)}
         return cls._of(nvars, degree, rows)
-
-    @classmethod
-    def echelon(
-        cls, nvars: int, degree: int, forms: Iterable[HomogeneousForm]
-    ) -> FormSpan:
-        """The span of the forms, kept as integer echelon rows."""
-        table: dict[Exponent, dict] = {}
-        for f in forms:
-            if f.nvars != nvars or f.degree != degree:
-                raise InputError("span_reduce: form of wrong shape")
-            row = _top_reduce(_primitive(f.terms), table)
-            if row:
-                table[min(row)] = row
-        return cls._of_echelon(nvars, degree, table)
 
     @classmethod
     def subducted(
         cls,
         nvars: int,
         degree: int,
-        dim: int,
+        dim: int | None,
         factors: Sequence[tuple[FormSpan, FormSpan]],
     ) -> FormSpan:
-        """The dim-dimensional span of the products a * b of basis rows of
-        each pair of spans (A, B), whose degrees add up to degree.
+        """The span of the products a * b of the rows of each pair of spans
+        (A, B), whose degrees add up to degree.
 
         Lex order is a monomial order, so the lead of a * b is the sum of
         the leads.  One product per distinct lead sum goes into the table
         unreduced; the other products, largest lead first, are top-reduced
-        against the table only until it holds dim rows.  Too many distinct
-        leads, or too few rows once the products run out, mean that the
-        products do not span a dim-dimensional space: InvariantError."""
+        against the table: all of them when dim is None, otherwise only
+        until the table holds dim rows.  A product of two monomials whose
+        lead holds a monomial row is zero after reduction and is skipped.
+        With dim given, too many distinct leads, or too few rows once the
+        products run out, mean that the products do not span a
+        dim-dimensional space: InvariantError."""
         firsts: dict[Exponent, tuple[dict, dict]] = {}
         rest = []
         for A, B in factors:
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
-            rows_b = list(zip(B.pivots, B._lead_rows))
-            for pa, ra in zip(A.pivots, A._lead_rows):
+            rows_b = list(B._rows.items())
+            for pa, ra in A._rows.items():
                 for pb, rb in rows_b:
                     lead = tuple(map(add, pa, pb))
                     if lead in firsts:
                         rest.append((lead, ra, rb))
                     else:
                         firsts[lead] = ra, rb
-        if len(firsts) > dim:
+        if dim is not None and len(firsts) > dim:
             raise InvariantError(
                 f"subduction: {len(firsts)} distinct leads exceed the "
                 f"dimension {dim}"
@@ -485,23 +461,26 @@ class FormSpan:
             lead: _mul_terms(ra, rb, sums) for lead, (ra, rb) in firsts.items()
         }
         rest.sort(key=lambda c: c[0], reverse=True)
-        for _, ra, rb in rest:
+        for lead, ra, rb in rest:
             if len(table) == dim:
                 break
+            if len(ra) == len(rb) == len(table[lead]) == 1:
+                continue
             row = _top_reduce(_mul_terms(ra, rb, sums), table)
             if row:
                 table[min(row)] = row
-        if len(table) < dim:
+        if dim is not None and len(table) < dim:
             raise InvariantError(
                 f"subduction: the products span {len(table)} of {dim} "
                 "dimensions"
             )
-        return cls._of_echelon(nvars, degree, table)
+        return cls._of(nvars, degree, table)
 
     @property
     def basis(self) -> tuple[HomogeneousForm, ...]:
         return tuple(
-            HomogeneousForm(self.nvars, row, self.degree) for row in self._rows
+            HomogeneousForm(self.nvars, row, self.degree)
+            for row in self._canonical
         )
 
     @property
@@ -514,20 +493,17 @@ class FormSpan:
 
     @property
     def is_monomial_span(self) -> bool:
-        return all(len(row) == 1 for row in self._rows)
+        """Every term of every row is a pivot, so the span is that of the
+        pivot monomials."""
+        rows = self._rows
+        return all(e in rows for row in rows.values() for e in row)
 
     def contains(self, form: HomogeneousForm) -> bool:
         if form.is_zero:
             return True
         if form.nvars != self.nvars or form.degree != self.degree:
             return False
-        rem = dict(form.terms)
-        for row, p in zip(self._rows, self.pivots):
-            c = rem.get(p)
-            if c:
-                for e, v in row.items():
-                    rem[e] = rem.get(e, 0) - c * v
-        return not any(rem.values())
+        return not _top_reduce(_primitive(form.terms), self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -535,7 +511,7 @@ class FormSpan:
             and self.nvars == other.nvars
             and self.degree == other.degree
             and self.pivots == other.pivots
-            and self._rows == other._rows
+            and self._canonical == other._canonical
         )
 
     def __hash__(self) -> int:
@@ -544,53 +520,62 @@ class FormSpan:
     def __add__(self, other: FormSpan) -> FormSpan:
         if self.nvars != other.nvars or self.degree != other.degree:
             raise InputError("span sum: shape mismatch")
-        return self._of(self.nvars, self.degree, self._rows + other._rows)
+        table = _insert(dict(self._rows), other._rows.values())
+        return self._of(self.nvars, self.degree, table)
 
     def __mul__(self, other: FormSpan) -> FormSpan:
         if self.nvars != other.nvars:
             raise InputError("span product: nvars mismatch")
-        sums: dict = {}
-        prods = [_mul_terms(a, b, sums) for a in self._rows for b in other._rows]
-        return self._of(self.nvars, self.degree + other.degree, prods)
+        return self.subducted(
+            self.nvars, self.degree + other.degree, None, [(self, other)]
+        )
 
     def transformed(self, matrix: Sequence[Sequence[Fraction]]) -> FormSpan:
         """The span under X -> M Y.  M is first scaled to integers by the
         lcm of its denominators: f(c M y) = c^D f(M y) spans the same."""
         den = math.lcm(*(Fraction(v).denominator for r in matrix for v in r))
         lines = [[int(Fraction(v) * den) for v in r] for r in matrix]
-        rows = _substitute(self._rows, lines, self.degree)
-        return self._of(self.nvars, self.degree, rows)
+        rows = _substitute(list(self._rows.values()), lines, self.degree)
+        return self._of(self.nvars, self.degree, _insert({}, rows))
 
     def restricted(self, var: int) -> FormSpan:
+        """The image under X_var -> 0, in one fewer variable.  For var 0
+        each row either vanishes or keeps its lead: no reduction runs."""
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
         rows = [
             {e[:var] + e[var + 1 :]: c for e, c in row.items() if e[var] == 0}
-            for row in self._rows
+            for row in self._rows.values()
         ]
-        return self._of(self.nvars - 1, self.degree, rows)
+        return self._of(self.nvars - 1, self.degree, _insert({}, rows))
 
     def divided_by_variable(self, var: int, power: int) -> FormSpan:
         """Quotient by a variable power dividing every element; the degree
-        drops by the power."""
+        drops by the power.  Lex order is translation invariant, so the
+        shifted rows keep their leads, shifted."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
-        if any(e[var] < power for row in self._rows for e in row):
+        if any(e[var] < power for row in self._rows.values() for e in row):
             raise InputError(
                 "divided_by_variable: an element is not divisible"
             )
-        rows = [
-            {_bump(e, var, -power): c for e, c in row.items()}
-            for row in self._rows
-        ]
-        return self._of(self.nvars, self.degree - power, rows)
+        table = {
+            _bump(p, var, -power): {
+                _bump(e, var, -power): c for e, c in row.items()
+            }
+            for p, row in self._rows.items()
+        }
+        return self._of(self.nvars, self.degree - power, table)
 
     def subspace_with_min_exponent(self, var: int, minimum: int) -> FormSpan:
         """Elements all of whose terms have exponent >= minimum in the given
-        variable (the forms divisible by that variable power)."""
-        rows = self._rows
-        if minimum <= 0 or not rows:
-            return self
+        variable (the forms divisible by that variable power).  For var 0
+        these are the rows whose lead has first exponent >= minimum: lex
+        order compares that exponent first, so the lead is lowest in it."""
+        if var == 0:
+            kept = {p: r for p, r in self._rows.items() if p[0] >= minimum}
+            return self._of(self.nvars, self.degree, kept)
+        rows = self._rows.values()
         low = sorted({e for row in rows for e in row if e[var] < minimum})
         if not low:
             return self
@@ -599,22 +584,22 @@ class FormSpan:
     def subspace_vanishing_at(
         self, points: Sequence[Sequence[Fraction]]
     ) -> FormSpan:
-        rows = self._rows
+        rows = self._rows.values()
         if not points or not rows:
             return self
         return self._kernel([[_evaluate(r, p) for r in rows] for p in points])
 
     def _kernel(self, conditions: list[list[Fraction]]) -> FormSpan:
-        """Elements whose basis coefficients c satisfy conditions . c = 0."""
+        """Elements whose row coefficients c satisfy conditions . c = 0."""
         rows = []
         for combo in nullspace(conditions):
             total: dict[Exponent, Fraction] = {}
-            for row, c in zip(self._rows, combo):
+            for row, c in zip(self._rows.values(), combo):
                 if c:
                     for e, v in row.items():
                         total[e] = total.get(e, 0) + c * v
             rows.append({e: v for e, v in total.items() if v})
-        return self._of(self.nvars, self.degree, rows)
+        return self._of(self.nvars, self.degree, _insert({}, rows))
 
     def __repr__(self) -> str:
         shape = f"nvars={self.nvars}, degree={self.degree}, dim={self.dim}"

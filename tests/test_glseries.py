@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from okbody import polyform
-from okbody.cli import parse_series
+from okbody.cli import _slice_sides, parse_series
 from okbody.convbody import okounkov_body
 from okbody.errors import InputError, InvariantError, TruncationError
 from okbody.flagval import Flag
@@ -152,23 +152,39 @@ def test_view_level_cross_checks_the_parent_dimension(gens, provided, message):
         series.under_flag(Flag.random(2, 1)).level(1)
 
 
-def test_generated_view_levels_need_no_elimination(monkeypatch):
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts of the calls polyform makes to rref_rows and nullspace."""
+    calls = dict.fromkeys(("rref_rows", "nullspace"), 0)
+    for name in calls:
+
+        def counted(rows, name=name, original=getattr(polyform, name)):
+            calls[name] += 1
+            return original(rows)
+
+        monkeypatch.setattr(polyform, name, counted)
+    return calls
+
+
+def test_generated_view_levels_need_no_elimination(eliminations):
     S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
     flag = Flag.random(2, 1)
-    calls = []
-    rref_rows = polyform.rref_rows
-
-    def counted(rows):
-        calls.append(len(rows))
-        return rref_rows(rows)
-
-    monkeypatch.setattr(polyform, "rref_rows", counted)
+    none = {"rref_rows": 0, "nullspace": 0}
     rep = okounkov_body(S, flag, 6)
-    assert calls == []
+    assert eliminations == none
     assert rep.dims == S.dims(6)
-    # the old route, transforming a parent level, does eliminate
-    S.level(6).transformed(flag.substitution)
-    assert calls
+    # the restricted side of the slice identity keeps, shifts and cuts rows
+    # by their leads
+    rep, direct, sub_rep, restricted = _slice_sides(S, flag, F(1, 2), 8)
+    assert eliminations == none
+    assert sub_rep.dims == [4, 7, 10, 13]
+    assert direct == restricted
+    # positive controls: a canonical basis is reduced when read, and a cut
+    # by a later variable solves for its kernel
+    S.level(6).transformed(flag.substitution).basis
+    assert eliminations["rref_rows"]
+    S.under_flag(flag).level(4).subspace_with_min_exponent(1, 1)
+    assert eliminations["nullspace"]
 
 
 def test_veronese():

@@ -72,6 +72,7 @@ def test_span_operations_match_oracle(data):
     ref_basis, ref_pivots = ref
     assert same(span, ref)
     assert span_reduce(nvars, degree, a) == ref
+    assert span.is_monomial_span == all(len(f.terms) == 1 for f in ref_basis)
     assert same(span + other, reference_span_reduce(nvars, degree, a + b))
     prods = [f * g for f in ref_basis for g in other.basis]
     assert same(span * other, reference_span_reduce(nvars, 2 * degree, prods))

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from okbody.errors import InputError
+from okbody.glseries import GradedSeries
+from okbody.monideal import base_ideal
 from okbody.polyform import (
     FormSpan,
     HomogeneousForm as HF,
@@ -121,6 +123,19 @@ def test_monomial_fast_path_matches_general():
     assert mono == mixed
     assert mono.is_monomial_span
     assert mono.pivots == ((0, 1, 1), (2, 0, 0))
+
+
+def test_monomial_span_with_binomial_rows():
+    # the echelon rows X2^2 + X1^2 and X1^2 are not all monomials, but every
+    # term is a lead, so the span is that of X1^2 and X2^2
+    x, y = HF.variable(3, 0), HF.variable(3, 1)
+    forms = [x * x + y * y, x * x - y * y]
+    span = FormSpan(3, 2, forms)
+    assert span.is_monomial_span
+    assert span.basis == (y * y, x * x)
+    series = GradedSeries.generated(2, 2, forms)
+    assert base_ideal(series, 1).generators == ((0, 2, 0), (2, 0, 0))
+    assert not FormSpan(3, 2, [x * x + y * y]).is_monomial_span
 
 
 def test_complete_span_matches_bruteforce():
