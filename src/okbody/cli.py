@@ -29,7 +29,6 @@ from .glseries import GradedSeries
 from .monideal import full_volume_check, is_birational_monomial, sheafify, stable_base_locus
 from .polyform import FormSpan, HomogeneousForm
 from .surfacezar import SurfaceLattice, classify_boundary, surface_body, zariski
-from .surfacezar import volume as divisor_volume
 
 SCHEMA = 1
 
@@ -521,7 +520,7 @@ def _cmd_surface(args):
     payload = {
         "divisor": [fr_str(v) for v in D],
         "curve": [fr_str(v) for v in C],
-        "volume": fr_str(divisor_volume(lattice, D)),
+        "volume": fr_str(lattice.dot(dec.positive, dec.positive)),
         "mu": fr_str(body.mu),
         "mu_note": body.mu_note,
         "zariski_at_zero": {

@@ -7,10 +7,13 @@ bodies have one canonical inequality system, not one per normal lift).
 All predicates are float free.
 
 One exact hull serves every dimension: an incremental beneath-beyond
-hull (Edelsbrunner 1987; Barber, Dobkin and Huhdanpaa 1996) on integer
-points in the local coordinates of the affine hull.  Slices and halfspace
-cuts are computed from vertices, as the hull of the kept vertices and of
-the points where segments between vertices cross the cut.
+hull (Edelsbrunner 1987; Barber, Dobkin and Huhdanpaa 1996) on the
+integer points themselves, in ambient coordinates.  Its hyperplanes are
+taken inside the affine hull, by adding the hull's equations to every
+facet's kernel, so each facet normal is already the canonical one in the
+direction space.  Slices and halfspace cuts are computed from vertices,
+as the hull of the kept vertices and of the points where segments
+between vertices cross the cut.
 
 Volumes are lattice normalized: a polytope spanning a proper affine
 subspace is measured against the integer points of its own direction
@@ -25,14 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import (
-    det,
-    hermite_normal_form,
-    rank,
-    rref_rows,
-    solve_rational_system,
-    nullspace,
-)
+from .exactnum import det, hermite_normal_form, nullspace, rref_rows
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm
@@ -64,21 +60,27 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the hull (full dimensional, local coordinates)
+# the hull (ambient coordinates, inside the affine hull)
 
 Facet = tuple[tuple[int, ...], Fraction]
 
 
 def _hyperplane(
-    pts: list[tuple[int, ...]], inside: tuple[int, ...], weight: int
+    pts: list[tuple[int, ...]],
+    equations: list[tuple[int, ...]],
+    inside: tuple[int, ...],
+    weight: int,
 ) -> tuple[tuple[int, ...], int] | None:
-    """The hyperplane a.x = b through the integer points, as a primitive
-    normal oriented so that inside / weight lies strictly below it, or
-    None when the points do not span a unique hyperplane."""
+    """The hyperplane a.x = b through the integer points inside the affine
+    hull with the given equation normals, as a primitive normal in the
+    direction space, oriented so that inside / weight lies strictly below
+    it, or None when the points do not span a unique such hyperplane."""
     q0 = pts[0]
     # a zero row keeps the matrix nonempty for a lone point on a line
     ker = nullspace(
-        [[0] * len(q0)] + [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
+        [[0] * len(q0)]
+        + equations
+        + [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
     )
     if len(ker) != 1:
         return None
@@ -90,29 +92,35 @@ def _hyperplane(
 
 
 def _hull(
-    points: list[Point], m: int, simplex: Sequence[int]
+    points: list[Point], aff: _AffineData
 ) -> tuple[list[int], dict[Facet, set[int]]]:
-    """Beneath-beyond hull of points spanning R^m, inserted in the order given
-    after the m + 1 affinely independent points indexed by simplex.
+    """Beneath-beyond hull of points spanning an m-dimensional affine hull,
+    inserted in the order given after the m + 1 affinely independent
+    points of aff.simplex.
 
     Returns the indices of the vertices and the facets a.x <= b, keyed by
-    primitive integer normal and offset, each with the indices of points
-    on it, among them all its vertices.  A point beyond some facets gets
-    a facet through itself and each ridge between a facet it sees and one
-    it does not; coplanar pieces share a key and merge.  A point beyond
-    no facet lies in the hull so far and can never become a vertex.  The
-    work runs on integer points, scaled by the lcm of the denominators.
+    primitive integer normal in the direction space of the hull and
+    offset, each with the indices of points on it, among them all its
+    vertices.  A point beyond some facets gets a facet through itself and
+    each ridge between a facet it sees and one it does not; coplanar
+    pieces share a key and merge.  A point beyond no facet lies in the
+    hull so far and can never become a vertex.  A point is a vertex iff
+    the facets through it meet in it alone.  The work runs on integer
+    points, scaled by the lcm of the denominators.
     """
     scale = math.lcm(*(v.denominator for p in points for v in p))
     ipts = [tuple(int(v * scale) for v in p) for p in points]
-    if len(simplex) != m + 1:
-        raise InvariantError("hull: input not full dimensional")
+    eqs = [a for a, _ in aff.equations]
+    simplex, m = aff.simplex, len(aff.simplex) - 1
     # the simplex centroid, times m + 1, lies strictly inside every facet
-    inside = tuple(sum(ipts[i][j] for i in simplex) for j in range(m))
+    inside = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
     facets: dict[tuple[tuple[int, ...], int], set[int]] = {}
     for skip in simplex:
         on = [i for i in simplex if i != skip]
-        facets[_hyperplane([ipts[i] for i in on], inside, m + 1)] = set(on)
+        key = _hyperplane([ipts[i] for i in on], eqs, inside, m + 1)
+        if key is None:
+            raise InvariantError("hull: simplex facet spans no unique hyperplane")
+        facets[key] = set(on)
     chosen = set(simplex)
     for i, p in enumerate(ipts):
         if i in chosen:
@@ -125,7 +133,9 @@ def _hull(
                 ridge = facets[f] & facets[g]
                 if len(ridge) < m - 1:
                     continue
-                key = _hyperplane([p] + [ipts[j] for j in ridge], inside, m + 1)
+                key = _hyperplane(
+                    [p] + [ipts[j] for j in ridge], eqs, inside, m + 1
+                )
                 if key is not None:
                     facets.setdefault(key, set()).update(ridge | {i})
         for f in visible:
@@ -133,7 +143,7 @@ def _hull(
     verts = [
         i
         for i in sorted(set().union(*facets.values()))
-        if rank([f[0] for f, on in facets.items() if i in on]) == m
+        if set.intersection(*(on for on in facets.values() if i in on)) == {i}
     ]
     return verts, {(a, Fraction(b, scale)): on for (a, b), on in facets.items()}
 
@@ -143,17 +153,17 @@ def _hull(
 
 
 class _AffineData(NamedTuple):
-    p0: Point
-    basis: tuple[Point, ...]  # rows spanning the direction space, in RREF
-    pivots: tuple[int, ...]  # the pivot columns of the basis
     equations: tuple[tuple[tuple[int, ...], Fraction], ...]
-    simplex: tuple[int, ...]  # affinely independent points, p0 first
+    simplex: tuple[int, ...]  # affinely independent points, points[0] first
 
 
 def _affine_data(points: list[Point], n: int) -> _AffineData:
     """The affine hull of the points.  Affinely independent points are
-    picked greedily in one pass that stops once n directions are found,
-    and only their differences are row reduced."""
+    picked greedily in one pass that stops once n directions are found;
+    the equations are the kernel of their differences, taken with the
+    columns reversed: a kernel basis is reduced from the right, so read
+    back, last row first, it is the reduced row echelon basis of the
+    equation space."""
     p0 = points[0]
     simplex, echelon = [0], []
     for i in range(1, len(points)):
@@ -168,54 +178,15 @@ def _affine_data(points: list[Point], n: int) -> _AffineData:
             echelon.append((lead, [x / v[lead] for x in v]))
             simplex.append(i)
     if echelon:
-        red, pivots = rref_rows([row for _, row in echelon])
-        basis = tuple(tuple(row) for row in red)
+        ker = nullspace([row[::-1] for _, row in echelon])
+        normals = [row[::-1] for row in reversed(ker)]
     else:
-        basis, pivots = (), []
-    if len(basis) == n:
-        equations: tuple = ()
-    else:
-        normals = nullspace([list(row) for row in basis]) if basis else [
-            [Fraction(i == j) for j in range(n)] for i in range(n)
-        ]
-        red_n, _ = rref_rows(normals)
-        equations = tuple(
-            (
-                _primitive(row, fix_sign=True),
-                _dot(_primitive(row, fix_sign=True), p0),
-            )
-            for row in red_n
-        )
-    return _AffineData(p0, basis, tuple(pivots), equations, tuple(simplex))
-
-
-def _to_local(points: list[Point], aff: _AffineData) -> list[Point]:
-    """Local coordinates c with x = p0 + sum c_i basis_i.  The basis is in
-    RREF, so c is x - p0 read at the pivot columns; this equals M (x - p0)
-    for the matrix M of `_coordinate_map`."""
-    return [tuple(p[j] - aff.p0[j] for j in aff.pivots) for p in points]
-
-
-def _coordinate_map(basis: tuple[Point, ...], n: int) -> list[list[Fraction]]:
-    """Matrix M with local coordinates c(x) = M (x - p0); rows span the
-    direction space, so facet normals built from M need no further
-    reduction against the hull equations."""
-    m = len(basis)
-    gram = [
-        [_dot(basis[i], basis[j]) for j in range(m)] for i in range(m)
-    ]
-    out = []
-    for i in range(m):
-        rhs = [Fraction(i == j) for j in range(m)]
-        sol = solve_rational_system(gram, rhs)
-        if sol is None:
-            raise InvariantError("coordinate map: gram system unsolvable")
-        row = [
-            sum((sol[k] * basis[k][j] for k in range(m)), Fraction(0))
-            for j in range(n)
-        ]
-        out.append(row)
-    return out
+        normals = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    equations = []
+    for row in normals:
+        a = _primitive(row, fix_sign=True)
+        equations.append((a, _dot(a, p0)))
+    return _AffineData(tuple(equations), tuple(simplex))
 
 
 # ---------------------------------------------------------------------------
@@ -258,35 +229,13 @@ class RationalPolytope:
         pts = list(dict.fromkeys(pts))
         if not pts:
             return cls.empty(n)
-        if n == 0:
-            return cls._raw(0, 0, [()], (), ())
         aff = _affine_data(pts, n)
-        m = len(aff.basis)
+        m = len(aff.simplex) - 1
         if m == 0:
             return cls._raw(n, 0, [pts[0]], aff.equations, ())
-        lverts, lfacets = _hull(_to_local(pts, aff), m, aff.simplex)
-        verts = [pts[i] for i in lverts]
-        cmap = _coordinate_map(aff.basis, n)
-        shift = aff.p0
-        inequalities = []
-        for normal_loc, b_loc in lfacets:
-            g = [
-                sum(
-                    (Fraction(normal_loc[i]) * cmap[i][j] for i in range(m)),
-                    Fraction(0),
-                )
-                for j in range(n)
-            ]
-            b = b_loc + _dot(g, shift)
-            gp = _primitive(g, fix_sign=False)
-            # primitive scaling is positive, so the offset rescales by the
-            # same factor
-            num = next((a for a, c in zip(gp, g) if c), None)
-            if num is None:
-                raise InvariantError("facet: zero normal")
-            factor = Fraction(num) / next(c for c in g if c)
-            inequalities.append((tuple(Fraction(v) for v in gp), b * factor))
-        return cls._raw(n, m, verts, aff.equations, inequalities)
+        verts, facets = _hull(pts, aff)
+        inequalities = [(tuple(map(Fraction, a)), b) for a, b in facets]
+        return cls._raw(n, m, [pts[i] for i in verts], aff.equations, inequalities)
 
     # -- basic data -------------------------------------------------------
 
@@ -467,8 +416,7 @@ def _triangulate(points: list[Point]) -> list[tuple[Point, ...]]:
     facet that misses it, recursing into the facet."""
     if len(points) == 1:
         return [tuple(points)]
-    aff = _affine_data(points, len(points[0]))
-    verts, facets = _hull(_to_local(points, aff), len(aff.basis), aff.simplex)
+    verts, facets = _hull(points, _affine_data(points, len(points[0])))
     apex = min(verts, key=points.__getitem__)
     sims = []
     for on in facets.values():

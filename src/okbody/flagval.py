@@ -10,6 +10,7 @@ at the flag point) variable dehomogenized away.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -63,7 +64,9 @@ class Flag:
         self.substitution = tuple(tuple(row) for row in inv)
 
     @classmethod
+    @functools.cache
     def standard(cls, d: int) -> Flag:
+        """The coordinate flag, built once per d: flags are immutable."""
         if d < 1:
             raise InputError("flag: dimension must be positive")
         return cls(

@@ -30,10 +30,15 @@ def _lcm(a: Exponent, b: Exponent) -> Exponent:
 
 def _minimalize(gens: set[Exponent]) -> tuple[Exponent, ...]:
     # keep divisibility-minimal elements; scanning in degree order means a
-    # kept generator can never be divided by a later one
+    # kept generator can never be divided by a later one, and two distinct
+    # exponents of equal degree never divide each other, so a candidate is
+    # tested only against the kept generators of lower degree
     kept: list[Exponent] = []
+    degree, lower = -1, 0
     for g in sorted(gens, key=lambda e: (sum(e), e)):
-        if not any(_divides(h, g) for h in kept):
+        if sum(g) != degree:
+            degree, lower = sum(g), len(kept)
+        if not any(_divides(h, g) for h in kept[:lower]):
             kept.append(g)
     return tuple(sorted(kept))
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface: schema validation,
 envelope determinism, exit codes, and drawing output."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +23,61 @@ from okbody.polyform import FormSpan, HomogeneousForm
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 FLAGSHIP = str(CORPUS / "p2_except_x2x3.json")
+
+# the CLI examples of README.md, with the sha256 of their envelopes and of
+# the two drawings; a change of any output byte has to update these
+README_RUNS = [
+    (
+        ["body", "p2_except_x2x3.json", "-K", "8"],
+        "4ae178d82a39a4c35e29a383003298694c1717dcc88cf88bc6383a478c004e97",
+        "7ad6fa4a0b43a2749e12f2d8a685c2f0fbcd5fb43804f09f2074134f486d3957",
+    ),
+    (
+        ["slice", "p2_o2_cremona.json", "--t", "1/2"],
+        "a02d0c3d035bea4a75cadd0a2c78660b1d939ebb1fc5d64fb77567ee021de6d8",
+        None,
+    ),
+    (
+        ["volume", "p2_o2_cremona.json"],
+        "a8624f46eed6c4723b0beafd2c69b4b159dbfa7e430b8d37e3c7b94842898989",
+        None,
+    ),
+    (
+        ["sheafify", "p2_except_x2x3.json", "-K", "6"],
+        "cdfe8dde3e456bf61083dbad76f822e5bb1aea5c7bc7314f9c53b72b3a4dbeeb",
+        None,
+    ),
+    (
+        ["base-locus", "p2_o2_cremona.json"],
+        "c692f2f491eae946e113086ff36bbf39f88de9aaf9bf5e83cbc4bf4e9334b544",
+        None,
+    ),
+    (
+        ["birational", "p2_o2_squares.json"],
+        "f016a50bf8d4d6c4b4c76ea08efe169054aa5bbbc1d394a0fb8f51db3f11bceb",
+        None,
+    ),
+    (
+        ["surface", "blowup_cubic.surface.json"],
+        "6b2895427132c11d31759ca53f915c2196c84b80d4213bbf7331f9e41ca7a723",
+        "f7b9cf335f0e391a826ffe11a85432f731b8176801dc85542839e7bb398a703d",
+    ),
+    (
+        ["generic-test", "p2_except_x2x3.json", "--flags", "5"],
+        "135f1a5fff59254ef63a9cfb047e2fcf91bdd43f0279d0ee1fbc3aa94e711199",
+        None,
+    ),
+    (
+        ["filtered-dims", "p2_o1_complete.json", "--levels", "6", "--sigma-budget", "4"],
+        "8011e11ca2e84555d562755cd2eca11b02038f33074a5cf78275dfd20cc960c6",
+        None,
+    ),
+    (
+        ["fujita", "p2_except_x2x3.json", "--p", "2"],
+        "620cef32960835cb0622aea3bd92068e2162bf81134687fa75a931cf17868096",
+        None,
+    ),
+]
 
 
 def invoke(capsys, *argv):
@@ -293,6 +349,19 @@ class TestDeterminismAndIO:
         )
         assert rc3 == rc4 == 0
         assert out3 == out4
+
+    @pytest.mark.parametrize("argv,envelope_sha,svg_sha", README_RUNS)
+    def test_readme_envelopes_pinned(self, capsys, tmp_path, argv, envelope_sha, svg_sha):
+        """The README commands keep byte-identical envelopes and SVGs."""
+        argv = [str(CORPUS / a) if a.endswith(".json") else a for a in argv]
+        svg = tmp_path / "out.svg"
+        if svg_sha:
+            argv += ["--svg", str(svg)]
+        rc, out, _ = invoke(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == envelope_sha
+        if svg_sha:
+            assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
     def test_one_parser_per_process(self, capsys):
         runs = [

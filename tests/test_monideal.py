@@ -8,6 +8,7 @@ import pytest
 from okbody.convbody import okounkov_body
 from okbody.errors import InputError, UnsupportedModeError
 from okbody.flagval import Flag
+from okbody import monideal
 from okbody.glseries import GradedSeries
 from okbody.monideal import (
     BaseLocusReport,
@@ -62,9 +63,38 @@ def flagship():
 
 
 class TestMonomialIdeal:
-    def test_minimal_generators(self):
+    def test_minimal_generators(self, monkeypatch):
         I = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (3, 1, 0), (1, 1, 2)])
         assert I.generators == ((1, 1, 0), (2, 0, 0))
+        # seeded brute force: an exponent is a minimal generator iff no
+        # other one of the set divides it
+        rng = random.Random(11)
+        for trial in range(60):
+            nvars = rng.randint(1, 4)
+            if trial % 2:
+                top = rng.randint(0, 4)
+                gens = {
+                    tuple(rng.randint(0, top) for _ in range(nvars))
+                    for _ in range(rng.randint(1, 12))
+                }
+            else:
+                level = list(all_exponents(nvars, rng.randint(0, 4)))
+                gens = set(rng.sample(level, rng.randint(1, len(level))))
+            minimal = tuple(sorted(
+                g for g in gens
+                if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in gens)
+            ))
+            assert MonomialIdeal(nvars, gens).generators == minimal
+        # a single-degree set, as a monomial level gives, needs no
+        # divisibility test at all
+        calls = []
+        real = monideal._divides
+        monkeypatch.setattr(
+            monideal, "_divides", lambda a, b: calls.append(1) or real(a, b)
+        )
+        S = mono_series(2, 2, [(2, 0, 0), (1, 1, 0), (0, 1, 1)])
+        assert base_ideal(S, 3).generators
+        assert calls == []
 
     def test_zero_and_unit(self):
         assert MonomialIdeal(3).is_zero
