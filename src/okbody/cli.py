@@ -28,7 +28,7 @@ from .flagval import Flag, filtered_dimension
 from .glseries import GradedSeries
 from .monideal import full_volume_check, is_birational_monomial, sheafify, stable_base_locus
 from .polyform import FormSpan, HomogeneousForm
-from .surfacezar import SurfaceLattice, classify_boundary, surface_body, zariski
+from .surfacezar import SurfaceLattice, classify_boundary, surface_body
 
 SCHEMA = 1
 
@@ -515,7 +515,7 @@ def _cmd_surface(args):
     lattice, D, C, mults = parse_surface(data, where=args.input)
     body = surface_body(lattice, D, C, mults or None)
     strata = classify_boundary(body)
-    dec = zariski(lattice, D)
+    dec = body.decomposition
     curve_index = {c: i for i, c in enumerate(lattice.negative_curves)}
     payload = {
         "divisor": [fr_str(v) for v in D],

@@ -6,14 +6,19 @@ normals live inside the direction space of the hull (so lower dimensional
 bodies have one canonical inequality system, not one per normal lift).
 All predicates are float free.
 
-One exact hull serves every dimension: an incremental beneath-beyond
-hull (Edelsbrunner 1987; Barber, Dobkin and Huhdanpaa 1996) on the
-integer points themselves, in ambient coordinates.  Its hyperplanes are
-taken inside the affine hull, by adding the hull's equations to every
-facet's kernel, so each facet normal is already the canonical one in the
-direction space.  Slices and halfspace cuts are computed from vertices,
-as the hull of the kept vertices and of the points where segments
-between vertices cross the cut.
+Every hull is built from integer points with one common denominator,
+the polytope being the hull of points / denominator: the value points of
+a graded series arrive that way, and other rational points are cleared
+to it once, on entry.  One exact hull serves every dimension: an
+incremental beneath-beyond hull (Edelsbrunner 1987; Barber, Dobkin and
+Huhdanpaa 1996) on those integer points, in ambient coordinates.  Its
+hyperplanes are taken inside the affine hull, by adding the hull's
+equations to every facet's kernel, so each facet normal is already the
+canonical one in the direction space; kernels are read off integer
+echelon forms.  Fractions appear only in the output: the vertices and
+the offsets of equations and facets.  Slices and halfspace cuts are
+computed from vertices, as the hull of the kept vertices and of the
+points where segments between vertices cross the cut.
 
 Volumes are lattice normalized: a polytope spanning a proper affine
 subspace is measured against the integer points of its own direction
@@ -28,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import det, hermite_normal_form, nullspace, rref_rows
+from .exactnum import det, hermite_normal_form, rref_rows
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm
@@ -40,51 +45,89 @@ def _fr_point(p: Sequence) -> Point:
     return tuple(Fraction(v) for v in p)
 
 
-def _primitive(vec: Sequence[Fraction], fix_sign: bool) -> tuple[int, ...]:
-    den = math.lcm(*(v.denominator for v in vec)) if vec else 1
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    if fix_sign:
-        lead = next((v for v in ints if v), 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-    return tuple(ints)
-
-
 def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
-# the hull (ambient coordinates, inside the affine hull)
+# the hull (integer points in ambient coordinates, inside the affine hull)
 
-Facet = tuple[tuple[int, ...], Fraction]
+IntPoint = tuple[int, ...]
+Facet = tuple[IntPoint, int]
+
+
+def _integer_points(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
+    """Rational points as integer points over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
+
+
+def _echelon_add(echelon: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
+    """Reduce an integer row against echelon rows (lead, primitive row),
+    each zero at the leads of the rows before it, and append its primitive
+    remainder; False when the row reduces to zero."""
+    for p, e in echelon:
+        if row[p]:
+            f1, f2 = e[p], row[p]
+            row = [f1 * x - f2 * y for x, y in zip(row, e)]
+    lead = next((j for j, x in enumerate(row) if x), None)
+    if lead is None:
+        return False
+    g = math.gcd(*row)
+    echelon.append((lead, [x // g for x in row]))
+    return True
+
+
+def _kernel(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Primitive integer basis of the right kernel of integer rows of
+    length n, one vector per free column in increasing order, each a
+    positive multiple of the kernel vector that is 1 at its free column and
+    0 at the others.  The rows are brought to integer echelon form and
+    reduced above every pivot too; with the free entry set to the lcm of
+    the pivots, every pivot entry is an exact quotient."""
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        _echelon_add(echelon, row)
+    for i in range(len(echelon) - 1, 0, -1):
+        p, e = echelon[i]
+        for j in range(i):
+            q, r = echelon[j]
+            if r[p]:
+                f1, f2 = e[p], r[p]
+                r = [f1 * x - f2 * y for x, y in zip(r, e)]
+                g = math.gcd(*r)
+                echelon[j] = q, [x // g for x in r]
+    lcm = math.lcm(*(e[p] for p, e in echelon))
+    leads = {p for p, _ in echelon}
+    basis = []
+    for f in range(n):
+        if f in leads:
+            continue
+        v = [0] * n
+        v[f] = lcm
+        for p, e in echelon:
+            v[p] = -e[f] * (lcm // e[p])
+        g = math.gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
 
 
 def _hyperplane(
-    pts: list[tuple[int, ...]],
-    equations: list[tuple[int, ...]],
-    inside: tuple[int, ...],
+    pts: list[IntPoint],
+    equations: list[IntPoint],
+    inside: IntPoint,
     weight: int,
-) -> tuple[tuple[int, ...], int] | None:
+) -> Facet | None:
     """The hyperplane a.x = b through the integer points inside the affine
     hull with the given equation normals, as a primitive normal in the
     direction space, oriented so that inside / weight lies strictly below
     it, or None when the points do not span a unique such hyperplane."""
     q0 = pts[0]
-    # a zero row keeps the matrix nonempty for a lone point on a line
-    ker = nullspace(
-        [[0] * len(q0)]
-        + equations
-        + [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
-    )
+    diffs = [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
+    ker = _kernel(equations + diffs, len(q0))
     if len(ker) != 1:
         return None
-    a = _primitive(ker[0], fix_sign=False)
+    a = tuple(ker[0])
     b = sum(x * y for x, y in zip(a, q0))
     if sum(x * y for x, y in zip(a, inside)) > weight * b:
         a, b = tuple(-v for v in a), -b
@@ -92,37 +135,34 @@ def _hyperplane(
 
 
 def _hull(
-    points: list[Point], aff: _AffineData
+    points: list[IntPoint], aff: _AffineData
 ) -> tuple[list[int], dict[Facet, set[int]]]:
-    """Beneath-beyond hull of points spanning an m-dimensional affine hull,
-    inserted in the order given after the m + 1 affinely independent
-    points of aff.simplex.
+    """Beneath-beyond hull of integer points spanning an m-dimensional
+    affine hull, inserted in the order given after the m + 1 affinely
+    independent points of aff.simplex.
 
     Returns the indices of the vertices and the facets a.x <= b, keyed by
     primitive integer normal in the direction space of the hull and
-    offset, each with the indices of points on it, among them all its
-    vertices.  A point beyond some facets gets a facet through itself and
-    each ridge between a facet it sees and one it does not; coplanar
-    pieces share a key and merge.  A point beyond no facet lies in the
-    hull so far and can never become a vertex.  A point is a vertex iff
-    the facets through it meet in it alone.  The work runs on integer
-    points, scaled by the lcm of the denominators.
+    integer offset on the points as given, each with the indices of points
+    on it, among them all its vertices.  A point beyond some facets gets a
+    facet through itself and each ridge between a facet it sees and one it
+    does not; coplanar pieces share a key and merge.  A point beyond no
+    facet lies in the hull so far and can never become a vertex.  A point
+    is a vertex iff the facets through it meet in it alone.
     """
-    scale = math.lcm(*(v.denominator for p in points for v in p))
-    ipts = [tuple(int(v * scale) for v in p) for p in points]
     eqs = [a for a, _ in aff.equations]
     simplex, m = aff.simplex, len(aff.simplex) - 1
     # the simplex centroid, times m + 1, lies strictly inside every facet
-    inside = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
-    facets: dict[tuple[tuple[int, ...], int], set[int]] = {}
+    inside = tuple(map(sum, zip(*(points[i] for i in simplex))))
+    facets: dict[Facet, set[int]] = {}
     for skip in simplex:
         on = [i for i in simplex if i != skip]
-        key = _hyperplane([ipts[i] for i in on], eqs, inside, m + 1)
+        key = _hyperplane([points[i] for i in on], eqs, inside, m + 1)
         if key is None:
             raise InvariantError("hull: simplex facet spans no unique hyperplane")
         facets[key] = set(on)
     chosen = set(simplex)
-    for i, p in enumerate(ipts):
+    for i, p in enumerate(points):
         if i in chosen:
             continue
         beyond = {f: sum(x * y for x, y in zip(f[0], p)) > f[1] for f in facets}
@@ -134,7 +174,7 @@ def _hull(
                 if len(ridge) < m - 1:
                     continue
                 key = _hyperplane(
-                    [p] + [ipts[j] for j in ridge], eqs, inside, m + 1
+                    [p] + [points[j] for j in ridge], eqs, inside, m + 1
                 )
                 if key is not None:
                     facets.setdefault(key, set()).update(ridge | {i})
@@ -145,7 +185,7 @@ def _hull(
         for i in sorted(set().union(*facets.values()))
         if set.intersection(*(on for on in facets.values() if i in on)) == {i}
     ]
-    return verts, {(a, Fraction(b, scale)): on for (a, b), on in facets.items()}
+    return verts, facets
 
 
 # ---------------------------------------------------------------------------
@@ -153,39 +193,32 @@ def _hull(
 
 
 class _AffineData(NamedTuple):
-    equations: tuple[tuple[tuple[int, ...], Fraction], ...]
+    equations: tuple[tuple[IntPoint, Fraction], ...]
     simplex: tuple[int, ...]  # affinely independent points, points[0] first
 
 
-def _affine_data(points: list[Point], n: int) -> _AffineData:
-    """The affine hull of the points.  Affinely independent points are
-    picked greedily in one pass that stops once n directions are found;
-    the equations are the kernel of their differences, taken with the
-    columns reversed: a kernel basis is reduced from the right, so read
-    back, last row first, it is the reduced row echelon basis of the
-    equation space."""
+def _affine_data(
+    points: list[IntPoint], n: int, denominator: int = 1
+) -> _AffineData:
+    """The affine hull of integer points with one common denominator, the
+    points / denominator.  Affinely independent points are picked greedily,
+    fraction free, in one pass that stops once n directions are found; the
+    equations are the kernel of their differences, taken with the columns
+    reversed: a kernel basis is reduced from the right, so read back, last
+    row first, it is the reduced row echelon basis of the equation space,
+    each row led by its positive free entry.  Each offset is
+    a.points[0] / denominator."""
     p0 = points[0]
     simplex, echelon = [0], []
     for i in range(1, len(points)):
         if len(echelon) == n:
             break
-        v = [x - y for x, y in zip(points[i], p0)]
-        for lead, row in echelon:
-            if v[lead]:
-                v = [x - v[lead] * y for x, y in zip(v, row)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is not None:
-            echelon.append((lead, [x / v[lead] for x in v]))
+        if _echelon_add(echelon, [x - y for x, y in zip(points[i], p0)]):
             simplex.append(i)
-    if echelon:
-        ker = nullspace([row[::-1] for _, row in echelon])
-        normals = [row[::-1] for row in reversed(ker)]
-    else:
-        normals = [[Fraction(i == j) for j in range(n)] for i in range(n)]
     equations = []
-    for row in normals:
-        a = _primitive(row, fix_sign=True)
-        equations.append((a, _dot(a, p0)))
+    for row in reversed(_kernel([e[::-1] for _, e in echelon], n)):
+        a = tuple(row[::-1])
+        equations.append((a, Fraction(sum(x * y for x, y in zip(a, p0)), denominator)))
     return _AffineData(tuple(equations), tuple(simplex))
 
 
@@ -218,24 +251,37 @@ class RationalPolytope:
         return cls._raw(n, -1, (), (), ())
 
     @classmethod
-    def from_points(cls, points: Sequence[Sequence], n: int | None = None) -> RationalPolytope:
-        pts = [_fr_point(p) for p in points]
+    def from_points(
+        cls, points: Sequence[Sequence], n: int | None = None, denominator: int = 1
+    ) -> RationalPolytope:
+        """The hull of points / denominator.  Integer points are taken as
+        they are; any other points are read as rationals and cleared to
+        integer points over one common denominator, once, here."""
+        pts = [tuple(p) for p in points]
         if n is None:
             if not pts:
                 raise InputError("from_points: ambient dimension unknown")
             n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise InputError("from_points: mixed dimensions")
+        if denominator < 1:
+            raise InputError("from_points: denominator must be positive")
+        if not all(type(x) is int for p in pts for x in p):
+            pts, scale = _integer_points([_fr_point(p) for p in pts])
+            denominator *= scale
         pts = list(dict.fromkeys(pts))
         if not pts:
             return cls.empty(n)
-        aff = _affine_data(pts, n)
+        aff = _affine_data(pts, n, denominator)
         m = len(aff.simplex) - 1
-        if m == 0:
-            return cls._raw(n, 0, [pts[0]], aff.equations, ())
-        verts, facets = _hull(pts, aff)
-        inequalities = [(tuple(map(Fraction, a)), b) for a, b in facets]
-        return cls._raw(n, m, [pts[i] for i in verts], aff.equations, inequalities)
+        verts, inequalities = [0], []
+        if m > 0:
+            verts, facets = _hull(pts, aff)
+            inequalities = [
+                (tuple(map(Fraction, a)), Fraction(b, denominator)) for a, b in facets
+            ]
+        vertices = [tuple(Fraction(x, denominator) for x in pts[i]) for i in verts]
+        return cls._raw(n, m, vertices, aff.equations, inequalities)
 
     # -- basic data -------------------------------------------------------
 
@@ -319,14 +365,15 @@ class RationalPolytope:
         pts, cell = list(self.vertices), Fraction(1)
         if m < self.n:
             pts, cell = self._lattice_coords()
+        ipts, den = _integer_points(pts)
         total = Fraction(0)
-        for sim in _triangulate(pts):
+        for sim in _triangulate(ipts):
             apex = sim[0]
             rows = [
                 [w[j] - apex[j] for j in range(m)] for w in sim[1:]
             ]
             total += abs(det(rows))
-        return total / (math.factorial(m) * cell)
+        return total / (math.factorial(m) * cell * den**m)
 
     def _lattice_coords(self) -> tuple[list[Point], Fraction]:
         """The vertices read at affdim coordinates on which the direction
@@ -410,9 +457,9 @@ def _crossings(vertices: Sequence[Point], s: list[Fraction]) -> list[Point]:
     return out
 
 
-def _triangulate(points: list[Point]) -> list[tuple[Point, ...]]:
-    """Simplices covering the hull of distinct points, each a tuple of
-    affdim + 1 of the points: a cone from the least vertex over every
+def _triangulate(points: list[IntPoint]) -> list[tuple[IntPoint, ...]]:
+    """Simplices covering the hull of distinct integer points, each a tuple
+    of affdim + 1 of the points: a cone from the least vertex over every
     facet that misses it, recursing into the facet."""
     if len(points) == 1:
         return [tuple(points)]
@@ -441,14 +488,6 @@ class BodyReport(NamedTuple):
     dims: list[int]
 
 
-def _normalized_points(semigroup: ValueSemigroup, upto: int) -> list[Point]:
-    pts = []
-    for v, k in semigroup.points():
-        if k <= upto:
-            pts.append(tuple(Fraction(x, k) for x in v))
-    return pts
-
-
 def okounkov_body(
     series: GradedSeries, flag: Flag, K: int
 ) -> BodyReport:
@@ -465,8 +504,11 @@ def okounkov_body(
         raise InputError("okounkov_body: truncation must be >= 1")
     view = series.under_flag(flag)
     sg = series.semigroup(flag, K)
-    pts = _normalized_points(sg, K)
-    body = RationalPolytope.from_points(pts, series.d)
+    # nu(s) / k enters the hull as the integer point nu(s) * (L / k) over
+    # the common denominator L = lcm(1..K)
+    L = math.lcm(*range(1, K + 1))
+    scaled = [(k, tuple(x * (L // k) for x in v)) for v, k in sg.points()]
+    body = RationalPolytope.from_points([p for _, p in scaled], series.d, L)
     certificate = "truncation"
     note = "hull of value points up to the truncation; inner approximation"
     gens = view.generators
@@ -475,7 +517,7 @@ def okounkov_body(
         monomial = all(g.is_monomial for forms in gens.values() for g in forms)
         if monomial and k0 <= K:
             early = RationalPolytope.from_points(
-                _normalized_points(sg, k0), series.d
+                [p for k, p in scaled if k <= k0], series.d, L
             )
             if early == body:
                 certificate = "exact"

@@ -193,23 +193,47 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> list[int]:
 def lattice_index(generators: Sequence[Sequence[int]], ambient_rank: int) -> int | None:
     """Index of the subgroup of Z^r generated by the given integer vectors.
 
-    Returns None when the span has rank < ambient_rank (infinite index).
+    The generators are reduced one by one into a Hermite basis, at most r
+    rows keyed by lead column.  A generator whose lead column already holds
+    a row loses that lead by an exact-quotient subtraction when the row's
+    lead divides it, and otherwise by the unimodular xgcd step on the two,
+    which leaves the gcd as the row's lead.  The basis is triangular, so
+    the index is the product of the absolute leads; once that is 1, no
+    further generator can change it.  Returns None when the span has rank
+    < ambient_rank (infinite index).
     """
     if ambient_rank <= 0:
         raise InputError("lattice_index: ambient_rank must be positive")
-    gens = [list(g) for g in generators if any(g)]
-    if not gens:
-        return None
-    for g in gens:
-        if len(g) != ambient_rank:
-            raise InputError("lattice_index: generator length != ambient_rank")
-    factors = smith_normal_form(gens)
-    nonzero = [f for f in factors if f != 0]
-    if len(nonzero) < ambient_rank:
+    if any(len(g) != ambient_rank and any(g) for g in generators):
+        raise InputError("lattice_index: generator length != ambient_rank")
+    basis: dict[int, list[int]] = {}
+    for g in generators:
+        v = list(map(int, g))
+        for j in range(len(v)):
+            b = v[j]
+            if not b:
+                continue
+            row = basis.get(j)
+            if row is None:
+                basis[j] = v
+                break
+            a = row[j]
+            if b % a == 0:
+                q = b // a
+                v = [s - q * r for r, s in zip(row, v)]
+            else:
+                d, x, y = xgcd(a, b)
+                basis[j] = [x * r + y * s for r, s in zip(row, v)]
+                v = [(a // d) * s - (b // d) * r for r, s in zip(row, v)]
+        if len(basis) == ambient_rank and all(
+            abs(row[j]) == 1 for j, row in basis.items()
+        ):
+            return 1
+    if len(basis) < ambient_rank:
         return None
     idx = 1
-    for f in nonzero:
-        idx *= f
+    for j, row in basis.items():
+        idx *= abs(row[j])
     return idx
 
 

@@ -229,7 +229,13 @@ def mu(lattice: SurfaceLattice, D: Sequence, C: Sequence) -> Fraction:
     """
     D = _vec(D, lattice.rank, "divisor")
     C = _vec(C, lattice.rank, "flag curve")
-    if volume(lattice, D) <= 0:
+    return _threshold(lattice, zariski(lattice, D), C)
+
+
+def _threshold(lattice: SurfaceLattice, dec: ZariskiDecomposition, C: Vec) -> Fraction:
+    """mu of the divisor of a Zariski decomposition, whose positive part
+    shows whether the divisor is big."""
+    if lattice.dot(dec.positive, dec.positive) <= 0:
         raise InputError("mu: divisor is not big")
     if in_cone(lattice.effective_generators, C) is None:
         raise InputError("mu: flag curve is not an effective class")
@@ -240,7 +246,7 @@ def mu(lattice: SurfaceLattice, D: Sequence, C: Sequence) -> Fraction:
         for r in range(lattice.rank)
     ]
     c = [Fraction(0)] * len(gens) + [Fraction(1)]
-    status, _, value = maximize(A, list(D), c)
+    status, _, value = maximize(A, list(dec.divisor), c)
     if status == "unbounded":
         raise InputError("mu: effective threshold unbounded; degenerate cone data")
     if status != "optimal":
@@ -273,6 +279,7 @@ class SurfaceBody:
         "mu_note",
         "divisor",
         "curve",
+        "decomposition",
     )
 
     def __init__(
@@ -283,6 +290,7 @@ class SurfaceBody:
         mu_note: str,
         divisor: Vec,
         curve: Vec,
+        decomposition: ZariskiDecomposition,
     ):
         self.mu = mu_value
         self.segments = segments
@@ -291,6 +299,7 @@ class SurfaceBody:
         self.mu_note = mu_note
         self.divisor = divisor
         self.curve = curve
+        self.decomposition = decomposition  # of the divisor, at t = 0
 
     @property
     def nu(self) -> Fraction:
@@ -351,7 +360,10 @@ def surface_body(
     """
     D = _vec(D, lattice.rank, "divisor")
     C = _vec(C, lattice.rank, "flag curve")
-    mu_value = mu(lattice, D, C)
+    # one decomposition of D serves the bigness check of mu, the start of
+    # the continuation and the body's record of it
+    start = zariski(lattice, D)
+    mu_value = _threshold(lattice, start, C)
     curves = lattice.negative_curves
     mults = [0] * len(curves)
     echo: list[tuple[Vec, int]] = []
@@ -369,7 +381,6 @@ def surface_body(
             if m:
                 echo.append((k, int(m)))
 
-    start = zariski(lattice, D)
     supp = sorted(
         i for i, c in enumerate(curves) if start.multiplicity(c) > 0
     )
@@ -489,6 +500,7 @@ def surface_body(
         ),
         divisor=D,
         curve=C,
+        decomposition=start,
     )
     _check_body(body)
     return body

@@ -19,6 +19,11 @@ echelon form.
 The view-level oracle is how flag views built their levels before
 subduction: each parent level written in flag coordinates by one
 substitution and a full reduction, complete levels passed through.
+
+The Fraction route is the beneath-beyond hull as it ran before value
+points entered it as integers over one common denominator: the points
+normalized to Fractions, and every hyperplane taken as the primitive
+first `nullspace` vector of its rows (`fraction_route_polytope`).
 """
 
 from __future__ import annotations
@@ -455,6 +460,118 @@ def reference_slice_at(poly: RationalPolytope, coord: int, value) -> RationalPol
         return RationalPolytope.empty(0)
     pts = _enumerate_vertices(eqs, ineqs, poly.n - 1)
     return reference_polytope(pts, poly.n - 1)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route of the beneath-beyond hull
+
+
+def normalized_value_points(semigroup, upto: int) -> list[Point]:
+    """The value points nu(s) / k of levels k <= upto, as Fractions."""
+    return [
+        tuple(Fraction(x, k) for x in v) for v, k in semigroup.points() if k <= upto
+    ]
+
+
+def _fr_hyperplane(pts, equations, inside, weight):
+    q0 = pts[0]
+    # a zero row keeps the matrix nonempty for a lone point on a line
+    ker = nullspace(
+        [[0] * len(q0)]
+        + equations
+        + [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
+    )
+    if len(ker) != 1:
+        return None
+    a = _primitive(ker[0], fix_sign=False)
+    b = sum(x * y for x, y in zip(a, q0))
+    if sum(x * y for x, y in zip(a, inside)) > weight * b:
+        a, b = tuple(-v for v in a), -b
+    return a, b
+
+
+def _fr_affine_data(points: list[Point], n: int):
+    p0 = points[0]
+    simplex, echelon = [0], []
+    for i in range(1, len(points)):
+        if len(echelon) == n:
+            break
+        v = [x - y for x, y in zip(points[i], p0)]
+        for lead, row in echelon:
+            if v[lead]:
+                v = [x - v[lead] * y for x, y in zip(v, row)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            echelon.append((lead, [x / v[lead] for x in v]))
+            simplex.append(i)
+    if echelon:
+        ker = nullspace([row[::-1] for _, row in echelon])
+        normals = [row[::-1] for row in reversed(ker)]
+    else:
+        normals = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    equations = []
+    for row in normals:
+        a = _primitive(row, fix_sign=True)
+        equations.append((a, _dot(a, p0)))
+    return tuple(equations), tuple(simplex)
+
+
+def _fr_hull(points: list[Point], equations, simplex):
+    scale = math.lcm(*(v.denominator for p in points for v in p))
+    ipts = [tuple(int(v * scale) for v in p) for p in points]
+    eqs = [a for a, _ in equations]
+    m = len(simplex) - 1
+    inside = tuple(map(sum, zip(*(ipts[i] for i in simplex))))
+    facets = {}
+    for skip in simplex:
+        on = [i for i in simplex if i != skip]
+        key = _fr_hyperplane([ipts[i] for i in on], eqs, inside, m + 1)
+        if key is None:
+            raise InvariantError("hull: simplex facet spans no unique hyperplane")
+        facets[key] = set(on)
+    chosen = set(simplex)
+    for i, p in enumerate(ipts):
+        if i in chosen:
+            continue
+        beyond = {f: sum(x * y for x, y in zip(f[0], p)) > f[1] for f in facets}
+        visible = [f for f, out in beyond.items() if out]
+        hidden = [f for f, out in beyond.items() if not out]
+        for f in visible:
+            for g in hidden:
+                ridge = facets[f] & facets[g]
+                if len(ridge) < m - 1:
+                    continue
+                key = _fr_hyperplane(
+                    [p] + [ipts[j] for j in ridge], eqs, inside, m + 1
+                )
+                if key is not None:
+                    facets.setdefault(key, set()).update(ridge | {i})
+        for f in visible:
+            del facets[f]
+    verts = [
+        i
+        for i in sorted(set().union(*facets.values()))
+        if set.intersection(*(on for on in facets.values() if i in on)) == {i}
+    ]
+    return verts, {(a, Fraction(b, scale)): on for (a, b), on in facets.items()}
+
+
+def fraction_route_polytope(points: Sequence[Sequence], n: int) -> RationalPolytope:
+    """The beneath-beyond hull as it ran on Fraction points: points
+    normalized and deduplicated as Fractions, the greedy simplex and the
+    equations by Fraction elimination, and each hyperplane the primitive
+    first `nullspace` vector of its rows, on the points scaled to integers
+    by the lcm of their denominators."""
+    pts = list(dict.fromkeys(_fr_point(p) for p in points))
+    if not pts:
+        return RationalPolytope.empty(n)
+    equations, simplex = _fr_affine_data(pts, n)
+    m = len(simplex) - 1
+    if m == 0:
+        return RationalPolytope._raw(n, 0, [pts[0]], equations, ())
+    verts, facets = _fr_hull(pts, equations, simplex)
+    inequalities = [(tuple(map(Fraction, a)), b) for a, b in facets]
+    return RationalPolytope._raw(n, m, [pts[i] for i in verts], equations, inequalities)
 
 
 # ---------------------------------------------------------------------------

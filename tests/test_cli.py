@@ -303,6 +303,26 @@ class TestCommands:
             ["0/1", "0/1"], ["0/1", "2/1"], ["1/1", "0/1"], ["3/1", "2/1"],
         ]
 
+    def test_surface_decomposes_once(self, capsys, monkeypatch):
+        # one decomposition of D, plus the cross-check in each segment
+        from okbody import surfacezar
+
+        calls = []
+        original = surfacezar.zariski
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (surfacezar, cli):
+            if getattr(module, "zariski", None) is original:
+                monkeypatch.setattr(module, "zariski", counted)
+        rc, out, _ = invoke(capsys, "surface", str(CORPUS / "blowup_cubic.surface.json"))
+        assert rc == 0
+        segments = payload_of(out)["segments"]
+        assert len(segments) == 2
+        assert len(calls) == 1 + len(segments)
+
     def test_generic(self, capsys):
         rc, out, _ = invoke(
             capsys, "generic-test", str(CORPUS / "p2_o2_cremona.json"),

@@ -77,6 +77,43 @@ class TestFromPoints:
         with pytest.raises(InputError):
             RationalPolytope.from_points([(0, 0), (1, 2, 3)])
 
+    def test_common_denominator(self):
+        pts = [(0, 0), (4, 0), (0, 4), (1, 1), (0, 0)]
+        assert RationalPolytope.from_points(pts, 2, 2) == RationalPolytope.from_points(
+            [(x / F(2), y / F(2)) for x, y in pts]
+        )
+        with pytest.raises(InputError):
+            RationalPolytope.from_points(pts, 2, 0)
+
+    def test_hull_makes_no_rational_elimination(self, monkeypatch):
+        # facets and equations come from integer echelon forms; the only
+        # rational elimination left in convbody is the volume's lattice
+        # coordinates, which keeps the counting below honest
+        import sys
+
+        from okbody import exactnum
+
+        calls = {"nullspace": 0, "rref_rows": 0}
+        for name in calls:
+            original = getattr(exactnum, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for mod in list(sys.modules.values()):
+                if mod.__name__.startswith("okbody") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        rng = random.Random(7)
+        solid = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(30)]
+        flat = [(x, y, 2 * x - y + 1) for x, y, _ in solid]
+        for pts in (solid, flat):
+            poly = RationalPolytope.from_points(pts, 3)
+            assert poly.affdim == (3 if pts is solid else 2)
+            assert calls == {"nullspace": 0, "rref_rows": 0}
+        poly.volume()
+        assert calls["rref_rows"] == 1
+
 
 class TestEquality:
     def test_order_and_redundancy_invariant(self, triangle):

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbody.exactnum import (
     det,
@@ -214,6 +216,33 @@ def test_lattice_index_against_coset_count():
             continue
         assert idx == coset_count(gens, 2), gens
         done += 1
+
+
+@st.composite
+def generator_sets(draw):
+    """Integer vectors of one length, among them zero rows and integer
+    combinations of the others, so that many sets are rank deficient."""
+    r = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-9, 9), min_size=r, max_size=r)
+    gens = draw(st.lists(row, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        if gens:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+            gens.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(r)])
+    return r, gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(generator_sets())
+def test_lattice_index_is_product_of_smith_factors(case):
+    r, gens = case
+    factors = [f for f in smith_normal_form(gens) if f] if gens else []
+    expected = None
+    if len(factors) == r:
+        expected = 1
+        for f in factors:
+            expected *= f
+    assert lattice_index(gens, r) == expected
 
 
 # ---------------------------------------------------------------------------
