@@ -14,11 +14,11 @@ incremental beneath-beyond hull (Edelsbrunner 1987; Barber, Dobkin and
 Huhdanpaa 1996) on those integer points, in ambient coordinates.  Its
 hyperplanes are taken inside the affine hull, by adding the hull's
 equations to every facet's kernel, so each facet normal is already the
-canonical one in the direction space; kernels are read off integer
-echelon forms.  Fractions appear only in the output: the vertices and
-the offsets of equations and facets.  Slices and halfspace cuts are
-computed from vertices, as the hull of the kept vertices and of the
-points where segments between vertices cross the cut.
+canonical one in the direction space; every kernel is the primitive
+integer one of `exactnum.kernel`.  Fractions appear only in the output:
+the vertices and the offsets of equations and facets.  Slices and
+halfspace cuts are computed from vertices, as the hull of the kept
+vertices and of the points where segments between vertices cross the cut.
 
 Volumes are lattice normalized: a polytope spanning a proper affine
 subspace is measured against the integer points of its own direction
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import det, hermite_normal_form, rref_rows
+from .exactnum import det, echelon_add, hermite_normal_form, kernel, rref_rows
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm
@@ -62,56 +62,6 @@ def _integer_points(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
-def _echelon_add(echelon: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
-    """Reduce an integer row against echelon rows (lead, primitive row),
-    each zero at the leads of the rows before it, and append its primitive
-    remainder; False when the row reduces to zero."""
-    for p, e in echelon:
-        if row[p]:
-            f1, f2 = e[p], row[p]
-            row = [f1 * x - f2 * y for x, y in zip(row, e)]
-    lead = next((j for j, x in enumerate(row) if x), None)
-    if lead is None:
-        return False
-    g = math.gcd(*row)
-    echelon.append((lead, [x // g for x in row]))
-    return True
-
-
-def _kernel(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Primitive integer basis of the right kernel of integer rows of
-    length n, one vector per free column in increasing order, each a
-    positive multiple of the kernel vector that is 1 at its free column and
-    0 at the others.  The rows are brought to integer echelon form and
-    reduced above every pivot too; with the free entry set to the lcm of
-    the pivots, every pivot entry is an exact quotient."""
-    echelon: list[tuple[int, list[int]]] = []
-    for row in rows:
-        _echelon_add(echelon, row)
-    for i in range(len(echelon) - 1, 0, -1):
-        p, e = echelon[i]
-        for j in range(i):
-            q, r = echelon[j]
-            if r[p]:
-                f1, f2 = e[p], r[p]
-                r = [f1 * x - f2 * y for x, y in zip(r, e)]
-                g = math.gcd(*r)
-                echelon[j] = q, [x // g for x in r]
-    lcm = math.lcm(*(e[p] for p, e in echelon))
-    leads = {p for p, _ in echelon}
-    basis = []
-    for f in range(n):
-        if f in leads:
-            continue
-        v = [0] * n
-        v[f] = lcm
-        for p, e in echelon:
-            v[p] = -e[f] * (lcm // e[p])
-        g = math.gcd(*v)
-        basis.append([x // g for x in v])
-    return basis
-
-
 def _hyperplane(
     pts: list[IntPoint],
     equations: list[IntPoint],
@@ -124,7 +74,7 @@ def _hyperplane(
     it, or None when the points do not span a unique such hyperplane."""
     q0 = pts[0]
     diffs = [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
-    ker = _kernel(equations + diffs, len(q0))
+    ker = kernel(equations + diffs, len(q0))
     if len(ker) != 1:
         return None
     a = tuple(ker[0])
@@ -213,10 +163,10 @@ def _affine_data(
     for i in range(1, len(points)):
         if len(echelon) == n:
             break
-        if _echelon_add(echelon, [x - y for x, y in zip(points[i], p0)]):
+        if echelon_add(echelon, [x - y for x, y in zip(points[i], p0)]):
             simplex.append(i)
     equations = []
-    for row in reversed(_kernel([e[::-1] for _, e in echelon], n)):
+    for row in reversed(kernel([e[::-1] for _, e in echelon], n)):
         a = tuple(row[::-1])
         equations.append((a, Fraction(sum(x * y for x, y in zip(a, p0)), denominator)))
     return _AffineData(tuple(equations), tuple(simplex))

@@ -8,25 +8,22 @@ the rest of the package is built on:
 * `hermite_normal_form` : row-style HNF with a unimodular witness,
 * `smith_normal_form`   : invariant factors d1 | d2 | ...,
 * `lattice_index`       : index of an integer row span in Z^r,
-* `solve_rational_system`, `rref_rows`, `nullspace`, `rank`, `det`,
+* `echelon_add`, `kernel` : the one integer elimination, integer echelon
+  form with content removal and a primitive integer kernel; `rref_rows`
+  and `rank` read rational rows through it, each row cleared to integers
+  once by `integer_row`,
+* `solve_rational_system`, `nullspace`, `det`,
 * `feasible_nonneg`, `maximize`, `in_cone` : a small exact simplex
   (Bland's rule), used by the surface engine.
-
-Type aliases: IntMatrix = list[list[int]], RatMatrix = list[list[Fraction]],
-IntVector/RatVector the corresponding row types.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import InputError, InvariantError
-
-Rat = Fraction
-IntMatrix = "list[list[int]]"
-RatMatrix = "list[list[Fraction]]"
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -238,7 +235,75 @@ def lattice_index(generators: Sequence[Sequence[int]], ambient_rank: int) -> int
 
 
 # ---------------------------------------------------------------------------
+# integer elimination
+
+
+def echelon_add(echelon: list[tuple[int, list[int]]], row: Sequence[int]) -> bool:
+    """Reduce an integer row against echelon rows (lead, primitive row),
+    each zero at the leads of the rows before it, and append its primitive
+    remainder; False when the row reduces to zero."""
+    for p, e in echelon:
+        if row[p]:
+            f1, f2 = e[p], row[p]
+            row = [f1 * x - f2 * y for x, y in zip(row, e)]
+    lead = next((j for j, x in enumerate(row) if x), None)
+    if lead is None:
+        return False
+    g = math.gcd(*row)
+    echelon.append((lead, [x // g for x in row]))
+    return True
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """Integer echelon form of integer rows, reduced above every lead too:
+    (lead, primitive row) pairs in the order the rows were added, each row
+    zero at the leads of all the others."""
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        echelon_add(echelon, row)
+    for i in range(len(echelon) - 1, 0, -1):
+        p, e = echelon[i]
+        for j in range(i):
+            q, r = echelon[j]
+            if r[p]:
+                f1, f2 = e[p], r[p]
+                r = [f1 * x - f2 * y for x, y in zip(r, e)]
+                g = math.gcd(*r)
+                echelon[j] = q, [x // g for x in r]
+    return echelon
+
+
+def kernel(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Primitive integer basis of the right kernel of integer rows of
+    length n, one vector per free column in increasing order, each a
+    positive multiple of the kernel vector that is 1 at its free column and
+    0 at the others.  With the free entry set to the lcm of the leads of
+    the reduced echelon form, every lead entry is an exact quotient."""
+    echelon = _echelon(rows)
+    lcm = math.lcm(*(e[p] for p, e in echelon))
+    leads = {p for p, _ in echelon}
+    basis = []
+    for f in range(n):
+        if f in leads:
+            continue
+        v = [0] * n
+        v[f] = lcm
+        for p, e in echelon:
+            v[p] = -e[f] * (lcm // e[p])
+        g = math.gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # rational elimination
+
+
+def integer_row(row: Sequence) -> list[int]:
+    """A rational row times the lcm of its denominators."""
+    fr = [Fraction(v) for v in row]
+    den = math.lcm(*(v.denominator for v in fr))
+    return [v.numerator * (den // v.denominator) for v in fr]
 
 
 def rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -246,74 +311,17 @@ def rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]],
 
     Returns (R, pivot_cols): nonzero rows of the RREF with leading entries 1,
     each pivot column cleared elsewhere, pivot columns strictly increasing.
-    The elimination core runs on denominator-cleared integer rows for speed;
-    results are exact.
+    The rows are cleared to integers and brought to reduced integer echelon
+    form; each row divided by its lead is then exact.
     """
-    work: list[tuple[list[int], int]] = []  # (integer row, index) kept stable
-    for row in rows:
-        fr = [Fraction(v) for v in row]
-        if all(v == 0 for v in fr):
-            continue
-        denlcm = 1
-        for v in fr:
-            denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
-        iv = [int(v * denlcm) for v in fr]
-        g = 0
-        for v in iv:
-            g = gcd(g, v)
-        if g > 1:
-            iv = [v // g for v in iv]
-        work.append((iv, len(work)))
-    if not work:
-        return [], []
-    ncols = len(work[0][0])
-    basis: list[list[int]] = []  # echelon, pivot cols strictly increasing
-    pivots: list[int] = []
-    for iv, _ in work:
-        cur = iv
-        for b, p in zip(basis, pivots):
-            if cur[p] != 0:
-                # cur <- b[p]*cur - cur[p]*b, then strip content
-                f1, f2 = b[p], cur[p]
-                cur = [f1 * x - f2 * y for x, y in zip(cur, b)]
-                g = 0
-                for v in cur:
-                    g = gcd(g, v)
-                if g > 1:
-                    cur = [v // g for v in cur]
-        lead = next((j for j, v in enumerate(cur) if v != 0), None)
-        if lead is None:
-            continue
-        if cur[lead] < 0:
-            cur = [-v for v in cur]
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < lead:
-            pos += 1
-        basis.insert(pos, cur)
-        pivots.insert(pos, lead)
-    # back-substitution: clear pivot columns above, then normalize to 1
-    for i in range(len(basis) - 1, -1, -1):
-        p = pivots[i]
-        for j in range(i):
-            if basis[j][p] != 0:
-                f1, f2 = basis[i][p], basis[j][p]
-                basis[j] = [f1 * x - f2 * y for x, y in zip(basis[j], basis[i])]
-                g = 0
-                for v in basis[j]:
-                    g = gcd(g, v)
-                if g > 1:
-                    basis[j] = [v // g for v in basis[j]]
-                if basis[j][pivots[j]] < 0:
-                    basis[j] = [-v for v in basis[j]]
-    out = []
-    for row, p in zip(basis, pivots):
-        lead = Fraction(row[p])
-        out.append([Fraction(v) / lead for v in row])
-    return out, pivots
+    echelon = sorted(_echelon([integer_row(row) for row in rows]))
+    pivots = [p for p, _ in echelon]
+    return [[Fraction(x, e[p]) for x in e] for p, e in echelon], pivots
 
 
 def rank(A: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref_rows(A)[0])
+    echelon: list[tuple[int, list[int]]] = []
+    return sum(echelon_add(echelon, integer_row(row)) for row in A)
 
 
 def solve_rational_system(

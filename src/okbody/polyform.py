@@ -21,7 +21,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import nullspace, rref_rows
+from .exactnum import integer_row, kernel, rref_rows
 
 Exponent = tuple[int, ...]
 
@@ -587,13 +587,15 @@ class FormSpan:
         rows = self._rows.values()
         if not points or not rows:
             return self
-        return self._kernel([[_evaluate(r, p) for r in rows] for p in points])
+        return self._kernel(
+            [integer_row([_evaluate(r, p) for r in rows]) for p in points]
+        )
 
-    def _kernel(self, conditions: list[list[Fraction]]) -> FormSpan:
+    def _kernel(self, conditions: list[list[int]]) -> FormSpan:
         """Elements whose row coefficients c satisfy conditions . c = 0."""
         rows = []
-        for combo in nullspace(conditions):
-            total: dict[Exponent, Fraction] = {}
+        for combo in kernel(conditions, len(self._rows)):
+            total: dict[Exponent, int] = {}
             for row, c in zip(self._rows.values(), combo):
                 if c:
                     for e, v in row.items():

@@ -24,6 +24,10 @@ The Fraction route is the beneath-beyond hull as it ran before value
 points entered it as integers over one common denominator: the points
 normalized to Fractions, and every hyperplane taken as the primitive
 first `nullspace` vector of its rows (`fraction_route_polytope`).
+`nullspace` reads `rref_rows`, which runs on the same integer echelon
+routine (`exactnum._echelon`) as the hull under test, so this oracle
+checks the Fraction handling around the elimination, not the elimination
+itself; `tests/test_exactnum_sympy.py` is the independent check of that.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Cross-checks of the exactnum kernels against sympy on seeded random small
 matrices, zero rows and rank-deficient ones among them."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from sympy.matrices.normalforms import invariant_factors
 from okbody.exactnum import (
     det,
     hermite_normal_form,
+    integer_row,
+    kernel,
     nullspace,
     rank,
     rref_rows,
@@ -61,12 +64,21 @@ def test_rational_kernels_match_sympy():
         assert rank(rows) == to_sympy(rows).rank() == r
         if len(rows) == len(rows[0]):
             assert det(rows) == from_sympy(to_sympy(rows).det())
-        kernel = nullspace(rows)
-        assert len(kernel) == len(rows[0]) - r
-        for v in kernel:
+        rational = nullspace(rows)
+        assert len(rational) == len(rows[0]) - r
+        for v in rational:
             assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
-        if kernel:
-            assert rank(kernel) == len(kernel)
+        if rational:
+            assert rank(rational) == len(rational)
+        # the integer kernel: primitive, and a positive multiple of sympy's
+        # vector for the same free column
+        ref_kernel = to_sympy(rows).nullspace()
+        ints = kernel([integer_row(row) for row in rows], len(rows[0]))
+        assert len(ints) == len(ref_kernel) == len(rows[0]) - r
+        free = [j for j in range(len(rows[0])) if j not in ref_pivots]
+        for v, ref_v, f in zip(ints, ref_kernel, free):
+            assert math.gcd(*v) == 1 and v[f] > 0
+            assert v == [v[f] * from_sympy(x) for x in ref_v]
 
 
 def test_lattice_forms_match_sympy():
