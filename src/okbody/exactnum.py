@@ -5,10 +5,11 @@ Everything here is float-free.  Rationals are `fractions.Fraction`
 plain lists of row lists.  The module provides the normal forms and solvers
 the rest of the package is built on:
 
-* `hermite_normal_form` : row-style HNF with a unimodular witness,
-* `smith_normal_form`   : invariant factors d1 | d2 | ...,
-* `lattice_index`       : index of an integer row span in Z^r,
-* `echelon_add`, `kernel` : the one integer elimination, integer echelon
+* `hermite_normal_form`, `smith_normal_form`, `lattice_index` : row-style
+  HNF with a unimodular witness, invariant factors d1 | d2 | ... and the
+  index of an integer row span in Z^r, all three on one unimodular
+  elimination, the Hermite step `_hermite_add`,
+* `echelon_add`, `kernel` : the one echelon elimination, integer echelon
   form with content removal and a primitive integer kernel; `rref_rows`
   and `rank` read rational rows through it, each row cleared to integers
   once by `integer_row`,
@@ -51,136 +52,96 @@ def _check_rect(M: Sequence[Sequence], what: str) -> tuple[int, int]:
     return len(M), ncols
 
 
+def _hermite_add(
+    basis: dict[int, list[int]], v: list[int], width: int
+) -> list[int] | None:
+    """Reduce an integer row into a Hermite basis, rows keyed by lead column
+    among the first `width` columns: the one unimodular elimination step.
+
+    At each column that already holds a row, v loses its entry by an
+    exact-quotient subtraction when the row's lead divides it, and
+    otherwise by the unimodular xgcd step on the two, which leaves the gcd
+    as the row's lead.  At the first column that holds none, v is stored;
+    a row that reduces to zero on the first `width` columns is returned.
+    """
+    for j in range(width):
+        b = v[j]
+        if not b:
+            continue
+        row = basis.get(j)
+        if row is None:
+            basis[j] = v
+            return None
+        a = row[j]
+        if b % a == 0:
+            q = b // a
+            v = [s - q * r for r, s in zip(row, v)]
+        else:
+            d, x, y = xgcd(a, b)
+            basis[j] = [x * r + y * s for r, s in zip(row, v)]
+            v = [(a // d) * s - (b // d) * r for r, s in zip(row, v)]
+    return v
+
+
+def _hermite(
+    rows: Sequence[Sequence[int]], width: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form of integer rows on their first `width`
+    columns: the rows with a lead there (leads strictly increasing and
+    positive, entries above each lead in [0, lead)), and the rows that are
+    zero there."""
+    basis: dict[int, list[int]] = {}
+    rest = []
+    for row in rows:
+        v = _hermite_add(basis, list(map(int, row)), width)
+        if v is not None:
+            rest.append(v)
+    leads = sorted(basis)
+    H = [basis[p] for p in leads]
+    for i, p in enumerate(leads):
+        if H[i][p] < 0:
+            H[i] = [-v for v in H[i]]
+        for k in range(i):
+            q = H[k][p] // H[i][p]
+            if q:
+                H[k] = [x - q * y for x, y in zip(H[k], H[i])]
+    return H, rest
+
+
 def hermite_normal_form(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with H = U * M, U unimodular (|det U| = 1), H in row
     echelon form with positive pivots, entries above each pivot reduced to
     lie in [0, pivot), and zero rows at the bottom.  The form is canonical:
-    hermite_normal_form(H)[0] == H.
+    hermite_normal_form(H)[0] == H.  Both are read off [M | I] in Hermite
+    form on the columns of M: H is its left block, U its right one.
     """
     n, m = _check_rect(M, "hermite_normal_form")
-    H = [[int(v) for v in row] for row in M]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def combine(i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-        # rows (i, j) <- (a*i + b*j, c*i + d*j); caller keeps ad - bc = +-1
-        H[i], H[j] = (
-            [a * x + b * y for x, y in zip(H[i], H[j])],
-            [c * x + d * y for x, y in zip(H[i], H[j])],
-        )
-        U[i], U[j] = (
-            [a * x + b * y for x, y in zip(U[i], U[j])],
-            [c * x + d * y for x, y in zip(U[i], U[j])],
-        )
-
-    r = 0
-    for c in range(m):
-        # clear column c below row r down to a single entry at row r
-        nz = [i for i in range(r, n) if H[i][c] != 0]
-        if not nz:
-            continue
-        if nz[0] != r:
-            H[r], H[nz[0]] = H[nz[0]], H[r]
-            U[r], U[nz[0]] = U[nz[0]], U[r]
-        for i in range(r + 1, n):
-            if H[i][c] == 0:
-                continue
-            a, b = H[r][c], H[i][c]
-            g, x, y = xgcd(a, b)
-            combine(r, i, x, y, -(b // g), a // g)
-        if H[r][c] < 0:
-            H[r] = [-v for v in H[r]]
-            U[r] = [-v for v in U[r]]
-        p = H[r][c]
-        for i in range(r):
-            q = H[i][c] // p
-            if q:
-                H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-        r += 1
-        if r == n:
-            break
-    return H, U
+    H, rest = _hermite([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)], m)
+    HU = H + rest
+    return [r[:m] for r in HU], [r[m:] for r in HU]
 
 
 def smith_normal_form(M: Sequence[Sequence[int]]) -> list[int]:
     """Invariant factors of an integer matrix: [d1, d2, ...] with d1 | d2 | ...
 
     Trailing zeros fill up to min(rows, cols) when the rank is deficient.
+    Hermite forms of the rows and of the columns alternate until the matrix
+    is diagonal (Kannan-Bachem): the corner entry never grows, and once it
+    stops shrinking its row and column stay clean.  The gcd and lcm of each
+    pair of diagonal entries then give the divisibility chain.
     """
     n, m = _check_rect(M, "smith_normal_form")
     A = [[int(v) for v in row] for row in M]
-
-    def row_op(i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-        A[i], A[j] = (
-            [a * x + b * y for x, y in zip(A[i], A[j])],
-            [c * x + d * y for x, y in zip(A[i], A[j])],
-        )
-
-    def col_op(i: int, j: int, a: int, b: int, c: int, d: int) -> None:
-        for row in A:
-            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
-
-    factors: list[int] = []
-    t = 0
-    while t < min(n, m):
-        pivot = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        A[t], A[pi] = A[pi], A[t]
-        for row in A:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # divisible entries are cleared by plain subtraction, which
-            # leaves the pivot line alone; the unimodular gcd op is reserved
-            # for the rest, where it strictly shrinks |A[t][t]|, so every
-            # pass either finishes or makes progress
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    a, b = A[t][t], A[i][t]
-                    if b % a == 0:
-                        q = b // a
-                        A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    else:
-                        g, x, y = xgcd(a, b)
-                        row_op(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    a, b = A[t][t], A[t][j]
-                    if b % a == 0:
-                        q = b // a
-                        for row in A:
-                            row[j] -= q * row[t]
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_op(t, j, x, y, -(b // g), a // g)
-            if all(A[i][t] == 0 for i in range(t + 1, n)) and all(
-                A[t][j] == 0 for j in range(t + 1, m)
-            ):
-                # divisibility fix: pivot must divide the whole tail block
-                bad = None
-                for i in range(t + 1, n):
-                    for j in range(t + 1, m):
-                        if A[i][j] % A[t][t] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                A[t] = [x + y for x, y in zip(A[t], A[bad])]
-        factors.append(abs(A[t][t]))
-        t += 1
-    factors += [0] * (min(n, m) - len(factors))
+    while any(x for i, row in enumerate(A) for j, x in enumerate(row) if i != j):
+        H, zero = _hermite(A, len(A[0]))
+        A = [list(col) for col in zip(*H, *zero)]
+    factors = [abs(A[i][i]) for i in range(min(n, m))]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
     for a, b in zip(factors, factors[1:]):
         if b and a and b % a != 0:
             raise InvariantError("smith_normal_form: divisibility chain broken")
@@ -190,14 +151,10 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> list[int]:
 def lattice_index(generators: Sequence[Sequence[int]], ambient_rank: int) -> int | None:
     """Index of the subgroup of Z^r generated by the given integer vectors.
 
-    The generators are reduced one by one into a Hermite basis, at most r
-    rows keyed by lead column.  A generator whose lead column already holds
-    a row loses that lead by an exact-quotient subtraction when the row's
-    lead divides it, and otherwise by the unimodular xgcd step on the two,
-    which leaves the gcd as the row's lead.  The basis is triangular, so
-    the index is the product of the absolute leads; once that is 1, no
-    further generator can change it.  Returns None when the span has rank
-    < ambient_rank (infinite index).
+    The generators are reduced one by one into a Hermite basis of at most r
+    rows.  The basis is triangular, so the index is the product of the
+    absolute leads; once that is 1, no further generator can change it.
+    Returns None when the span has rank < ambient_rank (infinite index).
     """
     if ambient_rank <= 0:
         raise InputError("lattice_index: ambient_rank must be positive")
@@ -205,33 +162,14 @@ def lattice_index(generators: Sequence[Sequence[int]], ambient_rank: int) -> int
         raise InputError("lattice_index: generator length != ambient_rank")
     basis: dict[int, list[int]] = {}
     for g in generators:
-        v = list(map(int, g))
-        for j in range(len(v)):
-            b = v[j]
-            if not b:
-                continue
-            row = basis.get(j)
-            if row is None:
-                basis[j] = v
-                break
-            a = row[j]
-            if b % a == 0:
-                q = b // a
-                v = [s - q * r for r, s in zip(row, v)]
-            else:
-                d, x, y = xgcd(a, b)
-                basis[j] = [x * r + y * s for r, s in zip(row, v)]
-                v = [(a // d) * s - (b // d) * r for r, s in zip(row, v)]
+        _hermite_add(basis, list(map(int, g)), len(g))
         if len(basis) == ambient_rank and all(
             abs(row[j]) == 1 for j, row in basis.items()
         ):
             return 1
     if len(basis) < ambient_rank:
         return None
-    idx = 1
-    for j, row in basis.items():
-        idx *= abs(row[j])
-    return idx
+    return math.prod(abs(row[j]) for j, row in basis.items())
 
 
 # ---------------------------------------------------------------------------

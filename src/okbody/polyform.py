@@ -353,14 +353,6 @@ def _insert(table: dict, rows: Iterable[dict]) -> dict:
     return table
 
 
-def span_reduce(
-    nvars: int, degree: int, forms: Iterable[HomogeneousForm]
-) -> tuple[tuple[HomogeneousForm, ...], tuple[Exponent, ...]]:
-    """Canonical basis and pivot exponents of the span of the given forms."""
-    span = FormSpan(nvars, degree, forms)
-    return span.basis, span.pivots
-
-
 class FormSpan:
     """A vector space of homogeneous forms of one degree.
 
@@ -380,7 +372,7 @@ class FormSpan:
     ):
         forms = [f for f in forms if not f.is_zero]
         if any(f.nvars != nvars or f.degree != degree for f in forms):
-            raise InputError("span_reduce: form of wrong shape")
+            raise InputError("span: form of wrong shape")
         self._set(nvars, degree, _insert({}, [f.terms for f in forms]))
 
     def _set(self, nvars: int, degree: int, table: dict) -> FormSpan:

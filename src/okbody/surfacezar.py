@@ -301,11 +301,6 @@ class SurfaceBody:
         self.curve = curve
         self.decomposition = decomposition  # of the divisor, at t = 0
 
-    @property
-    def nu(self) -> Fraction:
-        # bodies are normalized so the first coordinate starts at zero
-        return Fraction(0)
-
     def _segment(self, t: Fraction) -> Segment:
         t = Fraction(t)
         if t < 0 or t > self.mu:

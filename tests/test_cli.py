@@ -10,6 +10,7 @@ import pytest
 from okbody import cli
 from okbody.cli import (
     build_parser,
+    fr_str,
     main,
     parse_rational,
     parse_series,
@@ -17,6 +18,7 @@ from okbody.cli import (
     serialize_series,
 )
 from okbody.errors import InputError
+from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm
 
@@ -75,6 +77,76 @@ README_RUNS = [
     (
         ["fujita", "p2_except_x2x3.json", "--p", "2"],
         "620cef32960835cb0622aea3bd92068e2162bf81134687fa75a931cf17868096",
+        None,
+    ),
+]
+
+# further envelopes across the corpus: P^3 bodies, slices and volumes,
+# bodies and slices under seeded flags, and the remaining plane commands
+CORPUS_RUNS = [
+    (
+        ["body", "p3_o1_complete.json", "-K", "5"],
+        "61ab6504abc326aba7e9e48d8a4c45ef4b530d8bc93acb005250f12d4a015a47",
+        None,
+    ),
+    (
+        ["slice", "p3_o1_complete.json", "-K", "4", "--t", "1/2"],
+        "0618330081b3fbf5fdb60f478160dbb9584ccbbd6521ff71adf362fe0681d99b",
+        None,
+    ),
+    (
+        ["volume", "p3_o1_complete.json", "-K", "6"],
+        "355a136d7f9c079a1da357a152b0242223dbb9bedc7e51cffee68f9b84967c1d",
+        None,
+    ),
+    (
+        ["body", "p2_o2_cremona.json", "-K", "8", "--flag-seed", "1"],
+        "797f661cd60bb42243d51ed3e70d42f0ac9886c84405410cb902befd108fb252",
+        None,
+    ),
+    (
+        ["volume", "p2_o2_cremona.json", "-K", "4"],
+        "790c00a64f5445a258e134b1b12b7d466ba9ad17838107578b8a53b414f115ec",
+        None,
+    ),
+    (
+        ["slice", "p2_except_x2x3.json", "-K", "8", "--t", "1/2", "--flag-seed", "2"],
+        "0064712ca3ee0ca3698e1c77a9939fcf91433246c0252d3d462698d2aef93611",
+        None,
+    ),
+    (
+        ["slice", "p2_o2_no_x3sq.json", "--t", "1/3"],
+        "732ca652c9451548568cacfcb234f4d0849d09c9174643138db1f62dac70ebf6",
+        None,
+    ),
+    (
+        ["sheafify", "p2_o2_no_x3sq.json", "-K", "6"],
+        "467240d71d2b8e2ac727406a8629e82071d91249ebeabd9c210d97638c185b21",
+        None,
+    ),
+    (
+        ["base-locus", "p2_except_x2x3.json"],
+        "3ccac71e5f7c4556bfea2ddf7b8bd1760fd6315b9e24b4f8cef99087065bca48",
+        None,
+    ),
+    (
+        ["body", "p2_o2_squares.json", "-K", "6", "--flag-seed", "4"],
+        "65ce1da6396ecbe4fabfc0f8ce74a50ba9011365e4050597c7e9cf0e52d11255",
+        None,
+    ),
+    (
+        ["surface", "plane_conic.surface.json"],
+        "422326aa37893b44eed885e5b0276fe83a2091a78c155ee7b9d937d1d4538b6d",
+        None,
+    ),
+    (
+        ["body", "p2_o2_x1_fixed.json", "-K", "6", "--flag-seed", "3"],
+        "9418a8c0091d042892487e92c1f73f86a4c1a4e4ea7cf8071ec9b83abeef16e5",
+        None,
+    ),
+    (
+        ["slice", "p2_o2_x1_fixed.json", "-K", "6", "--t", "1/3"],
+        "080a78a10c47e825d9d12a4ee9f987cbe19b3f87c14e09ad8303b07fdb1c8a7b",
         None,
     ),
 ]
@@ -370,9 +442,10 @@ class TestDeterminismAndIO:
         assert rc3 == rc4 == 0
         assert out3 == out4
 
-    @pytest.mark.parametrize("argv,envelope_sha,svg_sha", README_RUNS)
+    @pytest.mark.parametrize("argv,envelope_sha,svg_sha", README_RUNS + CORPUS_RUNS)
     def test_readme_envelopes_pinned(self, capsys, tmp_path, argv, envelope_sha, svg_sha):
-        """The README commands keep byte-identical envelopes and SVGs."""
+        """The README commands and the further corpus runs keep
+        byte-identical envelopes and SVGs."""
         argv = [str(CORPUS / a) if a.endswith(".json") else a for a in argv]
         svg = tmp_path / "out.svg"
         if svg_sha:
@@ -382,6 +455,19 @@ class TestDeterminismAndIO:
         assert hashlib.sha256(out.encode()).hexdigest() == envelope_sha
         if svg_sha:
             assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
+
+    def test_flag_matrix(self, capsys):
+        """An explicit flag matrix gives the body of the seeded flag it
+        copies, and is recorded as rows, with no seed."""
+        rows = [[fr_str(v) for v in row] for row in Flag.random(2, 1).matrix]
+        base = ("body", FLAGSHIP, "-K", "6")
+        rc, out, _ = invoke(capsys, *base, "--flag-matrix", json.dumps(rows))
+        assert rc == 0
+        env = json.loads(out)
+        seeded = json.loads(invoke(capsys, *base, "--flag-seed", "1")[1])
+        assert env["payload"]["body"] == seeded["payload"]["body"]
+        assert env["payload"]["flag"] == {"kind": "matrix", "rows": rows}
+        assert env["seeds"] == []
 
     def test_one_parser_per_process(self, capsys):
         runs = [
@@ -451,6 +537,23 @@ class TestExitCodes:
         rc, out, err = invoke(capsys, "body", FLAGSHIP, "-K", "2", "--flag-seed", "1")
         assert rc == 4 and out == ""
         assert "invariant violated: subduction" in err
+
+    @pytest.mark.parametrize(
+        "extra,match",
+        [
+            (["--flag-seed", "1", "--flag-matrix", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
+             "either a seed or a matrix"),
+            (["--flag-matrix", "[[1, 0"], "invalid JSON"),
+            (["--flag-matrix", "[1, 2, 3]"], "row 0: expected a list"),
+            (["--flag-matrix", "[[1, 0, 0], [0, 1, 0]]"], "expected 3 rows of 3 entries"),
+            (["--flag-matrix", "[[true, 0, 0], [0, 1, 0], [0, 0, 1]]"], "got a boolean"),
+            (["--flag-matrix", "[[1, 0, 0], [0, 1, 0], [1, 1, 0]]"], "singular"),
+        ],
+    )
+    def test_flag_matrix_rejections(self, capsys, extra, match):
+        rc, out, err = invoke(capsys, "body", FLAGSHIP, "-K", "6", *extra)
+        assert rc == 2 and out == ""
+        assert match in err
 
     def test_missing_input(self, capsys):
         rc, _, err = invoke(capsys, "body", str(CORPUS / "nope.json"))

@@ -13,6 +13,7 @@ from okbody.exactnum import (
     hermite_normal_form,
     integer_row,
     kernel,
+    lattice_index,
     nullspace,
     rank,
     rref_rows,
@@ -91,3 +92,9 @@ def test_lattice_forms_match_sympy():
         assert Matrix(H) == Matrix(U) * to_sympy(rows)
         assert abs(Matrix(U).det()) == 1
         assert list(invariant_factors(Matrix(H), domain=ZZ)) == factors
+        # the index of the row lattice, against sympy's factors rather than
+        # the Smith routine that shares the Hermite step with it
+        m = len(rows[0])
+        nonzero = [abs(int(f)) for f in factors if f]
+        index = math.prod(nonzero) if len(nonzero) == m else None
+        assert lattice_index(rows, m) == index

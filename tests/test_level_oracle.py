@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from okbody.errors import InputError
 from okbody.exactnum import det
-from okbody.polyform import FormSpan, HomogeneousForm, all_exponents, span_reduce
+from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
     reference_contains,
     reference_span_reduce,
@@ -71,7 +71,6 @@ def test_span_operations_match_oracle(data):
     ref = reference_span_reduce(nvars, degree, a)
     ref_basis, ref_pivots = ref
     assert same(span, ref)
-    assert span_reduce(nvars, degree, a) == ref
     assert span.is_monomial_span == all(len(f.terms) == 1 for f in ref_basis)
     assert same(span + other, reference_span_reduce(nvars, degree, a + b))
     prods = [f * g for f in ref_basis for g in other.basis]

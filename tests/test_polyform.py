@@ -13,7 +13,6 @@ from okbody.polyform import (
     HomogeneousForm as HF,
     all_exponents,
     count_exponents,
-    span_reduce,
 )
 
 
@@ -192,9 +191,9 @@ def test_restricted_span():
     assert FormSpan.complete(3, 2).restricted(2) == FormSpan.complete(2, 2)
 
 
-def test_span_reduce_rejects_wrong_shape():
+def test_span_rejects_wrong_shape():
     x = HF.variable(3, 0)
-    with pytest.raises(InputError):
-        span_reduce(3, 2, [x])
-    with pytest.raises(InputError):
-        span_reduce(2, 1, [x])
+    with pytest.raises(InputError, match="span: form of wrong shape"):
+        FormSpan(3, 2, [x])
+    with pytest.raises(InputError, match="span: form of wrong shape"):
+        FormSpan(2, 1, [x])

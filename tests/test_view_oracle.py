@@ -1,7 +1,9 @@
 """Flag-view levels built by subduction against the oracle that transforms
 each parent level, on small generated series and their level-2 Fujita
 approximations under random invertible rational flags: pivots, bases,
-valuative witnesses and the restricted series of the slice identity."""
+valuative witnesses and the restricted series of the slice identity.
+Views of series without generators, which transform each parent level
+themselves, are checked against the reference substitution and span."""
 
 from fractions import Fraction
 
@@ -13,7 +15,11 @@ from okbody.exactnum import det
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import HomogeneousForm, all_exponents
-from oracles import reference_view_level
+from oracles import (
+    reference_span_reduce,
+    reference_substitute_linear,
+    reference_view_level,
+)
 
 small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
 nonzero = small.filter(bool)
@@ -102,3 +108,33 @@ def test_complete_level_as_a_factor():
     for seed in (1, 2, 3):
         flag = Flag.random(1, seed)
         assert_same_levels(series.under_flag(flag), oracle_view(series, flag), 6)
+
+
+def test_views_of_series_without_generators():
+    """An explicit series, a Veronese subseries and a punctured series
+    have no generators, so their views transform each parent level; the
+    parent basis moved by the reference substitution spans the same level."""
+
+    def x(*e):
+        return HomogeneousForm.monomial(3, e)
+
+    half = Fraction(1, 2)
+    explicit = GradedSeries.explicit(2, 1, {
+        1: [x(1, 0, 0) + x(0, 1, 0), x(0, 0, 1)],
+        2: [x(2, 0, 0) - x(0, 1, 1), x(1, 1, 0) + x(0, 0, 2).scaled(half)],
+        3: [x(3, 0, 0), x(1, 1, 1) + x(0, 3, 0), x(0, 1, 2)],
+    })
+    generated = GradedSeries.generated(2, 1, [x(1, 0, 0), x(0, 1, 0) + x(0, 0, 1).scaled(half)])
+    punctured = GradedSeries.complete(2).puncture((1, -1, 2))
+    for seed, series in enumerate((explicit, generated.veronese(2), punctured), start=1):
+        assert series.generators is None
+        flag = Flag.random(2, seed)
+        view = series.under_flag(flag)
+        for k in range(1, 4):
+            parent = series.level(k)
+            assert parent.dim and not parent.is_complete
+            moved = [reference_substitute_linear(f, flag.substitution) for f in parent.basis]
+            basis, pivots = reference_span_reduce(3, k * series.twist, moved)
+            got = view.level(k)
+            assert got.pivots == pivots  # read before the lazy reduced rows
+            assert got.basis == basis
