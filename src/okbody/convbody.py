@@ -23,7 +23,11 @@ vertices and of the points where segments between vertices cross the cut.
 Volumes are lattice normalized: a polytope spanning a proper affine
 subspace is measured against the integer points of its own direction
 space, which is the normalization under which lattice point counts and
-body volumes match up.
+body volumes match up.  The hull is triangulated in ambient coordinates,
+and each m-simplex is measured by the Smith factors of its m edge
+vectors: their product is the index of the edge lattice in the integer
+points of its span, m! times the simplex's volume there, in every
+dimension.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import det, echelon_add, hermite_normal_form, kernel, rref_rows
+from .exactnum import echelon_add, kernel, smith_normal_form
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm
@@ -312,36 +316,12 @@ class RationalPolytope:
         if self.affdim == 0:
             return Fraction(1)
         m = self.affdim
-        pts, cell = list(self.vertices), Fraction(1)
-        if m < self.n:
-            pts, cell = self._lattice_coords()
-        ipts, den = _integer_points(pts)
-        total = Fraction(0)
-        for sim in _triangulate(ipts):
-            apex = sim[0]
-            rows = [
-                [w[j] - apex[j] for j in range(m)] for w in sim[1:]
-            ]
-            total += abs(det(rows))
-        return total / (math.factorial(m) * cell * den**m)
-
-    def _lattice_coords(self) -> tuple[list[Point], Fraction]:
-        """The vertices read at affdim coordinates on which the direction
-        space projects one to one, and the volume there of a fundamental
-        cell of the direction lattice."""
-        E = [list(a) for a, _ in self.equations]
-        Et = [[E[i][j] for i in range(len(E))] for j in range(self.n)]
-        H, U = hermite_normal_form(Et)
-        lat = [
-            U[i]
-            for i in range(len(U))
-            if all(h == 0 for h in H[i])
-        ]
-        if len(lat) != self.affdim:
-            raise InvariantError("volume: direction lattice rank mismatch")
-        _, piv = rref_rows(lat)
-        cell = abs(det([[row[j] for j in piv] for row in lat]))
-        return [tuple(v[j] for j in piv) for v in self.vertices], cell
+        ipts, den = _integer_points(self.vertices)
+        total = 0
+        for apex, *rest in _triangulate(ipts):
+            edges = [[x - y for x, y in zip(w, apex)] for w in rest]
+            total += math.prod(smith_normal_form(edges))
+        return Fraction(total, math.factorial(m) * den**m)
 
     # -- constructive operations ---------------------------------------------
 

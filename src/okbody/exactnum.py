@@ -5,15 +5,16 @@ Everything here is float-free.  Rationals are `fractions.Fraction`
 plain lists of row lists.  The module provides the normal forms and solvers
 the rest of the package is built on:
 
-* `hermite_normal_form`, `smith_normal_form`, `lattice_index` : row-style
-  HNF with a unimodular witness, invariant factors d1 | d2 | ... and the
-  index of an integer row span in Z^r, all three on one unimodular
-  elimination, the Hermite step `_hermite_add`,
+* `hermite_normal_form`, `smith_normal_form`, `lattice_index`, `det` :
+  row-style HNF with a unimodular witness, invariant factors d1 | d2 | ...
+  (whose product also measures simplex volumes in `convbody`), the index
+  of an integer row span in Z^r and the exact determinant, all on one
+  unimodular elimination, the Hermite step `_hermite_add`,
 * `echelon_add`, `kernel` : the one echelon elimination, integer echelon
   form with content removal and a primitive integer kernel; `rref_rows`
   and `rank` read rational rows through it, each row cleared to integers
   once by `integer_row`,
-* `solve_rational_system`, `nullspace`, `det`,
+* `solve_rational_system`,
 * `feasible_nonneg`, `maximize`, `in_cone` : a small exact simplex
   (Bland's rule), used by the surface engine.
 """
@@ -280,42 +281,32 @@ def solve_rational_system(
     return x
 
 
-def nullspace(A: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of A, one vector per free column."""
-    n, m = _check_rect(A, "nullspace")
-    R, pivots = rref_rows(A)
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
-        for row, p in zip(R, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
-
-
 def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant on the Hermite step.
+
+    Each row, cleared to integers, is reduced into a Hermite basis; a row
+    that reduces to zero makes the determinant 0.  Every move of the step
+    has determinant 1 and each row is stored under a new lead, so the
+    stored rows, in the order they were stored, are a row permutation of a
+    triangular matrix: the determinant is the sign of that permutation
+    times the product of the leads, over the product of the row
+    denominators.
+    """
     n, m = _check_rect(A, "det")
     if n != m:
         raise InputError("det: matrix not square")
-    M = [[Fraction(v) for v in row] for row in A]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
-            M[i][k] = Fraction(0)
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    basis: dict[int, list[int]] = {}
+    den = 1
+    for row in A:
+        fr = [Fraction(v) for v in row]
+        d = math.lcm(*(x.denominator for x in fr))
+        v = [x.numerator * (d // x.denominator) for x in fr]
+        if _hermite_add(basis, v, n) is not None:
+            return Fraction(0)
+        den *= d
+    leads = list(basis)
+    inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
+    return Fraction((-1) ** inversions * math.prod(basis[j][j] for j in leads), den)
 
 
 # ---------------------------------------------------------------------------

@@ -356,15 +356,16 @@ def full_volume_check(series: GradedSeries, K: int) -> FullVolumeReport:
     hd = series.hilbert_data(K)
     expected = series.twist**series.d
     volume_full = bool(hd.stabilized and hd.volume == expected)
-    bir = is_birational_monomial(series, k_max=K)
+    # a series with no nonzero level up to K is not birational
+    birational = any(hd.dims) and is_birational_monomial(series, k_max=K).birational
     locus = stable_base_locus(series, K)
-    criterion = bool(bir.birational and locus.empty)
+    criterion = bool(birational and locus.empty)
     return FullVolumeReport(
         volume=hd.volume,
         expected_volume=expected,
         volume_full=volume_full,
         hilbert_stabilized=hd.stabilized,
-        birational=bir.birational,
+        birational=birational,
         locus_empty=locus.empty,
         criterion=criterion,
         agree=volume_full == criterion if hd.stabilized else None,

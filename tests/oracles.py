@@ -24,10 +24,12 @@ The Fraction route is the beneath-beyond hull as it ran before value
 points entered it as integers over one common denominator: the points
 normalized to Fractions, and every hyperplane taken as the primitive
 first `nullspace` vector of its rows (`fraction_route_polytope`).
-`nullspace` reads `rref_rows`, which runs on the same integer echelon
-routine (`exactnum._echelon`) as the hull under test, so this oracle
-checks the Fraction handling around the elimination, not the elimination
-itself; `tests/test_exactnum_sympy.py` is the independent check of that.
+`nullspace`, the rational kernel kept here since the library runs only
+the integer one, reads `rref_rows`, which runs on the same integer
+echelon routine (`exactnum._echelon`) as the hull under test, so this
+oracle checks the Fraction handling around the elimination, not the
+elimination itself; `tests/test_exactnum_sympy.py` is the independent
+check of that.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from typing import NamedTuple, Sequence
 from okbody.convbody import RationalPolytope
 from okbody.errors import InputError, InvariantError
 from okbody.exactnum import (
+    _check_rect,
     det,
     feasible_nonneg,
     hermite_normal_form,
-    nullspace,
     rank,
     rref_rows,
     solve_rational_system,
@@ -74,6 +76,22 @@ def _primitive(vec: Sequence[Fraction], fix_sign: bool) -> tuple[int, ...]:
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def nullspace(A: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the right kernel of A, one vector per free column, read off
+    the rational reduced row echelon form."""
+    n, m = _check_rect(A, "nullspace")
+    R, pivots = rref_rows(A)
+    free = [j for j in range(m) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m
+        v[f] = Fraction(1)
+        for row, p in zip(R, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

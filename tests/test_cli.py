@@ -331,6 +331,21 @@ class TestCommands:
         assert full["volume"] is None
         assert full["agree"] is None
 
+    def test_volume_of_zero_series(self, capsys, tmp_path):
+        # no level is nonzero, so the series is not birational
+        path = tmp_path / "zero.json"
+        path.write_text(
+            json.dumps({"ambient_dim": 2, "divisor_degree": 1, "generators": []})
+        )
+        rc, out, _ = invoke(capsys, "volume", str(path))
+        assert rc == 0
+        pay = payload_of(out)
+        assert pay["volume"] == "0/1"
+        full = pay["full_check"]
+        assert (full["birational"], full["criterion"], full["agree"]) == (
+            False, False, True,
+        )
+
     def test_sheafify(self, capsys):
         rc, out, _ = invoke(capsys, "sheafify", FLAGSHIP, "--truncation", "2")
         assert rc == 0

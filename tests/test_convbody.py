@@ -86,33 +86,37 @@ class TestFromPoints:
             RationalPolytope.from_points(pts, 2, 0)
 
     def test_hull_makes_no_rational_elimination(self, monkeypatch):
-        # facets and equations come from integer echelon forms; the only
-        # rational elimination left in convbody is the volume's lattice
-        # coordinates, which keeps the counting below honest
+        # facets, equations and volumes come from integer eliminations
+        # only; a flag still inverts its matrix by rref_rows, which keeps
+        # the counting below honest
         import sys
 
         from okbody import exactnum
 
-        calls = {"nullspace": 0, "rref_rows": 0}
-        for name in calls:
-            original = getattr(exactnum, name)
+        modules = [
+            m for m in list(sys.modules.values()) if m.__name__.startswith("okbody")
+        ]
+        assert not [m.__name__ for m in modules if hasattr(m, "nullspace")]
+        calls = {}
+        original = exactnum.rref_rows
+        for mod in modules:
+            if getattr(mod, "rref_rows", None) is original:
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+                def counted(*args, _name=mod.__name__):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return original(*args)
 
-            for mod in list(sys.modules.values()):
-                if mod.__name__.startswith("okbody") and getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, counted)
+                monkeypatch.setattr(mod, "rref_rows", counted)
         rng = random.Random(7)
         solid = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(30)]
         flat = [(x, y, 2 * x - y + 1) for x, y, _ in solid]
         for pts in (solid, flat):
             poly = RationalPolytope.from_points(pts, 3)
             assert poly.affdim == (3 if pts is solid else 2)
-            assert calls == {"nullspace": 0, "rref_rows": 0}
-        poly.volume()
-        assert calls["rref_rows"] == 1
+            assert poly.volume() > 0
+            assert calls == {}
+        Flag([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert calls == {"okbody.flagval": 1}
 
 
 class TestEquality:
@@ -231,6 +235,48 @@ class TestVolume:
         for _ in range(5):
             c = F(rng.randint(1, 9), rng.randint(1, 9))
             assert triangle.scaled(c).volume() == c**2 * triangle.volume()
+
+    def test_lattice_volume_is_unimodular_invariant(self):
+        # rational points spanning an m-dimensional affine subspace of Q^n:
+        # an integer translation and an integer map of determinant +-1 move
+        # the direction lattice onto the image's, so the volume stays
+        rng = random.Random(412)
+
+        def rational():
+            return F(rng.randint(-4, 4), rng.randint(1, 4))
+
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, n)
+            base = [rational() for _ in range(n)]
+            dirs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            pts = [
+                [b + sum(rational() * d[j] for d in dirs) for j, b in enumerate(base)]
+                for _ in range(m + rng.randint(1, 3))
+            ]
+            poly = RationalPolytope.from_points(pts, n)
+            if poly.affdim < 1:
+                continue
+            # a unimodular map: signed permutation times random shears
+            perm = rng.sample(range(n), n)
+            U = [
+                [rng.choice((1, -1)) * int(perm[i] == j) for j in range(n)]
+                for i in range(n)
+            ]
+            for _ in range(2 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    c = rng.randint(-2, 2)
+                    U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+            shift = [rng.randint(-5, 5) for _ in range(n)]
+            moved = [
+                [sum(u * x for u, x in zip(row, p)) + t for row, t in zip(U, shift)]
+                for p in pts
+            ]
+            image = RationalPolytope.from_points(moved, n)
+            assert image.affdim == poly.affdim
+            assert image.volume() == poly.volume() > 0
+            assert image.volume(ambient=True) == poly.volume(ambient=True)
 
 
 class TestSlices:

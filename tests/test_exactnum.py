@@ -20,13 +20,13 @@ from okbody.exactnum import (
     in_cone,
     lattice_index,
     maximize,
-    nullspace,
     rank,
     rref_rows,
     smith_normal_form,
     solve_rational_system,
     xgcd,
 )
+from oracles import nullspace
 
 
 def mat_mul(A, B):
@@ -317,11 +317,49 @@ def det_laplace(A):
 
 
 def test_det_against_laplace():
+    # rational entries; every third matrix gets a zero row or a row
+    # combined from the others
     rng = random.Random(707)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        A = [[F(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+    for trial in range(120):
+        n = rng.randint(1, 5)
+        A = [
+            [F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        i = rng.randrange(n)
+        if trial % 3 == 1:
+            A[i] = [F(0)] * n
+        elif trial % 3 == 2 and n > 1:
+            others = rng.sample([r for k, r in enumerate(A) if k != i], min(2, n - 1))
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in others]
+            A[i] = [sum(c * r[j] for c, r in zip(coeffs, others)) for j in range(n)]
         assert det(A) == det_laplace(A)
+        if trial % 3 and n > 1:
+            assert det(A) == 0
+
+
+def test_det_row_permutation_sign():
+    # the rows of a triangular matrix in random order enter the
+    # elimination with their leads out of order, so a lost sign shows
+    rng = random.Random(708)
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        T = [[F(0)] * n for _ in range(n)]
+        diag = F(1)
+        for i in range(n):
+            T[i][i] = F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 7))
+            diag *= T[i][i]
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    T[i][j] = F(rng.randint(-5, 5), rng.randint(1, 7))
+        A = [
+            [F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        perm = rng.sample(range(n), n)
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        assert det([T[i] for i in perm]) == sign * diag
+        assert det([A[i] for i in perm]) == sign * det(A)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from okbody.exactnum import (
     integer_row,
     kernel,
     lattice_index,
-    nullspace,
     rank,
     rref_rows,
     smith_normal_form,
 )
+from oracles import nullspace
 
 
 def random_matrix(rng: random.Random, rational: bool) -> list[list]:
