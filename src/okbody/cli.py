@@ -371,10 +371,10 @@ def _slice_sides(series: GradedSeries, flag: Flag, t: Fraction, K: int):
     of the truncated body, and 1/b times the body of the restriction of
     the b-th compound series with a flag divisors removed.  The restricted
     side is truncated at K // b so both sides see the same levels."""
-    rep = okounkov_body(series, flag, K)
+    view = series.under_flag(flag)
+    rep = okounkov_body(view, Flag.standard(series.d), K)
     direct = rep.body.slice_at(0, t)
     a, b = t.numerator, t.denominator
-    view = series.under_flag(flag)
     restricted_series = (
         view.veronese(b).subtract_flag_divisor(a).restrict_to_flag_divisor()
     )

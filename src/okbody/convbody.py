@@ -433,7 +433,7 @@ def okounkov_body(
     if K < 1:
         raise InputError("okounkov_body: truncation must be >= 1")
     view = series.under_flag(flag)
-    sg = series.semigroup(flag, K)
+    sg = view.semigroup(Flag.standard(series.d), K)
     # nu(s) / k enters the hull as the integer point nu(s) * (L / k) over
     # the common denominator L = lcm(1..K)
     L = math.lcm(*range(1, K + 1))

@@ -12,9 +12,8 @@ the rest of the package is built on:
   unimodular elimination, the Hermite step `_hermite_add`,
 * `echelon_add`, `kernel` : the one echelon elimination, integer echelon
   form with content removal and a primitive integer kernel; `rref_rows`
-  and `rank` read rational rows through it, each row cleared to integers
-  once by `integer_row`,
-* `solve_rational_system`,
+  reads rational rows through it, each row cleared to integers once by
+  `integer_row`,
 * `feasible_nonneg`, `maximize`, `in_cone` : a small exact simplex
   (Bland's rule), used by the surface engine.
 """
@@ -258,29 +257,6 @@ def rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]],
     return [[Fraction(x, e[p]) for x in e] for p, e in echelon], pivots
 
 
-def rank(A: Sequence[Sequence[Fraction]]) -> int:
-    echelon: list[tuple[int, list[int]]] = []
-    return sum(echelon_add(echelon, integer_row(row)) for row in A)
-
-
-def solve_rational_system(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve A x = b exactly.  Returns one solution (free variables set to 0)
-    or None when the system is inconsistent."""
-    n, m = _check_rect(A, "solve_rational_system")
-    if len(b) != n:
-        raise InputError("solve_rational_system: rhs length mismatch")
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(A, b)]
-    R, pivots = rref_rows(aug)
-    x = [Fraction(0)] * m
-    for row, p in zip(R, pivots):
-        if p == m:
-            return None  # pivot in the constant column
-        x[p] = row[m]
-    return x
-
-
 def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant on the Hermite step.
 
@@ -298,12 +274,10 @@ def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
     basis: dict[int, list[int]] = {}
     den = 1
     for row in A:
-        fr = [Fraction(v) for v in row]
-        d = math.lcm(*(x.denominator for x in fr))
-        v = [x.numerator * (d // x.denominator) for x in fr]
+        v = integer_row(row)
         if _hermite_add(basis, v, n) is not None:
             return Fraction(0)
-        den *= d
+        den *= math.lcm(*(Fraction(x).denominator for x in row))
     leads = list(basis)
     inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
     return Fraction((-1) ** inversions * math.prod(basis[j][j] for j in leads), den)

@@ -4,19 +4,18 @@ A series assigns to each level k a space of forms of degree k * twist; level
 products must land in level sums, which holds by construction for the
 complete and finitely generated providers and is checkable for explicit
 input.  Derived series (flag views, twists, restrictions, punctures) wrap a
-parent lazily and keep their own level caches, so repeated body and slice
-computations share work.  A generated series and a flag view of a series
-with generators build each level on one path, `_generated_level`: the span
-of the products of lower levels with the generator spans, found by
-subduction.  A view knows the level's dimension from its parent, so it
-stops as soon as the products' leads reach it, most often without any
-reduction.
+parent lazily and keep their own level caches, so the computations made on
+one derived series share work; the parent keeps nothing of them.  A
+generated series and a flag view of a series with generators build each
+level on one path, `_generated_level`: the span of the products of lower
+levels with the generator spans, found by subduction.  A view knows the
+level's dimension from its parent, so it stops as soon as the products'
+leads reach it, most often without any reduction.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -44,8 +43,6 @@ class GradedSeries:
         "max_level",
         "_provider",
         "_levels",
-        "_views",
-        "__weakref__",
     )
 
     def __init__(
@@ -81,9 +78,6 @@ class GradedSeries:
         self.generators = generators
         self._provider = provider
         self._levels: dict[int, FormSpan] = {}
-        # flag -> (weak reference to the view, its levels, its generators,
-        # their spans)
-        self._views: dict[Flag, tuple] = {}
 
     # -- access --------------------------------------------------------------
 
@@ -215,29 +209,22 @@ class GradedSeries:
     # -- derived series --------------------------------------------------------
 
     def under_flag(self, flag: Flag) -> GradedSeries:
-        """The same series written in flag coordinates (a view; levels are
-        computed from the parent and cached per flag).
+        """The same series written in flag coordinates: a new view, which
+        computes its levels from the parent and caches them itself, so a
+        caller builds it once and holds it.
 
         A complete parent level is its own image.  When the series has
         generators, the change of flag is a ring map, so the view is
         generated by the transformed generators and its level k is built
         on the path of `generated` (`_generated_level`), with the parent
         level's dimension to stop and cross-check the subduction.  Other
-        series transform each parent level.
-
-        The view's provider refers to this series, so this series keeps
-        the view's levels and generators but only a weak reference to the
-        view itself: a reference cycle would hold every cached level until
-        the cyclic garbage collector ran."""
+        series transform each parent level."""
         if flag.d != self.d:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
             return self
-        ref, levels, tgens, gspans = self._views.get(flag, (None, {}, None, None))
-        view = ref and ref()
-        if view is not None:
-            return view
-        if ref is None and self.generators is not None:
+        tgens = gspans = None
+        if self.generators is not None:
             tgens = {
                 j: tuple(
                     g.substitute_linear(flag.substitution) for g in forms
@@ -257,7 +244,7 @@ class GradedSeries:
                 return span.transformed(flag.substitution)
             return _generated_level(series, k, gspans, span.dim)
 
-        view = GradedSeries(
+        return GradedSeries(
             self.d,
             self.twist,
             provider,
@@ -265,9 +252,6 @@ class GradedSeries:
             generators=tgens,
             max_level=self.max_level,
         )
-        view._levels = levels
-        self._views[flag] = weakref.ref(view), levels, tgens, gspans
-        return view
 
     def veronese(self, b: int) -> GradedSeries:
         """The b-th graded subseries: level k is the parent level b * k."""

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from .convbody import RationalPolytope
 from .errors import InputError, InvariantError
-from .exactnum import det, in_cone, maximize, solve_rational_system
+from .exactnum import det, in_cone, integer_row, kernel, maximize
 
 Vec = tuple[Fraction, ...]
 
@@ -44,6 +44,9 @@ class SurfaceLattice:
         G = tuple(tuple(Fraction(x) for x in row) for row in gram)
         if any(len(row) != rank for row in G):
             raise InputError("surface lattice: Gram matrix not square")
+        if any(x.denominator != 1 for row in G for x in row):
+            raise InputError("surface lattice: Gram matrix not integral")
+        G = tuple(tuple(int(x) for x in row) for row in G)
         for i in range(rank):
             for j in range(rank):
                 if G[i][j] != G[j][i]:
@@ -60,6 +63,8 @@ class SurfaceLattice:
             raise InputError("surface lattice: need effective-cone generators")
         if any(not any(g) for g in self.effective_generators):
             raise InputError("surface lattice: zero effective generator")
+        if len(set(self.negative_curves)) != len(self.negative_curves):
+            raise InputError("surface lattice: repeated negative curve")
         for c in self.negative_curves:
             if self.dot(c, c) >= 0:
                 raise InputError(
@@ -146,15 +151,22 @@ def _negative_definite(lattice: SurfaceLattice, curves: Sequence[Vec]) -> bool:
 def _solve_support(
     lattice: SurfaceLattice, supp: list[int], rhs: list[Fraction]
 ) -> list[Fraction]:
+    """The multiplicities x with sum_j x_j (C_i . C_j) = rhs_i over the
+    support curves C_i: the kernel of [G | -rhs] is one vector (x w, w),
+    w != 0, exactly when the support Gram matrix G is nonsingular."""
     curves = [lattice.negative_curves[i] for i in supp]
-    G = [[lattice.dot(a, b) for b in curves] for a in curves]
-    sol = solve_rational_system(G, rhs)
-    if sol is None:
+    rows = [
+        integer_row([lattice.dot(a, b) for b in curves] + [-r])
+        for a, r in zip(curves, rhs)
+    ]
+    ker = kernel(rows, len(curves) + 1)
+    if len(ker) != 1 or not ker[0][-1]:
         raise InputError(
             "zariski: support intersection matrix is singular; "
             "check the negative-curve list"
         )
-    return sol
+    *v, w = ker[0]
+    return [Fraction(x, w) for x in v]
 
 
 def zariski(lattice: SurfaceLattice, D: Sequence) -> ZariskiDecomposition:

@@ -25,10 +25,11 @@ points entered it as integers over one common denominator: the points
 normalized to Fractions, and every hyperplane taken as the primitive
 first `nullspace` vector of its rows (`fraction_route_polytope`).
 `nullspace`, the rational kernel kept here since the library runs only
-the integer one, reads `rref_rows`, which runs on the same integer
-echelon routine (`exactnum._echelon`) as the hull under test, so this
-oracle checks the Fraction handling around the elimination, not the
-elimination itself; `tests/test_exactnum_sympy.py` is the independent
+the integer one (as are `rank` and `solve_rational_system`, which the
+oracles below and the solver tests use), reads `rref_rows`, which runs
+on the same integer echelon routine (`exactnum._echelon`) as the hull
+under test, so this oracle checks the Fraction handling around the
+elimination, not the elimination itself; `tests/test_exactnum_sympy.py` is the independent
 check of that.
 """
 
@@ -44,11 +45,11 @@ from okbody.errors import InputError, InvariantError
 from okbody.exactnum import (
     _check_rect,
     det,
+    echelon_add,
     feasible_nonneg,
     hermite_normal_form,
-    rank,
+    integer_row,
     rref_rows,
-    solve_rational_system,
 )
 from okbody.polyform import HomogeneousForm
 
@@ -92,6 +93,29 @@ def nullspace(A: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
             v[p] = -row[f]
         basis.append(v)
     return basis
+
+
+def rank(A: Sequence[Sequence[Fraction]]) -> int:
+    echelon: list[tuple[int, list[int]]] = []
+    return sum(echelon_add(echelon, integer_row(row)) for row in A)
+
+
+def solve_rational_system(
+    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """Solve A x = b exactly.  Returns one solution (free variables set to 0)
+    or None when the system is inconsistent."""
+    n, m = _check_rect(A, "solve_rational_system")
+    if len(b) != n:
+        raise InputError("solve_rational_system: rhs length mismatch")
+    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(A, b)]
+    R, pivots = rref_rows(aug)
+    x = [Fraction(0)] * m
+    for row, p in zip(R, pivots):
+        if p == m:
+            return None  # pivot in the constant column
+        x[p] = row[m]
+    return x
 
 
 # ---------------------------------------------------------------------------

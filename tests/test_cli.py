@@ -82,7 +82,8 @@ README_RUNS = [
 ]
 
 # further envelopes across the corpus: P^3 bodies, slices and volumes,
-# bodies and slices under seeded flags, and the remaining plane commands
+# bodies and slices under seeded flags, the remaining plane commands, and
+# volume, fujita and filtered-dims under seeded flags
 CORPUS_RUNS = [
     (
         ["body", "p3_o1_complete.json", "-K", "5"],
@@ -147,6 +148,29 @@ CORPUS_RUNS = [
     (
         ["slice", "p2_o2_x1_fixed.json", "-K", "6", "--t", "1/3"],
         "080a78a10c47e825d9d12a4ee9f987cbe19b3f87c14e09ad8303b07fdb1c8a7b",
+        None,
+    ),
+    (
+        ["volume", "p2_o2_cremona.json", "--flag-seed", "2"],
+        "bf893751da640aa079677eb2f118e75786d7f9c36acb2e9e5b98e39eee2fe985",
+        None,
+    ),
+    (
+        ["fujita", "p2_except_x2x3.json", "--p", "2", "--flag-seed", "1"],
+        "3ce17c21fe56fbd7a04a212c5395ea1bcc47229fa06b9edcdd47e971670bd812",
+        None,
+    ),
+    (
+        [
+            "filtered-dims", "p2_except_x2x3.json", "--levels", "5",
+            "--sigma-budget", "3", "--flag-seed", "2",
+        ],
+        "744f16b80c9bbb6ca8030289bdc6f45d57d23e70dbabed0bd308c5b90b0bf894",
+        None,
+    ),
+    (
+        ["generic-test", "p2_o2_cremona.json", "-K", "6", "--flags", "3"],
+        "d72f06c3c6de2b6fbaa7593db6512dde4e08139cff0eb89f29785bacf65ed08c",
         None,
     ),
 ]
@@ -471,6 +495,19 @@ class TestDeterminismAndIO:
         if svg_sha:
             assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
+    def test_zero_series_under_seeded_flag_pinned(self, capsys, tmp_path):
+        """A series with no generators is viewed by transforming each
+        level; its body under a seeded flag is empty."""
+        path = tmp_path / "zero.json"
+        path.write_text(
+            json.dumps({"ambient_dim": 2, "divisor_degree": 1, "generators": []})
+        )
+        rc, out, _ = invoke(capsys, "body", str(path), "-K", "4", "--flag-seed", "1")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "12f05e6378c3b391dc96645ea4a556c4e2e86f3c55567ab199e23f2696024f5f"
+        )
+
     def test_flag_matrix(self, capsys):
         """An explicit flag matrix gives the body of the seeded flag it
         copies, and is recorded as rows, with no seed."""
@@ -647,3 +684,18 @@ class TestExitCodes:
         rc, _, err = invoke(capsys, "surface", str(path))
         assert rc == 2
         assert "replace D" in err
+
+    def test_repeated_negative_curve(self, capsys, tmp_path):
+        data = {
+            "rank": 2,
+            "gram": [[1, 0], [0, -1]],
+            "negative_curves": [[0, 1], [0, 1]],
+            "effective_generators": [[1, -1], [0, 1]],
+            "D": [2, 1],
+            "C": [1, -1],
+        }
+        path = tmp_path / "repeat.surface.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = invoke(capsys, "surface", str(path))
+        assert rc == 2 and out == ""
+        assert "repeated negative curve" in err

@@ -20,13 +20,11 @@ from okbody.exactnum import (
     in_cone,
     lattice_index,
     maximize,
-    rank,
     rref_rows,
     smith_normal_form,
-    solve_rational_system,
     xgcd,
 )
-from oracles import nullspace
+from oracles import nullspace, rank, solve_rational_system
 
 
 def mat_mul(A, B):

@@ -14,11 +14,10 @@ from okbody.exactnum import (
     integer_row,
     kernel,
     lattice_index,
-    rank,
     rref_rows,
     smith_normal_form,
 )
-from oracles import nullspace
+from oracles import nullspace, rank
 
 
 def random_matrix(rng: random.Random, rational: bool) -> list[list]:

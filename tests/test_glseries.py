@@ -114,10 +114,9 @@ def test_semigroup_additivity_spot_check():
             assert tuple(x + y for x, y in zip(a, b)) in lv2
 
 
-def test_under_flag_view_cached_and_shaped():
+def test_under_flag_view_shaped():
     S = no_x2x3_series()
     fl = Flag.random(2, 7)
-    assert S.under_flag(fl) is S.under_flag(Flag.random(2, 7))
     assert S.under_flag(Flag.standard(2)) is S
     view = S.under_flag(fl)
     assert view.dims(2) == S.dims(2)
@@ -185,6 +184,28 @@ def test_generated_view_levels_need_no_elimination(eliminations):
     assert eliminations["rref_rows"]
     S.under_flag(flag).level(4).subspace_with_min_exponent(1, 1)
     assert eliminations["kernel"]
+
+
+def test_body_and_slice_build_one_view(monkeypatch):
+    """okounkov_body and the slice identity each write the series in flag
+    coordinates once, and read every later level off that one view."""
+    built = []
+    original = GradedSeries.under_flag
+
+    def counted(series, flag):
+        if not flag.is_standard:
+            built.append(series)
+        return original(series, flag)
+
+    monkeypatch.setattr(GradedSeries, "under_flag", counted)
+    S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
+    flag = Flag.random(2, 1)
+    okounkov_body(S, flag, 6)
+    assert built == [S]
+    built.clear()
+    rep, direct, sub_rep, restricted = _slice_sides(S, flag, F(1, 2), 8)
+    assert built == [S]
+    assert direct == restricted
 
 
 def test_veronese():

@@ -7,17 +7,20 @@ import pytest
 
 from okbody.convbody import RationalPolytope, okounkov_body
 from okbody.errors import InputError
+from okbody.exactnum import det
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import HomogeneousForm, all_exponents
 from okbody.surfacezar import (
     SurfaceLattice,
+    _solve_support,
     classify_boundary,
     mu,
     surface_body,
     volume,
     zariski,
 )
+from oracles import solve_rational_system
 
 F = Fraction
 
@@ -60,6 +63,16 @@ class TestLattice:
         with pytest.raises(InputError):
             SurfaceLattice([[1]], [], [])  # no effective generators
 
+    def test_repeated_negative_curve(self):
+        with pytest.raises(InputError, match="repeated negative curve"):
+            SurfaceLattice([[1, 0], [0, -1]], [E, E], [(1, -1), (0, 1)])
+
+    def test_integral_gram(self, blowup):
+        assert all(type(x) is int for row in blowup.gram for x in row)
+        assert SurfaceLattice([[F(2, 2)]], [], [(1,)]).gram == ((1,),)
+        with pytest.raises(InputError, match="not integral"):
+            SurfaceLattice([[F(1, 2)]], [], [(1,)])
+
     def test_pseudoeffective(self, blowup):
         assert blowup.is_pseudoeffective((2, 3))
         assert blowup.is_pseudoeffective((2, -2))
@@ -90,6 +103,43 @@ class TestZariski:
         bare = SurfaceLattice([[1, 0], [0, -1]], [], [(1, -1), (0, 1)])
         with pytest.raises(InputError, match="insufficient"):
             zariski(bare, (2, 3))
+
+    def test_dependent_support_refused(self):
+        # E and 2E both meet D negatively, and their Gram matrix is singular
+        lattice = SurfaceLattice(
+            [[1, 0], [0, -1]], [E, (0, 2)], [(1, -1), (0, 1)]
+        )
+        with pytest.raises(InputError, match="singular"):
+            zariski(lattice, (2, 1))
+
+    def test_support_solve_matches_oracle(self):
+        """On blow-ups of the plane at up to three points, with the
+        exceptional curves E_i and the lines H - E_i - E_j, the support
+        solve agrees with the rational solver where the support Gram
+        matrix is nonsingular, and is refused where it is singular."""
+        rng = random.Random(1309)
+        solved = refused = 0
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            gram = [[int(i == j) * (1 - 2 * (i > 0)) for j in range(n)] for i in range(n)]
+            curves = [tuple(int(k == i) for k in range(n)) for i in range(1, n)]
+            curves += [
+                tuple(1 if k == 0 else -int(k in (i, j)) for k in range(n))
+                for i in range(1, n)
+                for j in range(i + 1, n)
+            ]
+            lattice = SurfaceLattice(gram, curves, curves + [(1,) + (0,) * (n - 1)])
+            supp = rng.sample(range(len(curves)), rng.randint(1, len(curves)))
+            rhs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in supp]
+            G = [[lattice.dot(curves[a], curves[b]) for b in supp] for a in supp]
+            if det(G):
+                assert _solve_support(lattice, supp, rhs) == solve_rational_system(G, rhs)
+                solved += 1
+            else:
+                with pytest.raises(InputError, match="singular"):
+                    _solve_support(lattice, supp, rhs)
+                refused += 1
+        assert solved and refused
 
     def test_cascading_support(self, chain):
         # D . B < 0 starts the support at B; clearing B drags A in
