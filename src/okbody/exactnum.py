@@ -312,11 +312,11 @@ def _simplex_core(
             return "unbounded"
         row = best[2]
         piv = T[row][enter]
-        T[row] = [v / piv for v in T[row]]
+        T[row] = [v / piv if v else v for v in T[row]]
         for i in range(len(T)):
             if i != row and T[i][enter] != 0:
                 f = T[i][enter]
-                T[i] = [a - f * b for a, b in zip(T[i], T[row])]
+                T[i] = [a - f * b if b else a for a, b in zip(T[i], T[row])]
         basis[row] = enter
 
 

@@ -193,6 +193,13 @@ class GradedSeries:
             if k < 1:
                 raise InputError("explicit series: level must be >= 1")
             spans[k] = FormSpan(d + 1, k * twist, forms)
+        return cls._of_spans(d, twist, spans, label=label)
+
+    @classmethod
+    def _of_spans(
+        cls, d: int, twist: int, spans: dict[int, FormSpan], *, label: str
+    ) -> GradedSeries:
+        """The explicit series of spans already built per level (k >= 1)."""
         if not spans:
             raise InputError("explicit series: no levels given")
 

@@ -10,22 +10,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, UnsupportedModeError
 from .exactnum import hermite_normal_form, lattice_index
 from .glseries import GradedSeries
-from .polyform import HomogeneousForm, all_exponents
+from .polyform import FormSpan, all_exponents
 
 Exponent = tuple[int, ...]
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _minimalize(gens: set[Exponent]) -> tuple[Exponent, ...]:
@@ -62,6 +63,15 @@ class MonomialIdeal:
         self.nvars = nvars
         self.generators = _minimalize(clean)
 
+    @classmethod
+    def _of(cls, nvars: int, generators: tuple[Exponent, ...]) -> MonomialIdeal:
+        """The ideal of generators the library made: already minimal, in
+        ascending order, and of the right length; nothing is checked."""
+        ideal = object.__new__(cls)
+        ideal.nvars = nvars
+        ideal.generators = generators
+        return ideal
+
     @property
     def is_zero(self) -> bool:
         return not self.generators
@@ -95,29 +105,31 @@ class MonomialIdeal:
 
     def plus(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check(other)
-        return MonomialIdeal(self.nvars, self.generators + other.generators)
+        return self._of(
+            self.nvars, _minimalize({*self.generators, *other.generators})
+        )
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check(other)
-        lcms = [_lcm(g, h) for g in self.generators for h in other.generators]
-        return MonomialIdeal(self.nvars, lcms)
+        lcms = {_lcm(g, h) for g in self.generators for h in other.generators}
+        return self._of(self.nvars, _minimalize(lcms))
 
     def quotient_monomial(self, m: Sequence[int]) -> MonomialIdeal:
         """Colon ideal (I : m) for a single monomial m."""
         m = tuple(int(x) for x in m)
         if len(m) != self.nvars or any(x < 0 for x in m):
             raise InputError("monomial ideal: bad colon monomial")
-        shifted = [
+        shifted = {
             tuple(max(x - y, 0) for x, y in zip(g, m)) for g in self.generators
-        ]
-        return MonomialIdeal(self.nvars, shifted)
+        }
+        return self._of(self.nvars, _minimalize(shifted))
 
     def saturate_variable(self, i: int) -> MonomialIdeal:
         """(I : X_i^inf): generators with the i-th exponent removed."""
         if not 0 <= i < self.nvars:
             raise InputError("monomial ideal: variable index out of range")
-        gens = [g[:i] + (0,) + g[i + 1 :] for g in self.generators]
-        return MonomialIdeal(self.nvars, gens)
+        gens = {g[:i] + (0,) + g[i + 1 :] for g in self.generators}
+        return self._of(self.nvars, _minimalize(gens))
 
     def saturate(self) -> MonomialIdeal:
         """Saturation with respect to the irrelevant ideal (X_1,...,X_n).
@@ -170,14 +182,16 @@ def base_ideal(series: GradedSeries, k: int) -> MonomialIdeal:
     """Minimal monomial generating set of the ideal spanned by level k.
 
     Refuses non-monomial levels: the base ideal of a general linear series
-    is not monomial and is out of scope here.
+    is not monomial and is out of scope here.  The pivots of a monomial
+    level are its monomials, sorted and all of one degree, so they are the
+    minimal generators as they stand.
     """
     span = series.level(k)
     if not span.is_monomial_span:
         raise UnsupportedModeError(
             "unsupported: base ideal computed only for monomial series"
         )
-    return MonomialIdeal(series.d + 1, span.pivots)
+    return MonomialIdeal._of(series.d + 1, span.pivots)
 
 
 def locus_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
@@ -263,20 +277,26 @@ def sheafify(series: GradedSeries, K: int) -> GradedSeries:
     """Series of all sections that glue locally: level k consists of every
     degree-(k * twist) monomial in the saturation of the level-k base ideal.
 
-    Defined level by level up to K.
+    Defined level by level up to K.  The saturation is the intersection of
+    the ideals (I : X_i^inf), so a monomial lies in it iff each of them has
+    a generator dividing it; the intersection itself is never formed.
     """
     if K < 1:
         raise InputError("sheafify: need K >= 1")
     n = series.d + 1
-    levels: dict[int, list[HomogeneousForm]] = {}
+    spans: dict[int, FormSpan] = {}
     for k in range(1, K + 1):
-        sat = base_ideal(series, k).saturate()
+        base = base_ideal(series, k)
+        colons = [base.saturate_variable(i).generators for i in range(n)]
         deg = k * series.twist
-        levels[k] = [
-            HomogeneousForm.monomial(n, e) for e in sat.degree_piece(deg)
-        ]
-    return GradedSeries.explicit(
-        series.d, series.twist, levels, label=f"{series.label} sheafified"
+        rows = {
+            e: {e: 1}
+            for e in all_exponents(n, deg)
+            if all(any(_divides(g, e) for g in gens) for gens in colons)
+        }
+        spans[k] = FormSpan._of(n, deg, rows)
+    return GradedSeries._of_spans(
+        series.d, series.twist, spans, label=f"{series.label} sheafified"
     )
 
 

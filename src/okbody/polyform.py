@@ -423,13 +423,14 @@ class FormSpan:
 
         Lex order is a monomial order, so the lead of a * b is the sum of
         the leads.  One product per distinct lead sum goes into the table
-        unreduced; the other products, largest lead first, are top-reduced
-        against the table: all of them when dim is None, otherwise only
-        until the table holds dim rows.  A product of two monomials whose
-        lead holds a monomial row is zero after reduction and is skipped.
-        With dim given, too many distinct leads, or too few rows once the
-        products run out, mean that the products do not span a
-        dim-dimensional space: InvariantError."""
+        unreduced (a product of two monomial rows is the monomial row
+        {lead: ca * cb}); the other products, largest lead first, are
+        top-reduced against the table: all of them when dim is None,
+        otherwise only until the table holds dim rows.  A product of two
+        monomials whose lead holds a product of two monomials is zero after
+        reduction, and is never queued.  With dim given, too many distinct
+        leads, or too few rows once the products run out, mean that the
+        products do not span a dim-dimensional space: InvariantError."""
         firsts: dict[Exponent, tuple[dict, dict]] = {}
         rest = []
         for A, B in factors:
@@ -437,27 +438,33 @@ class FormSpan:
                 raise InputError("subducted: factors of the wrong shape")
             rows_b = list(B._rows.items())
             for pa, ra in A._rows.items():
+                mono_a = len(ra) == 1
                 for pb, rb in rows_b:
                     lead = tuple(map(add, pa, pb))
-                    if lead in firsts:
-                        rest.append((lead, ra, rb))
-                    else:
+                    first = firsts.get(lead)
+                    if first is None:
                         firsts[lead] = ra, rb
+                    elif not (
+                        mono_a and len(rb) == len(first[0]) == len(first[1]) == 1
+                    ):
+                        rest.append((lead, ra, rb))
         if dim is not None and len(firsts) > dim:
             raise InvariantError(
                 f"subduction: {len(firsts)} distinct leads exceed the "
                 f"dimension {dim}"
             )
         sums: dict = {}
-        table = {
-            lead: _mul_terms(ra, rb, sums) for lead, (ra, rb) in firsts.items()
-        }
+        table = {}
+        for lead, (ra, rb) in firsts.items():
+            if len(ra) == len(rb) == 1:
+                (ca,), (cb,) = ra.values(), rb.values()
+                table[lead] = {lead: ca * cb}
+            else:
+                table[lead] = _mul_terms(ra, rb, sums)
         rest.sort(key=lambda c: c[0], reverse=True)
         for lead, ra, rb in rest:
             if len(table) == dim:
                 break
-            if len(ra) == len(rb) == len(table[lead]) == 1:
-                continue
             row = _top_reduce(_mul_terms(ra, rb, sums), table)
             if row:
                 table[min(row)] = row

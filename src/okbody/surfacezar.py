@@ -10,6 +10,7 @@ insufficient to certify a decomposition.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -72,17 +73,34 @@ class SurfaceLattice:
                 )
 
     def dot(self, a: Sequence, b: Sequence) -> Fraction:
-        total = Fraction(0)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = self.gram[i]
-            total += x * sum(row[j] * b[j] for j in range(self.rank) if b[j])
-        return total
+        """a . b for classes of rational (or integer) entries: each class is
+        cleared to integers once, and the sum runs over the integer Gram
+        matrix."""
+        da = math.lcm(*(x.denominator for x in a))
+        db = math.lcm(*(x.denominator for x in b))
+        ib = [y.numerator * (db // y.denominator) for y in b]
+        total = 0
+        for x, row in zip(a, self.gram):
+            if x:
+                total += x.numerator * (da // x.denominator) * sum(
+                    g * y for g, y in zip(row, ib) if y
+                )
+        return Fraction(total, da * db)
 
     def is_pseudoeffective(self, D: Sequence) -> bool:
         target = _vec(D, self.rank, "divisor")
         return in_cone(self.effective_generators, target) is not None
+
+    def _combines_to(self, weights: Sequence, D: Vec) -> bool:
+        """Whether weights are a nonnegative combination of the effective
+        generators equal to D: a certificate that D is pseudo-effective."""
+        gens = self.effective_generators
+        if len(weights) != len(gens) or any(w < 0 for w in weights):
+            return False
+        return all(
+            sum(w * g[r] for w, g in zip(weights, gens) if w) == D[r]
+            for r in range(self.rank)
+        )
 
     def __repr__(self) -> str:
         return (
@@ -169,15 +187,21 @@ def _solve_support(
     return [Fraction(x, w) for x in v]
 
 
-def zariski(lattice: SurfaceLattice, D: Sequence) -> ZariskiDecomposition:
+def zariski(
+    lattice: SurfaceLattice, D: Sequence, witness: Sequence | None = None
+) -> ZariskiDecomposition:
     """Zariski decomposition of a pseudo-effective class.
 
     Grows the support of the negative part to a fixpoint: starting from the
     curves D meets negatively, solve for N with (D - N) orthogonal to the
     support, then admit every curve the remainder still meets negatively.
+    A witness, weights on the effective generators, is checked exactly;
+    when it is absent or does not combine to D, an LP decides whether D is
+    pseudo-effective.
     """
     D = _vec(D, lattice.rank, "divisor")
-    if not lattice.is_pseudoeffective(D):
+    certified = witness is not None and lattice._combines_to(witness, D)
+    if not certified and not lattice.is_pseudoeffective(D):
         raise InputError("zariski: divisor is not pseudo-effective")
     curves = lattice.negative_curves
     supp = [i for i, c in enumerate(curves) if lattice.dot(D, c) < 0]
@@ -241,29 +265,34 @@ def mu(lattice: SurfaceLattice, D: Sequence, C: Sequence) -> Fraction:
     """
     D = _vec(D, lattice.rank, "divisor")
     C = _vec(C, lattice.rank, "flag curve")
-    return _threshold(lattice, zariski(lattice, D), C)
+    return _threshold(lattice, zariski(lattice, D), C)[0]
 
 
-def _threshold(lattice: SurfaceLattice, dec: ZariskiDecomposition, C: Vec) -> Fraction:
-    """mu of the divisor of a Zariski decomposition, whose positive part
-    shows whether the divisor is big."""
+def _threshold(
+    lattice: SurfaceLattice, dec: ZariskiDecomposition, C: Vec
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """mu of the divisor D of a Zariski decomposition, whose positive part
+    shows whether D is big, with two cone witnesses: weights y on the
+    effective generators with D = y + mu C, and weights z with C = z.  For
+    0 <= t <= mu, y + (mu - t) z then combines to D - tC."""
     if lattice.dot(dec.positive, dec.positive) <= 0:
         raise InputError("mu: divisor is not big")
-    if in_cone(lattice.effective_generators, C) is None:
-        raise InputError("mu: flag curve is not an effective class")
     gens = lattice.effective_generators
+    z = in_cone(gens, C)
+    if z is None:
+        raise InputError("mu: flag curve is not an effective class")
     # columns: one multiplier per generator, then t; rows: class equality
     A = [
         [g[r] for g in gens] + [C[r]]
         for r in range(lattice.rank)
     ]
     c = [Fraction(0)] * len(gens) + [Fraction(1)]
-    status, _, value = maximize(A, list(dec.divisor), c)
+    status, x, value = maximize(A, list(dec.divisor), c)
     if status == "unbounded":
         raise InputError("mu: effective threshold unbounded; degenerate cone data")
     if status != "optimal":
         raise InvariantError("mu: threshold LP infeasible for an effective class")
-    return value
+    return value, x[: len(gens)], z
 
 
 class Segment(NamedTuple):
@@ -370,7 +399,7 @@ def surface_body(
     # one decomposition of D serves the bigness check of mu, the start of
     # the continuation and the body's record of it
     start = zariski(lattice, D)
-    mu_value = _threshold(lattice, start, C)
+    mu_value, y, z = _threshold(lattice, start, C)
     curves = lattice.negative_curves
     mults = [0] * len(curves)
     echo: list[tuple[Vec, int]] = []
@@ -480,10 +509,12 @@ def surface_body(
             )
         )
 
-        # independent cross-check in the middle of the interval
+        # independent cross-check in the middle of the interval, with the
+        # cone witnesses of mu showing that D - t_mid C is effective
         t_mid = (t_cur + t_next) / 2
         D_mid = tuple(d - t_mid * c for d, c in zip(D, C))
-        z_mid = zariski(lattice, D_mid)
+        witness = [a + (mu_value - t_mid) * b for a, b in zip(y, z)]
+        z_mid = zariski(lattice, D_mid, witness)
         expected = {curves[i]: c0[k] + t_mid * c1[k] for k, i in enumerate(supp)}
         got = {c: m for c, m in z_mid.negative}
         if got != {c: m for c, m in expected.items() if m != 0}:

@@ -31,6 +31,10 @@ on the same integer echelon routine (`exactnum._echelon`) as the hull
 under test, so this oracle checks the Fraction handling around the
 elimination, not the elimination itself; `tests/test_exactnum_sympy.py` is the independent
 check of that.
+
+`fraction_dot` is the intersection product as `SurfaceLattice.dot`
+computed it before it cleared classes to integers: Fraction arithmetic
+term by term.
 """
 
 from __future__ import annotations
@@ -116,6 +120,15 @@ def solve_rational_system(
             return None  # pivot in the constant column
         x[p] = row[m]
     return x
+
+
+def fraction_dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence) -> Fraction:
+    """a . b over the Gram matrix, in Fractions term by term."""
+    total = Fraction(0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            total += Fraction(x) * gram[i][j] * Fraction(y)
+    return total
 
 
 # ---------------------------------------------------------------------------

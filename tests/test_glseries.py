@@ -186,6 +186,24 @@ def test_generated_view_levels_need_no_elimination(eliminations):
     assert eliminations["kernel"]
 
 
+def test_monomial_levels_multiply_out_no_rows(monkeypatch):
+    """Under the standard flag every level of a monomial series is a
+    subduction of monomial rows: each product is written down as one term,
+    and no product row is multiplied out.  A seeded-flag view of the same
+    series has rows of several terms, and multiplies them out."""
+    calls = []
+    original = polyform._mul_terms
+    monkeypatch.setattr(
+        polyform, "_mul_terms", lambda *args: calls.append(1) or original(*args)
+    )
+    S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
+    rep = okounkov_body(S, Flag.standard(2), 8)
+    assert calls == []
+    assert rep.dims == S.dims(8)
+    assert okounkov_body(S, Flag.random(2, 1), 8).dims == rep.dims
+    assert calls
+
+
 def test_body_and_slice_build_one_view(monkeypatch):
     """okounkov_body and the slice identity each write the series in flag
     coordinates once, and read every later level off that one view."""

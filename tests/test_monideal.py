@@ -21,7 +21,7 @@ from okbody.monideal import (
     sheafify,
     stable_base_locus,
 )
-from okbody.polyform import HomogeneousForm, all_exponents
+from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 
 F = Fraction
 
@@ -124,6 +124,31 @@ class TestMonomialIdeal:
         A = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0)])
         assert A.quotient_monomial((1, 0, 0)).generators == ((0, 2, 0), (1, 0, 0))
         assert A.quotient_monomial((5, 0, 0)).is_unit
+
+    def test_arithmetic_matches_validated_constructor(self):
+        # the ideal operations build their results from generators they
+        # made themselves; each must equal the validated public
+        # constructor on the raw exponents it starts from
+        rng = random.Random(606)
+        for trial in range(80):
+            nvars = rng.randint(1, 4)
+            A = random_ideal(rng, nvars, max_gens=5)
+            B = MonomialIdeal(nvars) if trial % 10 == 0 else random_ideal(
+                rng, nvars, max_gens=5
+            )
+            assert A.plus(B) == MonomialIdeal(nvars, A.generators + B.generators)
+            lcms = [
+                tuple(max(x, y) for x, y in zip(g, h))
+                for g in A.generators
+                for h in B.generators
+            ]
+            assert A.intersect(B) == MonomialIdeal(nvars, lcms)
+            for i in range(nvars):
+                cut = [g[:i] + (0,) + g[i + 1 :] for g in A.generators]
+                assert A.saturate_variable(i) == MonomialIdeal(nvars, cut)
+            m = tuple(rng.randint(0, 2) for _ in range(nvars))
+            shifted = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in A.generators]
+            assert A.quotient_monomial(m) == MonomialIdeal(nvars, shifted)
 
     def test_intersection_membership_property(self):
         rng = random.Random(601)
@@ -304,6 +329,28 @@ class TestSheafify:
         assert Sh.dims(4) == S.dims(4)
         for k in range(1, 5):
             assert Sh.level(k).pivots == S.level(k).pivots
+
+    def test_levels_match_saturated_base_ideals(self):
+        # sheafify tests saturation membership monomial by monomial; each
+        # level must be the span of the degree piece of the saturated
+        # base ideal, built from monomial forms as before
+        rng = random.Random(607)
+        for trial in range(24):
+            d = 2 + trial % 2
+            twist = rng.randint(1, 2)
+            level = list(all_exponents(d + 1, twist))
+            exps = rng.sample(level, rng.randint(1, min(len(level), 5)))
+            S = mono_series(d, twist, exps)
+            K = 5 if d == 2 else 3
+            Sh = sheafify(S, K)
+            for k in range(1, K + 1):
+                deg = k * twist
+                piece = base_ideal(S, k).saturate().degree_piece(deg)
+                old = FormSpan(
+                    d + 1, deg, [HomogeneousForm.monomial(d + 1, e) for e in piece]
+                )
+                assert Sh.level(k) == old, (exps, k)
+                assert Sh.level(k).pivots == tuple(sorted(piece))
 
     def test_preserves_body(self, flagship):
         # sheafification can only add sections that do not move the body

@@ -1,10 +1,13 @@
 """Tests for Zariski decompositions and piecewise linear surface bodies."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from okbody import cli, exactnum, surfacezar
 from okbody.convbody import RationalPolytope, okounkov_body
 from okbody.errors import InputError
 from okbody.exactnum import det
@@ -14,15 +17,17 @@ from okbody.polyform import HomogeneousForm, all_exponents
 from okbody.surfacezar import (
     SurfaceLattice,
     _solve_support,
+    _threshold,
     classify_boundary,
     mu,
     surface_body,
     volume,
     zariski,
 )
-from oracles import solve_rational_system
+from oracles import fraction_dot, solve_rational_system
 
 F = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 H, E = (1, 0), (0, 1)
 
@@ -80,7 +85,65 @@ class TestLattice:
         assert not blowup.is_pseudoeffective((-1, 0))
 
 
+    def test_dot_matches_fraction_reference(self):
+        rng = random.Random(611)
+        for _ in range(200):
+            rank = rng.randint(1, 5)
+            gram = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                for j in range(i, rank):
+                    gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+            units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+            lattice = SurfaceLattice(gram, [], units)
+
+            def vec():
+                # zeros, negatives, integers and denominators up to 12
+                return tuple(
+                    rng.choice(
+                        [0, F(0), rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 12))]
+                    )
+                    for _ in range(rank)
+                )
+
+            a, b = vec(), vec()
+            got = lattice.dot(a, b)
+            assert isinstance(got, F)
+            assert got == fraction_dot(gram, a, b)
+            assert lattice.dot(b, a) == got
+
+
 class TestZariski:
+    def test_witness_checked_or_replaced_by_lp(self, monkeypatch):
+        # (1, 0) = (1, -1) + (0, 1), so a class has several weightings on
+        # these generators; only a nonnegative one that sums to the class
+        # spares the pseudo-effectivity LP
+        lattice = SurfaceLattice([[1, 0], [0, -1]], [E], [(1, -1), (0, 1), (1, 0)])
+        lps = []
+        original = surfacezar.in_cone
+        monkeypatch.setattr(
+            surfacezar, "in_cone", lambda *args: lps.append(1) or original(*args)
+        )
+        D = (2, 3)
+        plain = zariski(lattice, D)
+        assert len(lps) == 1
+        cases = [
+            ((2, 5, 0), 0),
+            ((0, 3, 2), 0),
+            ((-1, 2, 3), 1),  # sums to D, with a negative weight
+            ((2, 5, 1), 1),  # nonnegative, sums to (3, 3)
+            ((2, 5), 1),  # one weight short
+        ]
+        for witness, runs in cases:
+            lps.clear()
+            assert zariski(lattice, D, witness) == plain
+            assert len(lps) == runs, witness
+        # a class outside the cone is refused whatever comes with it
+        for witness in (None, (0, -3, 2), (1, 1, 1)):
+            with pytest.raises(
+                InputError, match="zariski: divisor is not pseudo-effective"
+            ):
+                zariski(lattice, (2, -3), witness)
+
     def test_nef_divisor(self, blowup):
         z = zariski(blowup, (2, -1))
         assert z.positive == (F(2), F(-1))
@@ -208,8 +271,44 @@ class TestMu:
         with pytest.raises(InputError, match="effective"):
             mu(blowup, (2, 0), (0, -1))
 
+    def test_threshold_witnesses_cover_the_segment(self, blowup, chain):
+        # D = y + mu C and C = z on the generators, so y + (mu - t) z is a
+        # nonnegative weighting of D - tC for every t in [0, mu]
+        for lattice, D, C in [
+            (blowup, (3, -1), (1, -1)),
+            (blowup, (3, -1), (1, 0)),
+            (blowup, (2, 3), (0, 1)),
+            (chain, (3, 0, -1), (1, -1, -1)),
+        ]:
+            D, C = tuple(map(F, D)), tuple(map(F, C))
+            value, y, z = _threshold(lattice, zariski(lattice, D), C)
+            assert value == mu(lattice, D, C)
+            for t in (F(0), value / 3, value / 2, value):
+                w = [a + (value - t) * b for a, b in zip(y, z)]
+                target = tuple(d - t * c for d, c in zip(D, C))
+                assert lattice._combines_to(w, target)
+
 
 class TestSurfaceBody:
+    def test_cross_checks_run_no_lp(self, capsys, monkeypatch):
+        # one LP each for D in the cone, C in the cone and mu; each
+        # segment's cross-check verifies the cone witnesses of mu instead
+        # of running its own LP (5 calls when it did)
+        calls = []
+        original = exactnum.maximize
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (exactnum, surfacezar):
+            if getattr(module, "maximize", None) is original:
+                monkeypatch.setattr(module, "maximize", counted)
+        assert cli.main(["surface", str(CORPUS / "blowup_cubic.surface.json")]) == 0
+        segments = json.loads(capsys.readouterr().out)["payload"]["segments"]
+        assert len(segments) == 2
+        assert len(calls) == 3
+
     def test_plane_conic(self, p2):
         body = surface_body(p2, (2,), (1,))
         assert body.mu == 2
