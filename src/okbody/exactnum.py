@@ -287,6 +287,17 @@ def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
 # exact simplex (Bland's rule, two phases)
 
 
+def _pivot(T: list[list[Fraction]], row: int, col: int) -> None:
+    """Scale T[row] to a 1 in column col and clear col from every other row,
+    skipping zero entries."""
+    piv = T[row][col]
+    T[row] = [v / piv if v else v for v in T[row]]
+    for i, r in enumerate(T):
+        if i != row and r[col]:
+            f = r[col]
+            T[i] = [a - f * b if b else a for a, b in zip(r, T[row])]
+
+
 def _simplex_core(
     T: list[list[Fraction]], basis: list[int], nvars: int
 ) -> str:
@@ -310,14 +321,8 @@ def _simplex_core(
                     best = key
         if best is None:
             return "unbounded"
-        row = best[2]
-        piv = T[row][enter]
-        T[row] = [v / piv if v else v for v in T[row]]
-        for i in range(len(T)):
-            if i != row and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * b if b else a for a, b in zip(T[i], T[row])]
-        basis[row] = enter
+        _pivot(T, best[2], enter)
+        basis[best[2]] = enter
 
 
 def maximize(
@@ -345,14 +350,10 @@ def maximize(
         art[i] = Fraction(1)
         T.append(row[:-1] + art + [row[-1]])
         basis.append(m + i)
-    # reduced costs for maximizing -(sum of artificials): price out the
-    # basic artificials, leaving +sum(A[i][j]) on the real columns
-    obj = [Fraction(0)] * (m + n) + [Fraction(0)]
+    # maximize -(sum of artificials), priced out on the basic artificials
+    T.append([Fraction(0)] * m + [Fraction(-1)] * n + [Fraction(0)])
     for i in range(n):
-        obj = [o + a for o, a in zip(obj, T[i])]
-    for j in range(m, m + n):
-        obj[j] = Fraction(0)
-    T.append(obj)
+        _pivot(T, i, m + i)
     _simplex_core(T, basis, m + n)
     if T[-1][-1] != 0:
         return "infeasible", None, None
@@ -361,23 +362,17 @@ def maximize(
         if basis[i] >= m:
             enter = next((j for j in range(m) if T[i][j] != 0), None)
             if enter is not None:
-                piv = T[i][enter]
-                T[i] = [v / piv for v in T[i]]
-                for k in range(len(T)):
-                    if k != i and T[k][enter] != 0:
-                        f = T[k][enter]
-                        T[k] = [a - f * bb for a, bb in zip(T[k], T[i])]
+                _pivot(T, i, enter)
                 basis[i] = enter
     # phase 2: real objective on the original variables
     keep = [i for i in range(n) if basis[i] < m or T[i][-1] == 0]
     T2 = [[T[i][j] for j in range(m)] + [T[i][-1]] for i in keep]
     basis2 = [basis[i] for i in keep]
-    obj2 = list(map(Fraction, c)) + [Fraction(0)]
+    # the real objective, priced out on the basic real columns
+    T2.append(list(map(Fraction, c)) + [Fraction(0)])
     for i, bv in enumerate(basis2):
-        if bv < m and obj2[bv] != 0:
-            f = obj2[bv]
-            obj2 = [a - f * bb for a, bb in zip(obj2, T2[i])]
-    T2.append(obj2)
+        if bv < m:
+            _pivot(T2, i, bv)
     status = _simplex_core(T2, basis2, m)
     if status == "unbounded":
         return "unbounded", None, None

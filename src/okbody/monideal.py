@@ -8,13 +8,14 @@ general levels are refused with a typed error rather than approximated.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from operator import le
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, UnsupportedModeError
-from .exactnum import hermite_normal_form, lattice_index
+from .exactnum import hermite_normal_form
 from .glseries import GradedSeries
 from .polyform import FormSpan, all_exponents
 
@@ -346,7 +347,9 @@ def is_birational_monomial(
         return BirationalityReport(False, k0, None, ())
     H, _ = hermite_normal_form(nonzero)
     basis = tuple(tuple(row) for row in H if any(row))
-    index = lattice_index(nonzero, d)
+    # H is triangular: the index is the product of its leads at full rank d
+    leads = [next(x for x in row if x) for row in basis]
+    index = math.prod(leads) if len(leads) == d else None
     return BirationalityReport(index == 1, k0, index, basis)
 
 

@@ -88,6 +88,16 @@ class HomogeneousForm:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(
+        cls, nvars: int, terms: dict[Exponent, Fraction], degree: int
+    ) -> HomogeneousForm:
+        """A form from terms the library built itself: integer exponents of
+        one degree mapped to nonzero Fractions, taken without re-validation."""
+        form = object.__new__(cls)
+        form.nvars, form.terms, form.degree = nvars, terms, degree
+        return form
+
+    @classmethod
     def zero(cls, nvars: int, degree: int | None = None) -> HomogeneousForm:
         return cls(nvars, {}, degree)
 
@@ -395,7 +405,7 @@ class FormSpan:
         """The canonical basis rows in reduced row echelon form."""
         if self._reduced is None:
             if self.is_monomial_span:
-                self._reduced = tuple({p: 1} for p in self.pivots)
+                self._reduced = tuple({p: Fraction(1)} for p in self.pivots)
             else:
                 rows = self._rows.values()
                 cols = sorted({e for row in rows for e in row})
@@ -478,7 +488,7 @@ class FormSpan:
     @property
     def basis(self) -> tuple[HomogeneousForm, ...]:
         return tuple(
-            HomogeneousForm(self.nvars, row, self.degree)
+            HomogeneousForm._of(self.nvars, dict(row), self.degree)
             for row in self._canonical
         )
 

@@ -187,14 +187,32 @@ def _solve_support(
     return [Fraction(x, w) for x in v]
 
 
+def _positive_part(
+    lattice: SurfaceLattice, supp: list[int], X: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """(m, P) with P = X - sum m_i C_i orthogonal to the support curves C_i;
+    on the empty support, m = [] and P = X."""
+    curves = lattice.negative_curves
+    m = (
+        _solve_support(lattice, supp, [lattice.dot(X, curves[i]) for i in supp])
+        if supp
+        else []
+    )
+    P = list(X)
+    for i, x in zip(supp, m):
+        for j in range(lattice.rank):
+            P[j] -= x * curves[i][j]
+    return m, P
+
+
 def zariski(
     lattice: SurfaceLattice, D: Sequence, witness: Sequence | None = None
 ) -> ZariskiDecomposition:
     """Zariski decomposition of a pseudo-effective class.
 
     Grows the support of the negative part to a fixpoint: starting from the
-    curves D meets negatively, solve for N with (D - N) orthogonal to the
-    support, then admit every curve the remainder still meets negatively.
+    empty support, take the positive part on the support, then admit every
+    curve it still meets negatively.
     A witness, weights on the effective generators, is checked exactly;
     when it is absent or does not combine to D, an LP decides whether D is
     pseudo-effective.
@@ -204,18 +222,9 @@ def zariski(
     if not certified and not lattice.is_pseudoeffective(D):
         raise InputError("zariski: divisor is not pseudo-effective")
     curves = lattice.negative_curves
-    supp = [i for i, c in enumerate(curves) if lattice.dot(D, c) < 0]
+    supp: list[int] = []
     while True:
-        if supp:
-            coeffs = _solve_support(
-                lattice, supp, [lattice.dot(D, curves[i]) for i in supp]
-            )
-        else:
-            coeffs = []
-        P = list(D)
-        for i, m in zip(supp, coeffs):
-            for j in range(lattice.rank):
-                P[j] -= m * curves[i][j]
+        coeffs, P = _positive_part(lattice, supp, D)
         entering = [
             i
             for i, c in enumerate(curves)
@@ -379,6 +388,13 @@ class SurfaceBody:
         )
 
 
+def _entering(levels: dict, t: Fraction) -> list[int]:
+    """The curves that join the support at time t: those whose level
+    (v0, v1), with P(t) . G = v0 + t v1, has (v0 + t v1, v1) < (0, 0), so
+    that P(t) . G is negative or turns negative at t."""
+    return [j for j, (v0, v1) in levels.items() if (v0 + t * v1, v1) < (0, 0)]
+
+
 def surface_body(
     lattice: SurfaceLattice,
     D: Sequence,
@@ -427,76 +443,39 @@ def surface_body(
         guard += 1
         if guard > 4 * len(curves) + 8:
             raise InvariantError("surface body: continuation failed to terminate")
-        # multiplicities on this support are affine in t: G c = (D - tC) . G_i
-        if supp:
-            c0 = _solve_support(
-                lattice, supp, [lattice.dot(D, curves[i]) for i in supp]
-            )
-            c1 = _solve_support(
-                lattice, supp, [-lattice.dot(C, curves[i]) for i in supp]
-            )
-        else:
-            c0, c1 = [], []
-        # P(t) = D - tC - sum c_i(t) Gamma_i, affine in t
-        P0 = list(D)
-        P1 = [-x for x in C]
-        for i, a, b in zip(supp, c0, c1):
-            for j in range(lattice.rank):
-                P0[j] -= a * curves[i][j]
-                P1[j] -= b * curves[i][j]
-
-        grow_now = []
-        for j, c in enumerate(curves):
-            if j in supp:
-                continue
-            v0 = lattice.dot(P0, c)
-            v1 = lattice.dot(P1, c)
-            if v0 + t_cur * v1 == 0 and v1 < 0:
-                grow_now.append(j)
+        # on this support the multiplicities c0 + t c1 and the positive part
+        # P0 + t P1 of D - tC are affine in t, and so is the level
+        # (P0 . G, P1 . G) of each curve G off the support
+        c0, P0 = _positive_part(lattice, supp, D)
+        c1, P1 = _positive_part(lattice, supp, [-x for x in C])
+        levels = {
+            j: (lattice.dot(P0, c), lattice.dot(P1, c))
+            for j, c in enumerate(curves)
+            if j not in supp
+        }
+        grow_now = _entering(levels, t_cur)
         if grow_now:
             supp = sorted(supp + grow_now)
             continue
 
-        for i in supp:
-            if curves[i] == C:
-                raise InputError(
-                    "surface body: the flag curve lies in the support of the "
-                    "negative part; replace D by D - aC first"
-                )
+        if any(curves[i] == C for i in supp):
+            raise InputError(
+                "surface body: the flag curve lies in the support of the "
+                "negative part; replace D by D - aC first"
+            )
 
-        for i, a, b in zip(supp, c0, c1):
-            if a + t_cur * b < 0 or (a + t_cur * b == 0 and b < 0):
+        # the next breakpoint: the least root of a falling level past t_cur
+        roots = [-v0 / v1 for v0, v1 in levels.values() if v1 < 0]
+        t_next = min([r for r in roots if r > t_cur] + [mu_value])
+        for a, b in zip(c0, c1):
+            if (a + t_cur * b, b) < (0, 0) or a + t_next * b < 0:
                 raise InvariantError(
                     "surface body: negative-part support decreased; "
                     "parametric continuation aborted"
                 )
 
-        t_next = mu_value
-        entering: list[int] = []
-        for j, c in enumerate(curves):
-            if j in supp:
-                continue
-            v0 = lattice.dot(P0, c)
-            v1 = lattice.dot(P1, c)
-            if v1 >= 0:
-                continue
-            root = -v0 / v1
-            if t_cur < root < t_next:
-                t_next = root
-                entering = [j]
-            elif root == t_next and root < mu_value:
-                entering.append(j)
-        for i, a, b in zip(supp, c0, c1):
-            if b < 0:
-                root = -a / b
-                if t_cur < root < t_next:
-                    raise InvariantError(
-                        "surface body: negative-part support decreased; "
-                        "parametric continuation aborted"
-                    )
-
-        a_slope = sum((c1[k] * mults[i] for k, i in enumerate(supp)), Fraction(0))
-        a_icpt = sum((c0[k] * mults[i] for k, i in enumerate(supp)), Fraction(0))
+        a_slope = sum((b * mults[i] for i, b in zip(supp, c1)), Fraction(0))
+        a_icpt = sum((a * mults[i] for i, a in zip(supp, c0)), Fraction(0))
         b_slope = a_slope + lattice.dot(C, P1)
         b_icpt = a_icpt + lattice.dot(C, P0)
         segments.append(
@@ -515,7 +494,7 @@ def surface_body(
         D_mid = tuple(d - t_mid * c for d, c in zip(D, C))
         witness = [a + (mu_value - t_mid) * b for a, b in zip(y, z)]
         z_mid = zariski(lattice, D_mid, witness)
-        expected = {curves[i]: c0[k] + t_mid * c1[k] for k, i in enumerate(supp)}
+        expected = {curves[i]: a + t_mid * b for i, a, b in zip(supp, c0, c1)}
         got = {c: m for c, m in z_mid.negative}
         if got != {c: m for c, m in expected.items() if m != 0}:
             raise InvariantError(
@@ -525,7 +504,7 @@ def surface_body(
 
         if t_next == mu_value:
             break
-        supp = sorted(supp + entering)
+        supp = sorted(supp + _entering(levels, t_next))
         t_cur = t_next
 
     body = SurfaceBody(

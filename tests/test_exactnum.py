@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okbody import exactnum
 from okbody.exactnum import (
     det,
     feasible_nonneg,
@@ -400,6 +401,73 @@ def test_lp_feasible_systems_never_infeasible():
             ] == [F(t) for t in b]
             assert v == sum(F(ci) * xi for ci, xi in zip(c, x))
             assert v >= sum(F(ci) * t for ci, t in zip(c, x0))
+
+
+def test_lp_optimum_matches_highs():
+    """Status and optimal value agree with scipy's HiGHS on seeded programs
+    of up to 3 rows and 5 columns: feasible by construction, free right
+    hand sides, b = 0, and a last row that combines the others."""
+    from scipy.optimize import linprog
+
+    rng = random.Random(1511)
+    seen = set()
+    for _ in range(400):
+        n, m = rng.randint(1, 3), rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        kind = rng.choice(["feasible", "free", "zero", "redundant"])
+        if kind == "redundant" and n > 1:
+            k = rng.randint(-2, 2)
+            A[-1] = [k * a + b for a, b in zip(A[0], A[n - 2])]
+        if kind == "zero":
+            b = [0] * n
+        elif kind == "free":
+            b = [rng.randint(-4, 4) for _ in range(n)]
+        else:
+            x0 = [rng.randint(0, 3) for _ in range(m)]
+            b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+        st, x, v = maximize(A, b, c)
+        ref = linprog(
+            [-float(ci) for ci in c],
+            A_eq=A,
+            b_eq=b,
+            bounds=[(0, None)] * m,
+            method="highs",
+        )
+        assert st == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        seen.add(st)
+        if st == "optimal":
+            assert abs(float(v) + ref.fun) < 1e-9
+            assert all(t >= 0 for t in x)
+            assert [sum(a * t for a, t in zip(row, x)) for row in A] == b
+            assert v == sum(ci * t for ci, t in zip(c, x))
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_lp_drives_artificial_out_of_basis(monkeypatch):
+    # phase 1 ends with the artificial of row 1 basic at zero; it leaves
+    # the basis by a pivot on the real column 1 of that row
+    pivots = []
+    original = exactnum._pivot
+
+    def recorded(T, row, col):
+        pivots.append((row, col))
+        original(T, row, col)
+
+    monkeypatch.setattr(exactnum, "_pivot", recorded)
+    assert maximize([[1, 1], [1, -1]], [0, 0], [1, 1]) == (
+        "optimal",
+        [F(0), F(0)],
+        F(0),
+    )
+    assert pivots == [
+        (0, 2),  # phase-1 pricing of the two artificial columns
+        (1, 3),
+        (0, 0),  # the one phase-1 simplex step
+        (1, 1),  # the artificial of row 1 driven out
+        (0, 0),  # phase-2 pricing of the two basic real columns
+        (1, 1),
+    ]
 
 
 def test_feasible_nonneg():

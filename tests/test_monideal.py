@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from okbody.convbody import okounkov_body
+from okbody.exactnum import lattice_index
 from okbody.errors import InputError, UnsupportedModeError
 from okbody.flagval import Flag
 from okbody import monideal
@@ -412,6 +413,23 @@ class TestBirationality:
     def test_even_powers_on_line(self):
         rep = is_birational_monomial(mono_series(1, 2, [(2, 0), (0, 2)]))
         assert not rep.birational and rep.index == 2
+
+    def test_index_read_off_hermite_form(self):
+        # the product of the Hermite leads at full rank equals the index
+        # from exactnum's own elimination of the differences, and a
+        # rank-deficient difference set has none
+        rng = random.Random(1513)
+        deficient = 0
+        for _ in range(60):
+            d, m = rng.randint(1, 3), rng.randint(1, 3)
+            pool = list(all_exponents(d + 1, m))
+            exps = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            rep = is_birational_monomial(mono_series(d, m, exps))
+            diffs = [[x - y for x, y in zip(e, exps[0])][1:] for e in exps]
+            assert rep.index == lattice_index(diffs, d)
+            assert rep.birational == (rep.index == 1)
+            deficient += rep.index is None and len(exps) > 1
+        assert deficient
 
 
 class TestFullVolume:

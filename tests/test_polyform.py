@@ -137,6 +137,34 @@ def test_monomial_span_with_binomial_rows():
     assert not FormSpan(3, 2, [x * x + y * y]).is_monomial_span
 
 
+def test_basis_forms_match_validated_forms(monkeypatch):
+    # basis builds its forms from rows it made itself, without running the
+    # validating constructor, and they equal validated forms of the same
+    # rows, with Fraction coefficients, monomial spans included
+    rng = random.Random(46)
+    spans = [FormSpan.complete(3, 2)] + [
+        FormSpan(3, 2, [random_form(rng, 3, 2) for _ in range(3)]) for _ in range(20)
+    ]
+    validated = [[HF(3, f.terms, 2) for f in span.basis] for span in spans]
+    inits = []
+    original = HF.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HF, "__init__", counted)
+    for span, forms in zip(spans, validated):
+        basis = span.basis
+        assert basis == tuple(forms)
+        for f in basis:
+            assert f.degree == 2 and f.nvars == 3
+            assert all(type(c) is F and c for c in f.terms.values())
+    assert not inits
+    with pytest.raises(InputError):
+        HF(3, {(1, 1): 1})  # the public constructor still validates
+
+
 def test_complete_span_matches_bruteforce():
     for nvars, degree in ((2, 3), (3, 2), (4, 1)):
         c = FormSpan.complete(nvars, degree)

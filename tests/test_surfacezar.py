@@ -16,6 +16,7 @@ from okbody.glseries import GradedSeries
 from okbody.polyform import HomogeneousForm, all_exponents
 from okbody.surfacezar import (
     SurfaceLattice,
+    _positive_part,
     _solve_support,
     _threshold,
     classify_boundary,
@@ -51,6 +52,32 @@ def chain():
     return SurfaceLattice(
         [[1, 0, 0], [0, -1, 0], [0, 0, -1]], [A, B], [A, B, L]
     )
+
+
+def blowup_plane(r):
+    """P^2 blown up at r general points, basis H, E_1..E_r: the exceptional
+    curves and the lines H - E_i - E_j are the negative curves, and for
+    2 <= r <= 4 they generate the effective cone."""
+    n = r + 1
+    gram = [[int(i == j) * (1 - 2 * (i > 0)) for j in range(n)] for i in range(n)]
+    curves = [tuple(int(k == i) for k in range(n)) for i in range(1, n)]
+    curves += [
+        tuple(1 if k == 0 else -int(k in (i, j)) for k in range(n))
+        for i in range(1, n)
+        for j in range(i + 1, n)
+    ]
+    return SurfaceLattice(gram, curves, curves)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Grows by one entry per `_solve_support` call."""
+    calls = []
+    original = surfacezar._solve_support
+    monkeypatch.setattr(
+        surfacezar, "_solve_support", lambda *args: calls.append(1) or original(*args)
+    )
+    return calls
 
 
 class TestLattice:
@@ -308,6 +335,88 @@ class TestSurfaceBody:
         segments = json.loads(capsys.readouterr().out)["payload"]["segments"]
         assert len(segments) == 2
         assert len(calls) == 3
+
+    def test_surface_solves_each_support_once(self, capsys, solves):
+        # two solves for the one nonempty support of the continuation and
+        # one in the cross-check of its segment, as at the parent
+        assert cli.main(["surface", str(CORPUS / "blowup_cubic.surface.json")]) == 0
+        capsys.readouterr()
+        assert len(solves) == 3
+
+    def test_curves_enter_together_at_interior_breakpoint(self, solves):
+        # on Bl2P2 (Gram diag(1, -1, -1), curves E1, E2, H - E1 - E2),
+        # D - tC = (4 - 2t)H - (1 - t)(E1 + E2) meets E1 and E2 negatively
+        # just past t = 1, and both join the support there in one step: one
+        # pair of support solves, and one solve in the second cross-check
+        body = surface_body(blowup_plane(2), (4, -1, -1), (2, -1, -1))
+        assert len(solves) == 3
+        assert [(s.t0, s.t1, s.support) for s in body.segments] == [
+            (0, 1, ()),
+            (1, 2, (0, 1)),
+        ]
+        assert [body.beta(t) for t in (0, 1, 2)] == [6, 4, 0]
+        assert body.area() == 7  # vol(D) / 2 = 14 / 2
+
+    def test_curve_enters_at_zero_with_multiplicity_zero(self):
+        # on Bl2P2, D - tC = (3 - t)H + tE1: E1 . (D - tC) = -t turns
+        # negative at once
+        body = surface_body(blowup_plane(2), (3, 0, 0), (1, -1, 0), {(0, 1, 0): 1})
+        assert body.decomposition.negative == ()
+        assert [(s.t0, s.t1, s.support) for s in body.segments] == [(0, 3, (0,))]
+        assert [body.alpha(t) for t in (0, 1, 3)] == [0, 1, 3]
+        assert body.area() == F(9, 2)
+
+    def test_continuation_matches_direct_decompositions(self):
+        """On seeded blow-ups of the plane at 2-4 points, at every
+        breakpoint and at a seeded rational point inside every segment, the
+        segment's multiplicities, alpha and beta equal those read off a
+        direct decomposition of D - tC."""
+        rng = random.Random(1512)
+        done = 0
+        while done < 30:
+            r = rng.randint(2, 4)
+            lattice = blowup_plane(r)
+            curves, gens = lattice.negative_curves, lattice.effective_generators
+            # a positive multiple of H plus an effective class is big
+            weights = [rng.randint(0, 2) for _ in gens]
+            D = tuple(
+                rng.randint(1, 3) * (i == 0)
+                + sum(w * g[i] for w, g in zip(weights, gens))
+                for i in range(r + 1)
+            )
+            H, H_E1 = (1,) + (0,) * r, (1, -1) + (0,) * (r - 1)
+            C = rng.choice(list(gens) + [H, H_E1])
+            # a local intersection number at x is at most G . C
+            picked = rng.sample(curves, rng.randint(0, len(curves)))
+            mults = {
+                c: rng.randint(0, max(0, int(lattice.dot(c, C))))
+                for c in picked
+                if c != C
+            }
+            try:
+                body = surface_body(lattice, D, C, mults)
+            except InputError as e:
+                assert "replace D" in str(e)
+                continue
+            for seg in body.segments:
+                # multiplicities c0 + t c1 of the segment's support curves
+                supp = list(seg.support)
+                c0, _ = _positive_part(lattice, supp, D)
+                c1, _ = _positive_part(lattice, supp, [-x for x in C])
+                inner = seg.t0 + (seg.t1 - seg.t0) * F(rng.randint(1, 9), 10)
+                for t in (seg.t0, inner, seg.t1):
+                    z = zariski(lattice, tuple(d - t * c for d, c in zip(D, C)))
+                    got = {i: a + t * b for i, a, b in zip(supp, c0, c1)}
+                    assert [got.get(i, 0) for i in range(len(curves))] == [
+                        z.multiplicity(c) for c in curves
+                    ]
+                    alpha = sum(m * z.multiplicity(c) for c, m in mults.items())
+                    assert seg.alpha[0] * t + seg.alpha[1] == alpha
+                    beta = alpha + lattice.dot(C, z.positive)
+                    assert seg.beta[0] * t + seg.beta[1] == beta
+                    if t == inner:
+                        assert z.support == tuple(curves[i] for i in supp)
+            done += 1
 
     def test_plane_conic(self, p2):
         body = surface_body(p2, (2,), (1,))
