@@ -6,10 +6,8 @@ normals live inside the direction space of the hull (so lower dimensional
 bodies have one canonical inequality system, not one per normal lift).
 All predicates are float free.
 
-Every hull is built from integer points with one common denominator,
-the polytope being the hull of points / denominator: the value points of
-a graded series arrive that way, and other rational points are cleared
-to it once, on entry.  One exact hull serves every dimension: an
+Every hull clears its rational points to integer points over one common
+denominator, once, on entry.  One exact hull serves every dimension: an
 incremental beneath-beyond hull (Edelsbrunner 1987; Barber, Dobkin and
 Huhdanpaa 1996) on those integer points, in ambient coordinates.  Its
 hyperplanes are taken inside the affine hull, by adding the hull's
@@ -206,35 +204,30 @@ class RationalPolytope:
 
     @classmethod
     def from_points(
-        cls, points: Sequence[Sequence], n: int | None = None, denominator: int = 1
+        cls, points: Sequence[Sequence], n: int | None = None
     ) -> RationalPolytope:
-        """The hull of points / denominator.  Integer points are taken as
-        they are; any other points are read as rationals and cleared to
-        integer points over one common denominator, once, here."""
-        pts = [tuple(p) for p in points]
+        """The hull of rational points, cleared to integer points over one
+        common denominator, once, here."""
+        pts = [_fr_point(p) for p in points]
         if n is None:
             if not pts:
                 raise InputError("from_points: ambient dimension unknown")
             n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise InputError("from_points: mixed dimensions")
-        if denominator < 1:
-            raise InputError("from_points: denominator must be positive")
-        if not all(type(x) is int for p in pts for x in p):
-            pts, scale = _integer_points([_fr_point(p) for p in pts])
-            denominator *= scale
+        pts, den = _integer_points(pts)
         pts = list(dict.fromkeys(pts))
         if not pts:
             return cls.empty(n)
-        aff = _affine_data(pts, n, denominator)
+        aff = _affine_data(pts, n, den)
         m = len(aff.simplex) - 1
         verts, inequalities = [0], []
         if m > 0:
             verts, facets = _hull(pts, aff)
             inequalities = [
-                (tuple(map(Fraction, a)), Fraction(b, denominator)) for a, b in facets
+                (tuple(map(Fraction, a)), Fraction(b, den)) for a, b in facets
             ]
-        vertices = [tuple(Fraction(x, denominator) for x in pts[i]) for i in verts]
+        vertices = [tuple(Fraction(x, den) for x in pts[i]) for i in verts]
         return cls._raw(n, m, vertices, aff.equations, inequalities)
 
     # -- basic data -------------------------------------------------------
@@ -423,22 +416,22 @@ def okounkov_body(
 ) -> BodyReport:
     """Truncated Newton-Okounkov body with an exactness certificate.
 
-    The body is the hull of normalized value points up to level K.  The
-    certificate is "exact" when the flag transformed series is visibly
-    generated by monomials in levels <= K: monomial generators make every
-    value point a convex combination of generator points, so the truncated
-    hull equals the limit body.  Otherwise the hull is a certified inner
+    The body is the hull of the indecomposable value points nu(s) / k up
+    to level K (`ValueSemigroup.indecomposables`), which span the hull of
+    all of them.  The certificate is "exact" when the flag transformed
+    series is visibly generated by monomials in levels <= k0 <= K: no
+    value point above k0 is then indecomposable, so the truncated hull
+    equals the limit body.  Otherwise the hull is a certified inner
     approximation ("truncation").
     """
     if K < 1:
         raise InputError("okounkov_body: truncation must be >= 1")
     view = series.under_flag(flag)
     sg = view.semigroup(Flag.standard(series.d), K)
-    # nu(s) / k enters the hull as the integer point nu(s) * (L / k) over
-    # the common denominator L = lcm(1..K)
-    L = math.lcm(*range(1, K + 1))
-    scaled = [(k, tuple(x * (L // k) for x in v)) for v, k in sg.points()]
-    body = RationalPolytope.from_points([p for _, p in scaled], series.d, L)
+    kept = sg.indecomposables()
+    body = RationalPolytope.from_points(
+        [tuple(Fraction(x, k) for x in v) for v, k in kept], series.d
+    )
     certificate = "truncation"
     note = "hull of value points up to the truncation; inner approximation"
     gens = view.generators
@@ -446,20 +439,16 @@ def okounkov_body(
         k0 = max(gens)
         monomial = all(g.is_monomial for forms in gens.values() for g in forms)
         if monomial and k0 <= K:
-            early = RationalPolytope.from_points(
-                [p for k, p in scaled if k <= k0], series.d, L
-            )
-            if early == body:
-                certificate = "exact"
-                note = (
-                    f"monomial generators in levels <= {k0}; "
-                    "truncated hull is the limit body"
-                )
-            else:
+            if any(k > k0 for _, k in kept):
                 raise InvariantError(
                     "okounkov_body: monomial generator hull grew past its "
                     "generation level"
                 )
+            certificate = "exact"
+            note = (
+                f"monomial generators in levels <= {k0}; "
+                "truncated hull is the limit body"
+            )
     return BodyReport(
         body=body,
         semigroup=sg,

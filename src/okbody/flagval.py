@@ -177,6 +177,21 @@ class ValueSemigroup:
             for v in self.levels[k]:
                 yield v, k
 
+    def indecomposables(self) -> list[tuple[Vector, int]]:
+        """Value points less each (v, k) with v - g in level k - j for a kept
+        (g, j), 2j <= k: v / k lies between g / j and (v - g) / (k - j), so
+        the kept points span the hull of all.  When value sets add, every
+        sum (u, j) + (w, k - j), 2j <= k, splits off a kept point and drops."""
+        sets = {k: set(vs) for k, vs in self.levels.items()}
+        kept: list[tuple[Vector, int]] = []
+        for v, k in self.points():
+            if not any(
+                2 * j <= k and tuple(x - y for x, y in zip(v, g)) in sets.get(k - j, ())
+                for g, j in kept
+            ):
+                kept.append((v, k))
+        return kept
+
     def cone_points(self) -> list[tuple[int, ...]]:
         return [v + (k,) for v, k in self.points()]
 

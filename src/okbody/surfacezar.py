@@ -412,10 +412,6 @@ def surface_body(
     """
     D = _vec(D, lattice.rank, "divisor")
     C = _vec(C, lattice.rank, "flag curve")
-    # one decomposition of D serves the bigness check of mu, the start of
-    # the continuation and the body's record of it
-    start = zariski(lattice, D)
-    mu_value, y, z = _threshold(lattice, start, C)
     curves = lattice.negative_curves
     mults = [0] * len(curves)
     echo: list[tuple[Vec, int]] = []
@@ -429,9 +425,19 @@ def surface_body(
                 raise InputError(
                     "surface body: multiplicity key is not a listed curve"
                 )
+            # a curve G != C meets C in G . C points, counted with
+            # multiplicity, so no point of C has a larger one on G
+            if k != C and m > lattice.dot(k, C):
+                raise InputError(
+                    "surface body: point multiplicity exceeds G . C for a curve G"
+                )
             mults[hits[0]] = int(m)
             if m:
                 echo.append((k, int(m)))
+    # one decomposition of D serves the bigness check of mu, the start of
+    # the continuation and the body's record of it
+    start = zariski(lattice, D)
+    mu_value, y, z = _threshold(lattice, start, C)
 
     supp = sorted(
         i for i, c in enumerate(curves) if start.multiplicity(c) > 0

@@ -685,6 +685,26 @@ class TestExitCodes:
         assert rc == 2
         assert "replace D" in err
 
+    def test_point_multiplicity_above_intersection(self, capsys, tmp_path):
+        # Bl3P2: the line H - E1 - E3 (curve 4) meets C = E3 once, so no
+        # point of C lies on it with multiplicity 2
+        lines = [[1, -1, -1, 0], [1, -1, 0, -1], [1, 0, -1, -1]]
+        curves = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] + lines
+        data = {
+            "rank": 4,
+            "gram": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+            "negative_curves": curves,
+            "effective_generators": curves,
+            "D": [5, -1, -2, -1],
+            "C": [0, 0, 0, 1],
+            "point_multiplicities": {"4": 2},
+        }
+        path = tmp_path / "high.surface.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = invoke(capsys, "surface", str(path))
+        assert rc == 2 and out == ""
+        assert "exceeds G . C" in err
+
     def test_repeated_negative_curve(self, capsys, tmp_path):
         data = {
             "rank": 2,

@@ -3,18 +3,21 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from okbody import cli
 from okbody.convbody import (
     RationalPolytope,
     okounkov_body,
     valuative_witness,
 )
-from okbody.errors import InputError
+from okbody.errors import InputError, InvariantError
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
-from okbody.polyform import HomogeneousForm
+from okbody.polyform import FormSpan, HomogeneousForm
+from oracles import fraction_route_polytope, normalized_value_points
 
 F = Fraction
 
@@ -76,14 +79,6 @@ class TestFromPoints:
     def test_mixed_dimension_rejected(self):
         with pytest.raises(InputError):
             RationalPolytope.from_points([(0, 0), (1, 2, 3)])
-
-    def test_common_denominator(self):
-        pts = [(0, 0), (4, 0), (0, 4), (1, 1), (0, 0)]
-        assert RationalPolytope.from_points(pts, 2, 2) == RationalPolytope.from_points(
-            [(x / F(2), y / F(2)) for x, y in pts]
-        )
-        with pytest.raises(InputError):
-            RationalPolytope.from_points(pts, 2, 0)
 
     def test_hull_makes_no_rational_elimination(self, monkeypatch):
         # facets, equations and volumes come from integer eliminations
@@ -471,3 +466,102 @@ class TestBodyProperties:
         rep1 = okounkov_body(S, Flag.standard(2), 4)
         rep2 = okounkov_body(S.veronese(2), Flag.standard(2), 4)
         assert rep2.body == rep1.body.scaled(2)
+
+
+def p2_except_x2x3():
+    return monomial_series(
+        2, 2, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)]
+    )
+
+
+def canonical(poly: RationalPolytope) -> tuple:
+    return (poly.n, poly.affdim, poly.vertices, poly.equations, poly.inequalities)
+
+
+class TestIndecomposableHull:
+    """The body is the hull of the indecomposable value points only; the
+    reference is the Fraction route on every normalized value point."""
+
+    @staticmethod
+    def check(rep, d):
+        sg = rep.semigroup
+        want = fraction_route_polytope(normalized_value_points(sg, rep.truncation), d)
+        assert canonical(rep.body) == canonical(want)
+        kept = set(sg.indecomposables())
+        for v, k in sg.points():
+            if (v, k) not in kept:
+                # a dropped point is a sum of two value points at lower levels
+                assert any(
+                    tuple(x - y for x, y in zip(v, u)) in sg.level(k - j)
+                    for j in range(1, k)
+                    for u in sg.level(j)
+                )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generated_series_under_generic_flags(self, seed):
+        rep = okounkov_body(p2_except_x2x3(), Flag.random(2, seed), 8)
+        # a subduction remainder at every level, so every level keeps points
+        assert {k for _, k in rep.semigroup.indecomposables()} == set(range(1, 9))
+        self.check(rep, 2)
+
+    def test_explicit_levels_not_closed_under_products(self):
+        def m(*exps):
+            return [HomogeneousForm.monomial(3, e) for e in exps]
+
+        S = GradedSeries.explicit(
+            2,
+            1,
+            {
+                1: m((1, 0, 0), (0, 1, 0)),
+                2: m((0, 0, 2), (1, 1, 0)),
+                3: m((1, 0, 2), (2, 1, 0), (0, 3, 0)),
+                4: m((4, 0, 0), (1, 1, 2)),
+            },
+        )
+        rep = okounkov_body(S, Flag.standard(2), 4)
+        assert not rep.semigroup.contains((2, 0), 2)  # X0 * X0 is missing
+        assert ((4, 0), 4) in rep.semigroup.indecomposables()
+        self.check(rep, 2)
+
+    @pytest.mark.parametrize(
+        "derived",
+        [
+            lambda S: S.vanishing_along_flag_divisor(F(1, 3)),
+            lambda S: S.puncture((1, 2, 3)),
+        ],
+    )
+    def test_derived_series(self, derived):
+        self.check(okounkov_body(derived(GradedSeries.complete(2)), Flag.standard(2), 8), 2)
+
+    def test_restricted_side_of_slice_identity(self):
+        _, _, sub_rep, _ = cli._slice_sides(
+            p2_except_x2x3(), Flag.random(2, 1), F(1, 2), 8
+        )
+        self.check(sub_rep, 1)
+
+    def test_p3_body_hulls_four_points(self, capsys, monkeypatch):
+        original = RationalPolytope.from_points.__func__
+        sizes = []
+
+        def counted(cls, points, *args):
+            sizes.append(len(points))
+            return original(cls, points, *args)
+
+        monkeypatch.setattr(RationalPolytope, "from_points", classmethod(counted))
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        assert cli.main(["body", str(corpus / "p3_o1_complete.json"), "-K", "12"]) == 0
+        capsys.readouterr()
+        assert sizes == [4]
+
+    def test_stray_point_past_the_generation_level(self):
+        # monomial generators at level 1, and a provider that adds X2^3,
+        # which no product of generators gives, at level 3
+        base = monomial_series(2, 1, [(1, 0, 0), (0, 1, 0)])
+        stray = FormSpan(3, 3, [HomogeneousForm.monomial(3, (0, 0, 3))])
+
+        def provider(series, k):
+            return base.level(k) + stray if k == 3 else base.level(k)
+
+        S = GradedSeries(2, 1, provider, generators=base.generators)
+        with pytest.raises(InvariantError, match="grew past its generation level"):
+            okounkov_body(S, Flag.standard(2), 4)
