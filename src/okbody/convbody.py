@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import echelon_add, kernel, smith_normal_form
+from .exactnum import echelon_add, kernel, lattice_index, smith_normal_form
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm
@@ -422,7 +422,10 @@ def okounkov_body(
     series is visibly generated by monomials in levels <= k0 <= K: no
     value point above k0 is then indecomposable, so the truncated hull
     equals the limit body.  Otherwise the hull is a certified inner
-    approximation ("truncation").
+    approximation ("truncation").  The lattice index is that of the group
+    the kept points generate: each dropped point is a kept point plus a
+    value point of a lower level, so by induction on the level the kept
+    points generate the group of all value points.
     """
     if K < 1:
         raise InputError("okounkov_body: truncation must be >= 1")
@@ -455,7 +458,7 @@ def okounkov_body(
         truncation=K,
         certificate=certificate,
         certificate_note=note,
-        lattice_index=sg.group_index(),
+        lattice_index=lattice_index([v + (k,) for v, k in kept], sg.d + 1),
         hilbert=series.hilbert_data(K),
         dims=[len(sg.level(k)) for k in range(1, K + 1)],
     )

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import InputError
-from .exactnum import det, lattice_index, rref_rows
+from .exactnum import det, rref_rows
 from .polyform import FormSpan, HomogeneousForm
 
 Vector = tuple[int, ...]
@@ -200,13 +200,6 @@ class ValueSemigroup:
 
     def contains(self, vector: Sequence[int], k: int) -> bool:
         return tuple(vector) in self.levels.get(k, ())
-
-    def group_index(self) -> int | None:
-        """Index in Z^(d+1) of the group generated by the value points."""
-        pts = self.cone_points()
-        if not pts:
-            return None
-        return lattice_index(pts, self.d + 1)
 
     def __repr__(self) -> str:
         total = sum(len(v) for v in self.levels.values())

@@ -10,7 +10,9 @@ generated series and a flag view of a series with generators build each
 level on one path, `_generated_level`: the span of the products of lower
 levels with the generator spans, found by subduction.  A view knows the
 level's dimension from its parent, so it stops as soon as the products'
-leads reach it, most often without any reduction.
+leads reach it, most often without any reduction.  The products it keeps
+stay pending (`FormSpan.subducted`): the valuation sets are their leads,
+and only a reduction or a reader of the terms multiplies one out.
 """
 
 from __future__ import annotations

@@ -7,10 +7,13 @@ lex-least exponent.  The leads are the pivots the valuation layer reads off,
 so the ordering convention is load bearing.  Every span operation builds its
 rows through one insertion reducer; lex order is a monomial order, so leads
 of products add and shifts and cuts by the first variable keep leads apart
-without any reduction.  The canonical basis, the reduced row echelon form
-over ascending lex exponent columns, is computed only when `basis` or `==`
-reads it.  Forms are built only at the edges (input, `basis`), and linear
-substitution maps every row through one table of monomial images.
+without any reduction.  A row of a span of products may be kept as the
+pending product of two rows, its lead known without its terms; `_terms`
+multiplies it out once, when a reduction or a reader needs the terms.  The
+canonical basis, the reduced row echelon form over ascending lex exponent
+columns, is computed only when `basis` or `==` reads it.  Forms are built
+only at the edges (input, `basis`), and linear substitution maps every row
+through one table of monomial images.
 """
 
 from __future__ import annotations
@@ -249,18 +252,12 @@ def _evaluate(terms: dict, point: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _mul_terms(a: dict, b: dict, sums: dict | None = None) -> dict:
-    """The product of two term rows.  sums caches exponent sums across
-    calls (eb -> {ea: ea + eb}), since products of spans repeat them."""
-    if sums is None:
-        sums = {}
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term rows."""
     out: dict[Exponent, Fraction] = {}
     for eb, cb in b.items():
-        shift = sums.setdefault(eb, {})
         for ea, ca in a.items():
-            e = shift.get(ea)
-            if e is None:
-                e = shift[ea] = tuple(map(add, ea, eb))
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: v for e, v in out.items() if v}
 
@@ -329,15 +326,56 @@ def _content_free(row: dict[Exponent, int]) -> dict[Exponent, int]:
     return {e: v // g for e, v in row.items()} if g > 1 else row
 
 
+class _Product:
+    """A table row kept as the pending product of two table values, until
+    `_terms` multiplies it out."""
+
+    __slots__ = ("factors", "row")
+
+    def __init__(self, a, b):
+        self.factors = a, b
+        self.row = None
+
+
+def _terms(value) -> dict:
+    """The term row of a table value: the row itself, or a pending product
+    multiplied out once, after the pending factors it rests on.  The row is
+    cached in the product and the factors are dropped.  An explicit stack
+    does the work, as a level-K row rests on K levels of products."""
+    if type(value) is dict:
+        return value
+    stack = [value]
+    while stack:
+        top = stack[-1]
+        if top.row is not None:
+            stack.pop()
+            continue
+        waiting = [f for f in top.factors if type(f) is not dict and f.row is None]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        a, b = (f if type(f) is dict else f.row for f in top.factors)
+        top.row, top.factors = _mul_terms(a, b), None
+    return value.row
+
+
+def _mono(value) -> bool:
+    """Whether a table value is a one-term row.  A pending product never
+    is: a product has one term exactly when both factors do."""
+    return type(value) is dict and len(value) == 1
+
+
 def _top_reduce(row: dict, table: dict) -> dict:
-    """Cancel the lead of an integer row against the table (lead -> row)
-    until its lead is new; the remainder, made primitive after each step,
-    or an empty row."""
+    """Cancel the lead of an integer row against the table (lead -> table
+    value) until its lead is new; the remainder, made primitive after each
+    step, or an empty row."""
     while row:
         lead = min(row)
         top = table.get(lead)
         if top is None:
             return row
+        top = _terms(top)
         g = math.gcd(top[lead], row[lead])
         a, b = top[lead] // g, row[lead] // g
         out = {e: a * v for e, v in row.items()}
@@ -368,7 +406,10 @@ class FormSpan:
 
     `_rows` maps each pivot to a primitive integer term row whose lead
     (lex-least exponent) it is, in ascending pivot order; the pivots double
-    as the valuation set of the space for the standard coordinate flag.
+    as the valuation set of the space for the standard coordinate flag.  A
+    row of a span built by `subducted` may be a pending product, which
+    every reader of the terms goes through `_terms` (or `_top_reduce`) to
+    multiply out; the pivots, `dim` and the valuation layer never need it.
     Every operation builds its table of rows with `_insert` (or keeps or
     shifts rows whose leads stay distinct).  The canonical basis is the
     reduced row echelon form over ascending lex exponent columns, computed
@@ -397,8 +438,13 @@ class FormSpan:
 
     @classmethod
     def _of(cls, nvars: int, degree: int, table: dict) -> FormSpan:
-        """The span of the rows of a table (lead -> primitive integer row)."""
+        """The span of the rows of a table (lead -> primitive integer row,
+        or a pending product of two)."""
         return object.__new__(cls)._set(nvars, degree, table)
+
+    def _term_rows(self) -> list[dict]:
+        """The term rows in pivot order, pending products multiplied out."""
+        return [_terms(row) for row in self._rows.values()]
 
     @property
     def _canonical(self) -> tuple[dict, ...]:
@@ -407,7 +453,7 @@ class FormSpan:
             if self.is_monomial_span:
                 self._reduced = tuple({p: Fraction(1)} for p in self.pivots)
             else:
-                rows = self._rows.values()
+                rows = self._term_rows()
                 cols = sorted({e for row in rows for e in row})
                 red, _ = rref_rows([[r.get(e, 0) for e in cols] for r in rows])
                 self._reduced = tuple(
@@ -433,49 +479,47 @@ class FormSpan:
 
         Lex order is a monomial order, so the lead of a * b is the sum of
         the leads.  One product per distinct lead sum goes into the table
-        unreduced (a product of two monomial rows is the monomial row
-        {lead: ca * cb}); the other products, largest lead first, are
-        top-reduced against the table: all of them when dim is None,
-        otherwise only until the table holds dim rows.  A product of two
-        monomials whose lead holds a product of two monomials is zero after
-        reduction, and is never queued.  With dim given, too many distinct
-        leads, or too few rows once the products run out, mean that the
-        products do not span a dim-dimensional space: InvariantError."""
-        firsts: dict[Exponent, tuple[dict, dict]] = {}
+        unreduced and not multiplied out, as a pending product (a product
+        of two monomial rows is the monomial row {lead: ca * cb}); products
+        of primitive rows are primitive (Gauss), so the table holds
+        primitive integer rows.  The other products, largest lead first,
+        are multiplied out and top-reduced against the table, which
+        multiplies out each table row they reach: all of them when dim is
+        None, otherwise only until the table holds dim rows.  A product of
+        two monomials whose lead holds a product of two monomials is zero
+        after reduction, and is never queued.  With dim given, too many
+        distinct leads, or too few rows once the products run out, mean
+        that the products do not span a dim-dimensional space:
+        InvariantError."""
+        table: dict = {}
         rest = []
         for A, B in factors:
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
-            rows_b = list(B._rows.items())
+            rows_b = [(pb, rb, _mono(rb)) for pb, rb in B._rows.items()]
             for pa, ra in A._rows.items():
-                mono_a = len(ra) == 1
-                for pb, rb in rows_b:
+                mono_a = _mono(ra)
+                for pb, rb, mono_b in rows_b:
                     lead = tuple(map(add, pa, pb))
-                    first = firsts.get(lead)
+                    first = table.get(lead)
                     if first is None:
-                        firsts[lead] = ra, rb
-                    elif not (
-                        mono_a and len(rb) == len(first[0]) == len(first[1]) == 1
-                    ):
+                        table[lead] = (
+                            {lead: ra[pa] * rb[pb]}
+                            if mono_a and mono_b
+                            else _Product(ra, rb)
+                        )
+                    elif not (mono_a and mono_b and _mono(first)):
                         rest.append((lead, ra, rb))
-        if dim is not None and len(firsts) > dim:
+        if dim is not None and len(table) > dim:
             raise InvariantError(
-                f"subduction: {len(firsts)} distinct leads exceed the "
+                f"subduction: {len(table)} distinct leads exceed the "
                 f"dimension {dim}"
             )
-        sums: dict = {}
-        table = {}
-        for lead, (ra, rb) in firsts.items():
-            if len(ra) == len(rb) == 1:
-                (ca,), (cb,) = ra.values(), rb.values()
-                table[lead] = {lead: ca * cb}
-            else:
-                table[lead] = _mul_terms(ra, rb, sums)
         rest.sort(key=lambda c: c[0], reverse=True)
         for lead, ra, rb in rest:
             if len(table) == dim:
                 break
-            row = _top_reduce(_mul_terms(ra, rb, sums), table)
+            row = _top_reduce(_mul_terms(_terms(ra), _terms(rb)), table)
             if row:
                 table[min(row)] = row
         if dim is not None and len(table) < dim:
@@ -505,7 +549,7 @@ class FormSpan:
         """Every term of every row is a pivot, so the span is that of the
         pivot monomials."""
         rows = self._rows
-        return all(e in rows for row in rows.values() for e in row)
+        return all(e in rows for row in rows.values() for e in _terms(row))
 
     def contains(self, form: HomogeneousForm) -> bool:
         if form.is_zero:
@@ -529,7 +573,7 @@ class FormSpan:
     def __add__(self, other: FormSpan) -> FormSpan:
         if self.nvars != other.nvars or self.degree != other.degree:
             raise InputError("span sum: shape mismatch")
-        table = _insert(dict(self._rows), other._rows.values())
+        table = _insert(dict(self._rows), other._term_rows())
         return self._of(self.nvars, self.degree, table)
 
     def __mul__(self, other: FormSpan) -> FormSpan:
@@ -544,7 +588,7 @@ class FormSpan:
         lcm of its denominators: f(c M y) = c^D f(M y) spans the same."""
         den = math.lcm(*(Fraction(v).denominator for r in matrix for v in r))
         lines = [[int(Fraction(v) * den) for v in r] for r in matrix]
-        rows = _substitute(list(self._rows.values()), lines, self.degree)
+        rows = _substitute(self._term_rows(), lines, self.degree)
         return self._of(self.nvars, self.degree, _insert({}, rows))
 
     def restricted(self, var: int) -> FormSpan:
@@ -554,7 +598,7 @@ class FormSpan:
             raise InputError("restricted: need at least two variables")
         rows = [
             {e[:var] + e[var + 1 :]: c for e, c in row.items() if e[var] == 0}
-            for row in self._rows.values()
+            for row in self._term_rows()
         ]
         return self._of(self.nvars - 1, self.degree, _insert({}, rows))
 
@@ -564,7 +608,8 @@ class FormSpan:
         shifted rows keep their leads, shifted."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
-        if any(e[var] < power for row in self._rows.values() for e in row):
+        rows = self._term_rows()
+        if any(e[var] < power for row in rows for e in row):
             raise InputError(
                 "divided_by_variable: an element is not divisible"
             )
@@ -572,7 +617,7 @@ class FormSpan:
             _bump(p, var, -power): {
                 _bump(e, var, -power): c for e, c in row.items()
             }
-            for p, row in self._rows.items()
+            for p, row in zip(self.pivots, rows)
         }
         return self._of(self.nvars, self.degree - power, table)
 
@@ -584,7 +629,7 @@ class FormSpan:
         if var == 0:
             kept = {p: r for p, r in self._rows.items() if p[0] >= minimum}
             return self._of(self.nvars, self.degree, kept)
-        rows = self._rows.values()
+        rows = self._term_rows()
         low = sorted({e for row in rows for e in row if e[var] < minimum})
         if not low:
             return self
@@ -593,7 +638,7 @@ class FormSpan:
     def subspace_vanishing_at(
         self, points: Sequence[Sequence[Fraction]]
     ) -> FormSpan:
-        rows = self._rows.values()
+        rows = self._term_rows()
         if not points or not rows:
             return self
         return self._kernel(
@@ -602,10 +647,11 @@ class FormSpan:
 
     def _kernel(self, conditions: list[list[int]]) -> FormSpan:
         """Elements whose row coefficients c satisfy conditions . c = 0."""
+        terms = self._term_rows()
         rows = []
-        for combo in kernel(conditions, len(self._rows)):
+        for combo in kernel(conditions, len(terms)):
             total: dict[Exponent, int] = {}
-            for row, c in zip(self._rows.values(), combo):
+            for row, c in zip(terms, combo):
                 if c:
                     for e, v in row.items():
                         total[e] = total.get(e, 0) + c * v

@@ -18,7 +18,8 @@ echelon form.
 
 The view-level oracle is how flag views built their levels before
 subduction: each parent level written in flag coordinates by one
-substitution and a full reduction, complete levels passed through.
+substitution and a full reduction, complete levels passed through.  Its
+levels hold only multiplied-out rows (`pending_rows` counts the others).
 
 The Fraction route is the beneath-beyond hull as it ran before value
 points entered it as integers over one common denominator: the points
@@ -55,6 +56,7 @@ from okbody.exactnum import (
     integer_row,
     rref_rows,
 )
+from okbody import polyform
 from okbody.polyform import HomogeneousForm
 
 Point = tuple[Fraction, ...]
@@ -795,3 +797,12 @@ def reference_view_level(series, flag, k: int):
     if span.is_complete:
         return span
     return span.transformed(flag.substitution)
+
+
+def pending_rows(span) -> int:
+    """How many rows of a span are products not yet multiplied out; the
+    tests of the span readers check that their input has some."""
+    return sum(
+        isinstance(row, polyform._Product) and row.row is None
+        for row in span._rows.values()
+    )

@@ -659,6 +659,29 @@ def test_gen1_generic_flags(announce):
 
 
 # ---------------------------------------------------------------------------
+# GEN-3: generic flags agree on a birational monomial series in P^3
+
+
+def test_gen3_generic_flags_in_p3(announce):
+    failures: list[str] = []
+    started = time.monotonic()
+    exponents = [(0, 0, 1, 1), (0, 0, 2, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0)]
+    S = GradedSeries.generated(3, 2, [HomogeneousForm.monomial(4, e) for e in exponents])
+    check(failures, is_birational_monomial(S).birational, "not birational")
+    bodies = [okounkov_body(S, Flag.random(3, seed), 8).body for seed in range(1, 6)]
+    for seed, b in enumerate(bodies[1:], start=2):
+        check(failures, b == bodies[0], f"seed {seed} body differs from seed 1")
+    elapsed = time.monotonic() - started
+    check(failures, elapsed < 5.0, f"took {elapsed:.1f}s")
+    announce(
+        "GEN-3",
+        failures,
+        f"the P^3 series X3X4, X3^2, X2X4, X2X3, X1X3 x 5 generic flags at "
+        f"K=8: equal bodies with {len(bodies[0].vertices)} vertices, {elapsed:.2f}s",
+    )
+
+
+# ---------------------------------------------------------------------------
 # PROP-1: 200 seeded random instances across the module invariant suites
 
 

@@ -14,6 +14,7 @@ from okbody.convbody import (
     valuative_witness,
 )
 from okbody.errors import InputError, InvariantError
+from okbody.exactnum import lattice_index
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm
@@ -472,6 +473,40 @@ def p2_except_x2x3():
     return monomial_series(
         2, 2, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)]
     )
+
+
+def p3_series0():
+    """Five quadric monomials of P^3: X3X4, X3^2, X2X4, X2X3, X1X3."""
+    return monomial_series(
+        3, 2, [(0, 0, 1, 1), (0, 0, 2, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0)]
+    )
+
+
+class TestLatticeIndex:
+    """okounkov_body reads the lattice index off the kept points; it equals
+    the index of the group all value points generate, under the standard
+    flag (the index given) and under seeded flags."""
+
+    @pytest.mark.parametrize(
+        "series, seeds, K, index",
+        [
+            (p2_except_x2x3, (1, 2, 3), 8, 1),
+            (lambda: monomial_series(1, 2, [(2, 0), (0, 2)]), (1, 4), 6, 2),
+            (lambda: monomial_series(2, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 2)]), (3,), 5, 4),
+            (p3_series0, (1, 5), 8, 1),
+        ],
+    )
+    def test_index_from_kept_points(self, series, seeds, K, index):
+        S = series()
+        flags = [Flag.standard(S.d)] + [Flag.random(S.d, seed) for seed in seeds]
+        indices = []
+        for flag in flags:
+            rep = okounkov_body(S, flag, K)
+            points = rep.semigroup.cone_points()
+            assert len(rep.semigroup.indecomposables()) < len(points)
+            assert rep.lattice_index == lattice_index(points, S.d + 1)
+            indices.append(rep.lattice_index)
+        assert indices[0] == index
 
 
 def canonical(poly: RationalPolytope) -> tuple:

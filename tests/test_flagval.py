@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from okbody.errors import InputError
-from okbody.exactnum import det
+from okbody.exactnum import det, lattice_index
 from okbody.flagval import (
     Flag,
     ValueSemigroup,
@@ -150,12 +150,15 @@ def test_value_semigroup_container():
     assert sg.cone_points()[0] == (0, 0, 1)
     assert sg.counts() == {1: 2, 2: 2}
     assert sg.contains((1, 0), 1) and not sg.contains((1, 0), 2)
-    assert sg.group_index() == 1
 
 
-def test_group_index_sublattice():
-    # points on the doubled lattice in the first coordinate
+def test_kept_points_generate_the_value_group():
+    # points on the doubled lattice in the first coordinate; level 2 is all
+    # sums, so only level 1 is kept, and it generates the same group
     sg = ValueSemigroup(1, 2, {1: ((0,), (2,)), 2: ((0,), (2,), (4,))})
-    assert sg.group_index() == 2
+    kept = [v + (k,) for v, k in sg.indecomposables()]
+    assert kept == [(0, 1), (2, 1)]
+    assert lattice_index(kept, 2) == lattice_index(sg.cone_points(), 2) == 2
     empty = ValueSemigroup(1, 1, {1: ()})
-    assert empty.group_index() is None
+    assert empty.indecomposables() == []
+    assert lattice_index([], 2) is None

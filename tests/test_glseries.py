@@ -1,13 +1,15 @@
 """Graded series construction, derived series, and dimension data tests."""
 
+import importlib
 import json
 import math
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from okbody import polyform
+from okbody import cli, convbody, polyform
 from okbody.cli import _slice_sides, parse_series
 from okbody.convbody import okounkov_body
 from okbody.errors import InputError, InvariantError, TruncationError
@@ -16,6 +18,9 @@ from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm as HF
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+sys.path.insert(0, str(CORPUS.parent / "perfbench"))
+
+import tracer  # noqa: E402
 
 
 def mono(e):
@@ -100,7 +105,7 @@ def test_semigroup_standard_values():
     S = no_x2x3_series()
     sg = S.semigroup(Flag.standard(2), 2)
     assert set(sg.level(1)) == {(0, 0), (1, 0), (1, 1), (0, 2), (2, 0)}
-    assert sg.group_index() == 1
+    assert okounkov_body(S, Flag.standard(2), 2).lattice_index == 1
 
 
 def test_semigroup_additivity_spot_check():
@@ -202,6 +207,68 @@ def test_monomial_levels_multiply_out_no_rows(monkeypatch):
     assert rep.dims == S.dims(8)
     assert okounkov_body(S, Flag.random(2, 1), 8).dims == rep.dims
     assert calls
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Every pending product row polyform makes; a row whose `row` is set
+    has been multiplied out."""
+    made = []
+
+    class Recorded(polyform._Product):
+        __slots__ = ()
+
+        def __init__(self, a, b):
+            super().__init__(a, b)
+            made.append(self)
+
+    monkeypatch.setattr(polyform, "_Product", Recorded)
+    return made
+
+
+def test_view_levels_multiply_out_few_rows(products, capsys):
+    """A flag view keeps its product rows pending: only the rows a
+    subduction remainder reduces against are multiplied out."""
+    path = CORPUS / "p2_except_x2x3.json"
+    assert cli.main(["body", str(path), "-K", "12", "--flag-seed", "1"]) == 0
+    capsys.readouterr()
+    multiplied = sum(p.row is not None for p in products)
+    assert 0 < multiplied < len(products) / 10
+
+
+def test_tracer_multiplies_out_no_more_rows(products, monkeypatch):
+    """The benchmark's tracer reads `basis` only on spans built by
+    FormSpan.__init__, whose rows are multiplied out, so a traced body
+    makes the same products as an untraced one."""
+    calls = []
+    original = polyform._mul_terms
+    monkeypatch.setattr(
+        polyform, "_mul_terms", lambda *args: calls.append(1) or original(*args)
+    )
+
+    def run():
+        calls.clear()
+        products.clear()
+        S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
+        convbody.okounkov_body(S, Flag.random(2, 1), 6)
+        return len(calls), sum(p.row is not None for p in products)
+
+    untraced = run()
+    assert untraced[1]
+    # install() rebinds module names and class methods for good; the
+    # monkeypatch records each one first, and puts it back afterwards
+    for module in tracer.MODULES:
+        mod = importlib.import_module(f"okbody.{module}")
+        for attr, value in list(vars(mod).items()):
+            monkeypatch.setattr(mod, attr, value)
+    for targets in tracer.LAYERS.values():
+        for module, name, _ in targets:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                cls = getattr(importlib.import_module(f"okbody.{module}"), cls_name)
+                monkeypatch.setattr(cls, meth, cls.__dict__[meth])
+    tracer.Tracer().install()
+    assert run() == untraced
 
 
 def test_body_and_slice_build_one_view(monkeypatch):

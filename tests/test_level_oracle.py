@@ -1,17 +1,20 @@
 """Span operations on reduced term rows and the monomial-table substitution
 against the slow form-based reference in `oracles.py`, on small random
-non-monomial forms in 2 to 4 variables of degree at most 4."""
+non-monomial forms in 2 to 4 variables of degree at most 4.  The span
+readers run both on spans of forms and on spans of products whose table
+still holds products not multiplied out."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from okbody.errors import InputError
 from okbody.exactnum import det
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
+    pending_rows,
     reference_contains,
     reference_span_reduce,
     reference_subspace_vanishing_at,
@@ -61,28 +64,32 @@ def test_substitute_linear_matches_oracle(data):
     assert f.substitute_linear(matrix) == reference_substitute_linear(f, matrix)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, phases=PHASES)
-@given(st.data())
-def test_span_operations_match_oracle(data):
-    nvars, degree = shape(data)
-    a = data.draw(forms(nvars, degree, 4), label="a")
+def unit_power(var: int, power: int, nvars: int) -> tuple[int, ...]:
+    return tuple(power if i == var else 0 for i in range(nvars))
+
+
+def check_span_operations(data, nvars: int, degree: int, a, fresh):
+    """Every span reader on fresh(), a new span of the forms a for each
+    reader, against the reference on a."""
     b = data.draw(forms(nvars, degree, 3), label="b")
-    span, other = FormSpan(nvars, degree, a), FormSpan(nvars, degree, b)
+    other = FormSpan(nvars, degree, b)
     ref = reference_span_reduce(nvars, degree, a)
     ref_basis, ref_pivots = ref
-    assert same(span, ref)
-    assert span.is_monomial_span == all(len(f.terms) == 1 for f in ref_basis)
-    assert same(span + other, reference_span_reduce(nvars, degree, a + b))
+    assert same(fresh(), ref)
+    assert fresh() == FormSpan(nvars, degree, ref_basis) == fresh()
+    assert fresh().is_monomial_span == all(len(f.terms) == 1 for f in ref_basis)
+    assert same(fresh() + other, reference_span_reduce(nvars, degree, a + b))
+    assert same(other + fresh(), reference_span_reduce(nvars, degree, b + a))
     prods = [f * g for f in ref_basis for g in other.basis]
-    assert same(span * other, reference_span_reduce(nvars, 2 * degree, prods))
+    assert same(fresh() * other, reference_span_reduce(nvars, 2 * degree, prods))
 
     matrix = data.draw(invertible(nvars), label="matrix")
     moved = [reference_substitute_linear(f, matrix) for f in ref_basis]
-    assert same(span.transformed(matrix), reference_span_reduce(nvars, degree, moved))
+    assert same(fresh().transformed(matrix), reference_span_reduce(nvars, degree, moved))
 
     var = data.draw(st.integers(0, nvars - 1), label="var")
     cut = [f.set_variable_zero(var) for f in ref_basis]
-    assert same(span.restricted(var), reference_span_reduce(nvars - 1, degree, cut))
+    assert same(fresh().restricted(var), reference_span_reduce(nvars - 1, degree, cut))
 
     power = data.draw(st.integers(0, 2), label="power")
     x = HomogeneousForm.variable(nvars, var)
@@ -90,23 +97,26 @@ def test_span_operations_match_oracle(data):
     for _ in range(power):
         lift = [f * x for f in lift]
     lifted = FormSpan(nvars, degree + power, lift)
-    assert lifted.divided_by_variable(var, power) == span
+    assert lifted.divided_by_variable(var, power) == fresh()
+    xpower = FormSpan(nvars, power, [HomogeneousForm.monomial(nvars, unit_power(var, power, nvars))])
+    assert same((fresh() * xpower).divided_by_variable(var, power), ref)
     if any(e[var] < power + 1 for f in ref_basis for e in f.terms):
         with pytest.raises(InputError):
-            span.divided_by_variable(var, power + 1)
+            fresh().divided_by_variable(var, power + 1)
 
-    minimum = data.draw(st.integers(1, degree), label="minimum")
-    assert same(
-        span.subspace_with_min_exponent(var, minimum),
-        reference_subspace_with_min_exponent(ref_basis, nvars, degree, var, minimum),
-    )
+    for v in (0, var):
+        minimum = data.draw(st.integers(1, degree), label="minimum")
+        assert same(
+            fresh().subspace_with_min_exponent(v, minimum),
+            reference_subspace_with_min_exponent(ref_basis, nvars, degree, v, minimum),
+        )
 
     points = data.draw(
         st.lists(st.lists(small, min_size=nvars, max_size=nvars), min_size=1, max_size=2),
         label="points",
     )
     assert same(
-        span.subspace_vanishing_at(points),
+        fresh().subspace_vanishing_at(points),
         reference_subspace_vanishing_at(ref_basis, nvars, degree, points),
     )
 
@@ -115,5 +125,35 @@ def test_span_operations_match_oracle(data):
     for f, c in zip(a, data.draw(st.lists(small, min_size=len(a), max_size=len(a)))):
         inside = inside + f.scaled(c)
     for probe in (g, inside, g + inside):
-        assert span.contains(probe) == reference_contains(ref_basis, ref_pivots, probe)
-    assert span.contains(inside)
+        assert fresh().contains(probe) == reference_contains(ref_basis, ref_pivots, probe)
+    assert fresh().contains(inside)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, phases=PHASES)
+@given(st.data())
+def test_span_operations_match_oracle(data):
+    nvars, degree = shape(data)
+    a = data.draw(forms(nvars, degree, 4), label="a")
+    check_span_operations(data, nvars, degree, a, lambda: FormSpan(nvars, degree, a))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, phases=PHASES)
+@given(st.data())
+def test_span_operations_on_pending_rows_match_oracle(data):
+    """The same readers on the span of the products of two spans of forms
+    of several terms, built afresh for each reader by subduction, whose
+    table still holds products that no reduction multiplied out."""
+    nvars, degree = shape(data)
+    low = data.draw(st.integers(0, degree - 1), label="low")
+    one = [HomogeneousForm.monomial(nvars, (0,) * nvars)]
+    a1 = data.draw(forms(nvars, low, 2), label="a1") if low else one
+    a2 = data.draw(forms(nvars, degree - low, 3), label="a2")
+    A, B = FormSpan(nvars, low, a1), FormSpan(nvars, degree - low, a2)
+    assume(pending_rows(FormSpan.subducted(nvars, degree, None, [(A, B)])))
+
+    def fresh() -> FormSpan:
+        span = FormSpan.subducted(nvars, degree, None, [(A, B)])
+        assert pending_rows(span)
+        return span
+
+    check_span_operations(data, nvars, degree, [f * g for f in a1 for g in a2], fresh)

@@ -137,6 +137,18 @@ def test_monomial_span_with_binomial_rows():
     assert not FormSpan(3, 2, [x * x + y * y]).is_monomial_span
 
 
+def test_long_product_chain_multiplies_out_without_recursion():
+    # each span is the previous one times the constants: one pending
+    # product resting on the one before, 3,000 deep, read by `basis`
+    x, y = HF.variable(2, 0), HF.variable(2, 1)
+    unit = FormSpan.complete(2, 0)
+    span = FormSpan(2, 1, [x + y.scaled(2)])
+    for _ in range(3000):
+        span = FormSpan.subducted(2, 1, None, [(span, unit)])
+    assert span.pivots == ((0, 1),)
+    assert span.basis == ((x.scaled(F(1, 2)) + y),)
+
+
 def test_basis_forms_match_validated_forms(monkeypatch):
     # basis builds its forms from rows it made itself, without running the
     # validating constructor, and they equal validated forms of the same

@@ -3,19 +3,22 @@ each parent level, on small generated series and their level-2 Fujita
 approximations under random invertible rational flags: pivots, bases,
 valuative witnesses and the restricted series of the slice identity.
 Views of series without generators, which transform each parent level
-themselves, are checked against the reference substitution and span."""
+themselves, are checked against the reference substitution and span.
+Every span reader also runs on a freshly built view level whose table
+still holds products not multiplied out, against the oracle's level."""
 
 from fractions import Fraction
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from okbody.convbody import valuative_witness
 from okbody.exactnum import det
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
-from okbody.polyform import HomogeneousForm, all_exponents
+from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
+    pending_rows,
     reference_span_reduce,
     reference_substitute_linear,
     reference_view_level,
@@ -92,6 +95,63 @@ def test_view_levels_match_oracle(data):
             return s.veronese(b).subtract_flag_divisor(a).restrict_to_flag_divisor()
 
         assert_same_levels(restricted(view), restricted(oracle), K // b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, phases=PHASES)
+@given(st.data())
+def test_readers_of_pending_view_levels_match_oracle(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    twist = data.draw(st.integers(1, 1 if d == 3 else 2), label="twist")
+    gens = {1: data.draw(forms(d + 1, twist, 4, False), label="level 1")}
+    series = GradedSeries.generated(d, twist, gens)
+    flag = data.draw(flags(d + 1), label="flag")
+    k = data.draw(st.integers(1, 3 if d == 3 else 4), label="k")
+    nvars, degree = d + 1, k * twist
+    want = reference_view_level(series, flag, k)
+    assume(not want.is_complete and pending_rows(series.under_flag(flag).level(k)))
+
+    def fresh() -> FormSpan:
+        span = series.under_flag(flag).level(k)
+        assert pending_rows(span)
+        return span
+
+    assert fresh().pivots == want.pivots
+    assert fresh().basis == want.basis
+    assert fresh() == want and want == fresh()
+    assert fresh().is_monomial_span == want.is_monomial_span
+
+    (extra,) = data.draw(forms(nvars, degree, 1, False), label="extra")
+    inside = HomogeneousForm.zero(nvars, degree)
+    for f, c in zip(want.basis, data.draw(st.lists(small, min_size=3, max_size=3))):
+        inside = inside + f.scaled(c)
+    for probe in (extra, inside, extra + inside):
+        assert fresh().contains(probe) == want.contains(probe)
+    assert fresh().contains(inside)
+
+    other = FormSpan(nvars, degree, data.draw(forms(nvars, degree, 2, False), label="other"))
+    assert fresh() + other == want + other
+    assert other + fresh() == other + want
+    # both factors hold pending rows
+    product = fresh() * series.under_flag(flag).level(1)
+    assert product == want * reference_view_level(series, flag, 1)
+
+    assert fresh().transformed(flag.matrix) == want.transformed(flag.matrix)
+    assert fresh().transformed(flag.matrix) == series.level(k)
+    var = data.draw(st.integers(0, d), label="var")
+    assert fresh().restricted(var) == want.restricted(var)
+    power = data.draw(st.integers(0, 2), label="power")
+    x = HomogeneousForm.monomial(nvars, [power * (i == var) for i in range(nvars)])
+    xpower = FormSpan(nvars, power, [x])
+    assert (fresh() * xpower).divided_by_variable(var, power) == want
+    for v in (0, var):
+        minimum = data.draw(st.integers(1, degree), label="minimum")
+        got = fresh().subspace_with_min_exponent(v, minimum)
+        assert got == want.subspace_with_min_exponent(v, minimum)
+    points = data.draw(
+        st.lists(st.lists(small, min_size=nvars, max_size=nvars), min_size=1, max_size=2),
+        label="points",
+    )
+    assert fresh().subspace_vanishing_at(points) == want.subspace_vanishing_at(points)
 
 
 def test_complete_level_as_a_factor():
