@@ -272,10 +272,13 @@ def parse_surface(data, *, where: str = "surface"):
         raise InputError(f"{where}.point_multiplicities: expected an object")
     for key, value in raw.items():
         spot = f"{where}.point_multiplicities[{key!r}]"
+        # one spelling per index, so that no two keys name the same curve
         try:
             idx = int(key)
         except ValueError:
-            raise InputError(f"{spot}: key must be a curve index") from None
+            idx = None
+        if idx is None or key != str(idx):
+            raise InputError(f"{spot}: key must be a curve index in plain decimal")
         if not 0 <= idx < len(curves):
             raise InputError(f"{spot}: curve index out of range")
         mults[lattice.negative_curves[idx]] = _int_field(value, spot, 1)

@@ -274,34 +274,35 @@ def mu(lattice: SurfaceLattice, D: Sequence, C: Sequence) -> Fraction:
     """
     D = _vec(D, lattice.rank, "divisor")
     C = _vec(C, lattice.rank, "flag curve")
-    return _threshold(lattice, zariski(lattice, D), C)[0]
+    return _threshold(lattice, D, C)[1]
 
 
 def _threshold(
-    lattice: SurfaceLattice, dec: ZariskiDecomposition, C: Vec
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """mu of the divisor D of a Zariski decomposition, whose positive part
-    shows whether D is big, with two cone witnesses: weights y on the
-    effective generators with D = y + mu C, and weights z with C = z.  For
-    0 <= t <= mu, y + (mu - t) z then combines to D - tC."""
+    lattice: SurfaceLattice, D: Vec, C: Vec
+) -> tuple[ZariskiDecomposition, Fraction, list[Fraction], list[Fraction]]:
+    """(decomposition of D, mu, y, z) with D = y + mu C and C = z on the
+    effective generators, by two LPs: the mu LP, feasible exactly when D is
+    pseudo-effective, whose y + mu z certifies D to its decomposition, and
+    the LP for C.  For 0 <= t <= mu, y + (mu - t) z combines to D - tC."""
+    gens = lattice.effective_generators
+    # columns: one multiplier per generator, then t; rows: class equality
+    A = [[g[r] for g in gens] + [C[r]] for r in range(lattice.rank)]
+    c = [Fraction(0)] * len(gens) + [Fraction(1)]
+    status, x, value = maximize(A, list(D), c)
+    if status == "infeasible":
+        raise InputError("zariski: divisor is not pseudo-effective")
+    z = in_cone(gens, C)
+    witness = None  # only on error paths: zariski runs its LP and raises first
+    if status == "optimal" and z is not None:
+        witness = [a + value * b for a, b in zip(x, z)]
+    dec = zariski(lattice, D, witness)
     if lattice.dot(dec.positive, dec.positive) <= 0:
         raise InputError("mu: divisor is not big")
-    gens = lattice.effective_generators
-    z = in_cone(gens, C)
     if z is None:
         raise InputError("mu: flag curve is not an effective class")
-    # columns: one multiplier per generator, then t; rows: class equality
-    A = [
-        [g[r] for g in gens] + [C[r]]
-        for r in range(lattice.rank)
-    ]
-    c = [Fraction(0)] * len(gens) + [Fraction(1)]
-    status, x, value = maximize(A, list(dec.divisor), c)
     if status == "unbounded":
         raise InputError("mu: effective threshold unbounded; degenerate cone data")
-    if status != "optimal":
-        raise InvariantError("mu: threshold LP infeasible for an effective class")
-    return value, x[: len(gens)], z
+    return dec, value, x[: len(gens)], z
 
 
 class Segment(NamedTuple):
@@ -434,10 +435,16 @@ def surface_body(
             mults[hits[0]] = int(m)
             if m:
                 echo.append((k, int(m)))
+    # C is an irreducible curve: a listed curve G != C with G . C < 0 would
+    # be a component of C
+    if any(c != C and lattice.dot(c, C) < 0 for c in curves):
+        raise InputError(
+            "surface body: flag curve meets a listed curve G negatively, so G "
+            "is a component of it; the flag curve must be irreducible"
+        )
     # one decomposition of D serves the bigness check of mu, the start of
     # the continuation and the body's record of it
-    start = zariski(lattice, D)
-    mu_value, y, z = _threshold(lattice, start, C)
+    start, mu_value, y, z = _threshold(lattice, D, C)
 
     supp = sorted(
         i for i, c in enumerate(curves) if start.multiplicity(c) > 0

@@ -36,6 +36,12 @@ check of that.
 `fraction_dot` is the intersection product as `SurfaceLattice.dot`
 computed it before it cleared classes to integers: Fraction arithmetic
 term by term.
+
+`reference_threshold` is how `surfacezar` started `mu` and `surface_body`
+before the mu LP certified D: a decomposition of D that decides
+pseudo-effectivity by its own LP, then the bigness check, the LP for C and
+the mu LP, three LPs in all.  It has the signature of
+`surfacezar._threshold`, so a test can put it in that function's place.
 """
 
 from __future__ import annotations
@@ -53,11 +59,14 @@ from okbody.exactnum import (
     echelon_add,
     feasible_nonneg,
     hermite_normal_form,
+    in_cone,
     integer_row,
+    maximize,
     rref_rows,
 )
 from okbody import polyform
 from okbody.polyform import HomogeneousForm
+from okbody.surfacezar import zariski
 
 Point = tuple[Fraction, ...]
 
@@ -131,6 +140,26 @@ def fraction_dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence) -> Fra
         for j, y in enumerate(b):
             total += Fraction(x) * gram[i][j] * Fraction(y)
     return total
+
+
+def reference_threshold(lattice, D, C):
+    """(decomposition of D, mu, y, z) with D = y + mu C and C = z on the
+    effective generators, by the start order of three LPs."""
+    dec = zariski(lattice, D)
+    if lattice.dot(dec.positive, dec.positive) <= 0:
+        raise InputError("mu: divisor is not big")
+    gens = lattice.effective_generators
+    z = in_cone(gens, C)
+    if z is None:
+        raise InputError("mu: flag curve is not an effective class")
+    A = [[g[r] for g in gens] + [C[r]] for r in range(lattice.rank)]
+    c = [Fraction(0)] * len(gens) + [Fraction(1)]
+    status, x, value = maximize(A, list(dec.divisor), c)
+    if status == "unbounded":
+        raise InputError("mu: effective threshold unbounded; degenerate cone data")
+    if status != "optimal":
+        raise InvariantError("mu: threshold LP infeasible for an effective class")
+    return dec, value, x[: len(gens)], z
 
 
 # ---------------------------------------------------------------------------

@@ -705,6 +705,43 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert "exceeds G . C" in err
 
+    def test_reducible_flag_curve(self, capsys, tmp_path):
+        # Bl1P2: C = H + E meets E negatively, so E is a component of C;
+        # the continuation used to abort with exit 4
+        data = {
+            "rank": 2,
+            "gram": [[1, 0], [0, -1]],
+            "negative_curves": [[0, 1]],
+            "effective_generators": [[0, 1], [1, -1]],
+            "D": [4, 3],
+            "C": [1, 1],
+        }
+        path = tmp_path / "reducible.surface.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = invoke(capsys, "surface", str(path))
+        assert rc == 2 and out == ""
+        assert "flag curve must be irreducible" in err
+
+    @pytest.mark.parametrize(
+        "mults, key",
+        [
+            ({"00": 1}, "00"),
+            ({" 0": 1}, " 0"),
+            ({"0_0": 1}, "0_0"),
+            ({"-0": 1}, "-0"),
+            ({"0": 1, "00": 1}, "00"),
+        ],
+    )
+    def test_point_multiplicity_key_spelling(self, capsys, tmp_path, mults, key):
+        # int() reads each of these keys as curve 0; only "0" names it
+        data = json.loads((CORPUS / "blowup_cubic.surface.json").read_text())
+        data["point_multiplicities"] = mults
+        path = tmp_path / "key.surface.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = invoke(capsys, "surface", str(path))
+        assert rc == 2 and out == ""
+        assert f"[{key!r}]: key must be a curve index" in err
+
     def test_repeated_negative_curve(self, capsys, tmp_path):
         data = {
             "rank": 2,

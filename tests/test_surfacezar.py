@@ -1,5 +1,6 @@
 """Tests for Zariski decompositions and piecewise linear surface bodies."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from okbody import cli, exactnum, surfacezar
 from okbody.convbody import RationalPolytope, okounkov_body
-from okbody.errors import InputError
+from okbody.errors import InputError, OkbodyError
 from okbody.exactnum import det
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
@@ -25,7 +26,7 @@ from okbody.surfacezar import (
     volume,
     zariski,
 )
-from oracles import fraction_dot, solve_rational_system
+from oracles import fraction_dot, reference_threshold, solve_rational_system
 
 F = Fraction
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -38,10 +39,14 @@ def p2():
     return SurfaceLattice([[1]], [], [(1,)])
 
 
-@pytest.fixture
-def blowup():
+def bl1():
     # one-point blow-up: basis H, E with E the exceptional curve
     return SurfaceLattice([[1, 0], [0, -1]], [E], [(1, -1), (0, 1)])
+
+
+@pytest.fixture
+def blowup():
+    return bl1()
 
 
 @pytest.fixture
@@ -298,6 +303,35 @@ class TestMu:
         with pytest.raises(InputError, match="effective"):
             mu(blowup, (2, 0), (0, -1))
 
+    def test_two_lps(self, blowup, monkeypatch):
+        # the mu LP and the LP for C; the mu LP's weights certify D to its
+        # decomposition
+        calls = []
+        original = exactnum.maximize
+        monkeypatch.setattr(
+            exactnum, "maximize", lambda *args: calls.append(1) or original(*args)
+        )
+        monkeypatch.setattr(surfacezar, "maximize", exactnum.maximize)
+        assert mu(blowup, (3, -1), (1, -1)) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "D, C, message",
+        [
+            # the mu LP is unbounded along C = -E, yet D is not
+            # pseudo-effective
+            ((2, -3), (0, -1), "zariski: divisor is not pseudo-effective"),
+            ((-1, 0), (1, 0), "zariski: divisor is not pseudo-effective"),
+            ((1, -1), (0, -1), "mu: divisor is not big"),
+            ((2, 0), (0, -1), "mu: flag curve is not an effective class"),
+            ((2, 0), (0, 0), "mu: effective threshold unbounded"),
+        ],
+    )
+    def test_error_precedence(self, blowup, D, C, message):
+        for start in (mu, surface_body):
+            with pytest.raises(InputError, match=message):
+                start(blowup, D, C)
+
     def test_threshold_witnesses_cover_the_segment(self, blowup, chain):
         # D = y + mu C and C = z on the generators, so y + (mu - t) z is a
         # nonnegative weighting of D - tC for every t in [0, mu]
@@ -308,7 +342,8 @@ class TestMu:
             (chain, (3, 0, -1), (1, -1, -1)),
         ]:
             D, C = tuple(map(F, D)), tuple(map(F, C))
-            value, y, z = _threshold(lattice, zariski(lattice, D), C)
+            dec, value, y, z = _threshold(lattice, D, C)
+            assert dec == zariski(lattice, D)
             assert value == mu(lattice, D, C)
             for t in (F(0), value / 3, value / 2, value):
                 w = [a + (value - t) * b for a, b in zip(y, z)]
@@ -316,13 +351,103 @@ class TestMu:
                 assert lattice._combines_to(w, target)
 
 
+def meets_curve_contract(lattice, C):
+    """Whether C meets no listed curve G != C negatively, as an
+    irreducible flag curve must."""
+    C = tuple(map(F, C))
+    return all(c == C or lattice.dot(c, C) >= 0 for c in lattice.negative_curves)
+
+
+def seeded_pair(rng, lattices):
+    """A seeded (lattice, D, C, point multiplicities): D is big half the
+    time and otherwise a small class that may leave the cone; C is an
+    effective generator, H, H - E1, zero or a small class."""
+    lattice = rng.choice(lattices)
+    n, curves, gens = lattice.rank, lattice.negative_curves, lattice.effective_generators
+    if rng.random() < 0.5:
+        # a positive multiple of H plus an effective class is big
+        weights = [rng.randint(0, 2) for _ in gens]
+        D = tuple(
+            rng.randint(0, 3) * (i == 0) + sum(w * g[i] for w, g in zip(weights, gens))
+            for i in range(n)
+        )
+    else:
+        D = tuple(rng.randint(-2, 5) if i == 0 else rng.randint(-3, 2) for i in range(n))
+    H, H_E1, zero = (1,) + (0,) * (n - 1), (1, -1) + (0,) * (n - 2), (0,) * n
+    small = tuple(rng.randint(-1, 2) for _ in range(n))
+    C = rng.choice(list(gens) + [H, H_E1, zero, small])
+    # a local intersection number at x is at most G . C
+    mults = {
+        c: rng.randint(0, max(0, int(lattice.dot(c, C))))
+        for c in rng.sample(curves, rng.randint(0, len(curves)))
+        if c != C
+    }
+    return lattice, D, C, mults
+
+
+class TestStartMatchesReference:
+    def test_seeded_pairs(self, monkeypatch):
+        """On 600 seeded (D, C) pairs over Bl_r P^2, r = 1..4, `mu`, and
+        `surface_body` where C meets the flag-curve contract, agree with
+        the three-LP start of the oracle: the same threshold, segments and
+        decomposition, or the same error."""
+
+        def outcome(run):
+            try:
+                return run()
+            except OkbodyError as e:
+                return type(e), str(e)
+
+        def body_of(lattice, D, C, mults):
+            body = surface_body(lattice, D, C, mults)
+            return body.mu, body.segments, body.decomposition
+
+        rng = random.Random(1811)
+        lattices = [bl1()] + [blowup_plane(r) for r in (2, 3, 4)]
+        kinds = set()
+        refused = 0
+        for _ in range(600):
+            lattice, D, C, mults = seeded_pair(rng, lattices)
+            runs = [lambda: mu(lattice, D, C)]
+            if meets_curve_contract(lattice, C):
+                runs.append(lambda: body_of(lattice, D, C, mults))
+            else:
+                with pytest.raises(InputError, match="must be irreducible"):
+                    surface_body(lattice, D, C)
+                refused += 1
+            got = [outcome(run) for run in runs]
+            # the reference start runs once per pair and serves both callers
+            try:
+                start = reference_threshold(lattice, tuple(map(F, D)), tuple(map(F, C)))
+            except OkbodyError as e:
+                start = e
+
+            def reference(*args):
+                if isinstance(start, OkbodyError):
+                    raise start
+                return start
+
+            with monkeypatch.context() as m:
+                m.setattr(surfacezar, "_threshold", reference)
+                assert got == [outcome(run) for run in runs], (D, C, mults)
+            kinds.add("value" if isinstance(got[0], F) else got[0][1].split(";")[0])
+        assert kinds == {
+            "value",
+            "zariski: divisor is not pseudo-effective",
+            "mu: divisor is not big",
+            "mu: flag curve is not an effective class",
+            "mu: effective threshold unbounded",
+        }
+        assert refused
+
+
 class TestSurfaceBody:
     def test_cross_checks_run_no_lp(self, capsys, monkeypatch):
-        # one LP each for D in the cone, C in the cone and mu; each
-        # segment's cross-check verifies the cone witnesses of mu instead
-        # of running its own LP (5 calls when it did)
-        calls = []
-        original = exactnum.maximize
+        # one LP for mu, whose weights certify D, and one for C in the
+        # cone; each segment's cross-check verifies the cone witnesses of
+        # mu instead of running its own LP
+        calls, cones = [], []
+        original, original_cone = exactnum.maximize, exactnum.in_cone
 
         def counted(*args):
             calls.append(1)
@@ -331,10 +456,14 @@ class TestSurfaceBody:
         for module in (exactnum, surfacezar):
             if getattr(module, "maximize", None) is original:
                 monkeypatch.setattr(module, "maximize", counted)
+        monkeypatch.setattr(
+            surfacezar, "in_cone", lambda *args: cones.append(1) or original_cone(*args)
+        )
         assert cli.main(["surface", str(CORPUS / "blowup_cubic.surface.json")]) == 0
         segments = json.loads(capsys.readouterr().out)["payload"]["segments"]
         assert len(segments) == 2
-        assert len(calls) == 3
+        assert len(calls) == 2
+        assert len(cones) == 1
 
     def test_surface_solves_each_support_once(self, capsys, solves):
         # two solves for the one nonempty support of the continuation and
@@ -497,18 +626,39 @@ class TestSurfaceBody:
         assert body.polytope() == rep.body
         assert body.area() == rep.body.volume()
 
-    def test_toric_cross_check_blowup(self, blowup):
-        # cubics through a point: degree-3 monomials vanishing at (1:0:0)
-        # generate the series of 3H - E; flag curve H avoids the point
-        exps = [
-            e for e in all_exponents(3, 3) if e[1] + e[2] >= 1
-        ]
-        gens = [HomogeneousForm.monomial(3, e) for e in exps]
-        S = GradedSeries.generated(2, 3, gens, label="cubics-through-point")
-        rep = okounkov_body(S, Flag.standard(2), 5)
-        body = surface_body(blowup, (3, -1), (1, 0))
-        assert body.polytope() == rep.body
-        assert body.area() == rep.body.volume()
+    def test_toric_cross_check_blowup(self):
+        """Bl1 P^2 at [1:0:0] and Bl2 P^2 at [1:0:0], [0:1:0] against the
+        lattice engine, for every big D = aH - sum b_i E_i with a <= 5 and
+        sum b_i <= a.  The sections of D are the degree-a monomials of
+        order >= b_i at the i-th point, and level 1 generates them.  The
+        flag curve is the line X1 = 0: H on Bl1, and H - E2 on Bl2, where
+        it passes through [0:1:0].  The point x is [0:0:1]; of the curves
+        through it, H - E1 on Bl2 is not a negative curve, so no point
+        multiplicity is given."""
+        # the order of a monomial at [1:0:0] and at [0:1:0]
+        orders = [lambda e: e[1] + e[2], lambda e: e[0] + e[2]]
+        cases = [(bl1(), (1, 0), 15), (blowup_plane(2), (1, 0, -1), 45)]
+        for lattice, C, count in cases:
+            r = lattice.rank - 1
+            done = 0
+            for a in range(1, 6):
+                # b_i < a keeps D big
+                for b in itertools.product(range(a), repeat=r):
+                    if sum(b) > a:
+                        continue
+                    gens = [
+                        HomogeneousForm.monomial(3, e)
+                        for e in all_exponents(3, a)
+                        if all(order(e) >= bi for order, bi in zip(orders, b))
+                    ]
+                    S = GradedSeries.generated(2, a, gens, label=f"Bl{r}")
+                    rep = okounkov_body(S, Flag.standard(2), 4)
+                    assert rep.certificate == "exact"
+                    body = surface_body(lattice, (a,) + tuple(-x for x in b), C)
+                    assert body.polytope() == rep.body, (r, a, b)
+                    assert body.area() == rep.body.volume()
+                    done += 1
+            assert done == count
 
 
 class TestClassification:
