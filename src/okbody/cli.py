@@ -150,7 +150,8 @@ def parse_series(data, *, where: str = "series") -> GradedSeries:
                 if exp in terms:
                     raise InputError(f"{slot}.exp: duplicate exponent {list(exp)}")
                 terms[exp] = Fraction(num, den)
-            forms.append(HomogeneousForm(d + 1, terms, k * twist))
+            # every exponent, degree and coefficient is checked above
+            forms.append(HomogeneousForm._of(d + 1, terms, k * twist))
         groups[k] = forms
 
     if not groups:
@@ -924,7 +925,63 @@ def run(args) -> tuple[str, str | None]:
         "seeds": seeds,
         "payload": payload,
     }
-    return json.dumps(envelope, indent=2, sort_keys=True) + "\n", svg
+    return dumps(envelope) + "\n", svg
+
+
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def dumps(value) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True) for the
+    values an envelope holds: dicts with string keys, lists, strings, ints,
+    bools and None.  With an indent, the json module leaves its C encoder
+    for a pure-Python one; this writer joins the same pieces directly."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the JSON text of value, whose lines start with pad."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"envelope: key {key!r} is not a string")
+            out += (sep, inner, _quote(key), ": ")
+            _write(value[key], inner, out)
+            sep = ","
+        out.append(pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        elif all(type(v) is str for v in value):
+            items = map(_quote, value)
+        else:
+            sep = "["
+            for v in value:
+                out += (sep, inner)
+                _write(v, inner, out)
+                sep = ","
+            out.append(pad + "]")
+            return
+        out += ("[", inner, ("," + inner).join(items), pad, "]")
+    else:
+        raise TypeError(f"envelope: cannot write a {type(value).__name__}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -25,7 +25,8 @@ body volumes match up.  The hull is triangulated in ambient coordinates,
 and each m-simplex is measured by the Smith factors of its m edge
 vectors: their product is the index of the edge lattice in the integer
 points of its span, m! times the simplex's volume there, in every
-dimension.
+dimension.  For a full-dimensional simplex that index is |det| of the
+edges, which one Hermite pass gives (`lattice_index`).
 """
 
 from __future__ import annotations
@@ -313,7 +314,10 @@ class RationalPolytope:
         total = 0
         for apex, *rest in _triangulate(ipts):
             edges = [[x - y for x, y in zip(w, apex)] for w in rest]
-            total += math.prod(smith_normal_form(edges))
+            if m == self.n:
+                total += lattice_index(edges, m)
+            else:
+                total += math.prod(smith_normal_form(edges))
         return Fraction(total, math.factorial(m) * den**m)
 
     # -- constructive operations ---------------------------------------------

@@ -12,7 +12,8 @@ levels with the generator spans, found by subduction.  A view knows the
 level's dimension from its parent, so it stops as soon as the products'
 leads reach it, most often without any reduction.  The products it keeps
 stay pending (`FormSpan.subducted`): the valuation sets are their leads,
-and only a reduction or a reader of the terms multiplies one out.
+and only a reduction or a reader of the terms multiplies one out.  A flag
+view maps its generators by one integer substitution per generator level.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError, InvariantError, TruncationError
 from .flagval import Flag, ValueSemigroup, valuation_set
-from .polyform import FormSpan, HomogeneousForm, all_exponents
+from .polyform import (
+    FormSpan,
+    HomogeneousForm,
+    all_exponents,
+    integer_lines,
+    substitute_forms,
+)
 
 Provider = Callable[["GradedSeries", int], FormSpan]
 
@@ -226,24 +233,25 @@ class GradedSeries:
         generators, the change of flag is a ring map, so the view is
         generated by the transformed generators and its level k is built
         on the path of `generated` (`_generated_level`), with the parent
-        level's dimension to stop and cross-check the subduction.  Other
-        series transform each parent level."""
+        level's dimension to stop and cross-check the subduction.  The
+        generators of each level go through one integer substitution
+        (`substitute_forms`, the flag's lines scaled to integers once per
+        view), which gives both their span and the exact transformed forms,
+        with no form re-validated.  Other series transform each parent
+        level."""
         if flag.d != self.d:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
             return self
         tgens = gspans = None
         if self.generators is not None:
-            tgens = {
-                j: tuple(
-                    g.substitute_linear(flag.substitution) for g in forms
-                )
+            lines, den = integer_lines(flag.substitution)
+            images = {
+                j: substitute_forms(forms, lines, den)
                 for j, forms in self.generators.items()
             }
-            gspans = {
-                j: FormSpan(self.d + 1, j * self.twist, forms)
-                for j, forms in sorted(tgens.items())
-            }
+            tgens = {j: forms for j, (forms, _) in images.items()}
+            gspans = {j: images[j][1] for j in sorted(images)}
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
             span = self.level(k)

@@ -13,7 +13,9 @@ multiplies it out once, when a reduction or a reader needs the terms.  The
 canonical basis, the reduced row echelon form over ascending lex exponent
 columns, is computed only when `basis` or `==` reads it.  Forms are built
 only at the edges (input, `basis`), and linear substitution maps every row
-through one table of monomial images.
+through one table of monomial images: `substitute_forms` maps a list of
+forms as primitive integer rows under integer lines, and gives their span
+and their exact images from the same rows.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ class HomogeneousForm:
             return self
         lines = [[Fraction(v) for v in row] for row in matrix]
         (terms,) = _substitute([self.terms], lines, self.degree)
-        return HomogeneousForm(n, terms, self.degree)
+        return HomogeneousForm._of(n, terms, self.degree)
 
     def set_variable_zero(self, i: int) -> HomogeneousForm:
         """Restrict to the hyperplane where variable i vanishes; the variable
@@ -313,6 +315,13 @@ def _substitute(
                     total[i] += c * v
         out.append({exps[i]: v for i, v in enumerate(total) if v})
     return out
+
+
+def integer_lines(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The matrix scaled to integer lines by the lcm of its denominators,
+    and that lcm."""
+    den = math.lcm(*(Fraction(v).denominator for r in matrix for v in r))
+    return [[int(Fraction(v) * den) for v in r] for r in matrix], den
 
 
 def _primitive(row: dict) -> dict[Exponent, int]:
@@ -586,8 +595,7 @@ class FormSpan:
     def transformed(self, matrix: Sequence[Sequence[Fraction]]) -> FormSpan:
         """The span under X -> M Y.  M is first scaled to integers by the
         lcm of its denominators: f(c M y) = c^D f(M y) spans the same."""
-        den = math.lcm(*(Fraction(v).denominator for r in matrix for v in r))
-        lines = [[int(Fraction(v) * den) for v in r] for r in matrix]
+        lines, _ = integer_lines(matrix)
         rows = _substitute(self._term_rows(), lines, self.degree)
         return self._of(self.nvars, self.degree, _insert({}, rows))
 
@@ -661,3 +669,23 @@ class FormSpan:
     def __repr__(self) -> str:
         shape = f"nvars={self.nvars}, degree={self.degree}, dim={self.dim}"
         return f"FormSpan({shape})"
+
+
+def substitute_forms(
+    forms: Sequence[HomogeneousForm], lines: Sequence[Sequence[int]], den: int
+) -> tuple[tuple[HomogeneousForm, ...], FormSpan]:
+    """Nonzero forms of one shape under X -> M Y, with M = lines / den, and
+    their span, from one table of monomial images.  Each form enters as its
+    primitive integer row p, with f = c * p, so f(M y) is c / den^D times the
+    integer row p(lines y)."""
+    nvars, degree = forms[0].nvars, forms[0].degree
+    prims = [_primitive(f.terms) for f in forms]
+    rows = _substitute(prims, lines, degree)
+    images = []
+    for f, p, row in zip(forms, prims, rows):
+        lead = next(iter(p))
+        scale = f.terms[lead] / (p[lead] * den**degree)
+        images.append(
+            HomogeneousForm._of(nvars, {e: scale * v for e, v in row.items()}, degree)
+        )
+    return tuple(images), FormSpan._of(nvars, degree, _insert({}, rows))

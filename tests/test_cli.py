@@ -3,9 +3,12 @@ envelope determinism, exit codes, and drawing output."""
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbody import cli
 from okbody.cli import (
@@ -223,6 +226,26 @@ class TestSeriesSchema:
         data = {"ambient_dim": 2, "divisor_degree": 1, "generators": []}
         series = parse_series(data)
         assert [series.level(k).dim for k in (1, 2, 3)] == [0, 0, 0]
+
+    def test_forms_built_without_revalidation(self, monkeypatch):
+        """parse_series checks every term itself, so its forms skip the
+        validating constructor and equal the forms it would build."""
+        calls = []
+        init = HomogeneousForm.__init__
+        monkeypatch.setattr(
+            HomogeneousForm, "__init__", lambda self, *a: calls.append(a) or init(self, *a)
+        )
+        for path in sorted(CORPUS.glob("*.json")) + [None]:
+            if path is not None and ".surface." in path.name:
+                continue
+            data = base_series() if path is None else json.loads(path.read_text())
+            series = parse_series(data)
+            assert calls == []
+            for forms in (series.generators or {}).values():
+                for f in forms:
+                    assert f == HomogeneousForm(f.nvars, f.terms, f.degree)
+                    assert all(type(c) is Fraction for c in f.terms.values())
+            calls.clear()
 
     def test_rational_coefficients_kept(self):
         series = parse_series(base_series())
@@ -480,6 +503,32 @@ class TestDeterminismAndIO:
         )
         assert rc3 == rc4 == 0
         assert out3 == out4
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.integers(-(2**200), 2**200)
+            | st.text()
+            | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "\u00e9", "\u2028", "\U0001f600"]),
+            lambda inner: st.lists(inner)
+            | st.lists(st.integers())
+            | st.lists(st.text())
+            | st.dictionaries(st.text(), inner),
+            max_leaves=20,
+        )
+    )
+    def test_writer_matches_json_dumps(self, value):
+        assert cli.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, (1, 2), {1, 2}, {1: "a"}, [[Fraction(1, 2)]], {"a": b"x"}]
+    )
+    def test_writer_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            cli.dumps(value)
 
     @pytest.mark.parametrize("argv,envelope_sha,svg_sha", README_RUNS + CORPUS_RUNS)
     def test_readme_envelopes_pinned(self, capsys, tmp_path, argv, envelope_sha, svg_sha):

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from okbody import cli
+from okbody import cli, convbody
 from okbody.convbody import (
     RationalPolytope,
     okounkov_body,
     valuative_witness,
 )
 from okbody.errors import InputError, InvariantError
-from okbody.exactnum import lattice_index
+from okbody.exactnum import det, lattice_index, smith_normal_form
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm
@@ -225,6 +225,30 @@ class TestVolume:
         assert RationalPolytope.from_points([(5, 7)]).volume(ambient=True) == 0
         assert RationalPolytope.empty(2).volume() == 0
         assert RationalPolytope.from_points([()], 0).volume() == 1
+
+    def test_full_dimensional_simplex_kernel(self, monkeypatch):
+        """A full-dimensional simplex is measured by the lattice index of
+        its edges, which equals the product of their Smith factors; only
+        lower-dimensional bodies run the Smith form."""
+        rng = random.Random(413)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            edges = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if det(edges) == 0:
+                continue
+            assert lattice_index(edges, n) == math.prod(smith_normal_form(edges))
+            simplex = RationalPolytope.from_points([(0,) * n] + [tuple(e) for e in edges], n)
+            assert simplex.volume() == F(abs(det(edges)), math.factorial(n))
+        calls = []
+        monkeypatch.setattr(
+            convbody, "smith_normal_form", lambda m: calls.append(m) or smith_normal_form(m)
+        )
+        cube = [(a, b, c) for a in (0, 2) for b in (0, 1) for c in (0, 1)]
+        assert RationalPolytope.from_points(cube, 3).volume() == 2
+        assert calls == []
+        flat = [(x, y, x + y) for x, y, _ in cube]
+        assert RationalPolytope.from_points(flat, 3).volume() == 2
+        assert calls
 
     def test_scaling_law(self, triangle):
         rng = random.Random(411)

@@ -5,13 +5,19 @@ valuative witnesses and the restricted series of the slice identity.
 Views of series without generators, which transform each parent level
 themselves, are checked against the reference substitution and span.
 Every span reader also runs on a freshly built view level whose table
-still holds products not multiplied out, against the oracle's level."""
+still holds products not multiplied out, against the oracle's level.  A
+view's generators, mapped one generator level at a time, are checked
+against the reference substitution of each generator, and the
+substitutions a view makes are counted."""
 
+import sys
 from fractions import Fraction
+from random import Random
 
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from okbody import polyform
 from okbody.convbody import valuative_witness
 from okbody.exactnum import det
 from okbody.flagval import Flag
@@ -198,3 +204,101 @@ def test_views_of_series_without_generators():
             got = view.level(k)
             assert got.pivots == pivots  # read before the lazy reduced rows
             assert got.basis == basis
+
+
+def random_flag(rng, n: int, rational: bool) -> Flag:
+    """An invertible flag matrix, integer or with rational entries; most
+    have det != +-1, so their substitution has denominators."""
+    while True:
+        matrix = [
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)) if rational else 1)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if det(matrix) != 0:
+            return Flag(matrix)
+
+
+def random_form(rng, nvars: int, degree: int, rational: bool) -> HomogeneousForm:
+    exps = list(all_exponents(nvars, degree))
+    terms = {}
+    for e in rng.sample(exps, min(len(exps), rng.randint(1, 3))):
+        num = rng.choice((-6, -2, -1, 1, 2, 4, 6))  # contents other than 1 too
+        terms[e] = Fraction(num, rng.choice((1, 2, 3, 5)) if rational else 1)
+    return HomogeneousForm(nvars, terms, degree)
+
+
+def test_view_generators_match_per_generator_substitution():
+    """A view maps each generator level by one integer substitution; its
+    generators equal the reference substitution of each generator under
+    the flag, exactly and with Fraction coefficients, and its levels those
+    of the series generated by them."""
+    rng = Random(19)
+    seen = set()
+    for case in range(80):
+        d = rng.randint(1, 3)
+        twist = rng.randint(1, 1 if d == 3 else 2)
+        rational_flag, rational_gens = case % 2 == 1, case % 4 >= 2
+        gens = {1: [random_form(rng, d + 1, twist, rational_gens) for _ in range(rng.randint(1, 3))]}
+        if case % 8 >= 4:
+            gens[2] = [random_form(rng, d + 1, 2 * twist, rational_gens) for _ in range(2)]
+        series = GradedSeries.generated(d, twist, gens)
+        flag = random_flag(rng, d + 1, rational_flag)
+        view = series.under_flag(flag)
+        want = {
+            j: tuple(reference_substitute_linear(g, flag.substitution) for g in forms)
+            for j, forms in gens.items()
+        }
+        assert view.generators == want
+        assert all(
+            type(c) is Fraction for forms in view.generators.values() for g in forms
+            for c in g.terms.values()
+        )
+        reference = GradedSeries.generated(d, twist, want)
+        for k in range(1, 4 if d < 3 else 3):
+            got = view.level(k)
+            assert got.pivots == reference.level(k).pivots
+            assert got == reference.level(k)
+        den = max(v.denominator for row in flag.substitution for v in row)
+        seen.add((den > 1, len(gens), rational_flag, rational_gens))
+    # integer flags with and without denominators in their inverse, rational
+    # flags, rational generators, and generators at levels 1 and 2
+    assert {(True, 2, False, True), (True, 2, True, False)} <= seen
+    assert {den for den, *_ in seen} == {False, True}
+
+
+def test_view_substitutes_once_per_generator_level(monkeypatch):
+    """Building a view makes one `_substitute` call per generator level and
+    builds no form through the validating constructor."""
+    calls = {"_substitute": 0, "__init__": 0}
+    original = polyform._substitute
+
+    def substitute(*args):
+        calls["_substitute"] += 1
+        return original(*args)
+
+    for mod in [m for name, m in list(sys.modules.items()) if name.startswith("okbody")]:
+        if getattr(mod, "_substitute", None) is original:
+            monkeypatch.setattr(mod, "_substitute", substitute)
+    init = HomogeneousForm.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["__init__"] += 1
+        init(self, *args, **kwargs)
+
+    rng = Random(20)
+    gens = {
+        1: [random_form(rng, 3, 1, True) for _ in range(3)],
+        2: [random_form(rng, 3, 2, True) for _ in range(2)],
+        3: [random_form(rng, 3, 3, False)],
+    }
+    series = GradedSeries.generated(2, 1, gens)
+    monkeypatch.setattr(HomogeneousForm, "__init__", counted_init)
+    view = series.under_flag(random_flag(rng, 3, True))
+    assert calls == {"_substitute": 3, "__init__": 0}
+    assert [len(view.generators[j]) for j in (1, 2, 3)] == [3, 2, 1]
+    # positive controls: each form substituted alone is one more table, and
+    # the validating constructor is counted
+    gens[1][0].substitute_linear(Flag.random(2, 1).substitution)
+    HomogeneousForm.variable(3, 0)
+    assert calls == {"_substitute": 4, "__init__": 1}
