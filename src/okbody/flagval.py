@@ -11,14 +11,16 @@ at the flag point) variable dehomogenized away.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import InputError
-from .exactnum import det, rref_rows
-from .polyform import FormSpan, HomogeneousForm
+from .exactnum import det
+from .polyform import FormSpan, HomogeneousForm, integer_lines
 
 Vector = tuple[int, ...]
 
@@ -34,34 +36,68 @@ def _totally_generic(rows: list[list[Fraction]]) -> bool:
     return True
 
 
-def _invert(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    n = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    red, piv = rref_rows(aug)
-    if piv != list(range(n)):
-        return None
-    return [row[n:] for row in red]
+def _inverse_lines(lines: list[list[int]]) -> tuple[list[list[int]], int] | None:
+    """The inverse of an integer matrix as integer lines over one positive
+    denominator, in lowest terms, or None if it is singular.  Fraction-free
+    (Bareiss) Gauss-Jordan elimination on [M | I]: after each step every
+    entry is a minor of the augmented matrix, so the division by the
+    previous pivot is exact, and it ends at [d I | d M^-1] with d = +-det M."""
+    n = len(lines)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(lines)]
+    prev = 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if rows[r][k]), None)
+        if r is None:
+            return None
+        rows[k], rows[r] = rows[r], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pivot * v - f * w) // prev for v, w in zip(row, pivot_row)]
+        prev = pivot
+    g = math.gcd(prev, *(v for row in rows for v in row[n:]))
+    if prev < 0:
+        g = -g
+    return [[v // g for v in row[n:]] for row in rows], prev // g
 
 
 class Flag:
-    """A complete flag of linear subspaces, hashable and immutable."""
+    """A complete flag of linear subspaces, hashable and immutable.
 
-    __slots__ = ("d", "matrix", "substitution")
+    `lines, den` is the inverse of `matrix` as integer lines over the lcm
+    of its denominators (what `polyform.integer_lines` gives), from one
+    integer elimination; `substitution`, the same inverse in Fractions
+    (X = substitution * Y), is built when first read."""
+
+    __slots__ = ("d", "matrix", "lines", "den", "_substitution")
 
     def __init__(self, matrix: Sequence[Sequence[Fraction]]):
         n = len(matrix)
         if n < 2 or any(len(row) != n for row in matrix):
             raise InputError("flag: matrix must be square, size >= 2")
         rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-        inv = _invert(rows)
+        scaled, scale = integer_lines(rows)
+        inv = _inverse_lines(scaled)
         if inv is None:
             raise InputError("flag: matrix is singular")
+        # (scale * M)^-1 = lines / den, so M^-1 = scale * lines / den
+        lines, den = inv
+        g = math.gcd(scale, den)
         self.d = n - 1
         self.matrix = rows
-        self.substitution = tuple(tuple(row) for row in inv)
+        self.lines = tuple(tuple(v * (scale // g) for v in row) for row in lines)
+        self.den = den // g
+        self._substitution = None
+
+    @property
+    def substitution(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._substitution is None:
+            self._substitution = tuple(
+                tuple(Fraction(v, self.den) for v in row) for row in self.lines
+            )
+        return self._substitution
 
     @classmethod
     @functools.cache
@@ -181,15 +217,23 @@ class ValueSemigroup:
         """Value points less each (v, k) with v - g in level k - j for a kept
         (g, j), 2j <= k: v / k lies between g / j and (v - g) / (k - j), so
         the kept points span the hull of all.  When value sets add, every
-        sum (u, j) + (w, k - j), 2j <= k, splits off a kept point and drops."""
+        sum (u, j) + (w, k - j), 2j <= k, splits off a kept point and drops.
+        Only kept points of levels j <= k / 2 filter level k, and those
+        levels are done before level k starts, so a level is filtered as a
+        whole, one kept point at a time, by one set lookup per point still
+        in it; the kept list and its order are those of a point-by-point
+        scan."""
         sets = {k: set(vs) for k, vs in self.levels.items()}
         kept: list[tuple[Vector, int]] = []
-        for v, k in self.points():
-            if not any(
-                2 * j <= k and tuple(x - y for x, y in zip(v, g)) in sets.get(k - j, ())
-                for g, j in kept
-            ):
-                kept.append((v, k))
+        for k in sorted(self.levels):
+            rest = self.levels[k]
+            for g, j in kept:
+                if 2 * j > k or not rest:
+                    break
+                lower = sets.get(k - j)
+                if lower:
+                    rest = [v for v in rest if tuple(map(sub, v, g)) not in lower]
+            kept.extend((v, k) for v in rest)
         return kept
 
     def cone_points(self) -> list[tuple[int, ...]]:

@@ -28,7 +28,6 @@ from .polyform import (
     FormSpan,
     HomogeneousForm,
     all_exponents,
-    integer_lines,
     substitute_forms,
 )
 
@@ -235,19 +234,17 @@ class GradedSeries:
         on the path of `generated` (`_generated_level`), with the parent
         level's dimension to stop and cross-check the subduction.  The
         generators of each level go through one integer substitution
-        (`substitute_forms`, the flag's lines scaled to integers once per
-        view), which gives both their span and the exact transformed forms,
-        with no form re-validated.  Other series transform each parent
-        level."""
+        (`substitute_forms`, under the flag's integer lines), which gives
+        both their span and the exact transformed forms, with no form
+        re-validated.  Other series transform each parent level."""
         if flag.d != self.d:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
             return self
         tgens = gspans = None
         if self.generators is not None:
-            lines, den = integer_lines(flag.substitution)
             images = {
-                j: substitute_forms(forms, lines, den)
+                j: substitute_forms(forms, flag.lines, flag.den)
                 for j, forms in self.generators.items()
             }
             tgens = {j: forms for j, (forms, _) in images.items()}

@@ -9,20 +9,25 @@ rows through one insertion reducer; lex order is a monomial order, so leads
 of products add and shifts and cuts by the first variable keep leads apart
 without any reduction.  A row of a span of products may be kept as the
 pending product of two rows, its lead known without its terms; `_terms`
-multiplies it out once, when a reduction or a reader needs the terms.  The
-canonical basis, the reduced row echelon form over ascending lex exponent
-columns, is computed only when `basis` or `==` reads it.  Forms are built
-only at the edges (input, `basis`), and linear substitution maps every row
-through one table of monomial images: `substitute_forms` maps a list of
-forms as primitive integer rows under integer lines, and gives their span
-and their exact images from the same rows.
+multiplies it out once, when a reduction or a reader needs the terms, and
+the product keeps its factors.  So the leaf rows a product rests on stay
+known, and a subduction never reduces a product that only regroups the
+leaves of the product already at its lead.  A power of the first
+variable divides a product factor by factor, and setting that variable to
+zero is a ring map: both keep pending products pending.  The canonical
+basis, the reduced row echelon form over ascending lex exponent columns, is
+computed only when `basis` or `==` reads it.  Forms are built only at the
+edges (input, `basis`), and linear substitution maps every row through one
+table of monomial images: `substitute_forms` maps a list of forms as
+primitive integer rows under integer lines, and gives their span and their
+exact images from the same rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError
@@ -320,8 +325,9 @@ def _substitute(
 def integer_lines(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """The matrix scaled to integer lines by the lcm of its denominators,
     and that lcm."""
-    den = math.lcm(*(Fraction(v).denominator for r in matrix for v in r))
-    return [[int(Fraction(v) * den) for v in r] for r in matrix], den
+    rows = [[Fraction(v) for v in r] for r in matrix]
+    den = math.lcm(*(v.denominator for r in rows for v in r))
+    return [[v.numerator * (den // v.denominator) for v in r] for r in rows], den
 
 
 def _primitive(row: dict) -> dict[Exponent, int]:
@@ -336,8 +342,8 @@ def _content_free(row: dict[Exponent, int]) -> dict[Exponent, int]:
 
 
 class _Product:
-    """A table row kept as the pending product of two table values, until
-    `_terms` multiplies it out."""
+    """A table row kept as the pending product of two table values; `_terms`
+    sets `row` when it multiplies it out, and the factors stay."""
 
     __slots__ = ("factors", "row")
 
@@ -349,8 +355,9 @@ class _Product:
 def _terms(value) -> dict:
     """The term row of a table value: the row itself, or a pending product
     multiplied out once, after the pending factors it rests on.  The row is
-    cached in the product and the factors are dropped.  An explicit stack
-    does the work, as a level-K row rests on K levels of products."""
+    cached in the product, which keeps its factors: they are rows of
+    cached spans, and `_leaves` walks them.  An explicit stack does the
+    work, as a level-K row rests on K levels of products."""
     if type(value) is dict:
         return value
     stack = [value]
@@ -365,14 +372,116 @@ def _terms(value) -> dict:
             continue
         stack.pop()
         a, b = (f if type(f) is dict else f.row for f in top.factors)
-        top.row, top.factors = _mul_terms(a, b), None
+        top.row = _mul_terms(a, b)
     return value.row
 
 
-def _mono(value) -> bool:
-    """Whether a table value is a one-term row.  A pending product never
-    is: a product has one term exactly when both factors do."""
-    return type(value) is dict and len(value) == 1
+def _leaves(values) -> list[int]:
+    """The ids of the leaf rows (plain term rows) that the table values
+    rest on, walking down the factors of products, in ascending order: a
+    multiset of rows compared by identity."""
+    out, stack = [], list(values)
+    while stack:
+        value = stack.pop()
+        if type(value) is dict:
+            out.append(id(value))
+        else:
+            stack.extend(value.factors)
+    out.sort()
+    return out
+
+
+def _reordered(first, a, b) -> bool:
+    """Whether the product a * b rests on the same leaf rows as the
+    product first, so that it is first with its factors grouped in
+    another order, and reduces to zero against it."""
+    return type(first) is not dict and _leaves(first.factors) == _leaves((a, b))
+
+
+def _pack(exponent: Exponent, weights: Sequence[int]) -> int:
+    """The exponent as one integer in base b, with weights b^(n-1), ...,
+    b, 1: the first entry is most significant.  For entries below b,
+    integer order is lex order, and the key of a sum whose entries stay
+    below b is the sum of the keys."""
+    return sum(map(mul, exponent, weights))
+
+
+def _fold(value, leaf, node, memo: dict):
+    """A table value folded over the factors of its pending products: leaf
+    maps a term row (a row, or a product already multiplied out), and node
+    combines the results for the two factors of a pending product.  memo
+    (id -> result) shares the results for shared factors within one
+    operation; an explicit stack walks the factors."""
+    stack = [value]
+    while stack:
+        top = stack[-1]
+        if id(top) in memo:
+            stack.pop()
+        elif type(top) is dict or top.row is not None:
+            memo[id(top)] = leaf(_terms(top))
+            stack.pop()
+        else:
+            waiting = [f for f in top.factors if id(f) not in memo]
+            if waiting:
+                stack.extend(waiting)
+            else:
+                stack.pop()
+                memo[id(top)] = node(*(memo[id(f)] for f in top.factors))
+    return memo[id(value)]
+
+
+def _first_order(row: dict) -> int:
+    """The order of a term row in the first variable: the first exponent of
+    its lead.  The order of a product is the sum over its factors."""
+    return min(row)[0]
+
+
+def _cut_first(row: dict) -> dict:
+    """A term row under X1 -> 0, the first variable dropped, made primitive."""
+    return _content_free({e[1:]: c for e, c in row.items() if e[0] == 0})
+
+
+def _divided_first(value, power: int, orders: dict, quotients: dict):
+    """A table value divided by X1^power, which divides it.  A row, or a
+    product already multiplied out, is shifted; a pending product a * b
+    stays pending, as (a / X1^i) * (b / X1^(power - i)) with i the lesser
+    of power and the order of a in X1.  orders (id -> order) and quotients
+    ((id, power) -> quotient) share the orders and quotients of shared
+    factors within one operation."""
+    stack = [(value, power)]
+    while stack:
+        top, m = stack[-1]
+        if (id(top), m) in quotients:
+            stack.pop()
+        elif m == 0:
+            quotients[id(top), m] = top
+            stack.pop()
+        elif type(top) is dict or top.row is not None:
+            quotients[id(top), m] = {
+                _bump(e, 0, -m): c for e, c in _terms(top).items()
+            }
+            stack.pop()
+        else:
+            a, b = top.factors
+            i = min(m, _fold(a, _first_order, add, orders))
+            parts = (a, i), (b, m - i)
+            waiting = [(f, n) for f, n in parts if (id(f), n) not in quotients]
+            if waiting:
+                stack.extend(waiting)
+            else:
+                stack.pop()
+                quotients[id(top), m] = _Product(
+                    *(quotients[id(f), n] for f, n in parts)
+                )
+    return quotients[id(value), power]
+
+
+def _mono_coefficient(value, pivot):
+    """The coefficient of a table value that is a one-term row, at its
+    pivot, or None.  A pending product never is one: a product has one
+    term exactly when both factors do, and `subducted` writes such a
+    product down as a row."""
+    return value[pivot] if type(value) is dict and len(value) == 1 else None
 
 
 def _top_reduce(row: dict, table: dict) -> dict:
@@ -487,47 +596,66 @@ class FormSpan:
         (A, B), whose degrees add up to degree.
 
         Lex order is a monomial order, so the lead of a * b is the sum of
-        the leads.  One product per distinct lead sum goes into the table
-        unreduced and not multiplied out, as a pending product (a product
-        of two monomial rows is the monomial row {lead: ca * cb}); products
-        of primitive rows are primitive (Gauss), so the table holds
-        primitive integer rows.  The other products, largest lead first,
-        are multiplied out and top-reduced against the table, which
+        the leads.  Each pivot is packed once into an integer key in base
+        degree + 1 (`_pack`), where lead sums are key sums and lex order is
+        integer order.  One product per distinct lead sum goes into the
+        table unreduced and not multiplied out, as a pending product (a
+        product of two monomial rows is the monomial row {lead: ca * cb},
+        and a product with a constant is the other row, up to scale);
+        products of primitive rows are primitive (Gauss), so the table
+        holds primitive integer rows.  The other products, largest lead
+        first, are multiplied out and top-reduced against the table, which
         multiplies out each table row they reach: all of them when dim is
-        None, otherwise only until the table holds dim rows.  A product of
-        two monomials whose lead holds a product of two monomials is zero
-        after reduction, and is never queued.  With dim given, too many
-        distinct leads, or too few rows once the products run out, mean
-        that the products do not span a dim-dimensional space:
-        InvariantError."""
+        None, otherwise only until the table holds dim rows.  Two kinds of
+        product are zero after reduction and never reduced: a product of
+        two monomials whose lead holds a product of two monomials, never
+        queued, and a product that rests on the same leaf rows as the
+        pending product at its lead (`_reordered`), skipped when the loop
+        reaches it.  With dim given, too many distinct leads, or too few
+        rows once the products run out, mean that the products do not span
+        a dim-dimensional space: InvariantError."""
+        weights = [(degree + 1) ** i for i in reversed(range(nvars))]
         table: dict = {}
+        firsts: dict[int, object] = {}  # packed lead -> the table value there
         rest = []
         for A, B in factors:
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
-            rows_b = [(pb, rb, _mono(rb)) for pb, rb in B._rows.items()]
+            rows_b = [
+                (_pack(pb, weights), pb, rb, _mono_coefficient(rb, pb))
+                for pb, rb in B._rows.items()
+            ]
             for pa, ra in A._rows.items():
-                mono_a = _mono(ra)
-                for pb, rb, mono_b in rows_b:
-                    lead = tuple(map(add, pa, pb))
-                    first = table.get(lead)
+                ka, ca = _pack(pa, weights), _mono_coefficient(ra, pa)
+                for kb, pb, rb, cb in rows_b:
+                    key = ka + kb
+                    first = firsts.get(key)
                     if first is None:
-                        table[lead] = (
-                            {lead: ra[pa] * rb[pb]}
-                            if mono_a and mono_b
-                            else _Product(ra, rb)
-                        )
-                    elif not (mono_a and mono_b and _mono(first)):
-                        rest.append((lead, ra, rb))
+                        lead = tuple(map(add, pa, pb))
+                        if A.degree == 0 or B.degree == 0:
+                            # a constant factor: the other row, up to scale
+                            first = rb if A.degree == 0 else ra
+                        elif ca is None or cb is None:
+                            first = _Product(ra, rb)
+                        else:
+                            first = {lead: ca * cb}
+                        table[lead] = firsts[key] = first
+                    elif not (
+                        ca is not None and cb is not None
+                        and type(first) is dict and len(first) == 1
+                    ):
+                        rest.append((key, ra, rb))
         if dim is not None and len(table) > dim:
             raise InvariantError(
                 f"subduction: {len(table)} distinct leads exceed the "
                 f"dimension {dim}"
             )
-        rest.sort(key=lambda c: c[0], reverse=True)
-        for lead, ra, rb in rest:
+        rest.sort(key=itemgetter(0), reverse=True)
+        for key, ra, rb in rest:
             if len(table) == dim:
                 break
+            if _reordered(firsts[key], ra, rb):
+                continue
             row = _top_reduce(_mul_terms(_terms(ra), _terms(rb)), table)
             if row:
                 table[min(row)] = row
@@ -600,10 +728,22 @@ class FormSpan:
         return self._of(self.nvars, self.degree, _insert({}, rows))
 
     def restricted(self, var: int) -> FormSpan:
-        """The image under X_var -> 0, in one fewer variable.  For var 0
-        each row either vanishes or keeps its lead: no reduction runs."""
+        """The image under X_var -> 0, in one fewer variable.  For var 0 a
+        row whose lead has first exponent > 0 is divisible by X1 and
+        vanishes, and every other row keeps its lead, so no reduction runs;
+        restriction is a ring map, and a pending product of order 0 in X1
+        has factors of order 0, so it stays pending as the product of its
+        cut factors."""
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
+        if var == 0:
+            cuts: dict[int, object] = {}
+            table = {
+                p[1:]: _fold(row, _cut_first, _Product, cuts)
+                for p, row in self._rows.items()
+                if p[0] == 0
+            }
+            return self._of(self.nvars - 1, self.degree, table)
         rows = [
             {e[:var] + e[var + 1 :]: c for e, c in row.items() if e[var] == 0}
             for row in self._term_rows()
@@ -613,9 +753,24 @@ class FormSpan:
     def divided_by_variable(self, var: int, power: int) -> FormSpan:
         """Quotient by a variable power dividing every element; the degree
         drops by the power.  Lex order is translation invariant, so the
-        shifted rows keep their leads, shifted."""
+        shifted rows keep their leads, shifted.  For var 0 the order of a
+        row in X1 is the first exponent of its lead, so divisibility is read
+        off the pivots, and pending products stay pending
+        (`_divided_first`)."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
+        if var == 0:
+            if any(p[0] < power for p in self.pivots):
+                raise InputError(
+                    "divided_by_variable: an element is not divisible"
+                )
+            orders: dict[int, int] = {}
+            quotients: dict[tuple[int, int], object] = {}
+            table = {
+                _bump(p, 0, -power): _divided_first(row, power, orders, quotients)
+                for p, row in self._rows.items()
+            }
+            return self._of(self.nvars, self.degree - power, table)
         rows = self._term_rows()
         if any(e[var] < power for row in rows for e in row):
             raise InputError(

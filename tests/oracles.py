@@ -37,6 +37,11 @@ check of that.
 computed it before it cleared classes to integers: Fraction arithmetic
 term by term.
 
+`reference_indecomposables` is `ValueSemigroup.indecomposables` as it
+scanned the value points one at a time, each against every kept point;
+`reference_inverse` is how a `Flag` inverted its matrix, by `rref_rows` on
+the matrix beside the identity.
+
 `reference_threshold` is how `surfacezar` started `mu` and `surface_body`
 before the mu LP certified D: a decomposition of D that decides
 pseudo-effectivity by its own LP, then the bigness check, the LP for C and
@@ -817,6 +822,36 @@ def reference_subspace_vanishing_at(basis, nvars: int, degree: int, points):
 
 
 # ---------------------------------------------------------------------------
+# the value-point and flag oracles
+
+
+def reference_indecomposables(semigroup) -> list[tuple[tuple[int, ...], int]]:
+    """The value points less each (v, k) with v - g in level k - j for an
+    already kept (g, j), 2j <= k, point by point."""
+    sets = {k: set(vs) for k, vs in semigroup.levels.items()}
+    kept: list[tuple[tuple[int, ...], int]] = []
+    for v, k in semigroup.points():
+        if not any(
+            2 * j <= k and tuple(x - y for x, y in zip(v, g)) in sets.get(k - j, ())
+            for g, j in kept
+        ):
+            kept.append((v, k))
+    return kept
+
+
+def reference_inverse(matrix) -> list[list[Fraction]] | None:
+    """The inverse of a square rational matrix, or None if it is singular."""
+    n = len(matrix)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    red, piv = rref_rows(aug)
+    if piv != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
 # the view-level oracle
 
 

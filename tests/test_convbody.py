@@ -83,8 +83,8 @@ class TestFromPoints:
 
     def test_hull_makes_no_rational_elimination(self, monkeypatch):
         # facets, equations and volumes come from integer eliminations
-        # only; a flag still inverts its matrix by rref_rows, which keeps
-        # the counting below honest
+        # only; the canonical basis of a span of forms of several terms is
+        # still reduced by rref_rows, which keeps the counting below honest
         import sys
 
         from okbody import exactnum
@@ -111,8 +111,9 @@ class TestFromPoints:
             assert poly.affdim == (3 if pts is solid else 2)
             assert poly.volume() > 0
             assert calls == {}
-        Flag([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
-        assert calls == {"okbody.flagval": 1}
+        x, y, z = (HomogeneousForm.variable(3, i) for i in range(3))
+        FormSpan(3, 1, [x + y, y + z]).basis
+        assert calls == {"okbody.polyform": 1}
 
 
 class TestEquality:

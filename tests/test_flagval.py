@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbody.errors import InputError
 from okbody.exactnum import det, lattice_index
@@ -14,7 +16,8 @@ from okbody.flagval import (
     valuation,
     valuation_set,
 )
-from okbody.polyform import FormSpan, HomogeneousForm as HF
+from okbody.polyform import FormSpan, HomogeneousForm as HF, integer_lines
+from oracles import reference_indecomposables, reference_inverse
 
 
 def test_standard_flag():
@@ -162,3 +165,68 @@ def test_kept_points_generate_the_value_group():
     empty = ValueSemigroup(1, 1, {1: ()})
     assert empty.indecomposables() == []
     assert lattice_index([], 2) is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_indecomposables_match_pointwise_scan(data):
+    """The level-by-level filter keeps the points the point-by-point scan
+    keeps, in the same order, on value sets with empty and missing levels
+    and with levels that hold sums of lower ones."""
+    d = data.draw(st.integers(1, 3), label="d")
+    K = data.draw(st.integers(1, 8), label="K")
+    levels: dict[int, tuple] = {}
+    for k in range(1, K + 1):
+        kind = data.draw(st.sampled_from(["gap", "empty", "points"]), label="kind")
+        if kind == "gap":
+            continue
+        if kind == "empty":
+            levels[k] = ()
+            continue
+        vector = st.tuples(*[st.integers(0, k)] * d)
+        points = data.draw(st.lists(vector, max_size=8, unique=True), label="points")
+        j = data.draw(st.integers(1, k), label="j")
+        if j < k and data.draw(st.booleans(), label="sums"):
+            points += [
+                tuple(x + y for x, y in zip(u, w))
+                for u in levels.get(j, ())
+                for w in levels.get(k - j, ())
+            ]
+        levels[k] = tuple(dict.fromkeys(points))
+    sg = ValueSemigroup(d, K, levels)
+    assert sg.indecomposables() == reference_indecomposables(sg)
+
+
+def seeded_matrix(rng: random.Random, n: int) -> list[list[F]]:
+    return [
+        [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_flag_inverse_matches_rational_elimination():
+    """The integer inverse of a flag equals the Fraction inverse by
+    rref_rows, and its lines and denominator are those integer_lines gives
+    for it; a singular matrix is refused."""
+    rng = random.Random(20)
+    inverted = singular = 0
+    for n in (2, 3, 4):
+        for _ in range(60):
+            m = seeded_matrix(rng, n)
+            if rng.random() < 0.2:
+                a, b = rng.sample(range(n), 2)
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                m[a] = [c * v for v in m[b]]
+            ref = reference_inverse(m)
+            if ref is None:
+                singular += 1
+                with pytest.raises(InputError, match="flag: matrix is singular"):
+                    Flag(m)
+                continue
+            inverted += 1
+            fl = Flag(m)
+            assert [list(row) for row in fl.substitution] == ref
+            assert ([list(row) for row in fl.lines], fl.den) == integer_lines(
+                fl.substitution
+            )
+    assert inverted > 100 and singular > 10

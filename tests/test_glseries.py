@@ -21,6 +21,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
 import tracer  # noqa: E402
+from oracles import pending_rows  # noqa: E402
 
 
 def mono(e):
@@ -269,6 +270,85 @@ def test_tracer_multiplies_out_no_more_rows(products, monkeypatch):
                 monkeypatch.setattr(cls, meth, cls.__dict__[meth])
     tracer.Tracer().install()
     assert run() == untraced
+
+
+MUL_TERMS, TOP_REDUCE = polyform._mul_terms, polyform._top_reduce
+
+
+def subduction_work(monkeypatch, K: int):
+    """Bodies of two birational monomial nets under seeded flags, with the
+    products multiplied out and, of the top reductions that subductions
+    run, how many there were and how many ended in zero."""
+    work = {"products": 0, "reductions": 0, "zeros": 0}
+    mul, reduce = MUL_TERMS, TOP_REDUCE
+
+    def counted_mul(a, b):
+        work["products"] += 1
+        return mul(a, b)
+
+    def counted_reduce(row, table):
+        out = reduce(row, table)
+        if sys._getframe(1).f_code.co_name == "subducted":
+            work["reductions"] += 1
+            work["zeros"] += not out
+        return out
+
+    monkeypatch.setattr(polyform, "_mul_terms", counted_mul)
+    monkeypatch.setattr(polyform, "_top_reduce", counted_reduce)
+    bodies = []
+    for name in ("p2_except_x2x3", "p2_o2_cremona"):
+        S = parse_series(json.loads((CORPUS / f"{name}.json").read_text()))
+        for seed in range(1, 6):
+            bodies.append(okounkov_body(S, Flag.random(2, seed), K).body)
+    return work, bodies
+
+
+def test_flag_views_reduce_no_regrouped_product(monkeypatch):
+    """A product that regroups the leaf rows of the product at its lead is
+    never reduced, so no subduction of a flag view reduces to zero; with
+    that check off, some do, and more products are multiplied out for the
+    same bodies."""
+    work, bodies = subduction_work(monkeypatch, 7)
+    assert work["reductions"] and not work["zeros"]
+    monkeypatch.setattr(polyform, "_reordered", lambda first, a, b: False)
+    control, control_bodies = subduction_work(monkeypatch, 7)
+    assert control_bodies == bodies
+    assert control["zeros"] and control["products"] > work["products"]
+
+
+def test_slice_divides_and_cuts_pending_rows(monkeypatch):
+    """The restricted side of the slice identity divides flag-view levels by
+    a power of the first variable and sets it to zero, both factor by
+    factor: the rows arrive pending, and neither step multiplies one out."""
+    seen = {"pending": 0, "products": 0}
+    inside = []
+    mul = polyform._mul_terms
+
+    def counted_mul(a, b):
+        seen["products"] += bool(inside)
+        return mul(a, b)
+
+    def watched(name):
+        method = getattr(FormSpan, name)
+
+        def run(span, *args):
+            seen["pending"] += pending_rows(span)
+            inside.append(name)
+            try:
+                return method(span, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(FormSpan, name, run)
+
+    monkeypatch.setattr(polyform, "_mul_terms", counted_mul)
+    watched("divided_by_variable")
+    watched("restricted")
+    S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
+    rep, direct, sub_rep, restricted = _slice_sides(S, Flag.random(2, 2), F(1, 2), 12)
+    assert seen["pending"] and seen["products"] == 0
+    assert direct == restricted
+    assert sub_rep.dims == [4, 7, 10, 13, 16, 19]
 
 
 def test_body_and_slice_build_one_view(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from okbody.errors import InputError
 from okbody.exactnum import det
+from okbody import polyform
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
     pending_rows,
@@ -157,3 +158,50 @@ def test_span_operations_on_pending_rows_match_oracle(data):
         return span
 
     check_span_operations(data, nvars, degree, [f * g for f in a1 for g in a2], fresh)
+
+    # division by a power of the first variable, and setting it to zero,
+    # on products whose X1 factors sit in either factor: pending rows stay
+    # pending, and no row of the divided span is multiplied out
+    x = HomogeneousForm.variable(nvars, 0)
+
+    def lifted(forms, power):
+        for _ in range(power):
+            forms = [f * x for f in forms]
+        return forms
+
+    i = data.draw(st.integers(0, 2), label="i")
+    j = data.draw(st.integers(0, 2), label="j")
+    A1 = FormSpan(nvars, low + i, lifted(a1, i))
+    B1 = FormSpan(nvars, degree - low + j, lifted(a2, j))
+    span = FormSpan.subducted(nvars, degree + i + j, None, [(A1, B1)])
+    pending = pending_rows(span)
+    m = data.draw(st.integers(0, i + j), label="m")
+    quotient = span.divided_by_variable(0, m)
+    cut = span.restricted(0)
+    cut_quotient = span.divided_by_variable(0, m).restricted(0)
+    assert pending_rows(span) == pending == pending_rows(quotient)
+    assert pending_rows(cut) == sum(
+        isinstance(row, polyform._Product) and row.row is None
+        for p, row in span._rows.items()
+        if p[0] == 0
+    )
+    prods = lifted([f * g for f in a1 for g in a2], i + j - m)
+    assert same(quotient, reference_span_reduce(nvars, degree + i + j - m, prods))
+    moved = [f.set_variable_zero(0) for f in lifted(prods, m)]
+    assert same(cut, reference_span_reduce(nvars - 1, degree + i + j, moved))
+    moved = [f.set_variable_zero(0) for f in prods]
+    assert same(cut_quotient, reference_span_reduce(nvars - 1, degree + i + j - m, moved))
+    ref_basis, _ = reference_span_reduce(nvars, degree + i + j, lifted(prods, m))
+    n = i + j + 1
+    if any(e[0] < n for f in ref_basis for e in f.terms):
+        with pytest.raises(InputError):
+            span.divided_by_variable(0, n)
+    else:
+        down = [
+            HomogeneousForm(nvars, {(e[0] - n,) + e[1:]: c for e, c in f.terms.items()})
+            for f in ref_basis
+        ]
+        assert same(
+            span.divided_by_variable(0, n),
+            reference_span_reduce(nvars, degree - 1, down),
+        )

@@ -4,13 +4,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from okbody import polyform
 from okbody.errors import InputError
 from okbody.glseries import GradedSeries
 from okbody.monideal import base_ideal
 from okbody.polyform import (
     FormSpan,
     HomogeneousForm as HF,
+    _pack,
     all_exponents,
     count_exponents,
 )
@@ -237,3 +241,52 @@ def test_span_rejects_wrong_shape():
         FormSpan(3, 2, [x])
     with pytest.raises(InputError, match="span: form of wrong shape"):
         FormSpan(2, 1, [x])
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.data())
+def test_packed_keys_keep_lex_order_and_sums(data):
+    """Packed in base degree + 1, exponents with entries up to the degree
+    compare as their keys do, and a sum whose entries stay within the
+    degree packs to the sum of the keys."""
+    nvars = data.draw(st.integers(1, 5), label="nvars")
+    degree = data.draw(st.integers(0, 6), label="degree")
+    entry = st.integers(0, degree)
+    exponent = st.tuples(*[entry] * nvars)
+    a, b = data.draw(exponent, label="a"), data.draw(exponent, label="b")
+    base = degree + 1
+    weights = [base**i for i in reversed(range(nvars))]
+    assert (_pack(a, weights) < _pack(b, weights)) == (a < b)
+    assert (_pack(a, weights) == _pack(b, weights)) == (a == b)
+    cap = tuple(degree - x for x in a)
+    c = data.draw(st.tuples(*[st.integers(0, m) for m in cap]), label="c")
+    total = tuple(x + y for x, y in zip(a, c))
+    assert _pack(a, weights) + _pack(c, weights) == _pack(total, weights)
+    top = (degree,) * nvars
+    assert _pack(top, weights) == base**nvars - 1
+
+
+def test_regrouped_products_compare_rows_by_identity(monkeypatch):
+    """A subduction skips a product whose leaf rows are the very rows of the
+    product at its lead, and still reduces one whose rows are only equal in
+    value: the skip compares identity, not value."""
+    reduced = []
+    original = polyform._top_reduce
+
+    def counted(row, table):
+        out = original(row, table)
+        reduced.append(out)
+        return out
+
+    monkeypatch.setattr(polyform, "_top_reduce", counted)
+    x, y, z = (HF.variable(3, i) for i in range(3))
+    A, B = FormSpan(3, 1, [x + y]), FormSpan(3, 1, [y + z])
+    again = FormSpan(3, 1, [x + y])
+    assert again._rows == A._rows
+    assert next(iter(again._rows.values())) is not next(iter(A._rows.values()))
+    want = FormSpan(3, 2, [(x + y) * (y + z)])
+    reduced.clear()
+    assert FormSpan.subducted(3, 2, None, [(A, B), (A, B)]) == want
+    assert reduced == []
+    assert FormSpan.subducted(3, 2, None, [(A, B), (again, B)]) == want
+    assert reduced == [{}]
