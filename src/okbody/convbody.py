@@ -7,7 +7,8 @@ bodies have one canonical inequality system, not one per normal lift).
 All predicates are float free.
 
 Every hull clears its rational points to integer points over one common
-denominator, once, on entry.  One exact hull serves every dimension: an
+denominator, once, on entry; a body's value points come as integer points
+over the lcm of their levels.  One exact hull serves every dimension: an
 incremental beneath-beyond hull (Edelsbrunner 1987; Barber, Dobkin and
 Huhdanpaa 1996) on those integer points, in ambient coordinates.  Its
 hyperplanes are taken inside the affine hull, by adding the hull's
@@ -216,8 +217,14 @@ class RationalPolytope:
             n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise InputError("from_points: mixed dimensions")
-        pts, den = _integer_points(pts)
-        pts = list(dict.fromkeys(pts))
+        return cls._from_integer_points(*_integer_points(pts), n)
+
+    @classmethod
+    def _from_integer_points(
+        cls, points: list[IntPoint], den: int, n: int
+    ) -> RationalPolytope:
+        """The hull of integer points over one common denominator."""
+        pts = list(dict.fromkeys(points))
         if not pts:
             return cls.empty(n)
         aff = _affine_data(pts, n, den)
@@ -436,8 +443,9 @@ def okounkov_body(
     view = series.under_flag(flag)
     sg = view.semigroup(Flag.standard(series.d), K)
     kept = sg.indecomposables()
-    body = RationalPolytope.from_points(
-        [tuple(Fraction(x, k) for x in v) for v, k in kept], series.d
+    den = math.lcm(*(k for _, k in kept))
+    body = RationalPolytope._from_integer_points(
+        [tuple(x * (den // k) for x in v) for v, k in kept], den, series.d
     )
     certificate = "truncation"
     note = "hull of value points up to the truncation; inner approximation"

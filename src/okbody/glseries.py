@@ -301,7 +301,7 @@ class GradedSeries:
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
             order = math.ceil(eps * k)
-            return self.level(k).subspace_with_min_exponent(0, order)
+            return self.level(k).subspace_with_min_exponent(order)
 
         return GradedSeries(
             self.d,
@@ -330,8 +330,8 @@ class GradedSeries:
             )
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
-            span = self.level(k).subspace_with_min_exponent(0, eps * k)
-            return span.divided_by_variable(0, eps * k)
+            span = self.level(k).subspace_with_min_exponent(eps * k)
+            return span.divided_by_variable(eps * k)
 
         return GradedSeries(
             self.d,
@@ -349,7 +349,7 @@ class GradedSeries:
             raise InputError("restriction needs projective dimension >= 2")
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
-            return self.level(k).restricted(0)
+            return self.level(k).restricted()
 
         return GradedSeries(
             self.d - 1,

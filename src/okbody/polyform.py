@@ -7,20 +7,21 @@ lex-least exponent.  The leads are the pivots the valuation layer reads off,
 so the ordering convention is load bearing.  Every span operation builds its
 rows through one insertion reducer; lex order is a monomial order, so leads
 of products add and shifts and cuts by the first variable keep leads apart
-without any reduction.  A row of a span of products may be kept as the
-pending product of two rows, its lead known without its terms; `_terms`
-multiplies it out once, when a reduction or a reader needs the terms, and
-the product keeps its factors.  So the leaf rows a product rests on stay
-known, and a subduction never reduces a product that only regroups the
-leaves of the product already at its lead.  A power of the first
-variable divides a product factor by factor, and setting that variable to
-zero is a ring map: both keep pending products pending.  The canonical
-basis, the reduced row echelon form over ascending lex exponent columns, is
-computed only when `basis` or `==` reads it.  Forms are built only at the
-edges (input, `basis`), and linear substitution maps every row through one
-table of monomial images: `substitute_forms` maps a list of forms as
-primitive integer rows under integer lines, and gives their span and their
-exact images from the same rows.
+without any reduction.  A row may be kept pending, its lead known without
+its terms: an operation and the rows it applies to, which `_terms` computes
+once, when a reduction or a reader needs the terms, keeping the rows.  A
+pending product is `_mul_terms` of two rows of a subduction, so the leaf
+rows a product rests on stay known, and a subduction never reduces a product
+that only regroups the leaves of the product already at its lead.  A
+quotient by a power of the first variable and a cut that sets it to zero are
+pending rows of one row: they apply at once to a term row and are deferred
+on a pending one.  The canonical basis, the reduced row echelon form over
+ascending lex exponent columns, is computed only when `basis` or `==` reads
+it.  Forms are built only at the edges (input, `basis`), and linear
+substitution maps every row through one table of monomial images:
+`substitute_forms` maps a list of forms as primitive integer rows under
+integer lines, and gives their span and their exact images from the same
+rows.
 """
 
 from __future__ import annotations
@@ -341,23 +342,24 @@ def _content_free(row: dict[Exponent, int]) -> dict[Exponent, int]:
     return {e: v // g for e, v in row.items()} if g > 1 else row
 
 
-class _Product:
-    """A table row kept as the pending product of two table values; `_terms`
-    sets `row` when it multiplies it out, and the factors stay."""
+class _Pending:
+    """A table row kept pending: op applied to the term rows of args.  A
+    product is `_mul_terms` of two rows; a quotient by a power of X1 or a
+    cut X1 -> 0 is a shift or `_cut_first` of one row.  `_terms` sets `row`
+    when it first computes it, and the args stay."""
 
-    __slots__ = ("factors", "row")
+    __slots__ = ("op", "args", "row")
 
-    def __init__(self, a, b):
-        self.factors = a, b
-        self.row = None
+    def __init__(self, op, *args):
+        self.op, self.args, self.row = op, args, None
 
 
 def _terms(value) -> dict:
-    """The term row of a table value: the row itself, or a pending product
-    multiplied out once, after the pending factors it rests on.  The row is
-    cached in the product, which keeps its factors: they are rows of
-    cached spans, and `_leaves` walks them.  An explicit stack does the
-    work, as a level-K row rests on K levels of products."""
+    """The term row of a table value: the row itself, or a pending row
+    computed once, after the pending rows it applies to.  The row is cached
+    in the pending row, which keeps its args: they are rows of cached
+    spans, and `_leaves` walks the factors of products.  An explicit stack
+    does the work, as a level-K row rests on K levels of products."""
     if type(value) is dict:
         return value
     stack = [value]
@@ -366,27 +368,38 @@ def _terms(value) -> dict:
         if top.row is not None:
             stack.pop()
             continue
-        waiting = [f for f in top.factors if type(f) is not dict and f.row is None]
+        waiting = [f for f in top.args if type(f) is not dict and f.row is None]
         if waiting:
             stack.extend(waiting)
             continue
         stack.pop()
-        a, b = (f if type(f) is dict else f.row for f in top.factors)
-        top.row = _mul_terms(a, b)
+        top.row = top.op(*(f if type(f) is dict else f.row for f in top.args))
     return value.row
 
 
+def _apply(op, value):
+    """op on a table value: at once on a term row or a pending row already
+    computed, and deferred, as a pending row of one arg, on the others."""
+    if type(value) is dict:
+        return op(value)
+    if value.row is not None:
+        return op(value.row)
+    return _Pending(op, value)
+
+
 def _leaves(values) -> list[int]:
-    """The ids of the leaf rows (plain term rows) that the table values
-    rest on, walking down the factors of products, in ascending order: a
-    multiset of rows compared by identity."""
+    """The ids of the leaf rows that the table values rest on, walking down
+    the factors of products only, in ascending order: a multiset of rows
+    compared by identity.  A product is a pending row of two args; a term
+    row, a quotient or a cut is a leaf, as its terms are not a product of
+    the terms of its arg."""
     out, stack = [], list(values)
     while stack:
         value = stack.pop()
-        if type(value) is dict:
-            out.append(id(value))
+        if type(value) is not dict and len(value.args) == 2:
+            stack.extend(value.args)
         else:
-            stack.extend(value.factors)
+            out.append(id(value))
     out.sort()
     return out
 
@@ -395,7 +408,7 @@ def _reordered(first, a, b) -> bool:
     """Whether the product a * b rests on the same leaf rows as the
     product first, so that it is first with its factors grouped in
     another order, and reduces to zero against it."""
-    return type(first) is not dict and _leaves(first.factors) == _leaves((a, b))
+    return type(first) is not dict and _leaves((first,)) == _leaves((a, b))
 
 
 def _pack(exponent: Exponent, weights: Sequence[int]) -> int:
@@ -406,81 +419,16 @@ def _pack(exponent: Exponent, weights: Sequence[int]) -> int:
     return sum(map(mul, exponent, weights))
 
 
-def _fold(value, leaf, node, memo: dict):
-    """A table value folded over the factors of its pending products: leaf
-    maps a term row (a row, or a product already multiplied out), and node
-    combines the results for the two factors of a pending product.  memo
-    (id -> result) shares the results for shared factors within one
-    operation; an explicit stack walks the factors."""
-    stack = [value]
-    while stack:
-        top = stack[-1]
-        if id(top) in memo:
-            stack.pop()
-        elif type(top) is dict or top.row is not None:
-            memo[id(top)] = leaf(_terms(top))
-            stack.pop()
-        else:
-            waiting = [f for f in top.factors if id(f) not in memo]
-            if waiting:
-                stack.extend(waiting)
-            else:
-                stack.pop()
-                memo[id(top)] = node(*(memo[id(f)] for f in top.factors))
-    return memo[id(value)]
-
-
-def _first_order(row: dict) -> int:
-    """The order of a term row in the first variable: the first exponent of
-    its lead.  The order of a product is the sum over its factors."""
-    return min(row)[0]
-
-
 def _cut_first(row: dict) -> dict:
     """A term row under X1 -> 0, the first variable dropped, made primitive."""
     return _content_free({e[1:]: c for e, c in row.items() if e[0] == 0})
 
 
-def _divided_first(value, power: int, orders: dict, quotients: dict):
-    """A table value divided by X1^power, which divides it.  A row, or a
-    product already multiplied out, is shifted; a pending product a * b
-    stays pending, as (a / X1^i) * (b / X1^(power - i)) with i the lesser
-    of power and the order of a in X1.  orders (id -> order) and quotients
-    ((id, power) -> quotient) share the orders and quotients of shared
-    factors within one operation."""
-    stack = [(value, power)]
-    while stack:
-        top, m = stack[-1]
-        if (id(top), m) in quotients:
-            stack.pop()
-        elif m == 0:
-            quotients[id(top), m] = top
-            stack.pop()
-        elif type(top) is dict or top.row is not None:
-            quotients[id(top), m] = {
-                _bump(e, 0, -m): c for e, c in _terms(top).items()
-            }
-            stack.pop()
-        else:
-            a, b = top.factors
-            i = min(m, _fold(a, _first_order, add, orders))
-            parts = (a, i), (b, m - i)
-            waiting = [(f, n) for f, n in parts if (id(f), n) not in quotients]
-            if waiting:
-                stack.extend(waiting)
-            else:
-                stack.pop()
-                quotients[id(top), m] = _Product(
-                    *(quotients[id(f), n] for f, n in parts)
-                )
-    return quotients[id(value), power]
-
-
 def _mono_coefficient(value, pivot):
     """The coefficient of a table value that is a one-term row, at its
-    pivot, or None.  A pending product never is one: a product has one
-    term exactly when both factors do, and `subducted` writes such a
-    product down as a row."""
+    pivot, or None.  A pending row is taken as none: a pending product
+    never is one, as a product has one term exactly when both factors do
+    and `subducted` writes such a product down as a row."""
     return value[pivot] if type(value) is dict and len(value) == 1 else None
 
 
@@ -525,9 +473,10 @@ class FormSpan:
     `_rows` maps each pivot to a primitive integer term row whose lead
     (lex-least exponent) it is, in ascending pivot order; the pivots double
     as the valuation set of the space for the standard coordinate flag.  A
-    row of a span built by `subducted` may be a pending product, which
-    every reader of the terms goes through `_terms` (or `_top_reduce`) to
-    multiply out; the pivots, `dim` and the valuation layer never need it.
+    row may be pending (`_Pending`): a product from `subducted`, or a
+    quotient or cut of a pending row.  Every reader of the terms goes
+    through `_terms` (or `_top_reduce`) to compute it; the pivots, `dim`
+    and the valuation layer never need it.
     Every operation builds its table of rows with `_insert` (or keeps or
     shifts rows whose leads stay distinct).  The canonical basis is the
     reduced row echelon form over ascending lex exponent columns, computed
@@ -557,11 +506,11 @@ class FormSpan:
     @classmethod
     def _of(cls, nvars: int, degree: int, table: dict) -> FormSpan:
         """The span of the rows of a table (lead -> primitive integer row,
-        or a pending product of two)."""
+        or a pending row)."""
         return object.__new__(cls)._set(nvars, degree, table)
 
     def _term_rows(self) -> list[dict]:
-        """The term rows in pivot order, pending products multiplied out."""
+        """The term rows in pivot order, pending rows computed."""
         return [_terms(row) for row in self._rows.values()]
 
     @property
@@ -636,7 +585,7 @@ class FormSpan:
                             # a constant factor: the other row, up to scale
                             first = rb if A.degree == 0 else ra
                         elif ca is None or cb is None:
-                            first = _Product(ra, rb)
+                            first = _Pending(_mul_terms, ra, rb)
                         else:
                             first = {lead: ca * cb}
                         table[lead] = firsts[key] = first
@@ -727,76 +676,46 @@ class FormSpan:
         rows = _substitute(self._term_rows(), lines, self.degree)
         return self._of(self.nvars, self.degree, _insert({}, rows))
 
-    def restricted(self, var: int) -> FormSpan:
-        """The image under X_var -> 0, in one fewer variable.  For var 0 a
-        row whose lead has first exponent > 0 is divisible by X1 and
-        vanishes, and every other row keeps its lead, so no reduction runs;
-        restriction is a ring map, and a pending product of order 0 in X1
-        has factors of order 0, so it stays pending as the product of its
-        cut factors."""
+    def restricted(self) -> FormSpan:
+        """The image under X1 -> 0, in one fewer variable.  A row whose
+        lead has first exponent > 0 is divisible by X1 and vanishes, and
+        every other row keeps its lead, so no reduction runs: each is cut
+        by `_cut_first`, deferred on a pending row (`_apply`)."""
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
-        if var == 0:
-            cuts: dict[int, object] = {}
-            table = {
-                p[1:]: _fold(row, _cut_first, _Product, cuts)
-                for p, row in self._rows.items()
-                if p[0] == 0
-            }
-            return self._of(self.nvars - 1, self.degree, table)
-        rows = [
-            {e[:var] + e[var + 1 :]: c for e, c in row.items() if e[var] == 0}
-            for row in self._term_rows()
-        ]
-        return self._of(self.nvars - 1, self.degree, _insert({}, rows))
+        table = {
+            p[1:]: _apply(_cut_first, row)
+            for p, row in self._rows.items()
+            if p[0] == 0
+        }
+        return self._of(self.nvars - 1, self.degree, table)
 
-    def divided_by_variable(self, var: int, power: int) -> FormSpan:
-        """Quotient by a variable power dividing every element; the degree
-        drops by the power.  Lex order is translation invariant, so the
-        shifted rows keep their leads, shifted.  For var 0 the order of a
-        row in X1 is the first exponent of its lead, so divisibility is read
-        off the pivots, and pending products stay pending
-        (`_divided_first`)."""
+    def divided_by_variable(self, power: int) -> FormSpan:
+        """Quotient by X1^power, which divides every element; the degree
+        drops by the power.  The order of a row in X1 is the first exponent
+        of its lead, so divisibility is read off the pivots; lex order is
+        translation invariant, so each row keeps its lead, shifted.  The
+        shift is deferred on a pending row (`_apply`)."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
-        if var == 0:
-            if any(p[0] < power for p in self.pivots):
-                raise InputError(
-                    "divided_by_variable: an element is not divisible"
-                )
-            orders: dict[int, int] = {}
-            quotients: dict[tuple[int, int], object] = {}
-            table = {
-                _bump(p, 0, -power): _divided_first(row, power, orders, quotients)
-                for p, row in self._rows.items()
-            }
-            return self._of(self.nvars, self.degree - power, table)
-        rows = self._term_rows()
-        if any(e[var] < power for row in rows for e in row):
-            raise InputError(
-                "divided_by_variable: an element is not divisible"
-            )
+        if any(p[0] < power for p in self.pivots):
+            raise InputError("divided_by_variable: an element is not divisible")
+
+        def shift(row: dict) -> dict:
+            return {_bump(e, 0, -power): c for e, c in row.items()}
+
         table = {
-            _bump(p, var, -power): {
-                _bump(e, var, -power): c for e, c in row.items()
-            }
-            for p, row in zip(self.pivots, rows)
+            _bump(p, 0, -power): _apply(shift, row) for p, row in self._rows.items()
         }
         return self._of(self.nvars, self.degree - power, table)
 
-    def subspace_with_min_exponent(self, var: int, minimum: int) -> FormSpan:
-        """Elements all of whose terms have exponent >= minimum in the given
-        variable (the forms divisible by that variable power).  For var 0
-        these are the rows whose lead has first exponent >= minimum: lex
-        order compares that exponent first, so the lead is lowest in it."""
-        if var == 0:
-            kept = {p: r for p, r in self._rows.items() if p[0] >= minimum}
-            return self._of(self.nvars, self.degree, kept)
-        rows = self._term_rows()
-        low = sorted({e for row in rows for e in row if e[var] < minimum})
-        if not low:
-            return self
-        return self._kernel([[row.get(e, 0) for row in rows] for e in low])
+    def subspace_with_min_exponent(self, minimum: int) -> FormSpan:
+        """Elements all of whose terms have exponent >= minimum in X1 (the
+        forms divisible by X1^minimum): the rows whose lead has first
+        exponent >= minimum, as lex order compares that exponent first, so
+        the lead is lowest in it."""
+        kept = {p: r for p, r in self._rows.items() if p[0] >= minimum}
+        return self._of(self.nvars, self.degree, kept)
 
     def subspace_vanishing_at(
         self, points: Sequence[Sequence[Fraction]]

@@ -864,9 +864,10 @@ def reference_view_level(series, flag, k: int):
 
 
 def pending_rows(span) -> int:
-    """How many rows of a span are products not yet multiplied out; the
-    tests of the span readers check that their input has some."""
+    """How many rows of a span are pending rows (products, quotients or
+    cuts) not yet computed; the tests of the span readers check that their
+    input has some."""
     return sum(
-        isinstance(row, polyform._Product) and row.row is None
+        isinstance(row, polyform._Pending) and row.row is None
         for row in span._rows.values()
     )

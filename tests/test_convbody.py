@@ -600,14 +600,14 @@ class TestIndecomposableHull:
         self.check(sub_rep, 1)
 
     def test_p3_body_hulls_four_points(self, capsys, monkeypatch):
-        original = RationalPolytope.from_points.__func__
+        original = RationalPolytope._from_integer_points.__func__
         sizes = []
 
         def counted(cls, points, *args):
             sizes.append(len(points))
             return original(cls, points, *args)
 
-        monkeypatch.setattr(RationalPolytope, "from_points", classmethod(counted))
+        monkeypatch.setattr(RationalPolytope, "_from_integer_points", classmethod(counted))
         corpus = Path(__file__).resolve().parent.parent / "corpus"
         assert cli.main(["body", str(corpus / "p3_o1_complete.json"), "-K", "12"]) == 0
         capsys.readouterr()

@@ -184,11 +184,11 @@ def test_generated_view_levels_need_no_elimination(eliminations):
     assert eliminations == none
     assert sub_rep.dims == [4, 7, 10, 13]
     assert direct == restricted
-    # positive controls: a canonical basis is reduced when read, and a cut
-    # by a later variable solves for its kernel
+    # positive controls: a canonical basis is reduced when read, and the
+    # forms vanishing at a point solve for a kernel
     S.level(6).transformed(flag.substitution).basis
     assert eliminations["rref_rows"]
-    S.under_flag(flag).level(4).subspace_with_min_exponent(1, 1)
+    S.under_flag(flag).level(4).subspace_vanishing_at([[1, 2, 3]])
     assert eliminations["kernel"]
 
 
@@ -212,18 +212,19 @@ def test_monomial_levels_multiply_out_no_rows(monkeypatch):
 
 @pytest.fixture
 def products(monkeypatch):
-    """Every pending product row polyform makes; a row whose `row` is set
-    has been multiplied out."""
+    """Every pending product row polyform makes: the pending rows of two
+    args.  A row whose `row` is set has been multiplied out."""
     made = []
 
-    class Recorded(polyform._Product):
+    class Recorded(polyform._Pending):
         __slots__ = ()
 
-        def __init__(self, a, b):
-            super().__init__(a, b)
-            made.append(self)
+        def __init__(self, op, *args):
+            super().__init__(op, *args)
+            if len(args) == 2:
+                made.append(self)
 
-    monkeypatch.setattr(polyform, "_Product", Recorded)
+    monkeypatch.setattr(polyform, "_Pending", Recorded)
     return made
 
 
@@ -318,8 +319,8 @@ def test_flag_views_reduce_no_regrouped_product(monkeypatch):
 
 def test_slice_divides_and_cuts_pending_rows(monkeypatch):
     """The restricted side of the slice identity divides flag-view levels by
-    a power of the first variable and sets it to zero, both factor by
-    factor: the rows arrive pending, and neither step multiplies one out."""
+    a power of the first variable and sets it to zero: the rows arrive
+    pending, and both steps leave them pending, multiplying none out."""
     seen = {"pending": 0, "products": 0}
     inside = []
     mul = polyform._mul_terms

@@ -32,7 +32,9 @@ PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
 
 def forms(nvars: int, degree: int, most: int):
     exps = list(all_exponents(nvars, degree))
-    terms = st.dictionaries(st.sampled_from(exps), nonzero, min_size=2, max_size=4)
+    terms = st.dictionaries(
+        st.sampled_from(exps), nonzero, min_size=min(2, len(exps)), max_size=4
+    )
     form = terms.map(lambda t: HomogeneousForm(nvars, t, degree))
     return st.lists(form, min_size=1, max_size=most)
 
@@ -46,9 +48,9 @@ def invertible(n: int):
     return matrix.filter(lambda m: det(m) != 0)
 
 
-def shape(data):
+def shape(data, least: int = 1):
     nvars = data.draw(st.integers(2, 4), label="nvars")
-    degree = data.draw(st.integers(1, 4 if nvars < 4 else 3), label="degree")
+    degree = data.draw(st.integers(least, 4 if nvars < 4 else 3), label="degree")
     return nvars, degree
 
 
@@ -63,10 +65,6 @@ def test_substitute_linear_matches_oracle(data):
     (f,) = data.draw(forms(nvars, degree, 1))
     matrix = data.draw(invertible(nvars))
     assert f.substitute_linear(matrix) == reference_substitute_linear(f, matrix)
-
-
-def unit_power(var: int, power: int, nvars: int) -> tuple[int, ...]:
-    return tuple(power if i == var else 0 for i in range(nvars))
 
 
 def check_span_operations(data, nvars: int, degree: int, a, fresh):
@@ -88,29 +86,27 @@ def check_span_operations(data, nvars: int, degree: int, a, fresh):
     moved = [reference_substitute_linear(f, matrix) for f in ref_basis]
     assert same(fresh().transformed(matrix), reference_span_reduce(nvars, degree, moved))
 
-    var = data.draw(st.integers(0, nvars - 1), label="var")
-    cut = [f.set_variable_zero(var) for f in ref_basis]
-    assert same(fresh().restricted(var), reference_span_reduce(nvars - 1, degree, cut))
+    cut = [f.set_variable_zero(0) for f in ref_basis]
+    assert same(fresh().restricted(), reference_span_reduce(nvars - 1, degree, cut))
 
     power = data.draw(st.integers(0, 2), label="power")
-    x = HomogeneousForm.variable(nvars, var)
+    x = HomogeneousForm.variable(nvars, 0)
     lift = a
     for _ in range(power):
         lift = [f * x for f in lift]
     lifted = FormSpan(nvars, degree + power, lift)
-    assert lifted.divided_by_variable(var, power) == fresh()
-    xpower = FormSpan(nvars, power, [HomogeneousForm.monomial(nvars, unit_power(var, power, nvars))])
-    assert same((fresh() * xpower).divided_by_variable(var, power), ref)
-    if any(e[var] < power + 1 for f in ref_basis for e in f.terms):
+    assert lifted.divided_by_variable(power) == fresh()
+    xpower = FormSpan(nvars, power, [HomogeneousForm.monomial(nvars, (power,) + (0,) * (nvars - 1))])
+    assert same((fresh() * xpower).divided_by_variable(power), ref)
+    if any(e[0] < power + 1 for f in ref_basis for e in f.terms):
         with pytest.raises(InputError):
-            fresh().divided_by_variable(var, power + 1)
+            fresh().divided_by_variable(power + 1)
 
-    for v in (0, var):
-        minimum = data.draw(st.integers(1, degree), label="minimum")
-        assert same(
-            fresh().subspace_with_min_exponent(v, minimum),
-            reference_subspace_with_min_exponent(ref_basis, nvars, degree, v, minimum),
-        )
+    minimum = data.draw(st.integers(1, degree), label="minimum")
+    assert same(
+        fresh().subspace_with_min_exponent(minimum),
+        reference_subspace_with_min_exponent(ref_basis, nvars, degree, 0, minimum),
+    )
 
     points = data.draw(
         st.lists(st.lists(small, min_size=nvars, max_size=nvars), min_size=1, max_size=2),
@@ -144,10 +140,11 @@ def test_span_operations_on_pending_rows_match_oracle(data):
     """The same readers on the span of the products of two spans of forms
     of several terms, built afresh for each reader by subduction, whose
     table still holds products that no reduction multiplied out."""
-    nvars, degree = shape(data)
-    low = data.draw(st.integers(0, degree - 1), label="low")
-    one = [HomogeneousForm.monomial(nvars, (0,) * nvars)]
-    a1 = data.draw(forms(nvars, low, 2), label="a1") if low else one
+    # a product with a constant is the other row, never pending, so both
+    # factors have positive degree
+    nvars, degree = shape(data, least=2)
+    low = data.draw(st.integers(1, degree - 1), label="low")
+    a1 = data.draw(forms(nvars, low, 2), label="a1")
     a2 = data.draw(forms(nvars, degree - low, 3), label="a2")
     A, B = FormSpan(nvars, low, a1), FormSpan(nvars, degree - low, a2)
     assume(pending_rows(FormSpan.subducted(nvars, degree, None, [(A, B)])))
@@ -160,8 +157,9 @@ def test_span_operations_on_pending_rows_match_oracle(data):
     check_span_operations(data, nvars, degree, [f * g for f in a1 for g in a2], fresh)
 
     # division by a power of the first variable, and setting it to zero,
-    # on products whose X1 factors sit in either factor: pending rows stay
-    # pending, and no row of the divided span is multiplied out
+    # on products whose X1 factors sit in either factor: each pending row
+    # becomes a pending quotient or cut of it, not yet computed, and no row
+    # of the divided span is multiplied out
     x = HomogeneousForm.variable(nvars, 0)
 
     def lifted(forms, power):
@@ -173,35 +171,69 @@ def test_span_operations_on_pending_rows_match_oracle(data):
     j = data.draw(st.integers(0, 2), label="j")
     A1 = FormSpan(nvars, low + i, lifted(a1, i))
     B1 = FormSpan(nvars, degree - low + j, lifted(a2, j))
-    span = FormSpan.subducted(nvars, degree + i + j, None, [(A1, B1)])
+
+    def products() -> FormSpan:
+        return FormSpan.subducted(nvars, degree + i + j, None, [(A1, B1)])
+
+    span = products()
     pending = pending_rows(span)
     m = data.draw(st.integers(0, i + j), label="m")
-    quotient = span.divided_by_variable(0, m)
-    cut = span.restricted(0)
-    cut_quotient = span.divided_by_variable(0, m).restricted(0)
+    quotient = span.divided_by_variable(m)
+    cut = span.restricted()
+    cut_quotient = span.divided_by_variable(m).restricted()
     assert pending_rows(span) == pending == pending_rows(quotient)
     assert pending_rows(cut) == sum(
-        isinstance(row, polyform._Product) and row.row is None
+        isinstance(row, polyform._Pending) and row.row is None
         for p, row in span._rows.items()
         if p[0] == 0
     )
+    for result in (quotient, cut, cut_quotient):
+        for row in result._rows.values():
+            assert type(row) is dict or (len(row.args) == 1 and row.row is None)
+
+    # the readers on fresh quotients and cuts, `*` and `+` among them: a
+    # product of quotient or cut rows rests on them as leaves
     prods = lifted([f * g for f in a1 for g in a2], i + j - m)
-    assert same(quotient, reference_span_reduce(nvars, degree + i + j - m, prods))
-    moved = [f.set_variable_zero(0) for f in lifted(prods, m)]
-    assert same(cut, reference_span_reduce(nvars - 1, degree + i + j, moved))
-    moved = [f.set_variable_zero(0) for f in prods]
-    assert same(cut_quotient, reference_span_reduce(nvars - 1, degree + i + j - m, moved))
+    cases = [
+        (lambda: products().divided_by_variable(m), nvars, degree + i + j - m, prods),
+        (
+            lambda: products().restricted(),
+            nvars - 1,
+            degree + i + j,
+            [f.set_variable_zero(0) for f in lifted(prods, m)],
+        ),
+        (
+            lambda: products().divided_by_variable(m).restricted(),
+            nvars - 1,
+            degree + i + j - m,
+            [f.set_variable_zero(0) for f in prods],
+        ),
+    ]
+    for fresh_result, nv, dg, want in cases:
+        ref = reference_span_reduce(nv, dg, want)
+        assert same(fresh_result(), ref)
+        c = data.draw(forms(nv, dg, 2), label="c")
+        other = FormSpan(nv, dg, c)
+        assert same(fresh_result() + other, reference_span_reduce(nv, dg, want + c))
+        assert same(other + fresh_result(), reference_span_reduce(nv, dg, c + want))
+        linear = FormSpan(nv, 1, data.draw(forms(nv, 1, 2), label="linear"))
+        moved = [f * g for f in ref[0] for g in linear.basis]
+        assert same(fresh_result() * linear, reference_span_reduce(nv, dg + 1, moved))
+        twice = fresh_result()
+        moved = [f * g for f in ref[0] for g in ref[0]]
+        assert same(twice * twice, reference_span_reduce(nv, 2 * dg, moved))
+
     ref_basis, _ = reference_span_reduce(nvars, degree + i + j, lifted(prods, m))
     n = i + j + 1
     if any(e[0] < n for f in ref_basis for e in f.terms):
         with pytest.raises(InputError):
-            span.divided_by_variable(0, n)
+            span.divided_by_variable(n)
     else:
         down = [
             HomogeneousForm(nvars, {(e[0] - n,) + e[1:]: c for e, c in f.terms.items()})
             for f in ref_basis
         ]
         assert same(
-            span.divided_by_variable(0, n),
+            span.divided_by_variable(n),
             reference_span_reduce(nvars, degree - 1, down),
         )

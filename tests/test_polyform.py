@@ -207,13 +207,13 @@ def test_span_sum():
 
 def test_min_exponent_subspace():
     c = FormSpan.complete(3, 2)
-    dv = c.subspace_with_min_exponent(0, 1)
+    dv = c.subspace_with_min_exponent(1)
     # forms divisible by X1 in degree 2 are X1 * (complete degree 1)
     assert dv.dim == count_exponents(3, 1)
     assert all(e[0] >= 1 for f in dv.basis for e in f.terms)
-    dv2 = c.subspace_with_min_exponent(0, 2)
+    dv2 = c.subspace_with_min_exponent(2)
     assert dv2.dim == 1 and dv2.pivots == ((2, 0, 0),)
-    assert c.subspace_with_min_exponent(0, 0) == c
+    assert c.subspace_with_min_exponent(0) == c
 
 
 def test_vanishing_subspace():
@@ -229,10 +229,10 @@ def test_vanishing_subspace():
 def test_restricted_span():
     x, y, z = (HF.variable(3, i) for i in range(3))
     sp = FormSpan(3, 2, [x * x, x * y, y * y])
-    rs = sp.restricted(0)
+    rs = sp.restricted()
     assert rs.nvars == 2 and rs.dim == 1 and rs.pivots == ((2, 0),)
     # restriction of a complete space is complete in fewer variables
-    assert FormSpan.complete(3, 2).restricted(2) == FormSpan.complete(2, 2)
+    assert FormSpan.complete(3, 2).restricted() == FormSpan.complete(2, 2)
 
 
 def test_span_rejects_wrong_shape():
@@ -290,3 +290,19 @@ def test_regrouped_products_compare_rows_by_identity(monkeypatch):
     assert reduced == []
     assert FormSpan.subducted(3, 2, None, [(A, B), (again, B)]) == want
     assert reduced == [{}]
+
+
+def test_leaves_walk_down_products_only(monkeypatch):
+    """A product is known by its two args, whatever `_mul_terms` is bound
+    to when the leaves are read; a quotient or cut of a product is a leaf
+    of its own, as its terms are not the product of its arg's leaves."""
+    a, b, c = {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}, {(0, 1): 1}
+    product = polyform._Pending(polyform._mul_terms, a, b)
+    monkeypatch.setattr(polyform, "_mul_terms", lambda *args: {})
+    cut = polyform._Pending(polyform._cut_first, product)
+    assert polyform._leaves([product, c]) == sorted(map(id, (a, b, c)))
+    assert polyform._leaves([cut]) == [id(cut)]
+    first = polyform._Pending(polyform._mul_terms, product, c)
+    assert polyform._reordered(first, c, product)
+    assert polyform._reordered(first, a, polyform._Pending(polyform._mul_terms, b, c))
+    assert not polyform._reordered(first, cut, c)
