@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from operator import sub
+from operator import ge, sub
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -181,11 +181,7 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
     r = len(sigma)
     if r < 1 or r > d:
         raise InputError("filtered_dimension: sigma length out of range")
-    return sum(
-        1
-        for p in span.pivots
-        if all(p[i] >= sigma[i] for i in range(r))
-    )
+    return sum(all(map(ge, p, sigma)) for p in span.pivots)
 
 
 class ValueSemigroup:

@@ -237,22 +237,32 @@ class BaseLocusReport(NamedTuple):
 def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
     """Common zeros of all base ideals across materialized degrees <= K.
 
-    The locus can only shrink as degrees accumulate; stabilization is
-    reported when the locus at some degree k agrees with the locus at 2k
-    and with the final one.  The locus may still shrink past K when the
-    flag is not raised.
+    The running sum of the base ideals grows by the generators of each level
+    that no earlier generator divides.  Level k's generators have degree
+    k * twist, above every earlier one, so none of them divides an earlier
+    generator and the sum needs no re-minimalization; its locus is
+    recomputed only when the sum changes.  The locus can only shrink as
+    degrees accumulate; stabilization is reported when the locus at some
+    degree k agrees with the locus at 2k and with the final one.  The locus
+    may still shrink past K when the flag is not raised.
     """
     if K < 1:
         raise InputError("stable base locus: need K >= 1")
     n = series.d + 1
     ideals: dict[int, MonomialIdeal] = {}
-    cumulative = MonomialIdeal(n)
+    gens: tuple[Exponent, ...] = ()
+    components: tuple[tuple[int, ...], ...] = ((),)  # the zero sum's locus
     loci: dict[int, tuple[tuple[int, ...], ...]] = {}
     for k in range(1, K + 1):
         ideals[k] = base_ideal(series, k)
-        cumulative = cumulative.plus(ideals[k])
-        loci[k] = locus_components(cumulative)
-    components = loci[K]
+        new = [
+            g for g in ideals[k].generators
+            if not any(_divides(h, g) for h in gens)
+        ]
+        if new:
+            gens = tuple(sorted((*gens, *new)))
+            components = locus_components(MonomialIdeal._of(n, gens))
+        loci[k] = components
     stabilized_at = None
     for k in range(1, K // 2 + 1):
         if loci[k] == loci[2 * k] == components:
@@ -262,7 +272,7 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
     return BaseLocusReport(
         truncation=K,
         base_ideals=ideals,
-        cumulative=cumulative,
+        cumulative=MonomialIdeal._of(n, gens),
         components=components,
         empty=empty,
         stabilized=stabilized_at is not None,
@@ -274,28 +284,51 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
 # sheafification
 
 
+def _colon_piece(pivots: tuple[Exponent, ...], n: int, i: int) -> set[Exponent]:
+    """The degree-D monomials of (I : X_i^inf), for I generated by pivots
+    of one degree D in n variables.
+
+    (I : X_i^inf) is I with X_i set to 1, so a degree-D monomial lies in it
+    iff it dominates some pivot off coordinate i; every such monomial is
+    reached from that pivot by moves e -> e + u_j - u_i (j != i, e_i >= 1),
+    and no move leaves the set.  So the set is the closure of the pivots
+    under those moves.
+    """
+    others = [j for j in range(n) if j != i]
+    seen = set(pivots)
+    todo = list(pivots)
+    while todo:
+        e = todo.pop()
+        if e[i]:
+            f = list(e)
+            f[i] -= 1
+            for j in others:
+                f[j] += 1
+                g = tuple(f)
+                f[j] -= 1
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+    return seen
+
+
 def sheafify(series: GradedSeries, K: int) -> GradedSeries:
     """Series of all sections that glue locally: level k consists of every
     degree-(k * twist) monomial in the saturation of the level-k base ideal.
 
     Defined level by level up to K.  The saturation is the intersection of
-    the ideals (I : X_i^inf), so a monomial lies in it iff each of them has
-    a generator dividing it; the intersection itself is never formed.
+    the ideals (I : X_i^inf), so its degree-D piece is the intersection of
+    theirs, each the closure of the level's pivots under the moves of
+    `_colon_piece`; no colon ideal is built and no divisibility is tested.
     """
     if K < 1:
         raise InputError("sheafify: need K >= 1")
     n = series.d + 1
     spans: dict[int, FormSpan] = {}
     for k in range(1, K + 1):
-        base = base_ideal(series, k)
-        colons = [base.saturate_variable(i).generators for i in range(n)]
-        deg = k * series.twist
-        rows = {
-            e: {e: 1}
-            for e in all_exponents(n, deg)
-            if all(any(_divides(g, e) for g in gens) for gens in colons)
-        }
-        spans[k] = FormSpan._of(n, deg, rows)
+        pivots = base_ideal(series, k).generators
+        piece = set.intersection(*(_colon_piece(pivots, n, i) for i in range(n)))
+        spans[k] = FormSpan._of(n, k * series.twist, {e: {e: 1} for e in piece})
     return GradedSeries._of_spans(
         series.d, series.twist, spans, label=f"{series.label} sheafified"
     )

@@ -42,6 +42,13 @@ scanned the value points one at a time, each against every kept point;
 `reference_inverse` is how a `Flag` inverted its matrix, by `rref_rows` on
 the matrix beside the identity.
 
+`reference_filtered_dimension` is `flagval.filtered_dimension` as it
+counted the pivots dominating sigma, one index at a time.
+
+`reference_stable_base_locus` is `monideal.stable_base_locus` as it summed
+the base ideals: one `MonomialIdeal.plus` per level, which re-sorts and
+re-minimalizes the whole running sum, and one `locus_components` per level.
+
 `reference_threshold` is how `surfacezar` started `mu` and `surface_body`
 before the mu LP certified D: a decomposition of D that decides
 pseudo-effectivity by its own LP, then the bigness check, the LP for C and
@@ -70,6 +77,12 @@ from okbody.exactnum import (
     rref_rows,
 )
 from okbody import polyform
+from okbody.monideal import (
+    BaseLocusReport,
+    MonomialIdeal,
+    base_ideal,
+    locus_components,
+)
 from okbody.polyform import HomogeneousForm
 from okbody.surfacezar import zariski
 
@@ -850,6 +863,47 @@ def reference_inverse(matrix) -> list[list[Fraction]] | None:
     if piv != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def reference_filtered_dimension(span, sigma) -> int:
+    """The number of pivots whose first len(sigma) entries are each at
+    least the entry of sigma."""
+    r = len(sigma)
+    return sum(
+        1
+        for p in span.pivots
+        if all(p[i] >= sigma[i] for i in range(r))
+    )
+
+
+# the base-locus oracle
+
+
+def reference_stable_base_locus(series, K: int):
+    """The stable base locus report, summed level by level through `plus`."""
+    n = series.d + 1
+    ideals = {}
+    cumulative = MonomialIdeal(n)
+    loci = {}
+    for k in range(1, K + 1):
+        ideals[k] = base_ideal(series, k)
+        cumulative = cumulative.plus(ideals[k])
+        loci[k] = locus_components(cumulative)
+    components = loci[K]
+    stabilized_at = None
+    for k in range(1, K // 2 + 1):
+        if loci[k] == loci[2 * k] == components:
+            stabilized_at = k
+            break
+    return BaseLocusReport(
+        truncation=K,
+        base_ideals=ideals,
+        cumulative=cumulative,
+        components=components,
+        empty=all(len(c) == n for c in components),
+        stabilized=stabilized_at is not None,
+        stabilized_at=stabilized_at,
+    )
 
 
 # the view-level oracle

@@ -16,8 +16,12 @@ from okbody.flagval import (
     valuation,
     valuation_set,
 )
-from okbody.polyform import FormSpan, HomogeneousForm as HF, integer_lines
-from oracles import reference_indecomposables, reference_inverse
+from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents, integer_lines
+from oracles import (
+    reference_filtered_dimension,
+    reference_indecomposables,
+    reference_inverse,
+)
 
 
 def test_standard_flag():
@@ -127,6 +131,28 @@ def test_filtered_dimension_counts_dominating_pivots():
         filtered_dimension(span, (1, 1, 1))
     with pytest.raises(InputError):
         filtered_dimension(span, ())
+
+
+def test_filtered_dimension_matches_oracle():
+    # seeded spans of random forms in P^1..P^3, sigma of every length 1..d
+    rng = random.Random(2201)
+    lengths = set()
+    for _ in range(120):
+        d, degree = rng.randint(1, 3), rng.randint(0, 4)
+        pool = list(all_exponents(d + 1, degree))
+        forms = [
+            HF(d + 1, {e: rng.randint(-3, 3) for e in rng.sample(pool, 2)}, degree)
+            if len(pool) > 1
+            else HF(d + 1, {pool[0]: 1}, degree)
+            for _ in range(rng.randint(0, 5))
+        ]
+        span = FormSpan(d + 1, degree, forms)
+        r = rng.randint(1, d)
+        lengths.add((d, r))
+        sigma = tuple(rng.randint(0, degree + 1) for _ in range(r))
+        assert filtered_dimension(span, sigma) == reference_filtered_dimension(span, sigma)
+        assert filtered_dimension(span, list(sigma)) == reference_filtered_dimension(span, sigma)
+    assert lengths == {(d, r) for d in (1, 2, 3) for r in range(1, d + 1)}
 
 
 def test_filtered_dimension_antitone():

@@ -23,6 +23,7 @@ from okbody.monideal import (
     stable_base_locus,
 )
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
+from oracles import reference_stable_base_locus
 
 F = Fraction
 
@@ -30,6 +31,18 @@ F = Fraction
 def mono_series(d, m, exps, label="series"):
     gens = [HomogeneousForm.monomial(d + 1, e) for e in exps]
     return GradedSeries.generated(d, m, gens, label=label)
+
+
+def random_explicit(rng, d, twist, K):
+    # a random monomial subset at every level, some levels zero; the
+    # levels need not multiply into each other, so base ideals are
+    # often unsaturated and loci can shrink at any level
+    levels = {}
+    for k in range(1, K + 1):
+        pool = list(all_exponents(d + 1, k * twist))
+        picked = [] if rng.random() < 0.2 else rng.sample(pool, rng.randint(1, min(len(pool), 4)))
+        levels[k] = [HomogeneousForm.monomial(d + 1, e) for e in picked]
+    return GradedSeries.explicit(d, twist, levels)
 
 
 def random_ideal(rng, nvars=3, max_gens=4, max_exp=3):
@@ -53,6 +66,21 @@ def saturation_member_oracle(ideal, e, tmax):
         ):
             return True
     return False
+
+
+def count_calls(monkeypatch):
+    """Count calls of monideal's minimalization, divisibility test and
+    locus from now on."""
+    counts = dict.fromkeys(("_minimalize", "_divides", "locus_components"), 0)
+    for name in counts:
+        real = getattr(monideal, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(monideal, name, counted)
+    return counts
 
 
 FLAGSHIP_EXPS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)]
@@ -309,6 +337,51 @@ class TestStableBaseLocus:
         assert sorted(rep.base_ideals) == [1, 2, 3, 4]
         assert rep.truncation == 4
 
+    def test_matches_sum_of_base_ideals(self):
+        # against the chain of `plus` calls with a locus per level, on
+        # explicit series whose locus shrinks again after its first change
+        rng = random.Random(609)
+        shrunk = 0
+        for trial in range(150):
+            d, twist, K = 1 + trial % 3, rng.randint(1, 2), rng.randint(2, 6)
+            S = random_explicit(rng, d, twist, K)
+            rep, ref = stable_base_locus(S, K), reference_stable_base_locus(S, K)
+            assert rep.base_ideals == ref.base_ideals
+            assert rep.cumulative.generators == ref.cumulative.generators
+            assert rep.components == ref.components
+            assert rep.stabilized_at == ref.stabilized_at
+            assert rep == ref
+            first = next((k for k in range(1, K + 1) if S.level(k).dim), None)
+            if first is not None:
+                shrunk += reference_stable_base_locus(S, first).components != rep.components
+        assert shrunk >= 20
+
+    def test_locus_recomputed_once_per_change(self, monkeypatch):
+        def mono(*exps):
+            return [HomogeneousForm.monomial(3, e) for e in exps]
+
+        cases = [
+            mono_series(2, 2, FLAGSHIP_EXPS),
+            GradedSeries.generated(2, 1, {2: mono((1, 1, 0), (0, 1, 1))}),
+            GradedSeries.generated(
+                2, 1, {1: mono((1, 0, 0)), 2: mono((0, 1, 1)), 3: mono((0, 0, 3), (0, 3, 0))}
+            ),
+        ]
+        seen = []
+        for S in cases:
+            # changes of the running sum, counted on the chain of `plus`
+            changes, total = 0, MonomialIdeal(3)
+            for k in range(1, 7):
+                grown = total.plus(base_ideal(S, k))
+                changes += grown != total
+                total = grown
+            counts = count_calls(monkeypatch)
+            stable_base_locus(S, 6)
+            assert counts["locus_components"] == changes
+            assert counts["_minimalize"] == 0
+            seen.append(changes)
+        assert seen == [1, 1, 3]
+
 
 class TestSheafify:
     def test_flagship_completes(self, flagship):
@@ -332,17 +405,22 @@ class TestSheafify:
             assert Sh.level(k).pivots == S.level(k).pivots
 
     def test_levels_match_saturated_base_ideals(self):
-        # sheafify tests saturation membership monomial by monomial; each
-        # level must be the span of the degree piece of the saturated
-        # base ideal, built from monomial forms as before
+        # each level must be the span of the degree piece of the saturated
+        # base ideal, built from monomial forms as before: on generated
+        # series and on explicit ones with zero levels and unsaturated
+        # base ideals, in P^1 to P^3
         rng = random.Random(607)
-        for trial in range(24):
-            d = 2 + trial % 2
+        zero, grown = set(), set()
+        for trial in range(72):
+            d = 1 + trial % 3
             twist = rng.randint(1, 2)
-            level = list(all_exponents(d + 1, twist))
-            exps = rng.sample(level, rng.randint(1, min(len(level), 5)))
-            S = mono_series(d, twist, exps)
-            K = 5 if d == 2 else 3
+            K = {1: 6, 2: 5, 3: 3}[d]
+            if trial % 2:
+                S = random_explicit(rng, d, twist, K)
+            else:
+                level = list(all_exponents(d + 1, twist))
+                exps = rng.sample(level, rng.randint(1, min(len(level), 5)))
+                S = mono_series(d, twist, exps)
             Sh = sheafify(S, K)
             for k in range(1, K + 1):
                 deg = k * twist
@@ -350,8 +428,22 @@ class TestSheafify:
                 old = FormSpan(
                     d + 1, deg, [HomogeneousForm.monomial(d + 1, e) for e in piece]
                 )
-                assert Sh.level(k) == old, (exps, k)
+                assert Sh.level(k) == old, (trial, k)
                 assert Sh.level(k).pivots == tuple(sorted(piece))
+                if S.level(k).dim == 0:
+                    zero.add(d)
+                elif Sh.level(k).dim > S.level(k).dim:
+                    grown.add((d, trial % 2))
+        assert zero == {1, 2, 3}
+        assert grown >= {(1, 1), (2, 1), (3, 1)} and len(grown) > 3
+
+    def test_runs_no_divisibility_test(self, monkeypatch):
+        counts = count_calls(monkeypatch)
+        rng = random.Random(608)
+        for d in (1, 2, 3):
+            sheafify(random_explicit(rng, d, 2, 3), 3)
+            sheafify(mono_series(d, 2, rng.sample(list(all_exponents(d + 1, 2)), 3)), 3)
+        assert counts == {"_minimalize": 0, "_divides": 0, "locus_components": 0}
 
     def test_preserves_body(self, flagship):
         # sheafification can only add sections that do not move the body

@@ -1,6 +1,7 @@
-"""okbody runs on the standard library alone: a `body` and a `surface`
-command in an isolated interpreter load no module from outside it, and
-the package declares no runtime dependency."""
+"""okbody runs on the standard library alone: `body`, `surface`,
+`sheafify`, `base-locus` and `filtered-dims` commands in an isolated
+interpreter load no module from outside it, and the package declares no
+runtime dependency."""
 
 import json
 import subprocess
@@ -23,6 +24,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     rcs = [
         cli.main(["body", os.path.join(corpus, "p2_except_x2x3.json"), "-K", "4"]),
         cli.main(["surface", os.path.join(corpus, "blowup_cubic.surface.json")]),
+        cli.main(["sheafify", os.path.join(corpus, "p2_except_x2x3.json"), "-K", "4"]),
+        cli.main(["base-locus", os.path.join(corpus, "p2_o2_cremona.json"), "-K", "4"]),
+        cli.main([
+            "filtered-dims", os.path.join(corpus, "p2_o1_complete.json"),
+            "--levels", "3", "--sigma-budget", "2",
+        ]),
     ]
 def under(path, key):
     root = os.path.realpath(sysconfig.get_path(key))
@@ -51,7 +58,7 @@ def test_commands_load_only_the_standard_library():
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == {"rcs": [0, 0], "outside": []}
+    assert json.loads(run.stdout) == {"rcs": [0] * 5, "outside": []}
 
 
 def test_no_runtime_dependencies_declared():
