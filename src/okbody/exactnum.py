@@ -14,8 +14,12 @@ the rest of the package is built on:
   form with content removal and a primitive integer kernel; `rref_rows`
   reads rational rows through it, each row cleared to integers once by
   `integer_row`,
-* `feasible_nonneg`, `maximize`, `in_cone` : a small exact simplex
-  (Bland's rule), used by the surface engine.
+* `feasible_nonneg`, `maximize`, `in_cone` : a fraction-free simplex
+  (Bland's rule, two phases) on an integer tableau over one common
+  denominator, the previous pivot, so that every pivot divides exactly
+  (Bareiss); ratios are compared by cross-multiplication, and Fractions
+  are built only for the solution and its value.  The surface engine
+  uses it.
 """
 
 from __future__ import annotations
@@ -237,11 +241,19 @@ def kernel(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
 # rational elimination
 
 
+def cleared_row(row: Sequence) -> tuple[list[int], int]:
+    """(integers, den): a rational row as integers over the lcm of its
+    denominators; an integer row comes back as it is, over 1."""
+    if all(type(v) is int for v in row):
+        return list(row), 1
+    fr = [v if type(v) is Fraction else Fraction(v) for v in row]
+    den = math.lcm(*(v.denominator for v in fr))
+    return [v.numerator * (den // v.denominator) for v in fr], den
+
+
 def integer_row(row: Sequence) -> list[int]:
     """A rational row times the lcm of its denominators."""
-    fr = [Fraction(v) for v in row]
-    den = math.lcm(*(v.denominator for v in fr))
-    return [v.numerator * (den // v.denominator) for v in fr]
+    return cleared_row(row)[0]
 
 
 def rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -284,45 +296,69 @@ def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact simplex (Bland's rule, two phases)
+# exact simplex (Bland's rule, two phases) on a fraction-free tableau
 
 
-def _pivot(T: list[list[Fraction]], row: int, col: int) -> None:
-    """Scale T[row] to a 1 in column col and clear col from every other row,
-    skipping zero entries."""
-    piv = T[row][col]
-    T[row] = [v / piv if v else v for v in T[row]]
+def _pivot(T: list[list[int]], row: int, col: int, d: int) -> int:
+    """Pivot the integer tableau T, whose entries over the positive common
+    denominator d are the simplex tableau, on (row, col); return the new
+    denominator, the absolute value of the pivot p.
+
+    Every other row r becomes (p * r - r[col] * T[row]) / d, and the
+    division is exact: each entry is a minor of the starting tableau
+    (Bareiss, Math. Comp. 1968).  T[row] is kept, since over p it is the
+    row scaled to a 1 in column col.  A negative pivot negates T[row]
+    first, so that the denominator stays positive.  A row that is zero in
+    column col is only rescaled by p / d, and not touched when p = d.
+    """
+    pr = T[row]
+    p = pr[col]
+    if p < 0:
+        p = -p
+        pr = T[row] = [-v for v in pr]
     for i, r in enumerate(T):
-        if i != row and r[col]:
-            f = r[col]
-            T[i] = [a - f * b if b else a for a, b in zip(r, T[row])]
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            T[i] = [(p * a - f * b) // d for a, b in zip(r, pr)]
+        elif p != d:
+            T[i] = [p * a // d for a in r]
+    return p
 
 
 def _simplex_core(
-    T: list[list[Fraction]], basis: list[int], nvars: int
-) -> str:
+    T: list[list[int]], basis: list[int], nvars: int, d: int
+) -> tuple[str, int]:
     """Maximize the objective stored in the last tableau row.
 
-    T has rows [A | b] then one objective row [c | value]; basis holds the
-    basic variable of each constraint row.  Returns "optimal" or "unbounded".
+    T over the denominator d has rows [A | b] then one objective row
+    [c | value]; basis holds the basic variable of each constraint row.
+    The entering column is the first with a positive reduced cost; the
+    leaving row has the least ratio b_i / a_i over a_i > 0, compared by
+    cross-multiplication, ties going to the least basic variable.  Returns
+    ("optimal" or "unbounded", the denominator).
     """
     nrows = len(T) - 1
     while True:
         obj = T[-1]
         enter = next((j for j in range(nvars) if obj[j] > 0), None)
         if enter is None:
-            return "optimal"
-        best: tuple[Fraction, int, int] | None = None  # (ratio, basis var, row)
+            return "optimal", d
+        best = -1
         for i in range(nrows):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                key = (ratio, basis[i], i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return "unbounded"
-        _pivot(T, best[2], enter)
-        basis[best[2]] = enter
+            a = T[i][enter]
+            if a > 0:
+                if best < 0:
+                    best, num, den = i, T[i][-1], a
+                    continue
+                lhs, rhs = T[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, num, den = i, T[i][-1], a
+        if best < 0:
+            return "unbounded", d
+        d = _pivot(T, best, enter, d)
+        basis[best] = enter
 
 
 def maximize(
@@ -333,55 +369,67 @@ def maximize(
     """Maximize c.x subject to A x = b, x >= 0, exactly.
 
     Returns (status, x, value) with status in {"optimal", "unbounded",
-    "infeasible"}.
+    "infeasible"}.  The tableau is integral over one common denominator
+    from start to end; Fractions are built only for x and the value.  The
+    starting denominator is the product of the row denominators of [A | b]:
+    the starting tableau is then the fraction-free form of the system with
+    each row cleared to integers, and every later division is exact.
     """
     n, m = _check_rect(A, "maximize")
     if len(b) != n or len(c) != m:
         raise InputError("maximize: dimension mismatch")
-    rows = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(A, b)]
-    for row in rows:
-        if row[-1] < 0:
-            row[:] = [-v for v in row]
+    rows = []
+    d = 1
+    for row, v in zip(A, b):
+        r, den = cleared_row([*row, v])
+        if r[-1] < 0:
+            r = [-x for x in r]
+        rows.append((r, den))
+        d *= den
     # phase 1: artificial variables, maximize -(sum of artificials)
     T = []
     basis = []
-    for i, row in enumerate(rows):
-        art = [Fraction(0)] * n
-        art[i] = Fraction(1)
-        T.append(row[:-1] + art + [row[-1]])
+    for i, (r, den) in enumerate(rows):
+        scale = d // den
+        art = [0] * n
+        art[i] = d
+        T.append([scale * x for x in r[:-1]] + art + [scale * r[-1]])
         basis.append(m + i)
     # maximize -(sum of artificials), priced out on the basic artificials
-    T.append([Fraction(0)] * m + [Fraction(-1)] * n + [Fraction(0)])
+    T.append([0] * m + [-d] * n + [0])
     for i in range(n):
-        _pivot(T, i, m + i)
-    _simplex_core(T, basis, m + n)
+        d = _pivot(T, i, m + i, d)
+    _, d = _simplex_core(T, basis, m + n, d)
     if T[-1][-1] != 0:
         return "infeasible", None, None
-    # drive leftover artificials out of the basis where possible
+    # drive leftover artificials out of the basis where possible; the
+    # phase-1 optimum is 0, so every artificial still basic is at zero and
+    # its row, zero on the real columns, stays as a redundant row
     for i in range(n):
         if basis[i] >= m:
             enter = next((j for j in range(m) if T[i][j] != 0), None)
             if enter is not None:
-                _pivot(T, i, enter)
+                d = _pivot(T, i, enter, d)
                 basis[i] = enter
     # phase 2: real objective on the original variables
-    keep = [i for i in range(n) if basis[i] < m or T[i][-1] == 0]
-    T2 = [[T[i][j] for j in range(m)] + [T[i][-1]] for i in keep]
-    basis2 = [basis[i] for i in keep]
-    # the real objective, priced out on the basic real columns
-    T2.append(list(map(Fraction, c)) + [Fraction(0)])
-    for i, bv in enumerate(basis2):
+    T2 = [row[:m] + [row[-1]] for row in T[:-1]]
+    # the real objective times the lcm of its denominators (a positive
+    # factor changes no decision), priced out on the basic real columns
+    cints, cden = cleared_row(c)
+    T2.append([d * v for v in cints] + [0])
+    for i, bv in enumerate(basis):
         if bv < m:
-            _pivot(T2, i, bv)
-    status = _simplex_core(T2, basis2, m)
+            d = _pivot(T2, i, bv, d)
+    status, d = _simplex_core(T2, basis, m, d)
     if status == "unbounded":
         return "unbounded", None, None
     x = [Fraction(0)] * m
-    for i, bv in enumerate(basis2):
+    total = 0
+    for i, bv in enumerate(basis):
         if bv < m:
-            x[bv] = T2[i][-1]
-    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-    return "optimal", x, value
+            x[bv] = Fraction(T2[i][-1], d)
+            total += cints[bv] * T2[i][-1]
+    return "optimal", x, Fraction(total, d * cden)
 
 
 def feasible_nonneg(
@@ -389,7 +437,7 @@ def feasible_nonneg(
 ) -> list[Fraction] | None:
     """Find x >= 0 with A x = b, or None.  Exact phase-1 simplex."""
     n, m = _check_rect(A, "feasible_nonneg")
-    status, x, _ = maximize(A, b, [Fraction(0)] * m)
+    status, x, _ = maximize(A, b, [0] * m)
     return x if status == "optimal" else None
 
 
@@ -403,6 +451,5 @@ def in_cone(
     """
     if not generators:
         return None if any(Fraction(t) != 0 for t in target) else []
-    dim = len(target)
-    A = [[Fraction(g[i]) for g in generators] for i in range(dim)]
-    return feasible_nonneg(A, [Fraction(t) for t in target])
+    A = [[g[i] for g in generators] for i in range(len(target))]
+    return feasible_nonneg(A, list(target))

@@ -241,7 +241,10 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
     that no earlier generator divides.  Level k's generators have degree
     k * twist, above every earlier one, so none of them divides an earlier
     generator and the sum needs no re-minimalization; its locus is
-    recomputed only when the sum changes.  The locus can only shrink as
+    recomputed only when the sum changes.  On a series with generators,
+    level k is a sum of products of generators of levels j <= k, so each of
+    its monomials is divisible by a monomial of a generator level already
+    summed: only generator levels are scanned.  The locus can only shrink as
     degrees accumulate; stabilization is reported when the locus at some
     degree k agrees with the locus at 2k and with the final one.  The locus
     may still shrink past K when the flag is not raised.
@@ -253,8 +256,12 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
     gens: tuple[Exponent, ...] = ()
     components: tuple[tuple[int, ...], ...] = ((),)  # the zero sum's locus
     loci: dict[int, tuple[tuple[int, ...], ...]] = {}
+    scanned = series.generators
     for k in range(1, K + 1):
         ideals[k] = base_ideal(series, k)
+        if scanned is not None and k not in scanned:
+            loci[k] = components
+            continue
         new = [
             g for g in ideals[k].generators
             if not any(_divides(h, g) for h in gens)

@@ -3,35 +3,68 @@ intersection lattice and the piecewise linear description of the body of a
 big divisor with respect to a flag (curve, point).
 
 The user supplies the Neron-Severi data: Gram matrix, candidate negative
-curves, and effective-cone generators.  The engine never discovers curves;
-it validates the supplied configuration and fails loudly when the list is
-insufficient to certify a decomposition.
+curves, and effective-cone generators, all integral.  The engine never
+discovers curves; it validates the supplied configuration and fails loudly
+when the list is insufficient to certify a decomposition.
+
+Inside the engine a class is an integer vector over one positive
+denominator.  The lattice keeps the integer Gram images G c of its listed
+curves and generators, so an intersection with a listed class is one
+integer dot product; the support solves, the fixpoint, the continuation
+levels and the body's hull run on integers too.  The public types
+(`ZariskiDecomposition`, `Segment`, `SurfaceBody`) hold Fractions, built
+once from those integers.  `ZariskiDecomposition.check` recomputes its
+intersection numbers in plain Fraction arithmetic over the Gram matrix, so
+that it shares no kernel with the engine it checks.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .convbody import RationalPolytope
+from .convbody import RationalPolytope, _integer_points
 from .errors import InputError, InvariantError
-from .exactnum import det, in_cone, integer_row, kernel, maximize
+from .exactnum import cleared_row, in_cone, kernel, maximize
 
 Vec = tuple[Fraction, ...]
 
 
 def _vec(v: Sequence, rank: int, what: str) -> Vec:
-    out = tuple(Fraction(x) for x in v)
+    out = tuple(x if type(x) is Fraction else Fraction(x) for x in v)
     if len(out) != rank:
         raise InputError(f"{what}: expected a class vector of length {rank}")
     return out
 
 
-class SurfaceLattice:
-    """Intersection lattice of a surface with its curve bookkeeping."""
+def _integral(v: Vec, what: str) -> tuple[int, ...]:
+    if any(x.denominator != 1 for x in v):
+        raise InputError(f"surface lattice: {what} not integral")
+    return tuple(x.numerator for x in v)
 
-    __slots__ = ("rank", "gram", "negative_curves", "effective_generators")
+
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+class SurfaceLattice:
+    """Intersection lattice of a surface with its curve bookkeeping.
+
+    Besides the public Fraction classes it keeps the listed curves and
+    generators as integer vectors (`_curves`, `_generators`) and their
+    integer Gram images (`_curve_images`, `_generator_images`)."""
+
+    __slots__ = (
+        "rank",
+        "gram",
+        "negative_curves",
+        "effective_generators",
+        "_curves",
+        "_curve_images",
+        "_generators",
+        "_generator_images",
+    )
 
     def __init__(
         self,
@@ -64,42 +97,50 @@ class SurfaceLattice:
             raise InputError("surface lattice: need effective-cone generators")
         if any(not any(g) for g in self.effective_generators):
             raise InputError("surface lattice: zero effective generator")
-        if len(set(self.negative_curves)) != len(self.negative_curves):
+        self._curves = [_integral(c, "negative curve") for c in self.negative_curves]
+        if len(set(self._curves)) != len(self._curves):
             raise InputError("surface lattice: repeated negative curve")
-        for c in self.negative_curves:
-            if self.dot(c, c) >= 0:
+        self._generators = [
+            _integral(g, "effective generator") for g in self.effective_generators
+        ]
+        self._curve_images = [self._image(c) for c in self._curves]
+        self._generator_images = [self._image(g) for g in self._generators]
+        for c, image in zip(self._curves, self._curve_images):
+            if _idot(c, image) >= 0:
                 raise InputError(
                     "surface lattice: listed curve has nonnegative self-intersection"
                 )
+
+    def _image(self, v: Sequence[int]) -> tuple[int, ...]:
+        """G v for an integer vector v."""
+        return tuple(_idot(row, v) for row in self.gram)
 
     def dot(self, a: Sequence, b: Sequence) -> Fraction:
         """a . b for classes of rational (or integer) entries: each class is
         cleared to integers once, and the sum runs over the integer Gram
         matrix."""
-        da = math.lcm(*(x.denominator for x in a))
-        db = math.lcm(*(x.denominator for x in b))
-        ib = [y.numerator * (db // y.denominator) for y in b]
-        total = 0
-        for x, row in zip(a, self.gram):
-            if x:
-                total += x.numerator * (da // x.denominator) * sum(
-                    g * y for g, y in zip(row, ib) if y
-                )
-        return Fraction(total, da * db)
+        ia, da = cleared_row(a)
+        ib, db = cleared_row(b)
+        return Fraction(_idot(ia, self._image(ib)), da * db)
 
     def is_pseudoeffective(self, D: Sequence) -> bool:
         target = _vec(D, self.rank, "divisor")
-        return in_cone(self.effective_generators, target) is not None
+        return in_cone(self._generators, target) is not None
 
-    def _combines_to(self, weights: Sequence, D: Vec) -> bool:
+    def _combines_to(self, weights: Sequence, D: Sequence) -> bool:
         """Whether weights are a nonnegative combination of the effective
-        generators equal to D: a certificate that D is pseudo-effective."""
-        gens = self.effective_generators
-        if len(weights) != len(gens) or any(w < 0 for w in weights):
+        generators equal to D: a certificate that D is pseudo-effective.
+        Both sides are cleared to integers, w / wden and v / vden, and
+        compared as sum_k w_k g_k vden = v wden."""
+        gens = self._generators
+        if len(weights) != len(gens):
             return False
+        w, wden = cleared_row(weights)
+        if any(x < 0 for x in w):
+            return False
+        v, vden = cleared_row(D)
         return all(
-            sum(w * g[r] for w, g in zip(weights, gens) if w) == D[r]
-            for r in range(self.rank)
+            _idot(w, column) * vden == x * wden for column, x in zip(zip(*gens), v)
         )
 
     def __repr__(self) -> str:
@@ -108,6 +149,30 @@ class SurfaceLattice:
             f"curves={len(self.negative_curves)}, "
             f"generators={len(self.effective_generators)})"
         )
+
+
+def _fraction_dot(gram: Sequence[Sequence[int]], a: Sequence, b: Sequence) -> Fraction:
+    """a . b over the Gram matrix in plain Fraction arithmetic, term by
+    term."""
+    return sum(
+        (Fraction(x) * g * Fraction(y) for x, row in zip(a, gram) for g, y in zip(row, b)),
+        Fraction(0),
+    )
+
+
+def _fraction_negative_definite(G: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether a symmetric Fraction matrix is negative definite: Gaussian
+    elimination without row exchanges meets only negative pivots."""
+    M = [list(row) for row in G]
+    for s, pivot_row in enumerate(M):
+        p = pivot_row[s]
+        if p >= 0:
+            return False
+        for row in M[s + 1:]:
+            f = row[s] / p
+            for j in range(s + 1, len(M)):
+                row[j] -= f * pivot_row[j]
+    return True
 
 
 class ZariskiDecomposition(NamedTuple):
@@ -138,71 +203,89 @@ class ZariskiDecomposition(NamedTuple):
         return Fraction(0)
 
     def check(self, lattice: SurfaceLattice) -> None:
-        """Verify the defining invariants exactly; raises on violation."""
+        """Verify the defining invariants exactly; raises on violation.
+
+        The intersection numbers are Fraction sums over the Gram matrix,
+        computed apart from the engine's integer kernels."""
+        gram = lattice.gram
         N = self.negative_class()
         if tuple(p + n for p, n in zip(self.positive, N)) != self.divisor:
             raise InvariantError("zariski: D != P + N")
         for c, m in self.negative:
             if m <= 0:
                 raise InvariantError("zariski: nonpositive multiplicity kept")
-            if lattice.dot(self.positive, c) != 0:
+            if _fraction_dot(gram, self.positive, c) != 0:
                 raise InvariantError("zariski: P not orthogonal to supp N")
         for c in lattice.negative_curves:
-            if lattice.dot(self.positive, c) < 0:
+            if _fraction_dot(gram, self.positive, c) < 0:
                 raise InvariantError("zariski: P negative against a listed curve")
         supp = self.support
-        if supp and not _negative_definite(lattice, supp):
+        if supp and not _fraction_negative_definite(
+            [[_fraction_dot(gram, a, b) for b in supp] for a in supp]
+        ):
             raise InvariantError("zariski: support Gram not negative definite")
 
 
-def _negative_definite(lattice: SurfaceLattice, curves: Sequence[Vec]) -> bool:
-    # alternating signs of leading principal minors
-    k = len(curves)
-    G = [[lattice.dot(a, b) for b in curves] for a in curves]
-    for s in range(1, k + 1):
-        minor = [row[:s] for row in G[:s]]
-        if (-1) ** s * det(minor) <= 0:
+def _negative_definite(lattice: SurfaceLattice, idx: Sequence[int]) -> bool:
+    """Whether the Gram matrix of the listed curves idx is negative
+    definite: its leading principal minors alternate in sign, the first
+    negative.  Fraction-free elimination without row exchanges (Bareiss)
+    meets them as its pivots."""
+    curves, images = lattice._curves, lattice._curve_images
+    M = [[_idot(curves[a], images[b]) for b in idx] for a in idx]
+    d, sign = 1, -1
+    for s, pivot_row in enumerate(M):
+        p = pivot_row[s]
+        if sign * p <= 0:
             return False
+        for row in M[s + 1:]:
+            f = row[s]
+            for j in range(s + 1, len(M)):
+                row[j] = (p * row[j] - f * pivot_row[j]) // d
+        d, sign = p, -sign
     return True
 
 
 def _solve_support(
-    lattice: SurfaceLattice, supp: list[int], rhs: list[Fraction]
-) -> list[Fraction]:
-    """The multiplicities x with sum_j x_j (C_i . C_j) = rhs_i over the
-    support curves C_i: the kernel of [G | -rhs] is one vector (x w, w),
-    w != 0, exactly when the support Gram matrix G is nonsingular."""
-    curves = [lattice.negative_curves[i] for i in supp]
+    lattice: SurfaceLattice, supp: list[int], rhs: list[int], den: int
+) -> tuple[list[int], int]:
+    """The multiplicities x with sum_j x_j (C_i . C_j) = rhs_i / den over
+    the support curves C_i, as integers v over a positive denominator: the
+    kernel of [G | -rhs] is one vector (v w, w), w != 0, exactly when the
+    support Gram matrix G is nonsingular, and x = v / (w den)."""
+    curves, images = lattice._curves, lattice._curve_images
     rows = [
-        integer_row([lattice.dot(a, b) for b in curves] + [-r])
-        for a, r in zip(curves, rhs)
+        [_idot(curves[a], images[b]) for b in supp] + [-r] for a, r in zip(supp, rhs)
     ]
-    ker = kernel(rows, len(curves) + 1)
+    ker = kernel(rows, len(supp) + 1)
     if len(ker) != 1 or not ker[0][-1]:
         raise InputError(
             "zariski: support intersection matrix is singular; "
             "check the negative-curve list"
         )
     *v, w = ker[0]
-    return [Fraction(x, w) for x in v]
+    if w < 0:
+        v, w = [-x for x in v], -w
+    return v, w * den
 
 
 def _positive_part(
-    lattice: SurfaceLattice, supp: list[int], X: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """(m, P) with P = X - sum m_i C_i orthogonal to the support curves C_i;
-    on the empty support, m = [] and P = X."""
-    curves = lattice.negative_curves
-    m = (
-        _solve_support(lattice, supp, [lattice.dot(X, curves[i]) for i in supp])
-        if supp
-        else []
-    )
-    P = list(X)
-    for i, x in zip(supp, m):
-        for j in range(lattice.rank):
-            P[j] -= x * curves[i][j]
-    return m, P
+    lattice: SurfaceLattice, supp: list[int], x: Sequence[int], den: int
+) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """((m, mden), (P, pden)) with P / pden = x / den - sum m_i C_i / mden
+    orthogonal to the support curves C_i, both over positive denominators;
+    on the empty support, m = [] and P = x."""
+    if not supp:
+        return ([], 1), (list(x), den)
+    images = lattice._curve_images
+    m, mden = _solve_support(lattice, supp, [_idot(x, images[i]) for i in supp], den)
+    P = [v * mden for v in x]
+    curves = lattice._curves
+    for i, mi in zip(supp, m):
+        if mi:
+            f = den * mi
+            P = [p - f * c for p, c in zip(P, curves[i])]
+    return (m, mden), (P, den * mden)
 
 
 def zariski(
@@ -212,7 +295,9 @@ def zariski(
 
     Grows the support of the negative part to a fixpoint: starting from the
     empty support, take the positive part on the support, then admit every
-    curve it still meets negatively.
+    curve it still meets negatively.  D is cleared to integers once; each
+    intersection with a listed curve is one integer dot product with its
+    Gram image.
     A witness, weights on the effective generators, is checked exactly;
     when it is absent or does not combine to D, an LP decides whether D is
     pseudo-effective.
@@ -221,14 +306,13 @@ def zariski(
     certified = witness is not None and lattice._combines_to(witness, D)
     if not certified and not lattice.is_pseudoeffective(D):
         raise InputError("zariski: divisor is not pseudo-effective")
-    curves = lattice.negative_curves
+    x, den = cleared_row(D)
+    images = lattice._curve_images
     supp: list[int] = []
     while True:
-        coeffs, P = _positive_part(lattice, supp, D)
+        (coeffs, cden), (P, pden) = _positive_part(lattice, supp, x, den)
         entering = [
-            i
-            for i, c in enumerate(curves)
-            if i not in supp and lattice.dot(P, c) < 0
+            i for i, g in enumerate(images) if i not in supp and _idot(P, g) < 0
         ]
         if not entering:
             break
@@ -238,25 +322,22 @@ def zariski(
             "zariski: negative multiplicity in the fixpoint; "
             "the negative-curve list is inconsistent"
         )
-    kept = [(i, m) for i, m in zip(supp, coeffs) if m > 0]
-    kept.sort()
-    support_curves = [curves[i] for i, _ in kept]
-    if support_curves and not _negative_definite(lattice, support_curves):
+    kept = sorted((i, m) for i, m in zip(supp, coeffs) if m > 0)
+    if kept and not _negative_definite(lattice, [i for i, _ in kept]):
         raise InputError(
             "zariski: support Gram matrix not negative definite; "
             "check the negative-curve list"
         )
-    positive = tuple(P)
-    for g in lattice.effective_generators:
-        if lattice.dot(positive, g) < 0:
-            raise InputError(
-                "zariski: negative-curve list insufficient; the positive part "
-                "still meets an effective class negatively"
-            )
+    if any(_idot(P, g) < 0 for g in lattice._generator_images):
+        raise InputError(
+            "zariski: negative-curve list insufficient; the positive part "
+            "still meets an effective class negatively"
+        )
+    curves = lattice.negative_curves
     return ZariskiDecomposition(
         divisor=D,
-        positive=positive,
-        negative=tuple((curves[i], m) for i, m in kept),
+        positive=tuple(Fraction(p, pden) for p in P),
+        negative=tuple((curves[i], Fraction(m, cden)) for i, m in kept),
     )
 
 
@@ -284,10 +365,10 @@ def _threshold(
     effective generators, by two LPs: the mu LP, feasible exactly when D is
     pseudo-effective, whose y + mu z certifies D to its decomposition, and
     the LP for C.  For 0 <= t <= mu, y + (mu - t) z combines to D - tC."""
-    gens = lattice.effective_generators
+    gens = lattice._generators
     # columns: one multiplier per generator, then t; rows: class equality
     A = [[g[r] for g in gens] + [C[r]] for r in range(lattice.rank)]
-    c = [Fraction(0)] * len(gens) + [Fraction(1)]
+    c = [0] * len(gens) + [1]
     status, x, value = maximize(A, list(D), c)
     if status == "infeasible":
         raise InputError("zariski: divisor is not pseudo-effective")
@@ -376,11 +457,14 @@ class SurfaceBody:
         return total
 
     def polytope(self) -> RationalPolytope:
+        """The hull of the lower and upper edge at every breakpoint, the
+        points cleared to integers over one denominator."""
         pts = []
         for t in self.breakpoints:
-            pts.append((t, self.alpha(t)))
-            pts.append((t, self.beta(t)))
-        return RationalPolytope.from_points(pts)
+            seg = self._segment(t)
+            pts.append((t, _affine_eval(seg.alpha, t)))
+            pts.append((t, _affine_eval(seg.beta, t)))
+        return RationalPolytope._from_integer_points(*_integer_points(pts), 2)
 
     def __repr__(self) -> str:
         return (
@@ -391,9 +475,11 @@ class SurfaceBody:
 
 def _entering(levels: dict, t: Fraction) -> list[int]:
     """The curves that join the support at time t: those whose level
-    (v0, v1), with P(t) . G = v0 + t v1, has (v0 + t v1, v1) < (0, 0), so
-    that P(t) . G is negative or turns negative at t."""
-    return [j for j, (v0, v1) in levels.items() if (v0 + t * v1, v1) < (0, 0)]
+    (v0, v1), with P(t) . G a positive multiple of v0 + t v1, has
+    (v0 + t v1, v1) < (0, 0), so that P(t) . G is negative or turns
+    negative at t."""
+    tn, td = t.numerator, t.denominator
+    return [j for j, (v0, v1) in levels.items() if (v0 * td + tn * v1, v1) < (0, 0)]
 
 
 def surface_body(
@@ -409,11 +495,19 @@ def surface_body(
     are affine in t; interval ends are exact roots of orthogonality
     conditions.  The lower edge is a(t) = sum of mult_Gamma(N_t) times the
     supplied local multiplicity of Gamma meet C at x (0 = generic point);
-    the upper edge adds C . P_t.
+    the upper edge adds C . P_t.  D and C are cleared to integers once, and
+    the multiplicities, positive parts and levels of each interval are
+    integers over positive denominators.
     """
     D = _vec(D, lattice.rank, "divisor")
     C = _vec(C, lattice.rank, "flag curve")
     curves = lattice.negative_curves
+    images = lattice._curve_images
+    x0, xden = cleared_row(D)
+    cv, cden = cleared_row(C)
+    # G . C over cden for each listed curve G, and the Gram image of C
+    meets = [_idot(g, cv) for g in images]
+    image_c = lattice._image(cv)
     mults = [0] * len(curves)
     echo: list[tuple[Vec, int]] = []
     if point_multiplicities:
@@ -428,7 +522,7 @@ def surface_body(
                 )
             # a curve G != C meets C in G . C points, counted with
             # multiplicity, so no point of C has a larger one on G
-            if k != C and m > lattice.dot(k, C):
+            if k != C and m * cden > meets[hits[0]]:
                 raise InputError(
                     "surface body: point multiplicity exceeds G . C for a curve G"
                 )
@@ -437,7 +531,7 @@ def surface_body(
                 echo.append((k, int(m)))
     # C is an irreducible curve: a listed curve G != C with G . C < 0 would
     # be a component of C
-    if any(c != C and lattice.dot(c, C) < 0 for c in curves):
+    if any(c != C and g < 0 for c, g in zip(curves, meets)):
         raise InputError(
             "surface body: flag curve meets a listed curve G negatively, so G "
             "is a component of it; the flag curve must be irreducible"
@@ -445,10 +539,8 @@ def surface_body(
     # one decomposition of D serves the bigness check of mu, the start of
     # the continuation and the body's record of it
     start, mu_value, y, z = _threshold(lattice, D, C)
-
-    supp = sorted(
-        i for i, c in enumerate(curves) if start.multiplicity(c) > 0
-    )
+    supp = sorted(curves.index(c) for c, _ in start.negative)
+    minus_c = [-v for v in cv]
     segments: list[Segment] = []
     t_cur = Fraction(0)
     guard = 0
@@ -456,14 +548,16 @@ def surface_body(
         guard += 1
         if guard > 4 * len(curves) + 8:
             raise InvariantError("surface body: continuation failed to terminate")
-        # on this support the multiplicities c0 + t c1 and the positive part
-        # P0 + t P1 of D - tC are affine in t, and so is the level
-        # (P0 . G, P1 . G) of each curve G off the support
-        c0, P0 = _positive_part(lattice, supp, D)
-        c1, P1 = _positive_part(lattice, supp, [-x for x in C])
+        # on this support the multiplicities (c0 / d0) + t (c1 / d1) and the
+        # positive part (P0 / e0) + t (P1 / e1) of D - tC are affine in t,
+        # and P(t) . G is (v0 + t v1) / (e0 e1) for the level
+        # (v0, v1) = ((P0 . G) e1, (P1 . G) e0) of each curve G off the
+        # support
+        (c0, d0), (P0, e0) = _positive_part(lattice, supp, x0, xden)
+        (c1, d1), (P1, e1) = _positive_part(lattice, supp, minus_c, cden)
         levels = {
-            j: (lattice.dot(P0, c), lattice.dot(P1, c))
-            for j, c in enumerate(curves)
+            j: (_idot(P0, g) * e1, _idot(P1, g) * e0)
+            for j, g in enumerate(images)
             if j not in supp
         }
         grow_now = _entering(levels, t_cur)
@@ -478,19 +572,23 @@ def surface_body(
             )
 
         # the next breakpoint: the least root of a falling level past t_cur
-        roots = [-v0 / v1 for v0, v1 in levels.values() if v1 < 0]
+        roots = [Fraction(-v0, v1) for v0, v1 in levels.values() if v1 < 0]
         t_next = min([r for r in roots if r > t_cur] + [mu_value])
+        tn, td = t_cur.numerator, t_cur.denominator
+        un, ud = t_next.numerator, t_next.denominator
         for a, b in zip(c0, c1):
-            if (a + t_cur * b, b) < (0, 0) or a + t_next * b < 0:
+            # the multiplicity over d0 d1 is a d1 + t b d0
+            a, b = a * d1, b * d0
+            if (a * td + tn * b, b) < (0, 0) or a * ud + un * b < 0:
                 raise InvariantError(
                     "surface body: negative-part support decreased; "
                     "parametric continuation aborted"
                 )
 
-        a_slope = sum((b * mults[i] for i, b in zip(supp, c1)), Fraction(0))
-        a_icpt = sum((a * mults[i] for i, a in zip(supp, c0)), Fraction(0))
-        b_slope = a_slope + lattice.dot(C, P1)
-        b_icpt = a_icpt + lattice.dot(C, P0)
+        a_slope = Fraction(_idot(c1, [mults[i] for i in supp]), d1)
+        a_icpt = Fraction(_idot(c0, [mults[i] for i in supp]), d0)
+        b_slope = a_slope + Fraction(_idot(P1, image_c), e1 * cden)
+        b_icpt = a_icpt + Fraction(_idot(P0, image_c), e0 * cden)
         segments.append(
             Segment(
                 t0=t_cur,
@@ -507,7 +605,10 @@ def surface_body(
         D_mid = tuple(d - t_mid * c for d, c in zip(D, C))
         witness = [a + (mu_value - t_mid) * b for a, b in zip(y, z)]
         z_mid = zariski(lattice, D_mid, witness)
-        expected = {curves[i]: a + t_mid * b for i, a, b in zip(supp, c0, c1)}
+        expected = {
+            curves[i]: Fraction(a, d0) + t_mid * Fraction(b, d1)
+            for i, a, b in zip(supp, c0, c1)
+        }
         got = {c: m for c, m in z_mid.negative}
         if got != {c: m for c, m in expected.items() if m != 0}:
             raise InvariantError(

@@ -49,6 +49,12 @@ counted the pivots dominating sigma, one index at a time.
 the base ideals: one `MonomialIdeal.plus` per level, which re-sorts and
 re-minimalizes the whole running sum, and one `locus_components` per level.
 
+`reference_maximize` is `exactnum.maximize` as it ran on a Fraction
+tableau: `_fraction_pivot` scales the pivot row to a 1 and clears the
+column from the others, and `_fraction_simplex_core` compares ratios as
+Fractions.  The pivot rule (Bland's) and its tie-breaks are the ones the
+integer tableau keeps, so both make the same pivots.
+
 `reference_threshold` is how `surfacezar` started `mu` and `surface_body`
 before the mu LP certified D: a decomposition of D that decides
 pseudo-effectivity by its own LP, then the bigness check, the LP for C and
@@ -178,6 +184,107 @@ def reference_threshold(lattice, D, C):
     if status != "optimal":
         raise InvariantError("mu: threshold LP infeasible for an effective class")
     return dec, value, x[: len(gens)], z
+
+
+# ---------------------------------------------------------------------------
+# the Fraction simplex
+
+
+def _fraction_pivot(T: list[list[Fraction]], row: int, col: int) -> None:
+    """Scale T[row] to a 1 in column col and clear col from every other row,
+    skipping zero entries."""
+    piv = T[row][col]
+    T[row] = [v / piv if v else v for v in T[row]]
+    for i, r in enumerate(T):
+        if i != row and r[col]:
+            f = r[col]
+            T[i] = [a - f * b if b else a for a, b in zip(r, T[row])]
+
+
+def _fraction_simplex_core(
+    T: list[list[Fraction]], basis: list[int], nvars: int
+) -> str:
+    """Maximize the objective stored in the last tableau row.
+
+    T has rows [A | b] then one objective row [c | value]; basis holds the
+    basic variable of each constraint row.  Returns "optimal" or "unbounded".
+    """
+    nrows = len(T) - 1
+    while True:
+        obj = T[-1]
+        enter = next((j for j in range(nvars) if obj[j] > 0), None)
+        if enter is None:
+            return "optimal"
+        best: tuple[Fraction, int, int] | None = None  # (ratio, basis var, row)
+        for i in range(nrows):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                key = (ratio, basis[i], i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            return "unbounded"
+        _fraction_pivot(T, best[2], enter)
+        basis[best[2]] = enter
+
+
+def reference_maximize(
+    A: Sequence[Sequence[Fraction]],
+    b: Sequence[Fraction],
+    c: Sequence[Fraction],
+) -> tuple[str, list[Fraction] | None, Fraction | None]:
+    """Maximize c.x subject to A x = b, x >= 0, exactly.
+
+    Returns (status, x, value) with status in {"optimal", "unbounded",
+    "infeasible"}.
+    """
+    n, m = _check_rect(A, "maximize")
+    if len(b) != n or len(c) != m:
+        raise InputError("maximize: dimension mismatch")
+    rows = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(A, b)]
+    for row in rows:
+        if row[-1] < 0:
+            row[:] = [-v for v in row]
+    # phase 1: artificial variables, maximize -(sum of artificials)
+    T = []
+    basis = []
+    for i, row in enumerate(rows):
+        art = [Fraction(0)] * n
+        art[i] = Fraction(1)
+        T.append(row[:-1] + art + [row[-1]])
+        basis.append(m + i)
+    # maximize -(sum of artificials), priced out on the basic artificials
+    T.append([Fraction(0)] * m + [Fraction(-1)] * n + [Fraction(0)])
+    for i in range(n):
+        _fraction_pivot(T, i, m + i)
+    _fraction_simplex_core(T, basis, m + n)
+    if T[-1][-1] != 0:
+        return "infeasible", None, None
+    # drive leftover artificials out of the basis where possible
+    for i in range(n):
+        if basis[i] >= m:
+            enter = next((j for j in range(m) if T[i][j] != 0), None)
+            if enter is not None:
+                _fraction_pivot(T, i, enter)
+                basis[i] = enter
+    # phase 2: real objective on the original variables
+    keep = [i for i in range(n) if basis[i] < m or T[i][-1] == 0]
+    T2 = [[T[i][j] for j in range(m)] + [T[i][-1]] for i in keep]
+    basis2 = [basis[i] for i in keep]
+    # the real objective, priced out on the basic real columns
+    T2.append(list(map(Fraction, c)) + [Fraction(0)])
+    for i, bv in enumerate(basis2):
+        if bv < m:
+            _fraction_pivot(T2, i, bv)
+    status = _fraction_simplex_core(T2, basis2, m)
+    if status == "unbounded":
+        return "unbounded", None, None
+    x = [Fraction(0)] * m
+    for i, bv in enumerate(basis2):
+        if bv < m:
+            x[bv] = T2[i][-1]
+    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
+    return "optimal", x, value
 
 
 # ---------------------------------------------------------------------------

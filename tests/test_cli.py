@@ -3,6 +3,7 @@ envelope determinism, exit codes, and drawing output."""
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -178,6 +179,80 @@ CORPUS_RUNS = [
     ),
 ]
 
+
+def blowup_surface_input(rng: random.Random, r: int) -> dict:
+    """A seeded `surface` input on P^2 blown up at r general points, basis
+    H, E_1..E_r: the exceptional curves and the lines H - E_i - E_j are the
+    negative curves (with H - E_1 added as a generator when r = 1), D is H
+    to 3H plus a nonnegative combination of the generators, the flag curve
+    is a line, a line through the first point, the conic through all the
+    points or a listed curve, and each curve meeting it gets a point
+    multiplicity up to their intersection number 60% of the time."""
+    n = r + 1
+    gram = [[int(i == j) * (1 - 2 * (i > 0)) for j in range(n)] for i in range(n)]
+    curves = [[int(k == i) for k in range(n)] for i in range(1, n)]
+    curves += [
+        [1] + [-int(k in (i, j)) for k in range(1, n)]
+        for i in range(1, n)
+        for j in range(i + 1, n)
+    ]
+    gens = curves if r >= 2 else curves + [[1, -1]]
+    C = rng.choice([[1] + [0] * r, [1, -1] + [0] * (r - 1), [2] + [-1] * r] + curves)
+    w = [rng.randint(0, 3) for _ in gens]
+    D = [rng.randint(1, 3) * (i == 0) + sum(a * g[i] for a, g in zip(w, gens)) for i in range(n)]
+    mults = {}
+    for i, c in enumerate(curves):
+        meet = sum(gram[k][k] * c[k] * C[k] for k in range(n))
+        if c != C and meet > 0 and rng.random() < 0.6:
+            mults[str(i)] = rng.randint(1, meet)
+    return {
+        "rank": n,
+        "gram": gram,
+        "negative_curves": curves,
+        "effective_generators": gens,
+        "D": D,
+        "C": C,
+        "point_multiplicities": mults,
+    }
+
+
+# the sha256 of the `surface` envelopes of six seeded inputs on Bl_r P^2
+# for each r, in the order `blowup_surface_input(random.Random(2300 + r), r)`
+# draws them; None where the flag curve lies in the negative part
+SURFACE_PINS = {
+    1: [
+        "7e2347e995207c72953ba54ef09f1b03f1a23d74370f50e0499bfb693082fe4f",
+        "2c944f5276b2cc098ba9bdef3a03d43fb1fdae559b78056407558ee1b1f8cc69",
+        "55ba81c9d7fdbaba4583b01904c85efaaab4faae34cacc78cfff737cdff9f2c7",
+        "848c08eabd6126304170b32e279a64dece7c789c5d2c85af2172223aa3350dcd",
+        "cb09f78db7b4ddf9edcca5d2907cdd9accaa3b85cba557e12a2f5907c20883a2",
+        "ec2b9e254755ca59110d77db10ea66807aee4a298eba89378fbfe58d6e242ca7",
+    ],
+    2: [
+        "1007932f9e5206c0f87034d3093dbf5df1897b7f80f80b628091b206ea23f0f6",
+        "b8d86ae054a568528e65a1d6c8344ffddf0cb203f023d0c32f8c86e89531d1ec",
+        "cadc41990e2142564197226ad7a0079e102d29d341bdae79d4e7f7d1abc181c8",
+        "15af8122bf27830f01d8787028dfeaebe6d8d62ce8351bbe2e2a4af0f28051a3",
+        None,
+        "d7093617b237902b872fe999f07c38c527def28217d84fdc2fa3137d646a9567",
+    ],
+    3: [
+        "a7ec940c587546af5ac4b91e6a905b44617aee3593b348bc03984f79c0043e98",
+        "a3708d6773975e4180b74f3ac8765d49be1d53a1d780b029180a10346f219e52",
+        "28c2292359601b336e4758a09d446fd5b1fbf2d864ba3a8625817bfbf755a7af",
+        "e1e673ac6180ca9993faa62ccef91da16c172b84c080aa01e1d4d7b24e3f47e0",
+        "9ad845bfc9cfe324f2d51cf08b7800a7dd4666c3e2ea8845065c41fbcec86f04",
+        "0764c6d1d3ea8dd43cb0bd1e5cc7a159dc3daad75dc9778b6007a24b06236270",
+    ],
+    4: [
+        "2f35e1781dc4f959cb6f68f20b6d79a3ee4c86bd7b1c72bd14829075aafe36e8",
+        "5a0e29d21b1379644edb92b41a565bd5c6c2b29c60d63ada61480a8d1760f4df",
+        "0266e8362480bfba83c47ff34810288c05d42a5763576a7ac288a60b3040d07b",
+        "98d0fe171f8cee70052f034482f1b40aa3fc112c1d235db73f8e40c06e24f724",
+        "8d807858ee5ac41a04f65ac6210f7ee347646e77a9eb9fbc75559e5b7037e197",
+        "8d31ae527f91e6b95245d33580401f0a667329df812248688225164e306aa481",
+    ],
+}
 
 def invoke(capsys, *argv):
     rc = main(list(argv))
@@ -556,6 +631,32 @@ class TestDeterminismAndIO:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "12f05e6378c3b391dc96645ea4a556c4e2e86f3c55567ab199e23f2696024f5f"
         )
+
+    @pytest.mark.parametrize("r", sorted(SURFACE_PINS))
+    def test_seeded_surface_envelopes_pinned(self, capsys, tmp_path, r):
+        """Seeded surface bodies on Bl_r P^2 keep byte-identical envelopes;
+        together they have several breakpoints, nonzero point
+        multiplicities and a rational mu."""
+        rng = random.Random(2300 + r)
+        shapes = []
+        for k, pin in enumerate(SURFACE_PINS[r]):
+            path = tmp_path / f"bl{r}_{k}.surface.json"
+            path.write_text(json.dumps(blowup_surface_input(rng, r)))
+            rc, out, err = invoke(capsys, "surface", str(path))
+            if pin is None:
+                assert (rc, out) == (2, "") and "replace D" in err
+                continue
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == pin, k
+            pay = payload_of(out)
+            shapes.append(
+                (len(pay["breakpoints"]), pay["mu"], len(pay["point_multiplicities"]))
+            )
+        if r >= 3:
+            assert max(b for b, _, _ in shapes) >= 4
+        assert any(m for _, _, m in shapes)
+        if r in (1, 4):
+            assert any(not mu.endswith("/1") for _, mu, _ in shapes)
 
     def test_flag_matrix(self, capsys):
         """An explicit flag matrix gives the body of the seeded flag it

@@ -450,9 +450,9 @@ def test_lp_drives_artificial_out_of_basis(monkeypatch):
     pivots = []
     original = exactnum._pivot
 
-    def recorded(T, row, col):
+    def recorded(T, row, col, d):
         pivots.append((row, col))
-        original(T, row, col)
+        return original(T, row, col, d)
 
     monkeypatch.setattr(exactnum, "_pivot", recorded)
     assert maximize([[1, 1], [1, -1]], [0, 0], [1, 1]) == (
@@ -468,6 +468,116 @@ def test_lp_drives_artificial_out_of_basis(monkeypatch):
         (0, 0),  # phase-2 pricing of the two basic real columns
         (1, 1),
     ]
+
+
+def exact_pivot(original):
+    """`exactnum._pivot` behind a check that every division it makes is
+    exact: each numerator p * a - f * b, with the pivot row negated when
+    the pivot is negative, is a multiple of the old denominator."""
+
+    def checked(T, row, col, d):
+        assert d > 0
+        pr = T[row]
+        p = pr[col]
+        if p < 0:
+            p, pr = -p, [-v for v in pr]
+        for i, r in enumerate(T):
+            if i != row:
+                f = r[col]
+                assert all((p * a - f * b) % d == 0 for a, b in zip(r, pr))
+        return original(T, row, col, d)
+
+    return checked
+
+
+def seeded_lp(rng):
+    """A seeded program of up to 5 rows and 8 columns: rational entries,
+    right hand sides that are free, zero or reached by a nonnegative
+    point, degenerate vertices (a reached point with zeros), and rows
+    that repeat a combination of the others."""
+    n, m = rng.randint(1, 5), rng.randint(1, 8)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3, 4, 6]))
+
+    A = [[entry() if rng.random() < 0.8 else 0 for _ in range(m)] for _ in range(n)]
+    kind = rng.choice(["free", "zero", "reached", "degenerate"])
+    if kind == "zero":
+        b = [0] * n
+    elif kind == "free":
+        b = [entry() for _ in range(n)]
+    else:
+        x0 = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(m)]
+        if kind == "degenerate":
+            x0 = [x if rng.random() < 0.4 else 0 for x in x0]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    if n > 1 and rng.random() < 0.3:
+        k, l = F(rng.randint(-2, 2), rng.randint(1, 2)), rng.randint(-1, 1)
+        i = rng.randrange(n - 1)
+        A[-1] = [k * a + l * a2 for a, a2 in zip(A[i], A[0])]
+        b[-1] = k * b[i] + l * b[0]
+    c = [entry() for _ in range(m)]
+    return A, b, c
+
+
+def test_lp_matches_fraction_simplex(monkeypatch):
+    """On 600 seeded programs the integer tableau returns what the
+    Fraction tableau it replaced returns, status, x and value alike,
+    after the same pivots, and every pivot division is exact."""
+    import oracles
+
+    ours, theirs, flips = [], [], []
+    original = exactnum._pivot
+    checked = exact_pivot(original)
+
+    def recorded(T, row, col, d):
+        ours.append((row, col))
+        flips.append(T[row][col] < 0)
+        return checked(T, row, col, d)
+
+    reference = oracles._fraction_pivot
+
+    def reference_recorded(T, row, col):
+        theirs.append((row, col))
+        reference(T, row, col)
+
+    monkeypatch.setattr(exactnum, "_pivot", recorded)
+    monkeypatch.setattr(oracles, "_fraction_pivot", reference_recorded)
+    rng = random.Random(2323)
+    seen = {}
+    for _ in range(600):
+        A, b, c = seeded_lp(rng)
+        ours.clear()
+        theirs.clear()
+        got = maximize(A, b, c)
+        assert got == oracles.reference_maximize(A, b, c), (A, b, c)
+        assert ours == theirs, (A, b, c)
+        seen[got[0]] = seen.get(got[0], 0) + 1
+    assert set(seen) == {"optimal", "infeasible", "unbounded"}
+    assert min(seen.values()) >= 50, seen
+    # negative pivots, where the sign fix acts
+    assert sum(flips) >= 20
+
+
+def test_lp_negative_pivot_keeps_denominator_positive(monkeypatch):
+    """Driving an artificial out of the basis can pivot on a negative
+    entry; the pivot row is negated and the denominator stays positive."""
+    steps = []
+    original = exactnum._pivot
+
+    def recorded(T, row, col, d):
+        entry = T[row][col]
+        new = original(T, row, col, d)
+        steps.append((row, col, entry, new))
+        return new
+
+    monkeypatch.setattr(exactnum, "_pivot", recorded)
+    # phase 1 ends with the artificial of row 1 basic at zero; the first
+    # real column of its row holds -2
+    A, b, c = [[2, 0, 1], [0, -3, 1]], [0, 0], [-1, -1, 1]
+    assert maximize(A, b, c) == ("optimal", [F(0)] * 3, F(0))
+    assert (1, 0, -2, 2) in steps
+    assert all(new == abs(entry) > 0 for _, _, entry, new in steps)
 
 
 def test_feasible_nonneg():

@@ -356,6 +356,51 @@ class TestStableBaseLocus:
                 shrunk += reference_stable_base_locus(S, first).components != rep.components
         assert shrunk >= 20
 
+    def test_scans_only_generator_levels(self, monkeypatch):
+        """On series with generators the report equals the oracle's, and
+        no divisibility test runs at a level that holds no generators."""
+
+        def mono(*exps):
+            return [HomogeneousForm.monomial(3, e) for e in exps]
+
+        rng = random.Random(2311)
+        cases = [
+            mono_series(2, 2, FLAGSHIP_EXPS),
+            GradedSeries.complete(2, 2),
+            GradedSeries.generated(2, 1, {2: mono((1, 1, 0), (0, 1, 1))}),
+            GradedSeries.generated(
+                2, 1, {1: mono((1, 0, 0)), 2: mono((0, 1, 1)), 3: mono((0, 0, 3), (0, 3, 0))}
+            ),
+        ]
+        for _ in range(40):
+            twist = rng.randint(1, 2)
+            gens = {}
+            for j in rng.sample([1, 2, 3], rng.randint(1, 3)):
+                pool = list(all_exponents(3, j * twist))
+                gens[j] = mono(*rng.sample(pool, rng.randint(1, min(len(pool), 3))))
+            cases.append(GradedSeries.generated(2, twist, gens))
+        level = [0]
+        real_base_ideal, real_divides = monideal.base_ideal, monideal._divides
+
+        def tracked(series, k):
+            level[0] = k
+            return real_base_ideal(series, k)
+
+        scans = []
+        monkeypatch.setattr(monideal, "base_ideal", tracked)
+        monkeypatch.setattr(
+            monideal, "_divides", lambda a, b: scans.append(level[0]) or real_divides(a, b)
+        )
+        later = 0
+        for S in cases:
+            K = 6
+            scans.clear()
+            rep = stable_base_locus(S, K)
+            assert set(scans) <= set(S.generators)
+            assert rep == reference_stable_base_locus(S, K)
+            later += max(S.generators) > 1
+        assert later >= 20
+
     def test_locus_recomputed_once_per_change(self, monkeypatch):
         def mono(*exps):
             return [HomogeneousForm.monomial(3, e) for e in exps]

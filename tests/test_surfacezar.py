@@ -10,8 +10,8 @@ import pytest
 
 from okbody import cli, exactnum, surfacezar
 from okbody.convbody import RationalPolytope, okounkov_body
-from okbody.errors import InputError, OkbodyError
-from okbody.exactnum import det
+from okbody.errors import InputError, InvariantError, OkbodyError
+from okbody.exactnum import cleared_row, det
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import HomogeneousForm, all_exponents
@@ -109,6 +109,18 @@ class TestLattice:
         assert SurfaceLattice([[F(2, 2)]], [], [(1,)]).gram == ((1,),)
         with pytest.raises(InputError, match="not integral"):
             SurfaceLattice([[F(1, 2)]], [], [(1,)])
+
+    def test_integral_classes(self):
+        # listed curves and generators are lattice classes: the engine
+        # keeps them, and their Gram images, as integer vectors
+        lattice = SurfaceLattice([[1, 0], [0, -1]], [(F(0), F(2, 2))], [(1, -1), (0, 1)])
+        assert lattice._curves == [(0, 1)]
+        assert lattice._curve_images == [(0, -1)]
+        assert lattice._generator_images == [(1, 1), (0, -1)]
+        with pytest.raises(InputError, match="negative curve not integral"):
+            SurfaceLattice([[1, 0], [0, -1]], [(0, F(1, 2))], [(1, -1), (0, 1)])
+        with pytest.raises(InputError, match="effective generator not integral"):
+            SurfaceLattice([[1, 0], [0, -1]], [E], [(1, -1), (0, F(1, 2))])
 
     def test_pseudoeffective(self, blowup):
         assert blowup.is_pseudoeffective((2, 3))
@@ -226,15 +238,77 @@ class TestZariski:
             lattice = SurfaceLattice(gram, curves, curves + [(1,) + (0,) * (n - 1)])
             supp = rng.sample(range(len(curves)), rng.randint(1, len(curves)))
             rhs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in supp]
+            ints, den = cleared_row(rhs)
             G = [[lattice.dot(curves[a], curves[b]) for b in supp] for a in supp]
             if det(G):
-                assert _solve_support(lattice, supp, rhs) == solve_rational_system(G, rhs)
+                v, w = _solve_support(lattice, supp, ints, den)
+                assert w > 0
+                assert [F(x, w) for x in v] == solve_rational_system(G, rhs)
                 solved += 1
             else:
                 with pytest.raises(InputError, match="singular"):
-                    _solve_support(lattice, supp, rhs)
+                    _solve_support(lattice, supp, ints, den)
                 refused += 1
         assert solved and refused
+
+    def test_negative_definite_reads_leading_minors(self):
+        """The Bareiss pivots of the integer test and the Fraction pivots of
+        the checker agree with the signs of the leading principal minors
+        on seeded curve subsets of Bl_r P^2, r = 2..4, in seeded orders."""
+        rng = random.Random(2317)
+        verdicts = set()
+        for _ in range(200):
+            lattice = blowup_plane(rng.randint(2, 4))
+            k = len(lattice.negative_curves)
+            idx = rng.sample(range(k), rng.randint(1, min(k, 4)))
+            curves = [lattice.negative_curves[i] for i in idx]
+            G = [[fraction_dot(lattice.gram, a, b) for b in curves] for a in curves]
+            minors = all(
+                (-1) ** s * det([row[:s] for row in G[:s]]) > 0
+                for s in range(1, len(G) + 1)
+            )
+            assert surfacezar._negative_definite(lattice, idx) == minors
+            assert surfacezar._fraction_negative_definite(G) == minors
+            verdicts.add(minors)
+        assert verdicts == {True, False}
+
+    def test_check_shares_no_kernel(self, chain, monkeypatch):
+        """`check` computes in Fractions over the Gram matrix: with the
+        engine's integer kernels and `dot` disabled, it passes a true
+        decomposition and refuses forged ones."""
+        z = zariski(chain, (1, 1, 1))
+
+        def disabled(*args):
+            raise AssertionError("check ran an engine kernel")
+
+        for name in ("_idot", "_negative_definite", "kernel", "cleared_row"):
+            monkeypatch.setattr(surfacezar, name, disabled)
+        monkeypatch.setattr(SurfaceLattice, "dot", disabled)
+        z.check(chain)
+        A, B = z.support
+        H = (F(1), F(0), F(0))
+        forged = [
+            (z._replace(positive=(F(1), F(1), F(0))), "D != P \\+ N"),
+            (
+                z._replace(divisor=(F(1), F(-1), F(3)), negative=((A, F(-1)), (B, F(2)))),
+                "nonpositive multiplicity",
+            ),
+            (
+                z._replace(positive=(F(1), F(1, 2), F(0)), divisor=(F(1), F(3, 2), F(1))),
+                "not orthogonal",
+            ),
+            (
+                z._replace(positive=(F(1), F(1), F(0)), negative=((B, F(1)),)),
+                "negative against a listed curve",
+            ),
+            (
+                z._replace(positive=(F(0),) * 3, divisor=H, negative=((H, F(1)),)),
+                "not negative definite",
+            ),
+        ]
+        for bad, message in forged:
+            with pytest.raises(InvariantError, match=message):
+                bad.check(chain)
 
     def test_cascading_support(self, chain):
         # D . B < 0 starts the support at B; clearing B drags A in
@@ -530,12 +604,14 @@ class TestSurfaceBody:
             for seg in body.segments:
                 # multiplicities c0 + t c1 of the segment's support curves
                 supp = list(seg.support)
-                c0, _ = _positive_part(lattice, supp, D)
-                c1, _ = _positive_part(lattice, supp, [-x for x in C])
+                (c0, d0), _ = _positive_part(lattice, supp, *cleared_row(D))
+                (c1, d1), _ = _positive_part(
+                    lattice, supp, *cleared_row([-x for x in C])
+                )
                 inner = seg.t0 + (seg.t1 - seg.t0) * F(rng.randint(1, 9), 10)
                 for t in (seg.t0, inner, seg.t1):
                     z = zariski(lattice, tuple(d - t * c for d, c in zip(D, C)))
-                    got = {i: a + t * b for i, a, b in zip(supp, c0, c1)}
+                    got = {i: F(a, d0) + t * F(b, d1) for i, a, b in zip(supp, c0, c1)}
                     assert [got.get(i, 0) for i in range(len(curves))] == [
                         z.multiplicity(c) for c in curves
                     ]
