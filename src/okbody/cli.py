@@ -210,6 +210,13 @@ def load_json(path: str):
     return data, hashlib.sha256(raw).hexdigest()
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"{path}: cannot write output ({e.strerror})") from None
+
+
 def load_series(path: str) -> tuple[GradedSeries, str]:
     data, digest = load_json(path)
     return parse_series(data, where=path), digest
@@ -719,12 +726,10 @@ def svg_polygon(poly: RationalPolytope, title: str) -> str:
 def svg_surface(body, strata) -> str:
     """The region between the lower and upper graphs with stratum legend."""
     width, height, margin = 600, 420, 52
-    ts = list(body.breakpoints)
-    lower = [(t, body.alpha(t)) for t in ts]
-    upper = [(t, body.beta(t)) for t in ts]
-    xs = [t for t, _ in lower]
+    lower = list(zip(body.breakpoints, body._lower))
+    upper = list(zip(body.breakpoints, body._upper))
     ys = [y for _, y in lower + upper] + [Fraction(0)]
-    to_px = _scaler(Fraction(0), max(max(xs), Fraction(1)), min(ys), max(ys),
+    to_px = _scaler(Fraction(0), max(body.mu, Fraction(1)), min(ys), max(ys),
                     width - 150, height, margin)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -756,8 +761,8 @@ def svg_surface(body, strata) -> str:
             f'<text x="{mx}" y="{float(my) + dy:.2f}" fill="{color}" '
             f'font-family="monospace" font-size="13">{name}</text>'
         )
-    mx, my0 = to_px(body.mu, body.alpha(body.mu))
-    _, my1 = to_px(body.mu, body.beta(body.mu))
+    mx, my0 = to_px(*lower[-1])
+    _, my1 = to_px(*upper[-1])
     parts.append(
         f'<line x1="{mx}" y1="{my0}" x2="{mx}" y2="{my1}" stroke="#555" '
         f'stroke-width="2" stroke-dasharray="5,4"/>'
@@ -989,6 +994,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text, svg = run(args)
+        if svg is not None:
+            _write_output(args.svg, svg)
+        if args.out:
+            _write_output(args.out, text)
+        else:
+            sys.stdout.write(text)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -998,12 +1009,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 4
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    if svg is not None:
-        Path(args.svg).write_text(svg, encoding="utf-8")
     return 0
 
 

@@ -66,12 +66,13 @@ def _inverse_lines(lines: list[list[int]]) -> tuple[list[list[int]], int] | None
 class Flag:
     """A complete flag of linear subspaces, hashable and immutable.
 
-    `lines, den` is the inverse of `matrix` as integer lines over the lcm
-    of its denominators (what `polyform.integer_lines` gives), from one
-    integer elimination; `substitution`, the same inverse in Fractions
-    (X = substitution * Y), is built when first read."""
+    `lines, den` is the inverse of `matrix` as integer lines over one
+    positive denominator in lowest terms, from one integer elimination:
+    the change of coordinates is X = (lines / den) Y.  Substituting the
+    lines alone scales a form of degree D by den^D, which changes neither
+    the span of a space of forms nor the exponents of a form."""
 
-    __slots__ = ("d", "matrix", "lines", "den", "_substitution")
+    __slots__ = ("d", "matrix", "lines", "den")
 
     def __init__(self, matrix: Sequence[Sequence[Fraction]]):
         n = len(matrix)
@@ -89,15 +90,6 @@ class Flag:
         self.matrix = rows
         self.lines = tuple(tuple(v * (scale // g) for v in row) for row in lines)
         self.den = den // g
-        self._substitution = None
-
-    @property
-    def substitution(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._substitution is None:
-            self._substitution = tuple(
-                tuple(Fraction(v, self.den) for v in row) for row in self.lines
-            )
-        return self._substitution
 
     @classmethod
     @functools.cache
@@ -156,7 +148,7 @@ def valuation(form: HomogeneousForm, flag: Flag) -> Vector:
         raise InputError("valuation: undefined on the zero form")
     if form.nvars != flag.d + 1:
         raise InputError("valuation: form and flag dimensions differ")
-    g = form if flag.is_standard else form.substitute_linear(flag.substitution)
+    g = form if flag.is_standard else form.substitute_linear(flag.lines)
     return min(e[: flag.d] for e in g.terms)
 
 

@@ -255,7 +255,7 @@ class GradedSeries:
             if span.is_complete:
                 return span
             if gspans is None:
-                return span.transformed(flag.substitution)
+                return span.transformed(flag.lines)
             return _generated_level(series, k, gspans, span.dim)
 
         return GradedSeries(

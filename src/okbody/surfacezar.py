@@ -8,14 +8,14 @@ discovers curves; it validates the supplied configuration and fails loudly
 when the list is insufficient to certify a decomposition.
 
 Inside the engine a class is an integer vector over one positive
-denominator.  The lattice keeps the integer Gram images G c of its listed
-curves and generators, so an intersection with a listed class is one
-integer dot product; the support solves, the fixpoint, the continuation
-levels and the body's hull run on integers too.  The public types
-(`ZariskiDecomposition`, `Segment`, `SurfaceBody`) hold Fractions, built
-once from those integers.  `ZariskiDecomposition.check` recomputes its
-intersection numbers in plain Fraction arithmetic over the Gram matrix, so
-that it shares no kernel with the engine it checks.
+denominator.  The lattice holds its listed curves and generators as integer
+vectors, with their integer Gram images G c, so an intersection with a
+listed class is one integer dot product; the support solves, the fixpoint,
+the continuation levels and the body's hull run on integers too.  The
+other numbers of the public types are Fractions, built once from those
+integers.  `ZariskiDecomposition.check` recomputes its intersection numbers
+in plain Fraction arithmetic over the Gram matrix, so that it shares no
+kernel with the engine it checks.
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ def _vec(v: Sequence, rank: int, what: str) -> Vec:
     return out
 
 
-def _integral(v: Vec, what: str) -> tuple[int, ...]:
-    if any(x.denominator != 1 for x in v):
+def _integral(v: Sequence, rank: int, what: str) -> tuple[int, ...]:
+    row, den = cleared_row(v)
+    if len(row) != rank:
+        raise InputError(f"{what}: expected a class vector of length {rank}")
+    if den != 1:
         raise InputError(f"surface lattice: {what} not integral")
-    return tuple(x.numerator for x in v)
+    return tuple(row)
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -51,8 +54,8 @@ def _idot(a: Sequence[int], b: Sequence[int]) -> int:
 class SurfaceLattice:
     """Intersection lattice of a surface with its curve bookkeeping.
 
-    Besides the public Fraction classes it keeps the listed curves and
-    generators as integer vectors (`_curves`, `_generators`) and their
+    The listed curves and effective generators are lattice classes, kept as
+    integer vectors (`negative_curves`, `effective_generators`) with their
     integer Gram images (`_curve_images`, `_generator_images`)."""
 
     __slots__ = (
@@ -60,9 +63,7 @@ class SurfaceLattice:
         "gram",
         "negative_curves",
         "effective_generators",
-        "_curves",
         "_curve_images",
-        "_generators",
         "_generator_images",
     )
 
@@ -75,12 +76,12 @@ class SurfaceLattice:
         rank = len(gram)
         if rank < 1:
             raise InputError("surface lattice: empty Gram matrix")
-        G = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        if any(len(row) != rank for row in G):
+        rows = [cleared_row(row) for row in gram]
+        if any(len(row) != rank for row, _ in rows):
             raise InputError("surface lattice: Gram matrix not square")
-        if any(x.denominator != 1 for row in G for x in row):
+        if any(den != 1 for _, den in rows):
             raise InputError("surface lattice: Gram matrix not integral")
-        G = tuple(tuple(int(x) for x in row) for row in G)
+        G = tuple(tuple(row) for row, _ in rows)
         for i in range(rank):
             for j in range(rank):
                 if G[i][j] != G[j][i]:
@@ -88,24 +89,20 @@ class SurfaceLattice:
         self.rank = rank
         self.gram = G
         self.negative_curves = tuple(
-            _vec(c, rank, "negative curve") for c in negative_curves
+            _integral(c, rank, "negative curve") for c in negative_curves
         )
         self.effective_generators = tuple(
-            _vec(g, rank, "effective generator") for g in effective_generators
+            _integral(g, rank, "effective generator") for g in effective_generators
         )
         if not self.effective_generators:
             raise InputError("surface lattice: need effective-cone generators")
         if any(not any(g) for g in self.effective_generators):
             raise InputError("surface lattice: zero effective generator")
-        self._curves = [_integral(c, "negative curve") for c in self.negative_curves]
-        if len(set(self._curves)) != len(self._curves):
+        if len(set(self.negative_curves)) != len(self.negative_curves):
             raise InputError("surface lattice: repeated negative curve")
-        self._generators = [
-            _integral(g, "effective generator") for g in self.effective_generators
-        ]
-        self._curve_images = [self._image(c) for c in self._curves]
-        self._generator_images = [self._image(g) for g in self._generators]
-        for c, image in zip(self._curves, self._curve_images):
+        self._curve_images = [self._image(c) for c in self.negative_curves]
+        self._generator_images = [self._image(g) for g in self.effective_generators]
+        for c, image in zip(self.negative_curves, self._curve_images):
             if _idot(c, image) >= 0:
                 raise InputError(
                     "surface lattice: listed curve has nonnegative self-intersection"
@@ -125,14 +122,14 @@ class SurfaceLattice:
 
     def is_pseudoeffective(self, D: Sequence) -> bool:
         target = _vec(D, self.rank, "divisor")
-        return in_cone(self._generators, target) is not None
+        return in_cone(self.effective_generators, target) is not None
 
     def _combines_to(self, weights: Sequence, D: Sequence) -> bool:
         """Whether weights are a nonnegative combination of the effective
         generators equal to D: a certificate that D is pseudo-effective.
         Both sides are cleared to integers, w / wden and v / vden, and
         compared as sum_k w_k g_k vden = v wden."""
-        gens = self._generators
+        gens = self.effective_generators
         if len(weights) != len(gens):
             return False
         w, wden = cleared_row(weights)
@@ -181,10 +178,10 @@ class ZariskiDecomposition(NamedTuple):
 
     divisor: Vec
     positive: Vec
-    negative: tuple[tuple[Vec, Fraction], ...]
+    negative: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     @property
-    def support(self) -> tuple[Vec, ...]:
+    def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c, m in self.negative)
 
     def negative_class(self) -> Vec:
@@ -231,7 +228,7 @@ def _negative_definite(lattice: SurfaceLattice, idx: Sequence[int]) -> bool:
     definite: its leading principal minors alternate in sign, the first
     negative.  Fraction-free elimination without row exchanges (Bareiss)
     meets them as its pivots."""
-    curves, images = lattice._curves, lattice._curve_images
+    curves, images = lattice.negative_curves, lattice._curve_images
     M = [[_idot(curves[a], images[b]) for b in idx] for a in idx]
     d, sign = 1, -1
     for s, pivot_row in enumerate(M):
@@ -253,7 +250,7 @@ def _solve_support(
     the support curves C_i, as integers v over a positive denominator: the
     kernel of [G | -rhs] is one vector (v w, w), w != 0, exactly when the
     support Gram matrix G is nonsingular, and x = v / (w den)."""
-    curves, images = lattice._curves, lattice._curve_images
+    curves, images = lattice.negative_curves, lattice._curve_images
     rows = [
         [_idot(curves[a], images[b]) for b in supp] + [-r] for a, r in zip(supp, rhs)
     ]
@@ -280,7 +277,7 @@ def _positive_part(
     images = lattice._curve_images
     m, mden = _solve_support(lattice, supp, [_idot(x, images[i]) for i in supp], den)
     P = [v * mden for v in x]
-    curves = lattice._curves
+    curves = lattice.negative_curves
     for i, mi in zip(supp, m):
         if mi:
             f = den * mi
@@ -365,7 +362,7 @@ def _threshold(
     effective generators, by two LPs: the mu LP, feasible exactly when D is
     pseudo-effective, whose y + mu z certifies D to its decomposition, and
     the LP for C.  For 0 <= t <= mu, y + (mu - t) z combines to D - tC."""
-    gens = lattice._generators
+    gens = lattice.effective_generators
     # columns: one multiplier per generator, then t; rows: class equality
     A = [[g[r] for g in gens] + [C[r]] for r in range(lattice.rank)]
     c = [0] * len(gens) + [1]
@@ -401,14 +398,23 @@ def _affine_eval(f: tuple[Fraction, Fraction], t: Fraction) -> Fraction:
 
 
 class SurfaceBody:
-    """Piecewise linear description {(t, y): 0 <= t <= mu, a(t) <= y <= b(t)}."""
+    """Piecewise linear description {(t, y): 0 <= t <= mu, a(t) <= y <= b(t)}.
+
+    `_lower` and `_upper` hold a(t) and b(t) at the breakpoints, computed
+    once from the segment starting there (the last one at mu)."""
+
+    mu_note = (
+        "mu is the exact effective threshold; the body is the closure "
+        "of the big range"
+    )
 
     __slots__ = (
         "mu",
         "segments",
         "breakpoints",
+        "_lower",
+        "_upper",
         "point_multiplicities",
-        "mu_note",
         "divisor",
         "curve",
         "decomposition",
@@ -418,8 +424,7 @@ class SurfaceBody:
         self,
         mu_value: Fraction,
         segments: tuple[Segment, ...],
-        point_multiplicities: tuple[tuple[Vec, int], ...],
-        mu_note: str,
+        point_multiplicities: tuple[tuple[tuple[int, ...], int], ...],
         divisor: Vec,
         curve: Vec,
         decomposition: ZariskiDecomposition,
@@ -427,8 +432,10 @@ class SurfaceBody:
         self.mu = mu_value
         self.segments = segments
         self.breakpoints = tuple(s.t0 for s in segments) + (mu_value,)
+        starts = tuple(zip(segments + segments[-1:], self.breakpoints))
+        self._lower = tuple(_affine_eval(s.alpha, t) for s, t in starts)
+        self._upper = tuple(_affine_eval(s.beta, t) for s, t in starts)
         self.point_multiplicities = point_multiplicities
-        self.mu_note = mu_note
         self.divisor = divisor
         self.curve = curve
         self.decomposition = decomposition  # of the divisor, at t = 0
@@ -449,21 +456,19 @@ class SurfaceBody:
         return _affine_eval(self._segment(t).beta, Fraction(t))
 
     def area(self) -> Fraction:
+        ts = self.breakpoints
+        heights = [b - a for a, b in zip(self._lower, self._upper)]
         total = Fraction(0)
-        for seg in self.segments:
-            h0 = _affine_eval(seg.beta, seg.t0) - _affine_eval(seg.alpha, seg.t0)
-            h1 = _affine_eval(seg.beta, seg.t1) - _affine_eval(seg.alpha, seg.t1)
-            total += (h0 + h1) * (seg.t1 - seg.t0) / 2
+        for i in range(len(self.segments)):
+            total += (heights[i] + heights[i + 1]) * (ts[i + 1] - ts[i]) / 2
         return total
 
     def polytope(self) -> RationalPolytope:
         """The hull of the lower and upper edge at every breakpoint, the
         points cleared to integers over one denominator."""
         pts = []
-        for t in self.breakpoints:
-            seg = self._segment(t)
-            pts.append((t, _affine_eval(seg.alpha, t)))
-            pts.append((t, _affine_eval(seg.beta, t)))
+        for t, a, b in zip(self.breakpoints, self._lower, self._upper):
+            pts += ((t, a), (t, b))
         return RationalPolytope._from_integer_points(*_integer_points(pts), 2)
 
     def __repr__(self) -> str:
@@ -509,7 +514,7 @@ def surface_body(
     meets = [_idot(g, cv) for g in images]
     image_c = lattice._image(cv)
     mults = [0] * len(curves)
-    echo: list[tuple[Vec, int]] = []
+    echo: list[tuple[tuple[int, ...], int]] = []
     if point_multiplicities:
         for key, m in point_multiplicities.items():
             k = _vec(key, lattice.rank, "multiplicity key")
@@ -528,7 +533,7 @@ def surface_body(
                 )
             mults[hits[0]] = int(m)
             if m:
-                echo.append((k, int(m)))
+                echo.append((curves[hits[0]], int(m)))
     # C is an irreducible curve: a listed curve G != C with G . C < 0 would
     # be a component of C
     if any(c != C and g < 0 for c, g in zip(curves, meets)):
@@ -625,10 +630,6 @@ def surface_body(
         mu_value=mu_value,
         segments=tuple(segments),
         point_multiplicities=tuple(echo),
-        mu_note=(
-            "mu is the exact effective threshold; the body is the closure "
-            "of the big range"
-        ),
         divisor=D,
         curve=C,
         decomposition=start,
@@ -638,19 +639,19 @@ def surface_body(
 
 
 def _check_body(body: SurfaceBody) -> None:
-    segs = body.segments
-    for s in segs:
-        if _affine_eval(s.alpha, s.t0) > _affine_eval(s.beta, s.t0) or _affine_eval(
-            s.alpha, s.t1
-        ) > _affine_eval(s.beta, s.t1):
-            raise InvariantError("surface body: lower edge above upper edge")
-    for prev, nxt in zip(segs, segs[1:]):
-        if prev.t1 != nxt.t0:
+    """Each segment ends at the next breakpoint, on the edge values
+    recorded there; the lower edge is convex, the upper concave."""
+    segs, lower, upper = body.segments, body._lower, body._upper
+    if any(a > b for a, b in zip(lower, upper)):
+        raise InvariantError("surface body: lower edge above upper edge")
+    for s, t, a, b in zip(segs, body.breakpoints[1:], lower[1:], upper[1:]):
+        if s.t1 != t:
             raise InvariantError("surface body: segment gap")
-        if _affine_eval(prev.alpha, prev.t1) != _affine_eval(nxt.alpha, nxt.t0):
+        if _affine_eval(s.alpha, t) != a:
             raise InvariantError("surface body: lower edge discontinuous")
-        if _affine_eval(prev.beta, prev.t1) != _affine_eval(nxt.beta, nxt.t0):
+        if _affine_eval(s.beta, t) != b:
             raise InvariantError("surface body: upper edge discontinuous")
+    for prev, nxt in zip(segs, segs[1:]):
         if prev.alpha[0] > nxt.alpha[0]:
             raise InvariantError("surface body: lower edge not convex")
         if prev.beta[0] < nxt.beta[0]:
@@ -681,8 +682,8 @@ def classify_boundary(body: SurfaceBody) -> tuple[BoundaryStratum, ...]:
     for a very general point on a curve of positive genus and unknown
     otherwise; the right vertical edge is unknown.
     """
-    a0, b0 = body.alpha(0), body.beta(0)
-    am, bm = body.alpha(body.mu), body.beta(body.mu)
+    a0, am = body._lower[0], body._lower[-1]
+    b0, bm = body._upper[0], body._upper[-1]
     if body.mu == 0:
         return (
             BoundaryStratum(

@@ -1021,7 +1021,7 @@ def reference_view_level(series, flag, k: int):
     span = series.level(k)
     if span.is_complete:
         return span
-    return span.transformed(flag.substitution)
+    return span.transformed(reference_inverse(flag.matrix))
 
 
 def pending_rows(span) -> int:

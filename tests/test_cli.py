@@ -254,6 +254,42 @@ SURFACE_PINS = {
     ],
 }
 
+# the --svg drawings of the same seeded surfaces
+SURFACE_SVG_PINS = {
+    1: [
+        "5d99892ef1413b1d4f76653706f6150b46e9b3a6d20cb236e9a35c05c5c169a7",
+        "b7fbf623c9ee581226809c665bb4973cb18b09b4484a310070e21845504036f8",
+        "b5809e084d7260f4ee6237368711d8a454d2a0a1685ca8d9503833ba62ffa8c5",
+        "2d0f2b99dff8feba2ebb9dfc29803866dac6469f82e80fa027424171508f9692",
+        "2543d2e1bcb22138121e7130605e57e7f9fb1d8e9078d0dd7bb93acaec442848",
+        "5d99892ef1413b1d4f76653706f6150b46e9b3a6d20cb236e9a35c05c5c169a7",
+    ],
+    2: [
+        "dc5153c0cdd167c9419ce8051017dcec76828a8a735c39851dc12d1918e49c11",
+        "3b1d8a12507e7ea55235acf733ee111835e391566827333f5ee61cec002617eb",
+        "828b9f55e1481e192727218d19d6aca9fb690cbb2ff99c170c63898aaa05e5da",
+        "4cbbaeb70808a9210d68242ce601c0450be8a628ca199127712c8e79b4d9bc8d",
+        None,
+        "f5f3a65afb7be30bf04dabac24e10c847f28c79c1af2ac64bd9fdb3cf69dfa21",
+    ],
+    3: [
+        "f236cba2dc43b0ff869e92ff4f3c5ceea88a77bcbb38b69c30753883fbe0b977",
+        "848be71ee400b63dff417119dc4dc5fcb8085da4fc28753818a978896f5ab7dc",
+        "84363a1f7f567c50c83c82e6c0e2444680c95587545e50f576175c86747c6062",
+        "2d0f2b99dff8feba2ebb9dfc29803866dac6469f82e80fa027424171508f9692",
+        "015de4f7b46474c038329447309539d646b0584b06bea923f45844a45ca980f3",
+        "b2a114ad3a639317e7db077a9cd25f83fb8cbd628f86ca3bba62411995efd7a9",
+    ],
+    4: [
+        "d30eaa5930ce6736d66696391fd99b9aac5043c273a1ec6b58b43b2127f23df9",
+        "699aed64849e2ebb3161d94d2fa4de615156a842f00320a70be2ef8579d598f7",
+        "1912a9e635aa5622558df3ad6c244907e92465267b80c54c1122e114d5c816ff",
+        "7f5f9742b3d202ce79ac76a8677bbb25df078279349056b6b8ee23fb308f24e3",
+        "7d4cd2d8e8c939344911393c65cc8ffe6259a22f8530dfcc612c09866cd9867b",
+        "4c71573a91e6d2261cde246b73deab6cf46a20b502e6d0ddea0bcbde21ea80a8",
+    ],
+}
+
 def invoke(capsys, *argv):
     rc = main(list(argv))
     out, err = capsys.readouterr()
@@ -634,20 +670,23 @@ class TestDeterminismAndIO:
 
     @pytest.mark.parametrize("r", sorted(SURFACE_PINS))
     def test_seeded_surface_envelopes_pinned(self, capsys, tmp_path, r):
-        """Seeded surface bodies on Bl_r P^2 keep byte-identical envelopes;
-        together they have several breakpoints, nonzero point
+        """Seeded surface bodies on Bl_r P^2 keep byte-identical envelopes
+        and SVGs; together they have several breakpoints, nonzero point
         multiplicities and a rational mu."""
         rng = random.Random(2300 + r)
         shapes = []
-        for k, pin in enumerate(SURFACE_PINS[r]):
+        for k, (pin, svg_pin) in enumerate(zip(SURFACE_PINS[r], SURFACE_SVG_PINS[r])):
             path = tmp_path / f"bl{r}_{k}.surface.json"
             path.write_text(json.dumps(blowup_surface_input(rng, r)))
-            rc, out, err = invoke(capsys, "surface", str(path))
+            svg = tmp_path / f"bl{r}_{k}.svg"
+            rc, out, err = invoke(capsys, "surface", str(path), "--svg", str(svg))
             if pin is None:
                 assert (rc, out) == (2, "") and "replace D" in err
+                assert svg_pin is None and not svg.exists()
                 continue
             assert rc == 0
             assert hashlib.sha256(out.encode()).hexdigest() == pin, k
+            assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_pin, k
             pay = payload_of(out)
             shapes.append(
                 (len(pay["breakpoints"]), pay["mu"], len(pay["point_multiplicities"]))
@@ -761,6 +800,22 @@ class TestExitCodes:
         rc, _, err = invoke(capsys, "body", str(CORPUS / "nope.json"))
         assert rc == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["body", FLAGSHIP, "-K", "2"], "--out"),
+            (["surface", str(CORPUS / "blowup_cubic.surface.json")], "--svg"),
+        ],
+    )
+    def test_unwritable_output(self, capsys, tmp_path, argv, flag):
+        """An output path that cannot be written is an input error, reported
+        with its path, and the report goes nowhere."""
+        target = tmp_path / "missing" / "report"
+        rc, out, err = invoke(capsys, *argv, flag, str(target))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {target}: cannot write output (")
+        assert "Traceback" not in err
 
     def test_invalid_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

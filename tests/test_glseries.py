@@ -21,7 +21,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
 import tracer  # noqa: E402
-from oracles import pending_rows  # noqa: E402
+from oracles import pending_rows, reference_inverse  # noqa: E402
 
 
 def mono(e):
@@ -186,7 +186,7 @@ def test_generated_view_levels_need_no_elimination(eliminations):
     assert direct == restricted
     # positive controls: a canonical basis is reduced when read, and the
     # forms vanishing at a point solve for a kernel
-    S.level(6).transformed(flag.substitution).basis
+    S.level(6).transformed(reference_inverse(flag.matrix)).basis
     assert eliminations["rref_rows"]
     S.under_flag(flag).level(4).subspace_vanishing_at([[1, 2, 3]])
     assert eliminations["kernel"]

@@ -16,7 +16,10 @@ from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import HomogeneousForm, all_exponents
 from okbody.surfacezar import (
+    Segment,
+    SurfaceBody,
     SurfaceLattice,
+    _check_body,
     _positive_part,
     _solve_support,
     _threshold,
@@ -111,10 +114,16 @@ class TestLattice:
             SurfaceLattice([[F(1, 2)]], [], [(1,)])
 
     def test_integral_classes(self):
-        # listed curves and generators are lattice classes: the engine
+        # listed curves and generators are lattice classes: the lattice
         # keeps them, and their Gram images, as integer vectors
         lattice = SurfaceLattice([[1, 0], [0, -1]], [(F(0), F(2, 2))], [(1, -1), (0, 1)])
-        assert lattice._curves == [(0, 1)]
+        assert lattice.negative_curves == ((0, 1),)
+        assert lattice.effective_generators == ((1, -1), (0, 1))
+        assert all(
+            type(x) is int
+            for c in lattice.negative_curves + lattice.effective_generators
+            for x in c
+        )
         assert lattice._curve_images == [(0, -1)]
         assert lattice._generator_images == [(1, 1), (0, -1)]
         with pytest.raises(InputError, match="negative curve not integral"):
@@ -652,6 +661,7 @@ class TestSurfaceBody:
             [(0, 0), (0, 2), (2, 2)]
         )
         assert body.point_multiplicities == ((tuple(map(F, E)), 1),)
+        assert body.point_multiplicities[0][0] is blowup.negative_curves[0]
 
     def test_interior_breakpoint(self, blowup):
         body = surface_body(blowup, (3, -1), (1, -1))
@@ -683,6 +693,55 @@ class TestSurfaceBody:
         assert body.breakpoints == (F(0), F(1), F(2))
         assert body.beta(0) == 1
         assert body.area() == F(3, 2)
+
+    def test_readers_use_the_recorded_edges(self, blowup, monkeypatch):
+        """The edge values at the breakpoints are computed once, when the
+        body is built; area, polytope, the strata and the SVG read them."""
+        body = surface_body(blowup, (3, -1), (1, -1), {E: 1})
+        assert body._lower == (0, 0, 2) and body._upper == (2, 2, 2)
+        calls = []
+        monkeypatch.setattr(surfacezar, "_affine_eval", lambda *a: calls.append(a))
+        monkeypatch.setattr(SurfaceBody, "_segment", lambda *a: calls.append(a))
+        assert body.area() == 4
+        assert body.polytope() == RationalPolytope.from_points(
+            [(0, 0), (1, 0), (3, 2), (0, 2)]
+        )
+        cli.svg_surface(body, classify_boundary(body))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "mu_value, pieces, message",
+        [
+            # (t0, t1, alpha, beta) of each segment
+            (1, [(0, 1, (0, 1), (0, 0))], "lower edge above upper edge"),
+            (3, [(0, 1, (0, 0), (0, 1)), (2, 3, (0, 0), (0, 1))], "segment gap"),
+            (2, [(0, 1, (0, 0), (0, 5)), (1, 2, (0, 1), (0, 5))], "lower edge discontinuous"),
+            (2, [(0, 1, (0, 0), (0, 5)), (1, 2, (0, 0), (0, 4))], "upper edge discontinuous"),
+            (2, [(0, 1, (1, 0), (0, 5)), (1, 2, (0, 1), (0, 5))], "lower edge not convex"),
+            (2, [(0, 1, (0, 0), (-1, 5)), (1, 2, (0, 0), (0, 4))], "upper edge not concave"),
+        ],
+    )
+    def test_check_body_refuses_forged_bodies(self, mu_value, pieces, message):
+        """Each invariant of a body, broken alone, is refused by its own
+        message."""
+        segments = tuple(
+            Segment(F(t0), F(t1), tuple(map(F, a)), tuple(map(F, b)), ())
+            for t0, t1, a, b in pieces
+        )
+        body = SurfaceBody(F(mu_value), segments, (), (), (), None)
+        with pytest.raises(InvariantError, match=message):
+            _check_body(body)
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_check_body_refuses_a_forged_edge_value(self, blowup, edge):
+        """A recorded edge value that is not where the segment before it
+        ends is refused."""
+        body = surface_body(blowup, (3, -1), (1, -1))
+        slot = f"_{edge}"
+        values = getattr(body, slot)
+        setattr(body, slot, values[:1] + (values[1] + 1,) + values[2:])
+        with pytest.raises(InvariantError, match=f"{edge} edge discontinuous"):
+            _check_body(body)
 
     def test_flag_curve_in_support_refused(self, blowup):
         with pytest.raises(InputError, match="replace D"):

@@ -25,6 +25,7 @@ from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
     pending_rows,
+    reference_inverse,
     reference_span_reduce,
     reference_substitute_linear,
     reference_view_level,
@@ -194,10 +195,11 @@ def test_views_of_series_without_generators():
         assert series.generators is None
         flag = Flag.random(2, seed)
         view = series.under_flag(flag)
+        inverse = reference_inverse(flag.matrix)
         for k in range(1, 4):
             parent = series.level(k)
             assert parent.dim and not parent.is_complete
-            moved = [reference_substitute_linear(f, flag.substitution) for f in parent.basis]
+            moved = [reference_substitute_linear(f, inverse) for f in parent.basis]
             basis, pivots = reference_span_reduce(3, k * series.twist, moved)
             got = view.level(k)
             assert got.pivots == pivots  # read before the lazy reduced rows
@@ -243,8 +245,9 @@ def test_view_generators_match_per_generator_substitution():
         series = GradedSeries.generated(d, twist, gens)
         flag = random_flag(rng, d + 1, rational_flag)
         view = series.under_flag(flag)
+        inverse = reference_inverse(flag.matrix)
         want = {
-            j: tuple(reference_substitute_linear(g, flag.substitution) for g in forms)
+            j: tuple(reference_substitute_linear(g, inverse) for g in forms)
             for j, forms in gens.items()
         }
         assert view.generators == want
@@ -257,7 +260,7 @@ def test_view_generators_match_per_generator_substitution():
             got = view.level(k)
             assert got.pivots == reference.level(k).pivots
             assert got == reference.level(k)
-        den = max(v.denominator for row in flag.substitution for v in row)
+        den = max(v.denominator for row in inverse for v in row)
         seen.add((den > 1, len(gens), rational_flag, rational_gens))
     # integer flags with and without denominators in their inverse, rational
     # flags, rational generators, and generators at levels 1 and 2
@@ -297,6 +300,6 @@ def test_view_substitutes_once_per_generator_level(monkeypatch):
     assert [len(view.generators[j]) for j in (1, 2, 3)] == [3, 2, 1]
     # positive controls: each form substituted alone is one more table, and
     # the validating constructor is counted
-    gens[1][0].substitute_linear(Flag.random(2, 1).substitution)
+    gens[1][0].substitute_linear(reference_inverse(Flag.random(2, 1).matrix))
     HomogeneousForm.variable(3, 0)
     assert calls == {"_substitute": 4, "__init__": 1}
