@@ -683,7 +683,11 @@ def svg_polygon(poly: RationalPolytope, title: str) -> str:
             f"svg: only plane bodies are rendered, got ambient dimension {poly.n}"
         )
     if poly.is_empty:
-        raise InputError("svg: the body is empty")
+        raise UnsupportedModeError("svg: the body is empty; nothing to render")
+    if poly.affdim != 2:
+        raise UnsupportedModeError(
+            f"svg: only full dimensional bodies are rendered, got dimension {poly.affdim}"
+        )
     width, height, margin = 480, 400, 48
     ring = poly.ordered_ring()
     xs = [v[0] for v in ring] + [Fraction(0)]

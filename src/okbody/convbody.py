@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import echelon_add, kernel, lattice_index, smith_normal_form
+from .exactnum import cleared_rows, echelon_add, kernel, lattice_index, smith_normal_form
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm
@@ -58,12 +58,6 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
 
 IntPoint = tuple[int, ...]
 Facet = tuple[IntPoint, int]
-
-
-def _integer_points(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
-    """Rational points as integer points over the lcm of their denominators."""
-    den = math.lcm(*(x.denominator for p in points for x in p))
-    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
 def _hyperplane(
@@ -147,21 +141,18 @@ def _hull(
 
 
 class _AffineData(NamedTuple):
-    equations: tuple[tuple[IntPoint, Fraction], ...]
+    equations: tuple[Facet, ...]
     simplex: tuple[int, ...]  # affinely independent points, points[0] first
 
 
-def _affine_data(
-    points: list[IntPoint], n: int, denominator: int = 1
-) -> _AffineData:
-    """The affine hull of integer points with one common denominator, the
-    points / denominator.  Affinely independent points are picked greedily,
-    fraction free, in one pass that stops once n directions are found; the
-    equations are the kernel of their differences, taken with the columns
-    reversed: a kernel basis is reduced from the right, so read back, last
-    row first, it is the reduced row echelon basis of the equation space,
-    each row led by its positive free entry.  Each offset is
-    a.points[0] / denominator."""
+def _affine_data(points: list[IntPoint], n: int) -> _AffineData:
+    """The affine hull of integer points.  Affinely independent points are
+    picked greedily, fraction free, in one pass that stops once n
+    directions are found; the equations are the kernel of their
+    differences, taken with the columns reversed: a kernel basis is reduced
+    from the right, so read back, last row first, it is the reduced row
+    echelon basis of the equation space, each row led by its positive free
+    entry.  Each offset is the integer a.points[0]."""
     p0 = points[0]
     simplex, echelon = [0], []
     for i in range(1, len(points)):
@@ -172,7 +163,7 @@ def _affine_data(
     equations = []
     for row in reversed(kernel([e[::-1] for _, e in echelon], n)):
         a = tuple(row[::-1])
-        equations.append((a, Fraction(sum(x * y for x, y in zip(a, p0)), denominator)))
+        equations.append((a, sum(x * y for x, y in zip(a, p0))))
     return _AffineData(tuple(equations), tuple(simplex))
 
 
@@ -217,26 +208,26 @@ class RationalPolytope:
             n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise InputError("from_points: mixed dimensions")
-        return cls._from_integer_points(*_integer_points(pts), n)
+        return cls._from_integer_points(*cleared_rows(pts), n)
 
     @classmethod
     def _from_integer_points(
         cls, points: list[IntPoint], den: int, n: int
     ) -> RationalPolytope:
-        """The hull of integer points over one common denominator."""
+        """The hull of integer points over one common denominator, which
+        divides each hyperplane offset here; normals stay integer tuples."""
         pts = list(dict.fromkeys(points))
         if not pts:
             return cls.empty(n)
-        aff = _affine_data(pts, n, den)
+        aff = _affine_data(pts, n)
         m = len(aff.simplex) - 1
-        verts, inequalities = [0], []
+        verts, facets = [0], {}
         if m > 0:
             verts, facets = _hull(pts, aff)
-            inequalities = [
-                (tuple(map(Fraction, a)), Fraction(b, den)) for a, b in facets
-            ]
         vertices = [tuple(Fraction(x, den) for x in pts[i]) for i in verts]
-        return cls._raw(n, m, vertices, aff.equations, inequalities)
+        equations = [(a, Fraction(b, den)) for a, b in aff.equations]
+        inequalities = [(a, Fraction(b, den)) for a, b in facets]
+        return cls._raw(n, m, vertices, equations, inequalities)
 
     # -- basic data -------------------------------------------------------
 
@@ -317,7 +308,7 @@ class RationalPolytope:
         if self.affdim == 0:
             return Fraction(1)
         m = self.affdim
-        ipts, den = _integer_points(self.vertices)
+        ipts, den = cleared_rows(self.vertices)
         total = 0
         for apex, *rest in _triangulate(ipts):
             edges = [[x - y for x, y in zip(w, apex)] for w in rest]

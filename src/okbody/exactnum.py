@@ -12,14 +12,16 @@ the rest of the package is built on:
   unimodular elimination, the Hermite step `_hermite_add`,
 * `echelon_add`, `kernel` : the one echelon elimination, integer echelon
   form with content removal and a primitive integer kernel; `rref_rows`
-  reads rational rows through it, each row cleared to integers once by
-  `integer_row`,
-* `feasible_nonneg`, `maximize`, `in_cone` : a fraction-free simplex
-  (Bland's rule, two phases) on an integer tableau over one common
-  denominator, the previous pivot, so that every pivot divides exactly
-  (Bareiss); ratios are compared by cross-multiplication, and Fractions
-  are built only for the solution and its value.  The surface engine
-  uses it.
+  reads rational rows through it,
+* `cleared_row`, `cleared_rows` : the one denominator clearing, of a row,
+  or of rows over the lcm of all their denominators,
+* `_pivot` : the one fraction-free pivot, on an integer tableau over one
+  positive common denominator, the previous pivot, so that every division
+  is exact (Bareiss).  `feasible_nonneg`, `maximize` and `in_cone` run a
+  simplex on it (Bland's rule, two phases; ratios compared by
+  cross-multiplication, Fractions built only for the solution and its
+  value), `inverse_lines` Gauss-Jordan elimination on [M | I], and
+  `negative_definite` reads the sign of each Gaussian pivot.
 """
 
 from __future__ import annotations
@@ -256,6 +258,14 @@ def integer_row(row: Sequence) -> list[int]:
     return cleared_row(row)[0]
 
 
+def cleared_rows(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """(integer tuples, den): rational rows as integers over the lcm of all
+    their denominators."""
+    fr = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+    den = math.lcm(*(v.denominator for row in fr for v in row))
+    return [tuple(v.numerator * (den // v.denominator) for v in row) for row in fr], den
+
+
 def rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals.
 
@@ -286,17 +296,17 @@ def det(A: Sequence[Sequence[Fraction]]) -> Fraction:
     basis: dict[int, list[int]] = {}
     den = 1
     for row in A:
-        v = integer_row(row)
+        v, row_den = cleared_row(row)
         if _hermite_add(basis, v, n) is not None:
             return Fraction(0)
-        den *= math.lcm(*(Fraction(x).denominator for x in row))
+        den *= row_den
     leads = list(basis)
     inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
     return Fraction((-1) ** inversions * math.prod(basis[j][j] for j in leads), den)
 
 
 # ---------------------------------------------------------------------------
-# exact simplex (Bland's rule, two phases) on a fraction-free tableau
+# the fraction-free pivot, and the eliminations on it
 
 
 def _pivot(T: list[list[int]], row: int, col: int, d: int) -> int:
@@ -325,6 +335,38 @@ def _pivot(T: list[list[int]], row: int, col: int, d: int) -> int:
         elif p != d:
             T[i] = [p * a // d for a in r]
     return p
+
+
+def inverse_lines(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
+    """The inverse of a square integer matrix as integer lines over one
+    positive denominator, in lowest terms, or None if it is singular.
+    Gauss-Jordan elimination on [M | I] by `_pivot`, each pivot the first
+    nonzero entry at or below the diagonal, ends at [d I | d M^-1], d > 0."""
+    n = len(M)
+    T = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    d = 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if T[r][k]), None)
+        if r is None:
+            return None
+        T[k], T[r] = T[r], T[k]
+        d = _pivot(T, k, k, d)
+    g = math.gcd(d, *(v for row in T for v in row[n:]))
+    return [[v // g for v in row[n:]] for row in T], d // g
+
+
+def negative_definite(M: Sequence[Sequence[int]]) -> bool:
+    """Whether a symmetric integer matrix is negative definite: Gaussian
+    elimination without row exchanges meets only negative pivots.  Each is
+    read before `_pivot` negates its row; over the positive denominator the
+    diagonal entry has the Gaussian pivot's sign."""
+    T = [list(row) for row in M]
+    d = 1
+    for s in range(len(T)):
+        if T[s][s] >= 0:
+            return False
+        d = _pivot(T, s, s, d)
+    return True
 
 
 def _simplex_core(

@@ -5,7 +5,7 @@ linear form cutting the i-th flag subspace, so the flag point is the common
 zero of the first d rows.  Transforming a form into flag coordinates means
 substituting X = A^{-1} Y; the valuation of a section is then the lex
 smallest exponent of the transformed polynomial with the last (nonvanishing
-at the flag point) variable dehomogenized away.
+at the flag point) variable dehomogenized away.  `exactnum` inverts A.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from operator import ge, sub
 from typing import Iterator, Sequence
 
 from .errors import InputError
-from .exactnum import det
-from .polyform import FormSpan, HomogeneousForm, integer_lines
+from .exactnum import cleared_rows, det, inverse_lines
+from .polyform import FormSpan, HomogeneousForm
 
 Vector = tuple[int, ...]
 
 
-def _totally_generic(rows: list[list[Fraction]]) -> bool:
+def _totally_generic(rows: list[list[int]]) -> bool:
     """Whether every minor on the first j rows and any j columns is nonzero."""
     n = len(rows)
     for j in range(1, n + 1):
@@ -36,41 +36,14 @@ def _totally_generic(rows: list[list[Fraction]]) -> bool:
     return True
 
 
-def _inverse_lines(lines: list[list[int]]) -> tuple[list[list[int]], int] | None:
-    """The inverse of an integer matrix as integer lines over one positive
-    denominator, in lowest terms, or None if it is singular.  Fraction-free
-    (Bareiss) Gauss-Jordan elimination on [M | I]: after each step every
-    entry is a minor of the augmented matrix, so the division by the
-    previous pivot is exact, and it ends at [d I | d M^-1] with d = +-det M."""
-    n = len(lines)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(lines)]
-    prev = 1
-    for k in range(n):
-        r = next((r for r in range(k, n) if rows[r][k]), None)
-        if r is None:
-            return None
-        rows[k], rows[r] = rows[r], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                rows[i] = [(pivot * v - f * w) // prev for v, w in zip(row, pivot_row)]
-        prev = pivot
-    g = math.gcd(prev, *(v for row in rows for v in row[n:]))
-    if prev < 0:
-        g = -g
-    return [[v // g for v in row[n:]] for row in rows], prev // g
-
-
 class Flag:
     """A complete flag of linear subspaces, hashable and immutable.
 
     `lines, den` is the inverse of `matrix` as integer lines over one
-    positive denominator in lowest terms, from one integer elimination:
-    the change of coordinates is X = (lines / den) Y.  Substituting the
-    lines alone scales a form of degree D by den^D, which changes neither
-    the span of a space of forms nor the exponents of a form."""
+    positive denominator in lowest terms, by `exactnum.inverse_lines`: the
+    change of coordinates is X = (lines / den) Y.  Substituting the lines
+    alone scales a form of degree D by den^D, which changes neither the
+    span of a space of forms nor the exponents of a form."""
 
     __slots__ = ("d", "matrix", "lines", "den")
 
@@ -79,8 +52,8 @@ class Flag:
         if n < 2 or any(len(row) != n for row in matrix):
             raise InputError("flag: matrix must be square, size >= 2")
         rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-        scaled, scale = integer_lines(rows)
-        inv = _inverse_lines(scaled)
+        scaled, scale = cleared_rows(rows)
+        inv = inverse_lines(scaled)
         if inv is None:
             raise InputError("flag: matrix is singular")
         # (scale * M)^-1 = lines / den, so M^-1 = scale * lines / den
@@ -114,8 +87,7 @@ class Flag:
         rng = random.Random(seed)
         for _ in range(1000):
             rows = [
-                [Fraction(rng.randint(-9, 9)) for _ in range(d + 1)]
-                for _ in range(d + 1)
+                [rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(d + 1)
             ]
             if _totally_generic(rows):
                 return cls(rows)

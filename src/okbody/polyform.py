@@ -32,7 +32,7 @@ from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import integer_row, kernel, rref_rows
+from .exactnum import cleared_rows, integer_row, kernel, rref_rows
 
 Exponent = tuple[int, ...]
 
@@ -321,14 +321,6 @@ def _substitute(
                     total[i] += c * v
         out.append({exps[i]: v for i, v in enumerate(total) if v})
     return out
-
-
-def integer_lines(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """The matrix scaled to integer lines by the lcm of its denominators,
-    and that lcm."""
-    rows = [[Fraction(v) for v in r] for r in matrix]
-    den = math.lcm(*(v.denominator for r in rows for v in r))
-    return [[v.numerator * (den // v.denominator) for v in r] for r in rows], den
 
 
 def _primitive(row: dict) -> dict[Exponent, int]:
@@ -672,7 +664,7 @@ class FormSpan:
     def transformed(self, matrix: Sequence[Sequence[Fraction]]) -> FormSpan:
         """The span under X -> M Y.  M is first scaled to integers by the
         lcm of its denominators: f(c M y) = c^D f(M y) spans the same."""
-        lines, _ = integer_lines(matrix)
+        lines, _ = cleared_rows(matrix)
         rows = _substitute(self._term_rows(), lines, self.degree)
         return self._of(self.nvars, self.degree, _insert({}, rows))
 

@@ -11,11 +11,11 @@ Inside the engine a class is an integer vector over one positive
 denominator.  The lattice holds its listed curves and generators as integer
 vectors, with their integer Gram images G c, so an intersection with a
 listed class is one integer dot product; the support solves, the fixpoint,
-the continuation levels and the body's hull run on integers too.  The
-other numbers of the public types are Fractions, built once from those
-integers.  `ZariskiDecomposition.check` recomputes its intersection numbers
-in plain Fraction arithmetic over the Gram matrix, so that it shares no
-kernel with the engine it checks.
+the continuation levels and the body's hull run on integers too, their
+eliminations all in `exactnum`.  The other numbers of the public types are
+Fractions, built once from those integers.  `ZariskiDecomposition.check`
+recomputes its intersection numbers in plain Fraction arithmetic over the
+Gram matrix, so that it shares no kernel with the engine it checks.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .convbody import RationalPolytope, _integer_points
+from .convbody import RationalPolytope
 from .errors import InputError, InvariantError
-from .exactnum import cleared_row, in_cone, kernel, maximize
+from .exactnum import cleared_row, cleared_rows, in_cone, kernel, maximize, negative_definite
 
 Vec = tuple[Fraction, ...]
 
@@ -224,23 +224,10 @@ class ZariskiDecomposition(NamedTuple):
 
 
 def _negative_definite(lattice: SurfaceLattice, idx: Sequence[int]) -> bool:
-    """Whether the Gram matrix of the listed curves idx is negative
-    definite: its leading principal minors alternate in sign, the first
-    negative.  Fraction-free elimination without row exchanges (Bareiss)
-    meets them as its pivots."""
+    """Whether the integer Gram matrix of the listed curves idx is negative
+    definite, by `exactnum.negative_definite`."""
     curves, images = lattice.negative_curves, lattice._curve_images
-    M = [[_idot(curves[a], images[b]) for b in idx] for a in idx]
-    d, sign = 1, -1
-    for s, pivot_row in enumerate(M):
-        p = pivot_row[s]
-        if sign * p <= 0:
-            return False
-        for row in M[s + 1:]:
-            f = row[s]
-            for j in range(s + 1, len(M)):
-                row[j] = (p * row[j] - f * pivot_row[j]) // d
-        d, sign = p, -sign
-    return True
+    return negative_definite([[_idot(curves[a], images[b]) for b in idx] for a in idx])
 
 
 def _solve_support(
@@ -469,7 +456,7 @@ class SurfaceBody:
         pts = []
         for t, a, b in zip(self.breakpoints, self._lower, self._upper):
             pts += ((t, a), (t, b))
-        return RationalPolytope._from_integer_points(*_integer_points(pts), 2)
+        return RationalPolytope._from_integer_points(*cleared_rows(pts), 2)
 
     def __repr__(self) -> str:
         return (

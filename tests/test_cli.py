@@ -839,6 +839,33 @@ class TestExitCodes:
         assert rc == 3
         assert "plane" in err
 
+    @pytest.mark.parametrize(
+        "forms, message",
+        [
+            (
+                [[1, 0, 0], [0, 1, 0]],
+                "svg: only full dimensional bodies are rendered, got dimension 1",
+            ),
+            ([], "svg: the body is empty"),
+        ],
+    )
+    def test_svg_needs_full_dimensional_body(self, capsys, tmp_path, forms, message):
+        """A valid plane series whose body is a segment (X1, X2 in degree
+        1) or empty (the zero series) is not drawn: an unsupported mode."""
+        path = tmp_path / "series.json"
+        groups = [
+            {"degree": 1, "forms": [[{"num": 1, "den": 1, "exp": e}] for e in forms]}
+        ]
+        path.write_text(json.dumps({
+            "ambient_dim": 2, "divisor_degree": 1, "label": "flat",
+            "generators": groups if forms else [],
+        }))
+        rc, out, err = invoke(
+            capsys, "body", str(path), "-K", "2", "--svg", str(tmp_path / "x.svg")
+        )
+        assert rc == 3 and out == ""
+        assert message in err
+
     def test_slice_needs_surface_or_higher(self, capsys):
         rc, _, err = invoke(
             capsys, "slice", str(CORPUS / "p1_o1_complete.json"), "--t", "1/2"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbody.errors import InputError
-from okbody.exactnum import det, lattice_index
+from okbody.exactnum import cleared_rows, det, inverse_lines, lattice_index
 from okbody.flagval import (
     Flag,
     ValueSemigroup,
@@ -16,7 +16,7 @@ from okbody.flagval import (
     valuation,
     valuation_set,
 )
-from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents, integer_lines
+from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents
 from oracles import (
     reference_filtered_dimension,
     reference_indecomposables,
@@ -230,8 +230,10 @@ def seeded_matrix(rng: random.Random, n: int) -> list[list[F]]:
 
 def test_flag_inverse_matches_rational_elimination():
     """The integer inverse of a flag equals the Fraction inverse by
-    rref_rows, and its lines and denominator are those integer_lines gives
-    for it; a singular matrix is refused."""
+    rref_rows, and its lines and denominator are those cleared_rows gives
+    for it; a singular matrix is refused.  So is the inverse by
+    inverse_lines of seeded integer matrices of size 1 to 5, and a
+    singular one gives None."""
     rng = random.Random(20)
     inverted = singular = 0
     for n in (2, 3, 4):
@@ -250,5 +252,22 @@ def test_flag_inverse_matches_rational_elimination():
             inverted += 1
             fl = Flag(m)
             # lines / den is the inverse, over the lcm of its denominators
-            assert ([list(row) for row in fl.lines], fl.den) == integer_lines(ref)
+            assert (list(fl.lines), fl.den) == cleared_rows(ref)
     assert inverted > 100 and singular > 10
+    inverted = singular = 0
+    for n in range(1, 6):
+        for _ in range(40):
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                a, b = rng.sample(range(n), 2)
+                m[a] = [rng.randint(-2, 2) * v for v in m[b]]
+            ref = reference_inverse(m)
+            inv = inverse_lines(m)
+            if ref is None:
+                singular += 1
+                assert inv is None
+                continue
+            inverted += 1
+            lines, den = inv
+            assert ([tuple(row) for row in lines], den) == cleared_rows(ref)
+    assert inverted > 100 and singular > 20

@@ -263,7 +263,10 @@ class TestZariski:
     def test_negative_definite_reads_leading_minors(self):
         """The Bareiss pivots of the integer test and the Fraction pivots of
         the checker agree with the signs of the leading principal minors
-        on seeded curve subsets of Bl_r P^2, r = 2..4, in seeded orders."""
+        on seeded curve subsets of Bl_r P^2, r = 2..4, in seeded orders;
+        so does `exactnum.negative_definite` on seeded symmetric integer
+        matrices of size 1 to 4: definite ones -A^T A - I, semidefinite
+        ones -A^T A with A of fewer rows than columns, and any others."""
         rng = random.Random(2317)
         verdicts = set()
         for _ in range(200):
@@ -280,17 +283,72 @@ class TestZariski:
             assert surfacezar._fraction_negative_definite(G) == minors
             verdicts.add(minors)
         assert verdicts == {True, False}
+        verdicts.clear()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            kind = rng.choice(("definite", "semidefinite", "any"))
+            if kind == "any":
+                M = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        M[i][j] = M[j][i] = rng.randint(-5, 5)
+            else:
+                A = [
+                    [rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(n if kind == "definite" else rng.randint(0, n - 1))
+                ]
+                M = [
+                    [
+                        -sum(r[i] * r[j] for r in A) - (kind == "definite") * (i == j)
+                        for j in range(n)
+                    ]
+                    for i in range(n)
+                ]
+            minors = all(
+                (-1) ** s * det([row[:s] for row in M[:s]]) > 0
+                for s in range(1, n + 1)
+            )
+            assert kind != "definite" or minors
+            assert kind != "semidefinite" or not minors
+            assert exactnum.negative_definite(M) == minors
+            verdicts.add((kind, n == 1, minors))
+        assert {(k, one) for k, one, _ in verdicts} == {
+            (k, one) for k in ("definite", "semidefinite", "any") for one in (True, False)
+        }
+        assert ("any", False, True) in verdicts and ("any", False, False) in verdicts
+
+    def test_pivots_on_the_one_kernel(self, chain, monkeypatch):
+        """A flag's inverse and the definiteness test of a support of two
+        curves both pivot by `exactnum._pivot`; the witness, D = L + 2A +
+        4B, spares the decomposition the LP, which pivots there too."""
+        calls = []
+        original = exactnum._pivot
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return original(*args)
+
+        monkeypatch.setattr(exactnum, "_pivot", counted)
+        Flag([[2, 1, 0], [1, 1, 1], [0, 3, 1]])
+        assert calls == [(0, 0), (1, 1), (2, 2)]
+        calls.clear()
+        z = zariski(chain, (1, 1, 1), witness=(2, 4, 1))
+        assert len(z.support) == 2
+        assert calls == [(0, 0), (1, 1)]
 
     def test_check_shares_no_kernel(self, chain, monkeypatch):
         """`check` computes in Fractions over the Gram matrix: with the
-        engine's integer kernels and `dot` disabled, it passes a true
-        decomposition and refuses forged ones."""
+        engine's integer kernels, `exactnum.negative_definite` as the engine
+        calls it, and `dot` disabled, it passes a true decomposition and
+        refuses forged ones."""
         z = zariski(chain, (1, 1, 1))
 
         def disabled(*args):
             raise AssertionError("check ran an engine kernel")
 
-        for name in ("_idot", "_negative_definite", "kernel", "cleared_row"):
+        for name in (
+            "_idot", "_negative_definite", "negative_definite", "kernel", "cleared_row"
+        ):
             monkeypatch.setattr(surfacezar, name, disabled)
         monkeypatch.setattr(SurfaceLattice, "dot", disabled)
         z.check(chain)
