@@ -14,16 +14,29 @@ Huhdanpaa 1996) on those integer points, in ambient coordinates.  Its
 hyperplanes are taken inside the affine hull, by adding the hull's
 equations to every facet's kernel, so each facet normal is already the
 canonical one in the direction space; every kernel is the primitive
-integer one of `exactnum.kernel`.  Fractions appear only in the output:
-the vertices and the offsets of equations and facets.  Slices and
+integer one of `exactnum.kernel`, except in space, where the kernel of
+two independent rows is spanned by their cross product, taken primitive.
+Fractions appear only in the output: the vertices and the offsets of
+equations and facets.  Slices and
 halfspace cuts are computed from vertices, as the hull of the kept
 vertices and of the points where segments between vertices cross the cut.
+
+Every polytope keeps the facet-vertex incidences its hull found: for each
+facet inequality, the indices of the sorted vertices on it.  Scaling by a
+positive factor and translation move the vertices and the offsets and
+keep the normals, the incidences and both sort orders, so they run no
+hull.  Membership is decided in integers: each point is cleared to an
+integer point over its denominator once, and each a.x <= b is compared by
+cross-multiplication.
 
 Volumes are lattice normalized: a polytope spanning a proper affine
 subspace is measured against the integer points of its own direction
 space, which is the normalization under which lattice point counts and
-body volumes match up.  The hull is triangulated in ambient coordinates,
-and each m-simplex is measured by the Smith factors of its m edge
+body volumes match up.  The hull is triangulated in ambient coordinates
+by cones from the least vertex over the facets that miss it, recursively,
+with the face lattice read off the incidences: the facets of a facet F
+are the inclusion-maximal nonempty intersections of F with the other
+facets.  Each m-simplex is measured by the Smith factors of its m edge
 vectors: their product is the index of the edge lattice in the integer
 points of its span, m! times the simplex's volume there, in every
 dimension.  For a full-dimensional simplex that index is |det| of the
@@ -34,10 +47,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InvariantError
-from .exactnum import cleared_rows, echelon_add, kernel, lattice_index, smith_normal_form
+from .exactnum import (
+    cleared_row,
+    cleared_rows,
+    echelon_add,
+    kernel,
+    lattice_index,
+    smith_normal_form,
+)
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm
@@ -69,13 +90,25 @@ def _hyperplane(
     """The hyperplane a.x = b through the integer points inside the affine
     hull with the given equation normals, as a primitive normal in the
     direction space, oriented so that inside / weight lies strictly below
-    it, or None when the points do not span a unique such hyperplane."""
+    it, or None when the points do not span a unique such hyperplane.
+    The normal spans the kernel of the equation normals and the point
+    differences; in space the kernel of two such rows is spanned by their
+    cross product, which saves the elimination on every facet of a 3-d
+    hull."""
     q0 = pts[0]
-    diffs = [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
-    ker = kernel(equations + diffs, len(q0))
-    if len(ker) != 1:
-        return None
-    a = tuple(ker[0])
+    rows = equations + [[x - y for x, y in zip(q, q0)] for q in pts[1:]]
+    if len(q0) == 3 and len(rows) == 2:
+        (u1, u2, u3), (v1, v2, v3) = rows
+        c = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+        g = math.gcd(*c)
+        if not g:
+            return None
+        a = tuple(x // g for x in c)
+    else:
+        ker = kernel(rows, len(q0))
+        if len(ker) != 1:
+            return None
+        a = tuple(ker[0])
     b = sum(x * y for x, y in zip(a, q0))
     if sum(x * y for x, y in zip(a, inside)) > weight * b:
         a, b = tuple(-v for v in a), -b
@@ -174,26 +207,34 @@ def _affine_data(points: list[IntPoint], n: int) -> _AffineData:
 class RationalPolytope:
     """Convex hull of finitely many rational points, canonically presented."""
 
-    __slots__ = ("n", "affdim", "vertices", "equations", "inequalities")
+    __slots__ = ("n", "affdim", "vertices", "equations", "inequalities", "_facets")
 
     def __init__(self):
         raise InputError("use RationalPolytope.from_points")
 
     @classmethod
     def _raw(
-        cls, n, affdim, vertices, equations, inequalities
+        cls, n, affdim, vertices, equations, inequalities, facets=None
     ) -> RationalPolytope:
+        """A polytope from its canonical data.  facets, when given, holds
+        for each inequality the indices of the sorted vertices on its
+        facet, and vertices and inequalities come sorted already."""
         self = object.__new__(cls)
         self.n = n
         self.affdim = affdim
-        self.vertices = tuple(sorted(vertices))
         self.equations = tuple(equations)
-        self.inequalities = tuple(sorted(inequalities))
+        if facets is None:
+            self.vertices = tuple(sorted(vertices))
+            self.inequalities = tuple(sorted(inequalities))
+        else:
+            self.vertices = tuple(vertices)
+            self.inequalities = tuple(inequalities)
+        self._facets = None if facets is None else tuple(facets)
         return self
 
     @classmethod
     def empty(cls, n: int) -> RationalPolytope:
-        return cls._raw(n, -1, (), (), ())
+        return cls._raw(n, -1, (), (), (), ())
 
     @classmethod
     def from_points(
@@ -215,7 +256,8 @@ class RationalPolytope:
         cls, points: list[IntPoint], den: int, n: int
     ) -> RationalPolytope:
         """The hull of integer points over one common denominator, which
-        divides each hyperplane offset here; normals stay integer tuples."""
+        divides each hyperplane offset here; normals stay integer tuples.
+        The hull's facet incidences are kept, on the vertices alone."""
         pts = list(dict.fromkeys(points))
         if not pts:
             return cls.empty(n)
@@ -224,10 +266,23 @@ class RationalPolytope:
         verts, facets = [0], {}
         if m > 0:
             verts, facets = _hull(pts, aff)
+        verts.sort(key=pts.__getitem__)
+        rank = {i: r for r, i in enumerate(verts)}
         vertices = [tuple(Fraction(x, den) for x in pts[i]) for i in verts]
         equations = [(a, Fraction(b, den)) for a, b in aff.equations]
-        inequalities = [(a, Fraction(b, den)) for a, b in facets]
-        return cls._raw(n, m, vertices, equations, inequalities)
+        faces = sorted(
+            ((a, Fraction(b, den)), frozenset(rank[i] for i in on if i in rank))
+            for (a, b), on in facets.items()
+        )
+        return cls._raw(
+            n, m, vertices, equations, [f for f, _ in faces], [v for _, v in faces]
+        )
+
+    def _facet_vertices(self) -> tuple[frozenset[int], ...]:
+        """For each inequality, the indices of the vertices on its facet."""
+        if self._facets is None and self.affdim > 0:
+            raise InvariantError("polytope carries no facet incidences")
+        return self._facets or ()
 
     # -- basic data -------------------------------------------------------
 
@@ -259,22 +314,30 @@ class RationalPolytope:
         """
         if self.is_empty:
             return False
-        p = _fr_point(point)
-        if len(p) != self.n:
+        if len(point) != self.n:
             raise InputError("contains_point: wrong dimension")
-        for a, b in self.equations:
-            if _dot(a, p) != b:
-                return False
-        for a, b in self.inequalities:
-            v = _dot(a, p)
-            if v > b or (strictly and v == b):
-                return False
-        return True
+        return self._holds(*cleared_row(point), strictly)
 
     def contains(self, other: RationalPolytope) -> bool:
         if other.is_empty:
             return True
-        return all(self.contains_point(v) for v in other.vertices)
+        if self.is_empty:
+            return False
+        ipts, den = cleared_rows(other.vertices)
+        return all(self._holds(p, den, False) for p in ipts)
+
+    def _holds(self, p: Sequence[int], den: int, strictly: bool) -> bool:
+        """Membership of the point p / den, den > 0: each a.x <= b is
+        compared as a.p * b.denominator <= b.numerator * den."""
+        for a, b in self.equations:
+            if sum(map(mul, a, p)) * b.denominator != b.numerator * den:
+                return False
+        for a, b in self.inequalities:
+            v = sum(map(mul, a, p)) * b.denominator
+            w = b.numerator * den
+            if v > w or (strictly and v == w):
+                return False
+        return True
 
     def ordered_ring(self) -> list[Point]:
         """Boundary vertices in counterclockwise order (full dimensional
@@ -310,34 +373,58 @@ class RationalPolytope:
         m = self.affdim
         ipts, den = cleared_rows(self.vertices)
         total = 0
-        for apex, *rest in _triangulate(ipts):
-            edges = [[x - y for x, y in zip(w, apex)] for w in rest]
+        for apex, *rest in _cones(frozenset(range(len(ipts))), self._facet_vertices()):
+            edges = [[x - y for x, y in zip(ipts[w], ipts[apex])] for w in rest]
+            if len(edges) != m:
+                raise InvariantError("volume: a simplex of the wrong dimension")
             if m == self.n:
-                total += lattice_index(edges, m)
+                index = lattice_index(edges, m)
             else:
-                total += math.prod(smith_normal_form(edges))
+                index = math.prod(smith_normal_form(edges))
+            if not index:
+                raise InvariantError("volume: a degenerate simplex")
+            total += index
         return Fraction(total, math.factorial(m) * den**m)
 
     # -- constructive operations ---------------------------------------------
 
     def translate(self, vec: Sequence) -> RationalPolytope:
+        """The body moved by vec: every face moves along, so the vertices
+        and offsets move and the normals and incidences stay."""
         w = _fr_point(vec)
         if len(w) != self.n:
             raise InputError("translate: wrong dimension")
         if self.is_empty:
             return self
-        return RationalPolytope.from_points(
-            [tuple(a + b for a, b in zip(v, w)) for v in self.vertices], self.n
+
+        def moved(hyperplanes):
+            return [(a, sum(map(mul, a, w), b)) for a, b in hyperplanes]
+
+        return RationalPolytope._raw(
+            self.n,
+            self.affdim,
+            [tuple(x + y for x, y in zip(v, w)) for v in self.vertices],
+            moved(self.equations),
+            moved(self.inequalities),
+            self._facet_vertices(),
         )
 
     def scaled(self, factor: Fraction) -> RationalPolytope:
+        """The body scaled by factor > 0 about the origin: the vertices and
+        offsets scale, the normals and incidences stay, and both sort
+        orders are kept."""
         factor = Fraction(factor)
         if factor <= 0:
             raise InputError("scaled: factor must be positive")
         if self.is_empty:
             return self
-        return RationalPolytope.from_points(
-            [tuple(factor * x for x in v) for v in self.vertices], self.n
+        return RationalPolytope._raw(
+            self.n,
+            self.affdim,
+            [tuple(factor * x for x in v) for v in self.vertices],
+            [(a, factor * b) for a, b in self.equations],
+            [(a, factor * b) for a, b in self.inequalities],
+            self._facet_vertices(),
         )
 
     def intersect_halfspace(self, normal: Sequence, offset) -> RationalPolytope:
@@ -382,20 +469,26 @@ def _crossings(vertices: Sequence[Point], s: list[Fraction]) -> list[Point]:
     return out
 
 
-def _triangulate(points: list[IntPoint]) -> list[tuple[IntPoint, ...]]:
-    """Simplices covering the hull of distinct integer points, each a tuple
-    of affdim + 1 of the points: a cone from the least vertex over every
-    facet that misses it, recursing into the facet."""
-    if len(points) == 1:
-        return [tuple(points)]
-    verts, facets = _hull(points, _affine_data(points, len(points[0])))
-    apex = min(verts, key=points.__getitem__)
-    sims = []
-    for on in facets.values():
-        if apex not in on:
-            for sub in _triangulate([points[i] for i in verts if i in on]):
-                sims.append((points[apex],) + sub)
-    return sims
+def _cones(
+    face: frozenset[int], facets: Sequence[frozenset[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Simplices covering a face, given by its vertex indices and those of
+    its facets, each simplex a tuple of face dimension + 1 vertex indices:
+    a cone from the least vertex over every facet that misses it.  The
+    facets of a facet F are the inclusion-maximal nonempty sets among its
+    intersections with the other facets, so the recursion reads the face
+    lattice off the incidences, with no hull."""
+    if len(face) == 1:
+        yield tuple(face)
+        return
+    apex = min(face)
+    for f in facets:
+        if apex in f:
+            continue
+        meets = {f & g for g in facets if g is not f} - {frozenset()}
+        sub = [g for g in meets if not any(g < h for h in meets)]
+        for simplex in _cones(f, sub):
+            yield (apex,) + simplex
 
 
 # ---------------------------------------------------------------------------

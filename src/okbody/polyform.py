@@ -36,6 +36,9 @@ from .exactnum import cleared_rows, integer_row, kernel, rref_rows
 
 Exponent = tuple[int, ...]
 
+# the coefficient of every row of a monomial span's canonical basis
+_ONE = Fraction(1)
+
 
 def all_exponents(nvars: int, degree: int) -> Iterator[Exponent]:
     """Yield every exponent tuple of the given total degree in ascending
@@ -510,7 +513,7 @@ class FormSpan:
         """The canonical basis rows in reduced row echelon form."""
         if self._reduced is None:
             if self.is_monomial_span:
-                self._reduced = tuple({p: Fraction(1)} for p in self.pivots)
+                self._reduced = tuple({p: _ONE} for p in self.pivots)
             else:
                 rows = self._term_rows()
                 cols = sorted({e for row in rows for e in row})

@@ -37,6 +37,10 @@ check of that.
 computed it before it cleared classes to integers: Fraction arithmetic
 term by term.
 
+`reference_translate` and `reference_scaled` are how a polytope moved
+and scaled before it kept its hull's facet incidences: by a second hull of
+its moved vertices (`RationalPolytope.from_points`).
+
 `reference_indecomposables` is `ValueSemigroup.indecomposables` as it
 scanned the value points one at a time, each against every kept point;
 `reference_inverse` is how a `Flag` inverted its matrix, by `rref_rows` on
@@ -675,6 +679,28 @@ def reference_slice_at(poly: RationalPolytope, coord: int, value) -> RationalPol
         return RationalPolytope.empty(0)
     pts = _enumerate_vertices(eqs, ineqs, poly.n - 1)
     return reference_polytope(pts, poly.n - 1)
+
+
+def reference_translate(poly: RationalPolytope, vec: Sequence) -> RationalPolytope:
+    w = _fr_point(vec)
+    if len(w) != poly.n:
+        raise InputError("translate: wrong dimension")
+    if poly.is_empty:
+        return poly
+    return RationalPolytope.from_points(
+        [tuple(a + b for a, b in zip(v, w)) for v in poly.vertices], poly.n
+    )
+
+
+def reference_scaled(poly: RationalPolytope, factor: Fraction) -> RationalPolytope:
+    factor = Fraction(factor)
+    if factor <= 0:
+        raise InputError("scaled: factor must be positive")
+    if poly.is_empty:
+        return poly
+    return RationalPolytope.from_points(
+        [tuple(factor * x for x in v) for v in poly.vertices], poly.n
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,17 @@ class TestFromPoints:
         with pytest.raises(InputError):
             RationalPolytope.from_points([(0, 0), (1, 2, 3)])
 
+    def test_hyperplane_through_points(self):
+        # in space the normal is a cross product; collinear points, in
+        # space or in four dimensions, span no unique hyperplane
+        plane = convbody._hyperplane([(1, 0, 0), (0, 2, 0), (0, 0, 3)], [], (0, 0, 0), 1)
+        assert plane == ((6, 3, 2), 6)
+        below = convbody._hyperplane([(1, 0, 0), (0, 2, 0), (0, 0, 3)], [], (1, 1, 1), 1)
+        assert below == ((-6, -3, -2), -6)
+        line = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+        assert convbody._hyperplane(line, [], (1, 0, 0), 1) is None
+        assert convbody._hyperplane([p + (0,) for p in line], [], (1, 0, 0, 0), 1) is None
+
     def test_hull_makes_no_rational_elimination(self, monkeypatch):
         # facets, equations and volumes come from integer eliminations
         # only; the canonical basis of a span of forms of several terms is
@@ -343,6 +354,48 @@ class TestHalfspace:
 
 
 class TestTransforms:
+    def test_no_hull_after_the_first(self, monkeypatch):
+        """Volume, scaling and translation read the facet incidences the
+        hull left, and run no hull, affine hull or kernel of their own."""
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        bodies = [
+            okounkov_body(cli.load_series(str(corpus / name))[0], Flag.standard(d), K).body
+            for name, d, K in (("p3_o1_complete.json", 3, 3), ("p2_except_x2x3.json", 2, 8))
+        ]
+        flat = [(x, y, 2 * x - y + 1) for x in range(3) for y in range(-1, 2)]
+        bodies.append(RationalPolytope.from_points(flat, 3))
+        assert [b.affdim for b in bodies] == [3, 2, 2]
+        calls = []
+        for name in ("_hull", "_affine_data", "kernel"):
+            original = getattr(convbody, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(convbody, name, counted)
+        for body in bodies:
+            moved = body.scaled(F(2, 3)).translate((1,) + (F(1, 2),) * (body.n - 1))
+            assert moved.volume() == F(2, 3) ** body.affdim * body.volume() > 0
+        assert calls == []
+
+    def test_volume_needs_incidences(self, triangle):
+        bare = RationalPolytope._raw(
+            2, 2, triangle.vertices, triangle.equations, triangle.inequalities
+        )
+        for read in (bare.volume, lambda: bare.scaled(2), lambda: bare.translate((1, 0))):
+            with pytest.raises(InvariantError, match="incidences"):
+                read()
+
+    def test_degenerate_simplex_is_an_invariant_error(self):
+        # three collinear points with the incidences of a triangle
+        line = ((F(0), F(0)), (F(1), F(0)), (F(2), F(0)))
+        broken = RationalPolytope._raw(
+            2, 2, line, (), (), [frozenset({1, 2}), frozenset({0, 1}), frozenset({0, 2})]
+        )
+        with pytest.raises(InvariantError, match="degenerate"):
+            broken.volume()
+
     def test_translate(self, triangle):
         t = triangle.translate((1, 1))
         assert t.vertices == ((F(1), F(1)), (F(1), F(3)), (F(3), F(1)))

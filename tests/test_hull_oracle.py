@@ -1,5 +1,7 @@
 """The beneath-beyond hull and the vertex cuts against the slow reference
-in `oracles.py`, on small random point sets in dimension at most 4."""
+in `oracles.py`, on small random point sets in dimension at most 4; and
+scaling and translation, which reuse the hull's facet incidences, against
+a second hull of the moved vertices."""
 
 from fractions import Fraction
 
@@ -11,7 +13,9 @@ from oracles import (
     reference_intersect_halfspace,
     reference_ordered_ring,
     reference_polytope,
+    reference_scaled,
     reference_slice_at,
+    reference_translate,
     reference_volume,
 )
 
@@ -22,6 +26,7 @@ PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
 small = st.builds(
     Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])
 )
+factors = st.builds(Fraction, st.integers(1, 7), st.integers(1, 5))
 
 
 @st.composite
@@ -81,6 +86,23 @@ def check_against_oracle(data, d: int, most: int) -> None:
         reference_intersect_halfspace(ref, normal, offset)
     )
 
+    c = data.draw(factors)
+    w = data.draw(st.tuples(*[small] * d))
+    assert poly.scaled(c).volume() == reference_volume(reference_scaled(ref, c))
+    assert poly.translate(w).volume() == reference_volume(reference_translate(ref, w))
+
+    # membership: a point lies in the body iff adding it leaves the hull
+    # as it was, and in its relative interior iff moreover it lies
+    # strictly inside every facet (read in Fractions off the reference)
+    q = data.draw(st.tuples(*[small] * d))
+    inside = reference_polytope(pts + [q], d) == ref
+    assert poly.contains_point(q) == inside
+    assert poly.contains_point(q, strictly=True) == (
+        inside
+        and all(sum(Fraction(x) * y for x, y in zip(a, q)) < b for a, b in ref.inequalities)
+    )
+    assert poly.contains(RationalPolytope.from_points([q], d)) == inside
+
 
 @settings(derandomize=True, deadline=None, max_examples=300, phases=PHASES)
 @given(st.data(), st.integers(1, 3))
@@ -94,3 +116,43 @@ def test_hull_matches_oracle_in_dimension_4(data):
     # the reference filters 4-d points with one exact LP each, so the
     # sets stay small
     check_against_oracle(data, 4, most=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, phases=PHASES)
+@given(st.data(), st.integers(1, 4))
+def test_transforms_match_second_hull(data, d):
+    # single points, points on a line or a hyperplane, and solid sets, in
+    # dimensions 1 to 4, scaled by p/q and moved
+    pts = data.draw(point_sets(d, 8))
+    poly = RationalPolytope.from_points(pts, d)
+    c = data.draw(factors)
+    w = data.draw(st.tuples(*[small] * d))
+    grown = c**poly.affdim * poly.volume()
+    cases = [
+        (poly.scaled(c), reference_scaled(poly, c), grown),
+        (poly.translate(w), reference_translate(poly, w), poly.volume()),
+        (
+            poly.scaled(c).translate(w),
+            reference_translate(reference_scaled(poly, c), w),
+            grown,
+        ),
+    ]
+    for got, want, volume in cases:
+        assert canonical(got) == canonical(want)
+        assert got.volume() == want.volume() == volume
+        assert got.volume(ambient=True) == want.volume(ambient=True)
+
+
+def test_transforms_of_empty_and_zero_dimensional_bodies():
+    empty = RationalPolytope.empty(2)
+    assert empty.scaled(Fraction(3, 2)) is empty
+    assert empty.translate((1, 1)) is empty
+    point = RationalPolytope.from_points([(Fraction(1, 2), -1, 3)])
+    for got, want in (
+        (point.scaled(Fraction(2, 3)), reference_scaled(point, Fraction(2, 3))),
+        (point.translate((1, Fraction(1, 3), 0)), reference_translate(point, (1, Fraction(1, 3), 0))),
+    ):
+        assert canonical(got) == canonical(want)
+        assert got.volume() == 1
+    origin = RationalPolytope.from_points([()], 0)
+    assert canonical(origin.scaled(5)) == canonical(origin.translate(()))
