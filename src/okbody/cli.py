@@ -27,7 +27,7 @@ from .errors import InputError, InvariantError, UnsupportedModeError
 from .flagval import Flag, filtered_dimension
 from .glseries import GradedSeries
 from .monideal import full_volume_check, is_birational_monomial, sheafify, stable_base_locus
-from .polyform import FormSpan, HomogeneousForm
+from .polyform import FormSpan, HomogeneousForm, check_degree
 from .surfacezar import SurfaceLattice, classify_boundary, surface_body
 
 SCHEMA = 1
@@ -617,6 +617,7 @@ def _cmd_filtered_dims(args):
         raise InputError("filtered-dims: --sigma-budget must be nonnegative")
     series, digest = load_series(args.input)
     flag, flag_desc, seeds = _flag_payload(args, series.d)
+    check_degree(args.levels * series.twist, f"filtered-dims to level {args.levels}")
     view = series.under_flag(flag)
     spans = [view.level(k) for k in range(1, args.levels + 1)]
     table = [

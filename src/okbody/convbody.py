@@ -61,7 +61,7 @@ from .exactnum import (
 )
 from .flagval import Flag, ValueSemigroup
 from .glseries import GradedSeries, HilbertData
-from .polyform import HomogeneousForm
+from .polyform import HomogeneousForm, check_degree
 
 Point = tuple[Fraction, ...]
 
@@ -548,6 +548,7 @@ def okounkov_body(
                 f"monomial generators in levels <= {k0}; "
                 "truncated hull is the limit body"
             )
+    counts = sg.counts()
     return BodyReport(
         body=body,
         semigroup=sg,
@@ -556,7 +557,7 @@ def okounkov_body(
         certificate_note=note,
         lattice_index=lattice_index([v + (k,) for v, k in kept], sg.d + 1),
         hilbert=series.hilbert_data(K),
-        dims=[len(sg.level(k)) for k in range(1, K + 1)],
+        dims=[counts[k] for k in range(1, K + 1)],
     )
 
 
@@ -569,6 +570,7 @@ def valuative_witness(
     t = _fr_point(target)
     if len(t) != series.d:
         raise InputError("valuative_witness: wrong target dimension")
+    check_degree(K * series.twist, f"valuative witness to level {K}")
     view = series.under_flag(flag)
     for k in range(1, K + 1):
         scaled = [x * k for x in t]

@@ -15,12 +15,12 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from operator import ge, sub
+from operator import ge
 from typing import Iterator, Sequence
 
 from .errors import InputError
 from .exactnum import cleared_rows, det, inverse_lines
-from .polyform import FormSpan, HomogeneousForm
+from .polyform import DEGREE_BOUND, WIDTH, FormSpan, HomogeneousForm, pack, unpack
 
 Vector = tuple[int, ...]
 
@@ -124,14 +124,25 @@ def valuation(form: HomogeneousForm, flag: Flag) -> Vector:
     return min(e[: flag.d] for e in g.terms)
 
 
-def valuation_set(span: FormSpan) -> tuple[Vector, ...]:
-    """Valuations of a space already written in flag coordinates.
+def value_keys(span: FormSpan) -> list[int]:
+    """The valuations of a space already written in flag coordinates, as
+    packed keys (`polyform.pack`) in ascending order.
 
     The reduced echelon pivots under ascending lex columns are exactly the
-    lex minimal exponents realized by the space, one per dimension.
+    lex minimal exponents realized by the space, one per dimension.  The
+    last variable is the least significant field of a pivot key, so the
+    valuation, the pivot with that entry dropped, is the key shifted right
+    by one field; all pivots have the span's degree, so the keys stay
+    distinct.
     """
+    return [p >> WIDTH for p in span.pivot_keys]
+
+
+def valuation_set(span: FormSpan) -> tuple[Vector, ...]:
+    """The valuations of a space already written in flag coordinates, as
+    exponent tuples (`value_keys` unpacked)."""
     d = span.nvars - 1
-    return tuple(p[:d] for p in span.pivots)
+    return tuple(unpack(v, d) for v in value_keys(span))
 
 
 def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
@@ -148,29 +159,64 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
     return sum(all(map(ge, p, sigma)) for p in span.pivots)
 
 
-class ValueSemigroup:
-    """Value points (nu(s), k) of a graded series up to a truncation level."""
+def _value_key(vector: Sequence[int], d: int) -> int | None:
+    """The packed key of a value vector of d entries, or None when it has
+    another length or an entry that is no integer in [0, DEGREE_BOUND)."""
+    if len(vector) != d or not all(
+        isinstance(x, int) and 0 <= x < DEGREE_BOUND for x in vector
+    ):
+        return None
+    return pack(vector)
 
-    __slots__ = ("d", "truncation", "levels")
+
+class ValueSemigroup:
+    """Value points (nu(s), k) of a graded series up to a truncation level.
+
+    Each level is held as the packed keys (`polyform.pack`) of its value
+    vectors, in the order given; `levels`, `level` and `points` unpack
+    them."""
+
+    __slots__ = ("d", "truncation", "_keys")
 
     def __init__(
         self,
         d: int,
         truncation: int,
-        levels: dict[int, tuple[Vector, ...]],
+        levels: dict[int, Sequence[Sequence[int]]],
     ):
+        keys = {}
+        for k, vs in levels.items():
+            keys[k] = [_value_key(v, d) for v in vs]
+            if None in keys[k]:
+                raise InputError(
+                    f"value semigroup: level {k} holds a vector that is not "
+                    f"{d} entries in [0, {DEGREE_BOUND})"
+                )
+        self._set(d, truncation, keys)
+
+    def _set(self, d: int, truncation: int, keys: dict[int, list[int]]) -> ValueSemigroup:
         self.d = d
         self.truncation = truncation
-        self.levels = {
-            k: tuple(tuple(v) for v in vs) for k, vs in levels.items()
-        }
+        self._keys = keys
+        return self
+
+    @classmethod
+    def _of(cls, d: int, truncation: int, keys: dict[int, list[int]]) -> ValueSemigroup:
+        """The semigroup of value keys the library computed (`value_keys`),
+        taken without checks."""
+        return object.__new__(cls)._set(d, truncation, keys)
+
+    @property
+    def levels(self) -> dict[int, tuple[Vector, ...]]:
+        return {k: self.level(k) for k in self._keys}
 
     def level(self, k: int) -> tuple[Vector, ...]:
-        return self.levels.get(k, ())
+        d = self.d
+        return tuple(unpack(v, d) for v in self._keys.get(k, ()))
 
     def points(self) -> Iterator[tuple[Vector, int]]:
-        for k in sorted(self.levels):
-            for v in self.levels[k]:
+        for k in sorted(self._keys):
+            for v in self.level(k):
                 yield v, k
 
     def indecomposables(self) -> list[tuple[Vector, int]]:
@@ -182,31 +228,37 @@ class ValueSemigroup:
         levels are done before level k starts, so a level is filtered as a
         whole, one kept point at a time, by one set lookup per point still
         in it; the kept list and its order are those of a point-by-point
-        scan."""
-        sets = {k: set(vs) for k, vs in self.levels.items()}
-        kept: list[tuple[Vector, int]] = []
-        for k in sorted(self.levels):
-            rest = self.levels[k]
+        scan.  The lookup is of the packed difference v - g, one integer
+        subtraction: where an entry of v - g is negative, some field
+        borrows, and the difference is negative or has a field at or above
+        DEGREE_BOUND, so it is no key of a value vector.  The kept points
+        are unpacked."""
+        sets = {k: set(vs) for k, vs in self._keys.items()}
+        kept: list[tuple[int, int]] = []
+        for k in sorted(self._keys):
+            rest = self._keys[k]
             for g, j in kept:
                 if 2 * j > k or not rest:
                     break
                 lower = sets.get(k - j)
                 if lower:
-                    rest = [v for v in rest if tuple(map(sub, v, g)) not in lower]
+                    rest = [v for v in rest if v - g not in lower]
             kept.extend((v, k) for v in rest)
-        return kept
+        d = self.d
+        return [(unpack(v, d), k) for v, k in kept]
 
     def cone_points(self) -> list[tuple[int, ...]]:
         return [v + (k,) for v, k in self.points()]
 
     def counts(self) -> dict[int, int]:
-        return {k: len(vs) for k, vs in sorted(self.levels.items())}
+        return {k: len(vs) for k, vs in sorted(self._keys.items())}
 
     def contains(self, vector: Sequence[int], k: int) -> bool:
-        return tuple(vector) in self.levels.get(k, ())
+        key = _value_key(tuple(vector), self.d)
+        return key is not None and key in self._keys.get(k, ())
 
     def __repr__(self) -> str:
-        total = sum(len(v) for v in self.levels.values())
+        total = sum(len(v) for v in self._keys.values())
         return (
             f"ValueSemigroup(d={self.d}, truncation={self.truncation}, "
             f"points={total})"

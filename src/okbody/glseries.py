@@ -23,11 +23,12 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError, InvariantError, TruncationError
-from .flagval import Flag, ValueSemigroup, valuation_set
+from .flagval import Flag, ValueSemigroup, value_keys
 from .polyform import (
     FormSpan,
     HomogeneousForm,
     all_exponents,
+    check_degree,
     substitute_forms,
 )
 
@@ -98,6 +99,7 @@ class GradedSeries:
             )
         span = self._levels.get(k)
         if span is None:
+            check_degree(k * self.twist, f"series level {k}")
             span = self._provider(self, k)
             if span.nvars != self.d + 1 or span.degree != k * self.twist:
                 raise InvariantError("series: provider returned wrong shape")
@@ -105,6 +107,7 @@ class GradedSeries:
         return span
 
     def dims(self, K: int) -> list[int]:
+        check_degree(K * self.twist, f"series level {K}")
         return [self.level(k).dim for k in range(1, K + 1)]
 
     def hilbert_data(self, K: int) -> HilbertData:
@@ -397,11 +400,10 @@ class GradedSeries:
         """Value points of levels 1..K under the flag valuation."""
         if K < 1:
             raise InputError("semigroup: truncation must be >= 1")
+        check_degree(K * self.twist, f"semigroup to level {K}")
         view = self.under_flag(flag)
-        levels: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for k in range(1, K + 1):
-            levels[k] = valuation_set(view.level(k))
-        return ValueSemigroup(self.d, K, levels)
+        levels = {k: value_keys(view.level(k)) for k in range(1, K + 1)}
+        return ValueSemigroup._of(self.d, K, levels)
 
     def __repr__(self) -> str:
         return (
@@ -417,9 +419,8 @@ def _generated_level(
     the products of its level k - j with the span at each generator level
     j <= k, level 0 being the constants.  A known dim stops and
     cross-checks the subduction (`FormSpan.subducted`)."""
-    unit = FormSpan.complete(series.d + 1, 0)
     factors = [
-        (series.level(k - j) if j < k else unit, gspan)
+        (series.level(k - j) if j < k else FormSpan.complete(series.d + 1, 0), gspan)
         for j, gspan in gspans.items()
         if j <= k
     ]

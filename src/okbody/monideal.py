@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 from .errors import InputError, UnsupportedModeError
 from .exactnum import hermite_normal_form
 from .glseries import GradedSeries
-from .polyform import FormSpan, all_exponents
+from .polyform import WIDTH, FormSpan, all_exponents, check_degree
 
 Exponent = tuple[int, ...]
 
@@ -187,12 +187,17 @@ def base_ideal(series: GradedSeries, k: int) -> MonomialIdeal:
     level are its monomials, sorted and all of one degree, so they are the
     minimal generators as they stand.
     """
+    return MonomialIdeal._of(series.d + 1, _monomial_level(series, k).pivots)
+
+
+def _monomial_level(series: GradedSeries, k: int) -> FormSpan:
+    """Level k of the series, refused unless it is a monomial span."""
     span = series.level(k)
     if not span.is_monomial_span:
         raise UnsupportedModeError(
             "unsupported: base ideal computed only for monomial series"
         )
-    return MonomialIdeal._of(series.d + 1, span.pivots)
+    return span
 
 
 def locus_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
@@ -251,6 +256,7 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
     """
     if K < 1:
         raise InputError("stable base locus: need K >= 1")
+    check_degree(K * series.twist, f"stable base locus to level {K}")
     n = series.d + 1
     ideals: dict[int, MonomialIdeal] = {}
     gens: tuple[Exponent, ...] = ()
@@ -291,28 +297,28 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
 # sheafification
 
 
-def _colon_piece(pivots: tuple[Exponent, ...], n: int, i: int) -> set[Exponent]:
-    """The degree-D monomials of (I : X_i^inf), for I generated by pivots
-    of one degree D in n variables.
+def _colon_piece(keys, n: int, i: int) -> set[int]:
+    """The degree-D monomials of (I : X_i^inf), for I generated by the
+    monomials of one degree D in n variables with the given packed keys
+    (`polyform.pack`), as packed keys.
 
     (I : X_i^inf) is I with X_i set to 1, so a degree-D monomial lies in it
     iff it dominates some pivot off coordinate i; every such monomial is
     reached from that pivot by moves e -> e + u_j - u_i (j != i, e_i >= 1),
     and no move leaves the set.  So the set is the closure of the pivots
-    under those moves.
+    under those moves, each one integer sum on a key whose field i is
+    nonzero.
     """
-    others = [j for j in range(n) if j != i]
-    seen = set(pivots)
-    todo = list(pivots)
+    shift = WIDTH * (n - 1 - i)
+    mask = (1 << WIDTH) - 1
+    moves = [(1 << WIDTH * (n - 1 - j)) - (1 << shift) for j in range(n) if j != i]
+    seen = set(keys)
+    todo = list(keys)
     while todo:
         e = todo.pop()
-        if e[i]:
-            f = list(e)
-            f[i] -= 1
-            for j in others:
-                f[j] += 1
-                g = tuple(f)
-                f[j] -= 1
+        if e >> shift & mask:
+            for move in moves:
+                g = e + move
                 if g not in seen:
                     seen.add(g)
                     todo.append(g)
@@ -330,11 +336,12 @@ def sheafify(series: GradedSeries, K: int) -> GradedSeries:
     """
     if K < 1:
         raise InputError("sheafify: need K >= 1")
+    check_degree(K * series.twist, f"sheafify to level {K}")
     n = series.d + 1
     spans: dict[int, FormSpan] = {}
     for k in range(1, K + 1):
-        pivots = base_ideal(series, k).generators
-        piece = set.intersection(*(_colon_piece(pivots, n, i) for i in range(n)))
+        keys = _monomial_level(series, k).pivot_keys
+        piece = set.intersection(*(_colon_piece(keys, n, i) for i in range(n)))
         spans[k] = FormSpan._of(n, k * series.twist, {e: {e: 1} for e in piece})
     return GradedSeries._of_spans(
         series.d, series.twist, spans, label=f"{series.label} sheafified"

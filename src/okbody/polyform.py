@@ -3,32 +3,42 @@
 Forms are sparse dictionaries from exponent tuples to rational coefficients.
 A FormSpan holds a space of forms of one degree in one representation:
 primitive integer term rows with distinct leads, the lead of a row being its
-lex-least exponent.  The leads are the pivots the valuation layer reads off,
-so the ordering convention is load bearing.  Every span operation builds its
-rows through one insertion reducer; lex order is a monomial order, so leads
-of products add and shifts and cuts by the first variable keep leads apart
-without any reduction.  A row may be kept pending, its lead known without
-its terms: an operation and the rows it applies to, which `_terms` computes
-once, when a reduction or a reader needs the terms, keeping the rows.  A
-pending product is `_mul_terms` of two rows of a subduction, so the leaf
-rows a product rests on stay known, and a subduction never reduces a product
-that only regroups the leaves of the product already at its lead.  A
-quotient by a power of the first variable and a cut that sets it to zero are
-pending rows of one row: they apply at once to a term row and are deferred
-on a pending one.  The canonical basis, the reduced row echelon form over
-ascending lex exponent columns, is computed only when `basis` or `==` reads
-it.  Forms are built only at the edges (input, `basis`), and linear
-substitution maps every row through one table of monomial images:
-`substitute_forms` maps a list of forms as primitive integer rows under
-integer lines, and gives their span and their exact images from the same
-rows.
+lex-least exponent.  Every term of a row is keyed by one packed integer
+(`pack`): a field of WIDTH bits per variable, the first variable most
+significant.  Below the field width integer order is lex order and keys add
+under products, so a lead sum is one integer sum; a key keeps its value when
+the first variable is cut (its field is 0) and loses power << (WIDTH * (n -
+1)) in a quotient by X1^power.  Degrees stay below DEGREE_BOUND, half the
+range of a field, so the top bit of every field is spare: the difference of
+two keys is a key exactly when no field borrows, and an InputError refuses
+any degree at or past the bound.  Keys are unpacked only at the edges: `pivots`, `basis`,
+and the forms that `substitute_linear` and `substitute_forms` return.
+
+The leads are the pivots the valuation layer reads off, so the ordering
+convention is load bearing.  Every span operation builds its rows through
+one insertion reducer; lex order is a monomial order, so leads of products
+add and shifts and cuts by the first variable keep leads apart without any
+reduction.  A row may be kept pending, its lead known without its terms: an
+operation and the rows it applies to, which `_terms` computes once, when a
+reduction or a reader needs the terms, keeping the rows.  A pending product
+is `_mul_terms` of two rows of a subduction, so the leaf rows a product
+rests on stay known, and a subduction never reduces a product that only
+regroups the leaves of the product already at its lead.  A quotient by a
+power of the first variable and a cut that sets it to zero are pending rows
+of one row: they apply at once to a term row and are deferred on a pending
+one.  The canonical basis, the reduced row echelon form over ascending lex
+exponent columns, is computed only when `basis` or `==` reads it.  Forms are
+built only at the edges (input, `basis`), and linear substitution maps every
+row through one table of monomial images: `substitute_forms` maps a list of
+forms as primitive integer rows under integer lines, and gives their span
+and their exact images from the same rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError
@@ -36,8 +46,44 @@ from .exactnum import cleared_rows, integer_row, kernel, rref_rows
 
 Exponent = tuple[int, ...]
 
+WIDTH = 20  # bits per variable in a packed exponent key
+_MASK = (1 << WIDTH) - 1
+# every degree stays below half the range of a field: its top bit is spare
+DEGREE_BOUND = 1 << (WIDTH - 1)
+
 # the coefficient of every row of a monomial span's canonical basis
 _ONE = Fraction(1)
+
+
+def pack(exponent: Sequence[int]) -> int:
+    """The exponent as one integer, WIDTH bits per entry, the first entry
+    most significant.  For entries below DEGREE_BOUND, integer order is lex
+    order, the key of a sum is the sum of the keys, and the difference of
+    two keys is the key of the difference exactly when no entry of it is
+    negative; otherwise it is negative or has an entry at or above the
+    bound."""
+    key = 0
+    for x in exponent:
+        key = key << WIDTH | x
+    return key
+
+
+def unpack(key: int, nvars: int) -> Exponent:
+    """The exponent tuple of nvars entries that `pack` maps to key."""
+    return tuple(key >> s & _MASK for s in range(WIDTH * (nvars - 1), -1, -WIDTH))
+
+
+def check_degree(degree: int, what: str) -> None:
+    """Refuse a degree at or past the bound of packed keys."""
+    if degree >= DEGREE_BOUND:
+        raise InputError(
+            f"{what}: degree {degree} is at or above the bound {DEGREE_BOUND} "
+            "of packed exponent keys"
+        )
+
+
+def _packed(terms: dict[Exponent, Fraction]) -> dict[int, Fraction]:
+    return {pack(e): c for e, c in terms.items()}
 
 
 def all_exponents(nvars: int, degree: int) -> Iterator[Exponent]:
@@ -187,9 +233,13 @@ class HomogeneousForm:
         deg = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
-        return HomogeneousForm(
-            self.nvars, _mul_terms(self.terms, other.terms), deg
-        )
+        # tuple exponents: a sum is entrywise, never `+` (concatenation)
+        terms: dict[Exponent, Fraction] = {}
+        for eb, cb in other.terms.items():
+            for ea, ca in self.terms.items():
+                e = tuple(map(add, ea, eb))
+                terms[e] = terms.get(e, 0) + ca * cb
+        return HomogeneousForm(self.nvars, terms, deg)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -216,8 +266,10 @@ class HomogeneousForm:
         if self.is_zero:
             return self
         lines = [[Fraction(v) for v in row] for row in matrix]
-        (terms,) = _substitute([self.terms], lines, self.degree)
-        return HomogeneousForm._of(n, terms, self.degree)
+        (terms,) = _substitute([_packed(self.terms)], lines, self.degree)
+        return HomogeneousForm._of(
+            n, {unpack(e, n): c for e, c in terms.items()}, self.degree
+        )
 
     def set_variable_zero(self, i: int) -> HomogeneousForm:
         """Restrict to the hyperplane where variable i vanishes; the variable
@@ -235,7 +287,7 @@ class HomogeneousForm:
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise InputError("evaluate: point length != nvars")
-        return _evaluate(self.terms, point)
+        return _evaluate(self.terms.items(), point)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -251,10 +303,12 @@ class HomogeneousForm:
         return "HomogeneousForm(" + " + ".join(bits) + ")"
 
 
-def _evaluate(terms: dict, point: Sequence[Fraction]) -> Fraction:
+def _evaluate(
+    terms: Iterable[tuple[Exponent, Fraction]], point: Sequence[Fraction]
+) -> Fraction:
     point = [Fraction(v) for v in point]
     total = Fraction(0)
-    for e, c in terms.items():
+    for e, c in terms:
         val = c
         for x, p in zip(point, e):
             if p:
@@ -263,45 +317,44 @@ def _evaluate(terms: dict, point: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """The product of two term rows."""
-    out: dict[Exponent, Fraction] = {}
+def _mul_terms(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two term rows: packed keys add."""
+    out: dict[int, int] = {}
+    get = out.get
     for eb, cb in b.items():
         for ea, ca in a.items():
-            e = tuple(map(add, ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
     return {e: v for e, v in out.items() if v}
-
-
-def _bump(e: Exponent, j: int, by: int) -> Exponent:
-    return e[:j] + (e[j] + by,) + e[j + 1 :]
 
 
 def _substitute(
     rows: Sequence[dict], matrix: Sequence[Sequence], degree: int
-) -> list[dict[Exponent, Fraction]]:
+) -> list[dict[int, Fraction]]:
     """The degree-D rows under X_j -> sum_k matrix[j][k] * Y_k, through one
     table of monomial images shared by every row.  The table is built a
     degree at a time, X^e = X^(e - u_j) * X_j with j the first variable in
-    e, only for the images that lead to an exponent of the rows, and holds
-    two degrees at once; an image is a dense list over its degree's
-    exponents in ascending lex order."""
+    e (the most significant nonzero field of its key), only for the images
+    that lead to an exponent of the rows, and holds two degrees at once; an
+    image is a dense list over its degree's keys in ascending order."""
+    check_degree(degree, "substitution")
     n = len(matrix)
-    firsts = {}  # exponent -> (j, exponent - u_j)
+    units = [1 << s for s in range(WIDTH * (n - 1), -1, -WIDTH)]
+    firsts = {}  # key -> (j, key - u_j)
     need = {e for row in rows for e in row}
     chains = [need]
     for _ in range(degree):
         for e in need:
-            j = next(i for i, v in enumerate(e) if v)
-            firsts[e] = j, _bump(e, j, -1)
+            field = (e.bit_length() - 1) // WIDTH
+            firsts[e] = n - 1 - field, e - (1 << field * WIDTH)
         need = {parent for _, parent in map(firsts.get, need)}
         chains.append(need)
-    exps = [(0,) * n]
-    table = {exps[0]: [1]}
+    exps = [0]
+    table = {0: [1]}
     for t in range(1, degree + 1):
-        prev, exps = exps, list(all_exponents(n, t))
+        prev, exps = exps, _keys_of_degree(n, t)
         index = {e: i for i, e in enumerate(exps)}
-        shifts = [[index[_bump(e, k, 1)] for e in prev] for k in range(n)]
+        shifts = [[index[e + u] for e in prev] for u in units]
         images = {}
         for e in chains[degree - t]:
             j, parent = firsts[e]
@@ -326,13 +379,26 @@ def _substitute(
     return out
 
 
-def _primitive(row: dict) -> dict[Exponent, int]:
+def _keys_of_degree(nvars: int, degree: int) -> list[int]:
+    """The keys of every exponent of the degree, in ascending order: those
+    of `all_exponents`, built field by field."""
+    if nvars == 1:
+        return [degree]
+    shift = WIDTH * (nvars - 1)
+    return [
+        e << shift | rest
+        for e in range(degree + 1)
+        for rest in _keys_of_degree(nvars - 1, degree - e)
+    ]
+
+
+def _primitive(row: dict) -> dict[int, int]:
     """The row scaled to coprime integers."""
     den = math.lcm(*(v.denominator for v in row.values()))
     return _content_free({e: int(v * den) for e, v in row.items()})
 
 
-def _content_free(row: dict[Exponent, int]) -> dict[Exponent, int]:
+def _content_free(row: dict[int, int]) -> dict[int, int]:
     g = math.gcd(*row.values())
     return {e: v // g for e, v in row.items()} if g > 1 else row
 
@@ -340,7 +406,7 @@ def _content_free(row: dict[Exponent, int]) -> dict[Exponent, int]:
 class _Pending:
     """A table row kept pending: op applied to the term rows of args.  A
     product is `_mul_terms` of two rows; a quotient by a power of X1 or a
-    cut X1 -> 0 is a shift or `_cut_first` of one row.  `_terms` sets `row`
+    cut X1 -> 0 is a shift or a cut of one row.  `_terms` sets `row`
     when it first computes it, and the args stay."""
 
     __slots__ = ("op", "args", "row")
@@ -406,19 +472,6 @@ def _reordered(first, a, b) -> bool:
     return type(first) is not dict and _leaves((first,)) == _leaves((a, b))
 
 
-def _pack(exponent: Exponent, weights: Sequence[int]) -> int:
-    """The exponent as one integer in base b, with weights b^(n-1), ...,
-    b, 1: the first entry is most significant.  For entries below b,
-    integer order is lex order, and the key of a sum whose entries stay
-    below b is the sum of the keys."""
-    return sum(map(mul, exponent, weights))
-
-
-def _cut_first(row: dict) -> dict:
-    """A term row under X1 -> 0, the first variable dropped, made primitive."""
-    return _content_free({e[1:]: c for e, c in row.items() if e[0] == 0})
-
-
 def _mono_coefficient(value, pivot):
     """The coefficient of a table value that is a one-term row, at its
     pivot, or None.  A pending row is taken as none: a pending product
@@ -453,10 +506,11 @@ def _top_reduce(row: dict, table: dict) -> dict:
 
 
 def _insert(table: dict, rows: Iterable[dict]) -> dict:
-    """Enter each row into the table (lead -> primitive integer row) under
-    the new lead of its top-reduced remainder; zero remainders are dropped."""
+    """Enter each integer row into the table (lead -> primitive integer row)
+    under the new lead of its top-reduced remainder; zero remainders are
+    dropped."""
     for row in rows:
-        row = _top_reduce(_primitive(row), table)
+        row = _top_reduce(_content_free(row), table)
         if row:
             table[min(row)] = row
     return table
@@ -465,44 +519,60 @@ def _insert(table: dict, rows: Iterable[dict]) -> dict:
 class FormSpan:
     """A vector space of homogeneous forms of one degree.
 
-    `_rows` maps each pivot to a primitive integer term row whose lead
-    (lex-least exponent) it is, in ascending pivot order; the pivots double
-    as the valuation set of the space for the standard coordinate flag.  A
-    row may be pending (`_Pending`): a product from `subducted`, or a
-    quotient or cut of a pending row.  Every reader of the terms goes
-    through `_terms` (or `_top_reduce`) to compute it; the pivots, `dim`
-    and the valuation layer never need it.
-    Every operation builds its table of rows with `_insert` (or keeps or
-    shifts rows whose leads stay distinct).  The canonical basis is the
-    reduced row echelon form over ascending lex exponent columns, computed
-    and cached when `basis` or `==` first reads it.
+    `_rows` maps each pivot, as its packed key (`pack`), to a primitive
+    integer term row keyed the same way whose lead (lex-least exponent,
+    least key) it is, in ascending order; the pivots double as the
+    valuation set of the space for the standard coordinate flag.  A row may
+    be pending (`_Pending`): a product from `subducted`, or a quotient or
+    cut of a pending row.  Every reader of the terms goes through `_terms`
+    (or `_top_reduce`) to compute it; the pivot keys, `dim` and the
+    valuation layer never need it.  `pivots` unpacks the keys to exponent
+    tuples when first read.  Every operation builds its table of rows with
+    `_insert` (or keeps or shifts rows whose leads stay distinct).  The
+    canonical basis is the reduced row echelon form over ascending lex
+    exponent columns, computed and cached when `basis` or `==` first reads
+    it.
     """
 
-    __slots__ = ("nvars", "degree", "pivots", "_rows", "_reduced")
+    __slots__ = ("nvars", "degree", "_rows", "_pivots", "_reduced")
 
     def __init__(
         self, nvars: int, degree: int, forms: Iterable[HomogeneousForm] = ()
     ):
+        check_degree(degree, "span")
         forms = [f for f in forms if not f.is_zero]
         if any(f.nvars != nvars or f.degree != degree for f in forms):
             raise InputError("span: form of wrong shape")
-        self._set(nvars, degree, _insert({}, [f.terms for f in forms]))
+        rows = [_primitive(_packed(f.terms)) for f in forms]
+        self._set(nvars, degree, _insert({}, rows))
 
     def _set(self, nvars: int, degree: int, table: dict) -> FormSpan:
         if degree < 0:
             raise InputError("span: negative degree")
         self.nvars = nvars
         self.degree = degree
-        self.pivots = tuple(sorted(table))
-        self._rows = {p: table[p] for p in self.pivots}
-        self._reduced = None
+        self._rows = {p: table[p] for p in sorted(table)}
+        self._pivots = self._reduced = None
         return self
 
     @classmethod
     def _of(cls, nvars: int, degree: int, table: dict) -> FormSpan:
-        """The span of the rows of a table (lead -> primitive integer row,
-        or a pending row)."""
+        """The span of the rows of a table (lead key -> primitive integer
+        row, or a pending row)."""
         return object.__new__(cls)._set(nvars, degree, table)
+
+    @property
+    def pivot_keys(self):
+        """The packed pivots, in ascending order."""
+        return self._rows.keys()
+
+    @property
+    def pivots(self) -> tuple[Exponent, ...]:
+        """The pivot exponents, in ascending lex order."""
+        if self._pivots is None:
+            n = self.nvars
+            self._pivots = tuple(unpack(p, n) for p in self._rows)
+        return self._pivots
 
     def _term_rows(self) -> list[dict]:
         """The term rows in pivot order, pending rows computed."""
@@ -513,7 +583,7 @@ class FormSpan:
         """The canonical basis rows in reduced row echelon form."""
         if self._reduced is None:
             if self.is_monomial_span:
-                self._reduced = tuple({p: _ONE} for p in self.pivots)
+                self._reduced = tuple({p: _ONE} for p in self._rows)
             else:
                 rows = self._term_rows()
                 cols = sorted({e for row in rows for e in row})
@@ -525,7 +595,8 @@ class FormSpan:
 
     @classmethod
     def complete(cls, nvars: int, degree: int) -> FormSpan:
-        rows = {e: {e: 1} for e in all_exponents(nvars, degree)}
+        check_degree(degree, "span")
+        rows = {e: {e: 1} for e in _keys_of_degree(nvars, degree)}
         return cls._of(nvars, degree, rows)
 
     @classmethod
@@ -540,65 +611,65 @@ class FormSpan:
         (A, B), whose degrees add up to degree.
 
         Lex order is a monomial order, so the lead of a * b is the sum of
-        the leads.  Each pivot is packed once into an integer key in base
-        degree + 1 (`_pack`), where lead sums are key sums and lex order is
-        integer order.  One product per distinct lead sum goes into the
-        table unreduced and not multiplied out, as a pending product (a
-        product of two monomial rows is the monomial row {lead: ca * cb},
-        and a product with a constant is the other row, up to scale);
-        products of primitive rows are primitive (Gauss), so the table
-        holds primitive integer rows.  The other products, largest lead
-        first, are multiplied out and top-reduced against the table, which
-        multiplies out each table row they reach: all of them when dim is
-        None, otherwise only until the table holds dim rows.  Two kinds of
-        product are zero after reduction and never reduced: a product of
-        two monomials whose lead holds a product of two monomials, never
-        queued, and a product that rests on the same leaf rows as the
-        pending product at its lead (`_reordered`), skipped when the loop
-        reaches it.  With dim given, too many distinct leads, or too few
-        rows once the products run out, mean that the products do not span
-        a dim-dimensional space: InvariantError."""
-        weights = [(degree + 1) ** i for i in reversed(range(nvars))]
+        the leads, and packed keys add: each lead is one integer sum.  One
+        product per distinct lead goes into the table unreduced and not
+        multiplied out, as a pending product (a product of two monomial
+        rows is the monomial row {lead: ca * cb}, and a product with a
+        constant is the other row, up to scale); products of primitive rows
+        are primitive (Gauss), so the table holds primitive integer rows.
+        The other products, largest lead first, are multiplied out and
+        top-reduced against the table, which multiplies out each table row
+        they reach: all of them when dim is None, otherwise only until the
+        table holds dim rows.  Two kinds of product are zero after
+        reduction and never reduced: a product of two monomials whose lead
+        holds a product of two monomials, never queued, and a product that
+        rests on the same leaf rows as the pending product at its lead
+        (`_reordered`), skipped when the loop reaches it.  With dim given,
+        too many distinct leads, or too few rows once the products run out,
+        mean that the products do not span a dim-dimensional space:
+        InvariantError."""
+        check_degree(degree, "subduction")
         table: dict = {}
-        firsts: dict[int, object] = {}  # packed lead -> the table value there
         rest = []
+        get, queue = table.get, rest.append
         for A, B in factors:
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
+            constant = A.degree == 0 or B.degree == 0
             rows_b = [
-                (_pack(pb, weights), pb, rb, _mono_coefficient(rb, pb))
-                for pb, rb in B._rows.items()
+                (pb, rb, _mono_coefficient(rb, pb)) for pb, rb in B._rows.items()
             ]
             for pa, ra in A._rows.items():
-                ka, ca = _pack(pa, weights), _mono_coefficient(ra, pa)
-                for kb, pb, rb, cb in rows_b:
-                    key = ka + kb
-                    first = firsts.get(key)
+                ca = _mono_coefficient(ra, pa)
+                for pb, rb, cb in rows_b:
+                    lead = pa + pb
+                    first = get(lead)
                     if first is None:
-                        lead = tuple(map(add, pa, pb))
-                        if A.degree == 0 or B.degree == 0:
+                        if constant:
                             # a constant factor: the other row, up to scale
                             first = rb if A.degree == 0 else ra
                         elif ca is None or cb is None:
                             first = _Pending(_mul_terms, ra, rb)
                         else:
                             first = {lead: ca * cb}
-                        table[lead] = firsts[key] = first
-                    elif not (
-                        ca is not None and cb is not None
-                        and type(first) is dict and len(first) == 1
+                        table[lead] = first
+                    elif (
+                        ca is None or cb is None
+                        or type(first) is not dict or len(first) != 1
                     ):
-                        rest.append((key, ra, rb))
+                        queue((lead, ra, rb))
         if dim is not None and len(table) > dim:
             raise InvariantError(
                 f"subduction: {len(table)} distinct leads exceed the "
                 f"dimension {dim}"
             )
+        # a reduced row enters at a new lead, so the table keeps the first
+        # product at every lead that rest holds
         rest.sort(key=itemgetter(0), reverse=True)
-        for key, ra, rb in rest:
+        for lead, ra, rb in rest:
             if len(table) == dim:
                 break
-            if _reordered(firsts[key], ra, rb):
+            if _reordered(table[lead], ra, rb):
                 continue
             row = _top_reduce(_mul_terms(_terms(ra), _terms(rb)), table)
             if row:
@@ -612,14 +683,17 @@ class FormSpan:
 
     @property
     def basis(self) -> tuple[HomogeneousForm, ...]:
+        n = self.nvars
         return tuple(
-            HomogeneousForm._of(self.nvars, dict(row), self.degree)
+            HomogeneousForm._of(
+                n, {unpack(e, n): c for e, c in row.items()}, self.degree
+            )
             for row in self._canonical
         )
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
     @property
     def is_complete(self) -> bool:
@@ -637,19 +711,19 @@ class FormSpan:
             return True
         if form.nvars != self.nvars or form.degree != self.degree:
             return False
-        return not _top_reduce(_primitive(form.terms), self._rows)
+        return not _top_reduce(_primitive(_packed(form.terms)), self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FormSpan)
             and self.nvars == other.nvars
             and self.degree == other.degree
-            and self.pivots == other.pivots
+            and self._rows.keys() == other._rows.keys()
             and self._canonical == other._canonical
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.degree, self.pivots))
+        return hash((self.nvars, self.degree, tuple(self._rows)))
 
     def __add__(self, other: FormSpan) -> FormSpan:
         if self.nvars != other.nvars or self.degree != other.degree:
@@ -674,34 +748,37 @@ class FormSpan:
     def restricted(self) -> FormSpan:
         """The image under X1 -> 0, in one fewer variable.  A row whose
         lead has first exponent > 0 is divisible by X1 and vanishes, and
-        every other row keeps its lead, so no reduction runs: each is cut
-        by `_cut_first`, deferred on a pending row (`_apply`)."""
+        every other row keeps its lead, so no reduction runs: each keeps
+        its terms without X1, made primitive, deferred on a pending row
+        (`_apply`).  A term without X1 keeps its key, whose first field is
+        0, in one fewer variable."""
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
-        table = {
-            p[1:]: _apply(_cut_first, row)
-            for p, row in self._rows.items()
-            if p[0] == 0
-        }
+        bound = 1 << WIDTH * (self.nvars - 1)  # the key of X1
+
+        def cut(row: dict) -> dict:
+            return _content_free({e: c for e, c in row.items() if e < bound})
+
+        table = {p: _apply(cut, row) for p, row in self._rows.items() if p < bound}
         return self._of(self.nvars - 1, self.degree, table)
 
     def divided_by_variable(self, power: int) -> FormSpan:
         """Quotient by X1^power, which divides every element; the degree
         drops by the power.  The order of a row in X1 is the first exponent
-        of its lead, so divisibility is read off the pivots; lex order is
-        translation invariant, so each row keeps its lead, shifted.  The
-        shift is deferred on a pending row (`_apply`)."""
+        of its lead, so divisibility is read off the least pivot; lex order
+        is translation invariant, so each row keeps its lead, and every key
+        drops by the key of X1^power.  The shift is deferred on a pending
+        row (`_apply`)."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
-        if any(p[0] < power for p in self.pivots):
+        shift = power << WIDTH * (self.nvars - 1)  # the key of X1^power
+        if self._rows and next(iter(self._rows)) < shift:
             raise InputError("divided_by_variable: an element is not divisible")
 
-        def shift(row: dict) -> dict:
-            return {_bump(e, 0, -power): c for e, c in row.items()}
+        def divided(row: dict) -> dict:
+            return {e - shift: c for e, c in row.items()}
 
-        table = {
-            _bump(p, 0, -power): _apply(shift, row) for p, row in self._rows.items()
-        }
+        table = {p - shift: _apply(divided, row) for p, row in self._rows.items()}
         return self._of(self.nvars, self.degree - power, table)
 
     def subspace_with_min_exponent(self, minimum: int) -> FormSpan:
@@ -709,7 +786,8 @@ class FormSpan:
         forms divisible by X1^minimum): the rows whose lead has first
         exponent >= minimum, as lex order compares that exponent first, so
         the lead is lowest in it."""
-        kept = {p: r for p, r in self._rows.items() if p[0] >= minimum}
+        top = WIDTH * (self.nvars - 1)
+        kept = {p: r for p, r in self._rows.items() if p >> top >= minimum}
         return self._of(self.nvars, self.degree, kept)
 
     def subspace_vanishing_at(
@@ -718,8 +796,10 @@ class FormSpan:
         rows = self._term_rows()
         if not points or not rows:
             return self
+        n = self.nvars
+        terms = [[(unpack(e, n), c) for e, c in r.items()] for r in rows]
         return self._kernel(
-            [integer_row([_evaluate(r, p) for r in rows]) for p in points]
+            [integer_row([_evaluate(t, p) for t in terms]) for p in points]
         )
 
     def _kernel(self, conditions: list[list[int]]) -> FormSpan:
@@ -727,7 +807,7 @@ class FormSpan:
         terms = self._term_rows()
         rows = []
         for combo in kernel(conditions, len(terms)):
-            total: dict[Exponent, int] = {}
+            total: dict[int, int] = {}
             for row, c in zip(terms, combo):
                 if c:
                     for e, v in row.items():
@@ -748,13 +828,18 @@ def substitute_forms(
     primitive integer row p, with f = c * p, so f(M y) is c / den^D times the
     integer row p(lines y)."""
     nvars, degree = forms[0].nvars, forms[0].degree
-    prims = [_primitive(f.terms) for f in forms]
+    prims = [_primitive(_packed(f.terms)) for f in forms]
     rows = _substitute(prims, lines, degree)
     images = []
     for f, p, row in zip(forms, prims, rows):
-        lead = next(iter(p))
-        scale = f.terms[lead] / (p[lead] * den**degree)
+        lead, c = next(iter(f.terms.items()))
+        scale = c / p[pack(lead)]
+        num, dd = scale.numerator, scale.denominator * den**degree
         images.append(
-            HomogeneousForm._of(nvars, {e: scale * v for e, v in row.items()}, degree)
+            HomogeneousForm._of(
+                nvars,
+                {unpack(e, nvars): Fraction(num * v, dd) for e, v in row.items()},
+                degree,
+            )
         )
     return tuple(images), FormSpan._of(nvars, degree, _insert({}, rows))

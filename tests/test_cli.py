@@ -4,6 +4,7 @@ envelope determinism, exit codes, and drawing output."""
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from okbody.cli import (
 from okbody.errors import InputError
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
-from okbody.polyform import FormSpan, HomogeneousForm
+from okbody.polyform import DEGREE_BOUND, FormSpan, HomogeneousForm
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -795,6 +796,38 @@ class TestExitCodes:
         rc, out, err = invoke(capsys, "body", FLAGSHIP, "-K", "6", *extra)
         assert rc == 2 and out == ""
         assert match in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["body", FLAGSHIP, "-K", str(DEGREE_BOUND // 2)],
+            ["volume", FLAGSHIP, "-K", str(DEGREE_BOUND // 2), "--flag-seed", "1"],
+            ["slice", FLAGSHIP, "-K", str(DEGREE_BOUND), "--t", "1/2"],
+            ["sheafify", FLAGSHIP, "-K", str(DEGREE_BOUND // 2)],
+            ["base-locus", FLAGSHIP, "-K", str(DEGREE_BOUND // 2)],
+            ["filtered-dims", FLAGSHIP, "--levels", str(DEGREE_BOUND // 2)],
+            ["fujita", FLAGSHIP, "--p", str(DEGREE_BOUND // 2)],
+            ["body", "GENERATOR"],
+        ],
+    )
+    def test_degrees_past_the_packing_bound(self, capsys, tmp_path, argv):
+        """A degree at or past the bound of packed exponent keys, from the
+        truncation times the divisor degree or from a generator, exits 2
+        at once, naming the bound, before any level past it is built."""
+        if argv[1] == "GENERATOR":
+            path = tmp_path / "series.json"
+            path.write_text(json.dumps({
+                "ambient_dim": 2, "divisor_degree": DEGREE_BOUND, "label": "high",
+                "generators": [{"degree": 1, "forms": [
+                    [{"num": 1, "den": 1, "exp": [DEGREE_BOUND, 0, 0]}]
+                ]}],
+            }))
+            argv = [argv[0], str(path)]
+        start = time.perf_counter()
+        rc, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert f"bound {DEGREE_BOUND} of packed exponent keys" in err
 
     def test_missing_input(self, capsys):
         rc, _, err = invoke(capsys, "body", str(CORPUS / "nope.json"))

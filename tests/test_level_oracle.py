@@ -11,10 +11,12 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from okbody.errors import InputError
-from okbody.exactnum import det
+from okbody.exactnum import cleared_rows, det
 from okbody import polyform
-from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
+from okbody.flagval import valuation_set
+from okbody.polyform import FormSpan, HomogeneousForm, all_exponents, substitute_forms
 from oracles import (
+    _mul_terms,
     pending_rows,
     reference_contains,
     reference_span_reduce,
@@ -65,6 +67,45 @@ def test_substitute_linear_matches_oracle(data):
     (f,) = data.draw(forms(nvars, degree, 1))
     matrix = data.draw(invertible(nvars))
     assert f.substitute_linear(matrix) == reference_substitute_linear(f, matrix)
+
+
+def tuple_keyed(exponents, nvars: int) -> bool:
+    return all(
+        type(e) is tuple and len(e) == nvars and all(type(x) is int for x in e)
+        for e in exponents
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, phases=PHASES)
+@given(st.data())
+def test_edge_readers_give_tuple_exponents(data):
+    """Packed keys never leave polyform: the pivots, the basis forms, the
+    valuation set, form products and both substitutions give exponent
+    tuples, equal to those of the tuple-keyed oracles."""
+    nvars, degree = shape(data)
+    a = data.draw(forms(nvars, degree, 3), label="a")
+    span = FormSpan(nvars, degree, a)
+    ref_basis, ref_pivots = reference_span_reduce(nvars, degree, a)
+    assert tuple_keyed(span.pivots, nvars) and span.pivots == ref_pivots
+    assert all(tuple_keyed(f.terms, nvars) for f in span.basis)
+    assert span.basis == ref_basis
+    values = valuation_set(span)
+    assert tuple_keyed(values, nvars - 1)
+    assert values == tuple(p[:-1] for p in ref_pivots)
+
+    (f,), (g,) = data.draw(forms(nvars, degree, 1)), data.draw(forms(nvars, 1, 1))
+    product = f * g
+    assert tuple_keyed(product.terms, nvars)
+    assert product.terms == _mul_terms(f.terms, g.terms)
+    matrix = data.draw(invertible(nvars), label="matrix")
+    moved = f.substitute_linear(matrix)
+    assert tuple_keyed(moved.terms, nvars)
+    assert moved == reference_substitute_linear(f, matrix)
+    lines, _ = cleared_rows(matrix)
+    images, image_span = substitute_forms(a, lines, 1)
+    assert all(tuple_keyed(h.terms, nvars) for h in images)
+    assert images == tuple(reference_substitute_linear(h, lines) for h in a)
+    assert image_span == FormSpan(nvars, degree, images)
 
 
 def check_span_operations(data, nvars: int, degree: int, a, fresh):
@@ -184,7 +225,7 @@ def test_span_operations_on_pending_rows_match_oracle(data):
     assert pending_rows(span) == pending == pending_rows(quotient)
     assert pending_rows(cut) == sum(
         isinstance(row, polyform._Pending) and row.row is None
-        for p, row in span._rows.items()
+        for p, row in zip(span.pivots, span._rows.values())
         if p[0] == 0
     )
     for result in (quotient, cut, cut_quotient):

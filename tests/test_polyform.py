@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from okbody import polyform
 from okbody.errors import InputError
+from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.monideal import base_ideal
 from okbody.polyform import (
     FormSpan,
+    DEGREE_BOUND,
     HomogeneousForm as HF,
-    _pack,
     all_exponents,
     count_exponents,
+    pack,
+    unpack,
 )
 
 
@@ -41,6 +44,7 @@ def test_all_exponents_ascending_and_counted():
             assert len(set(exps)) == len(exps)
             assert len(exps) == count_exponents(nvars, degree)
             assert all(sum(e) == degree and len(e) == nvars for e in exps)
+            assert polyform._keys_of_degree(nvars, degree) == [pack(e) for e in exps]
 
 
 def test_form_validation():
@@ -246,24 +250,54 @@ def test_span_rejects_wrong_shape():
 @settings(derandomize=True, max_examples=400)
 @given(st.data())
 def test_packed_keys_keep_lex_order_and_sums(data):
-    """Packed in base degree + 1, exponents with entries up to the degree
-    compare as their keys do, and a sum whose entries stay within the
-    degree packs to the sum of the keys."""
+    """Packed WIDTH bits per entry, exponents with entries below the degree
+    bound compare as their keys do, unpack to themselves, and a sum whose
+    entries stay below the bound packs to the sum of the keys.  The
+    difference of two keys is a key below the bound exactly when no entry
+    of the difference is negative, and is then the key of the difference."""
     nvars = data.draw(st.integers(1, 5), label="nvars")
-    degree = data.draw(st.integers(0, 6), label="degree")
-    entry = st.integers(0, degree)
+    high = data.draw(st.sampled_from([6, DEGREE_BOUND - 1]), label="high")
+    entry = st.integers(0, high)
     exponent = st.tuples(*[entry] * nvars)
     a, b = data.draw(exponent, label="a"), data.draw(exponent, label="b")
-    base = degree + 1
-    weights = [base**i for i in reversed(range(nvars))]
-    assert (_pack(a, weights) < _pack(b, weights)) == (a < b)
-    assert (_pack(a, weights) == _pack(b, weights)) == (a == b)
-    cap = tuple(degree - x for x in a)
+    assert (pack(a) < pack(b)) == (a < b)
+    assert (pack(a) == pack(b)) == (a == b)
+    assert unpack(pack(a), nvars) == a
+    cap = tuple(high - x for x in a)
     c = data.draw(st.tuples(*[st.integers(0, m) for m in cap]), label="c")
     total = tuple(x + y for x, y in zip(a, c))
-    assert _pack(a, weights) + _pack(c, weights) == _pack(total, weights)
-    top = (degree,) * nvars
-    assert _pack(top, weights) == base**nvars - 1
+    assert pack(a) + pack(c) == pack(total)
+    diff = pack(a) - pack(b)
+    valid = 0 <= diff and all(x < DEGREE_BOUND for x in unpack(diff, nvars))
+    assert valid == all(x >= y for x, y in zip(a, b))
+    if valid:
+        assert diff == pack(tuple(x - y for x, y in zip(a, b)))
+    top = (DEGREE_BOUND - 1,) * nvars
+    assert unpack(pack(top), nvars) == top
+
+
+def test_degrees_at_the_packing_bound_are_refused():
+    """A span, a substitution or a series level of degree DEGREE_BOUND or
+    more is refused with an InputError naming the bound, before any row is
+    built; one degree less packs."""
+    x = HF.monomial(2, (DEGREE_BOUND, 0))
+    bound = f"bound {DEGREE_BOUND}"
+    with pytest.raises(InputError, match=bound):
+        FormSpan(2, DEGREE_BOUND, [x])
+    with pytest.raises(InputError, match=bound):
+        FormSpan.complete(3, DEGREE_BOUND)
+    with pytest.raises(InputError, match=bound):
+        x.substitute_linear([[1, 0], [0, 1]])
+    below = HF.monomial(2, (DEGREE_BOUND - 1, 0))
+    assert FormSpan(2, DEGREE_BOUND - 1, [below]).pivots == ((DEGREE_BOUND - 1, 0),)
+    S = GradedSeries.complete(2)
+    with pytest.raises(InputError, match=bound):
+        S.level(DEGREE_BOUND)
+    with pytest.raises(InputError, match=bound):
+        S.dims(DEGREE_BOUND)
+    twisted = GradedSeries.complete(1, 2)
+    with pytest.raises(InputError, match=bound):
+        twisted.semigroup(Flag.standard(1), DEGREE_BOUND // 2)
 
 
 def test_regrouped_products_compare_rows_by_identity(monkeypatch):
@@ -296,10 +330,11 @@ def test_leaves_walk_down_products_only(monkeypatch):
     """A product is known by its two args, whatever `_mul_terms` is bound
     to when the leaves are read; a quotient or cut of a product is a leaf
     of its own, as its terms are not the product of its arg's leaves."""
-    a, b, c = {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}, {(0, 1): 1}
+    x1, x2 = pack((1, 0)), pack((0, 1))
+    a, b, c = {x1: 1, x2: 1}, {x1: 1, x2: -1}, {x2: 1}
     product = polyform._Pending(polyform._mul_terms, a, b)
     monkeypatch.setattr(polyform, "_mul_terms", lambda *args: {})
-    cut = polyform._Pending(polyform._cut_first, product)
+    cut = polyform._Pending(polyform._content_free, product)
     assert polyform._leaves([product, c]) == sorted(map(id, (a, b, c)))
     assert polyform._leaves([cut]) == [id(cut)]
     first = polyform._Pending(polyform._mul_terms, product, c)
