@@ -509,6 +509,8 @@ def _cmd_base_locus(args):
 
 
 def _cmd_birational(args):
+    if args.max_level < 1:
+        raise InputError("birational: --max-level must be at least 1")
     series, digest = load_series(args.input)
     rep = is_birational_monomial(series, args.max_level)
     payload = {

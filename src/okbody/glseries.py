@@ -8,12 +8,14 @@ parent lazily and keep their own level caches, so the computations made on
 one derived series share work; the parent keeps nothing of them.  A
 generated series and a flag view of a series with generators build each
 level on one path, `_generated_level`: the span of the products of lower
-levels with the generator spans, found by subduction.  A view knows the
-level's dimension from its parent, so it stops as soon as the products'
-leads reach it, most often without any reduction.  The products it keeps
-stay pending (`FormSpan.subducted`): the valuation sets are their leads,
-and only a reduction or a reader of the terms multiplies one out.  A flag
-view maps its generators by one integer substitution per generator level.
+levels with the generator spans, found by subduction, in which a row that
+entered with a generator row (its signature) meets only that row and the
+later ones, as u * (g * r) = g * (u * r).  A view knows the level's
+dimension from its parent, so it stops as soon as the products' leads reach
+it, most often without any reduction.  The products it keeps stay pending
+(`FormSpan.subducted`): the valuation sets are their leads, and only a
+reduction or a reader of the terms multiplies one out.  A flag view maps
+its generators by one integer substitution per generator level.
 """
 
 from __future__ import annotations
@@ -418,10 +420,13 @@ def _generated_level(
     """Level k of a series generated by gspans (generator level -> span):
     the products of its level k - j with the span at each generator level
     j <= k, level 0 being the constants.  A known dim stops and
-    cross-checks the subduction (`FormSpan.subducted`)."""
+    cross-checks the subduction (`FormSpan.subducted`), which is ordered,
+    as each factor on the left is a full level."""
     factors = [
         (series.level(k - j) if j < k else FormSpan.complete(series.d + 1, 0), gspan)
         for j, gspan in gspans.items()
         if j <= k
     ]
-    return FormSpan.subducted(series.d + 1, k * series.twist, dim, factors)
+    return FormSpan.subducted(
+        series.d + 1, k * series.twist, dim, factors, ordered=True
+    )

@@ -378,12 +378,7 @@ def is_birational_monomial(
             break
     if k0 is None:
         raise InputError("birationality: no nonzero level found")
-    span = series.level(k0)
-    if not span.is_monomial_span:
-        raise UnsupportedModeError(
-            "unsupported: base ideal computed only for monomial series"
-        )
-    exps = list(span.pivots)
+    exps = list(_monomial_level(series, k0).pivots)
     first = exps[0]
     diffs = [
         tuple(x - y for x, y in zip(e, first))[1:] for e in exps[1:]

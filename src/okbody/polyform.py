@@ -21,17 +21,17 @@ add and shifts and cuts by the first variable keep leads apart without any
 reduction.  A row may be kept pending, its lead known without its terms: an
 operation and the rows it applies to, which `_terms` computes once, when a
 reduction or a reader needs the terms, keeping the rows.  A pending product
-is `_mul_terms` of two rows of a subduction, so the leaf rows a product
-rests on stay known, and a subduction never reduces a product that only
-regroups the leaves of the product already at its lead.  A quotient by a
-power of the first variable and a cut that sets it to zero are pending rows
-of one row: they apply at once to a term row and are deferred on a pending
-one.  The canonical basis, the reduced row echelon form over ascending lex
-exponent columns, is computed only when `basis` or `==` reads it.  Forms are
-built only at the edges (input, `basis`), and linear substitution maps every
-row through one table of monomial images: `substitute_forms` maps a list of
-forms as primitive integer rows under integer lines, and gives their span
-and their exact images from the same rows.
+is `_mul_terms` of two rows of a subduction; in a level of a generated
+series the second is its signature, the generator row it entered with, and
+the next level multiplies it only by that row and the generator rows after
+it.  A quotient by a power of the first variable and a cut that sets it to
+zero are pending rows of one row: they apply at once to a term row and are
+deferred on a pending one.  The canonical basis, the reduced row echelon
+form over ascending lex exponent columns, is computed only when `basis` or
+`==` reads it.  Forms are built only at the edges (input, `basis`), and
+linear substitution maps every row through one table of monomial images:
+`substitute_forms` maps a list of forms as primitive integer rows under
+integer lines, and gives their span and their exact images from the same rows.
 """
 
 from __future__ import annotations
@@ -419,8 +419,8 @@ def _terms(value) -> dict:
     """The term row of a table value: the row itself, or a pending row
     computed once, after the pending rows it applies to.  The row is cached
     in the pending row, which keeps its args: they are rows of cached
-    spans, and `_leaves` walks the factors of products.  An explicit stack
-    does the work, as a level-K row rests on K levels of products."""
+    spans, and `subducted` reads a product's second factor.  An explicit
+    stack does the work, as a level-K row rests on K levels of products."""
     if type(value) is dict:
         return value
     stack = [value]
@@ -446,30 +446,6 @@ def _apply(op, value):
     if value.row is not None:
         return op(value.row)
     return _Pending(op, value)
-
-
-def _leaves(values) -> list[int]:
-    """The ids of the leaf rows that the table values rest on, walking down
-    the factors of products only, in ascending order: a multiset of rows
-    compared by identity.  A product is a pending row of two args; a term
-    row, a quotient or a cut is a leaf, as its terms are not a product of
-    the terms of its arg."""
-    out, stack = [], list(values)
-    while stack:
-        value = stack.pop()
-        if type(value) is not dict and len(value.args) == 2:
-            stack.extend(value.args)
-        else:
-            out.append(id(value))
-    out.sort()
-    return out
-
-
-def _reordered(first, a, b) -> bool:
-    """Whether the product a * b rests on the same leaf rows as the
-    product first, so that it is first with its factors grouped in
-    another order, and reduces to zero against it."""
-    return type(first) is not dict and _leaves((first,)) == _leaves((a, b))
 
 
 def _mono_coefficient(value, pivot):
@@ -606,6 +582,7 @@ class FormSpan:
         degree: int,
         dim: int | None,
         factors: Sequence[tuple[FormSpan, FormSpan]],
+        ordered: bool = False,
     ) -> FormSpan:
         """The span of the products a * b of the rows of each pair of spans
         (A, B), whose degrees add up to degree.
@@ -620,18 +597,34 @@ class FormSpan:
         The other products, largest lead first, are multiplied out and
         top-reduced against the table, which multiplies out each table row
         they reach: all of them when dim is None, otherwise only until the
-        table holds dim rows.  Two kinds of product are zero after
-        reduction and never reduced: a product of two monomials whose lead
-        holds a product of two monomials, never queued, and a product that
-        rests on the same leaf rows as the pending product at its lead
-        (`_reordered`), skipped when the loop reaches it.  With dim given,
-        too many distinct leads, or too few rows once the products run out,
-        mean that the products do not span a dim-dimensional space:
-        InvariantError."""
+        table holds dim rows.  A product of two monomials whose lead holds
+        a product of two monomials is zero after reduction and never
+        queued.  With dim given, too many distinct leads, or too few rows
+        once the products run out, mean that the products do not span a
+        dim-dimensional space: InvariantError.
+
+        ordered is for a level of a generated series (`_generated_level`):
+        each A is a full level and the rows of the B, the generator spans,
+        take one fixed order.  A row of A with signature g, the generator
+        row it entered with (itself, or the second factor of a pending
+        product), is multiplied only by g and the generator rows after it,
+        any other row by all.  The span is the same: the row is g * r', so
+        for u before g, u * (g * r') = g * (u * r'), and u * r' is a sum of
+        rows s of a full level, whose products g * s are formed or, for
+        s = h * s' with h after g, expand the same way with a rising
+        generator row.  This needs each A to be a full level, so `__mul__`
+        forms every product."""
         check_degree(degree, "subduction")
         table: dict = {}
         rest = []
         get, queue = table.get, rest.append
+        order: dict = {}
+        if ordered:
+            for _, B in factors:
+                for rb in B._rows.values():
+                    order[id(rb)] = len(order)
+        signature = order.get
+        offset = 0
         for A, B in factors:
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
@@ -641,7 +634,13 @@ class FormSpan:
             ]
             for pa, ra in A._rows.items():
                 ca = _mono_coefficient(ra, pa)
-                for pb, rb, cb in rows_b:
+                later = rows_b
+                # a one-term row keeps no signature: monomial series run unordered
+                if ca is None:
+                    start = signature(id(ra if type(ra) is dict else ra.args[-1]), 0)
+                    if start > offset:
+                        later = rows_b[start - offset :]
+                for pb, rb, cb in later:
                     lead = pa + pb
                     first = get(lead)
                     if first is None:
@@ -658,19 +657,16 @@ class FormSpan:
                         or type(first) is not dict or len(first) != 1
                     ):
                         queue((lead, ra, rb))
+            offset += len(rows_b)
         if dim is not None and len(table) > dim:
             raise InvariantError(
                 f"subduction: {len(table)} distinct leads exceed the "
                 f"dimension {dim}"
             )
-        # a reduced row enters at a new lead, so the table keeps the first
-        # product at every lead that rest holds
         rest.sort(key=itemgetter(0), reverse=True)
-        for lead, ra, rb in rest:
+        for _, ra, rb in rest:
             if len(table) == dim:
                 break
-            if _reordered(table[lead], ra, rb):
-                continue
             row = _top_reduce(_mul_terms(_terms(ra), _terms(rb)), table)
             if row:
                 table[min(row)] = row

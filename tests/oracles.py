@@ -20,6 +20,9 @@ The view-level oracle is how flag views built their levels before
 subduction: each parent level written in flag coordinates by one
 substitution and a full reduction, complete levels passed through.  Its
 levels hold only multiplied-out rows (`pending_rows` counts the others).
+`reference_generated_levels` is a generated series as it forms every
+product: level k is the reduced span of all products of the reference
+basis of level k - j with the generators at level j, level 0 the constants.
 
 The Fraction route is the beneath-beyond hull as it ran before value
 points entered it as integers over one common denominator: the points
@@ -1048,6 +1051,22 @@ def reference_view_level(series, flag, k: int):
     if span.is_complete:
         return span
     return span.transformed(reference_inverse(flag.matrix))
+
+
+def reference_generated_levels(nvars: int, twist: int, gens, K: int):
+    """The reference bases of levels 1..K of the series generated by gens
+    (generator level -> forms), every product formed."""
+    bases = {0: (HomogeneousForm.monomial(nvars, (0,) * nvars),)}
+    for k in range(1, K + 1):
+        products = [
+            f * g
+            for j, forms in gens.items()
+            if j <= k
+            for f in bases[k - j]
+            for g in forms
+        ]
+        bases[k], _ = reference_span_reduce(nvars, k * twist, products)
+    return [bases[k] for k in range(1, K + 1)]
 
 
 def pending_rows(span) -> int:

@@ -927,6 +927,14 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert "--levels must be at least 1" in err
 
+    @pytest.mark.parametrize("level", ["0", "-3"])
+    def test_birational_needs_a_level(self, capsys, level):
+        rc, out, err = invoke(
+            capsys, "birational", FLAGSHIP, "--max-level", level,
+        )
+        assert rc == 2 and out == ""
+        assert "--max-level must be at least 1" in err
+
     def test_filtered_dims_needs_a_budget(self, capsys):
         rc, out, err = invoke(
             capsys, "filtered-dims", str(CORPUS / "p2_o1_complete.json"),

@@ -305,13 +305,19 @@ def subduction_work(monkeypatch, K: int):
 
 
 def test_flag_views_reduce_no_regrouped_product(monkeypatch):
-    """A product that regroups the leaf rows of the product at its lead is
-    never reduced, so no subduction of a flag view reduces to zero; with
-    that check off, some do, and more products are multiplied out for the
-    same bodies."""
+    """A flag-view level multiplies a row only by the generator rows from
+    its signature on, so it forms no product that merely regroups the
+    generators of another, and no subduction of a flag view reduces to
+    zero; with the ordering off, some do, and more products are multiplied
+    out for the same bodies."""
     work, bodies = subduction_work(monkeypatch, 7)
     assert work["reductions"] and not work["zeros"]
-    monkeypatch.setattr(polyform, "_reordered", lambda first, a, b: False)
+    subducted = FormSpan.subducted.__func__
+
+    def every_product(cls, nvars, degree, dim, factors, ordered=False):
+        return subducted(cls, nvars, degree, dim, factors)
+
+    monkeypatch.setattr(FormSpan, "subducted", classmethod(every_product))
     control, control_bodies = subduction_work(monkeypatch, 7)
     assert control_bodies == bodies
     assert control["zeros"] and control["products"] > work["products"]

@@ -300,44 +300,70 @@ def test_degrees_at_the_packing_bound_are_refused():
         twisted.semigroup(Flag.standard(1), DEGREE_BOUND // 2)
 
 
-def test_regrouped_products_compare_rows_by_identity(monkeypatch):
-    """A subduction skips a product whose leaf rows are the very rows of the
-    product at its lead, and still reduces one whose rows are only equal in
-    value: the skip compares identity, not value."""
+def test_generated_levels_form_ordered_products(monkeypatch):
+    """A generated level multiplies a row that entered with a generator row
+    only by that row and the generator rows after it: level 3 of four
+    linear forms spanning three reduces 2 products, where `*`, which forms
+    every product, reduces 8 for the same span."""
     reduced = []
     original = polyform._top_reduce
 
     def counted(row, table):
-        out = original(row, table)
-        reduced.append(out)
-        return out
+        reduced.append(row)
+        return original(row, table)
 
     monkeypatch.setattr(polyform, "_top_reduce", counted)
     x, y, z = (HF.variable(3, i) for i in range(3))
-    A, B = FormSpan(3, 1, [x + y]), FormSpan(3, 1, [y + z])
-    again = FormSpan(3, 1, [x + y])
-    assert again._rows == A._rows
-    assert next(iter(again._rows.values())) is not next(iter(A._rows.values()))
-    want = FormSpan(3, 2, [(x + y) * (y + z)])
+    S = GradedSeries.generated(2, 1, [x + y, y + z.scaled(2), x - z, x + y + z])
+    below, gens = S.level(2), S.level(1)
     reduced.clear()
-    assert FormSpan.subducted(3, 2, None, [(A, B), (A, B)]) == want
-    assert reduced == []
-    assert FormSpan.subducted(3, 2, None, [(A, B), (again, B)]) == want
-    assert reduced == [{}]
+    level = S.level(3)
+    assert len(reduced) == 2
+    reduced.clear()
+    every = below * gens
+    assert len(reduced) == 8
+    assert level == every and level.is_complete
 
 
-def test_leaves_walk_down_products_only(monkeypatch):
-    """A product is known by its two args, whatever `_mul_terms` is bound
-    to when the leaves are read; a quotient or cut of a product is a leaf
-    of its own, as its terms are not the product of its arg's leaves."""
-    x1, x2 = pack((1, 0)), pack((0, 1))
-    a, b, c = {x1: 1, x2: 1}, {x1: 1, x2: -1}, {x2: 1}
-    product = polyform._Pending(polyform._mul_terms, a, b)
-    monkeypatch.setattr(polyform, "_mul_terms", lambda *args: {})
-    cut = polyform._Pending(polyform._content_free, product)
-    assert polyform._leaves([product, c]) == sorted(map(id, (a, b, c)))
-    assert polyform._leaves([cut]) == [id(cut)]
-    first = polyform._Pending(polyform._mul_terms, product, c)
-    assert polyform._reordered(first, c, product)
-    assert polyform._reordered(first, a, polyform._Pending(polyform._mul_terms, b, c))
-    assert not polyform._reordered(first, cut, c)
+def test_ordered_products_start_at_the_signature(monkeypatch):
+    """Level 3 multiplies each row of level 2 by the generator rows from the
+    row's signature on: the generator row that a pending product took as
+    its second factor.  A remainder of a reduction has none and meets every
+    generator row.  No row here has one term, so each product formed is
+    either a pending product or a reduction."""
+
+    def q(*e):
+        return HF.monomial(3, e)
+
+    S = GradedSeries.generated(2, 2, [
+        q(1, 1, 0) + q(0, 2, 0).scaled(2),
+        -q(0, 0, 2) - q(0, 2, 0),
+        -q(0, 1, 1) - q(1, 0, 1),
+    ])
+    gens = list(S.level(1)._rows.values())
+    position = {id(g): i for i, g in enumerate(gens)}
+    below = list(S.level(2)._rows.values())
+    starts = [
+        position[id(row.args[1])] if type(row) is polyform._Pending else 0
+        for row in below
+    ]
+    assert min(map(len, gens)) > 1 and all(len(polyform._terms(r)) > 1 for r in below)
+    assert dict in map(type, below) and max(starts) == len(gens) - 1
+    formed = []
+    pending, reduce = polyform._Pending, polyform._top_reduce
+
+    class Recorded(pending):
+        __slots__ = ()
+
+        def __init__(self, op, *args):
+            super().__init__(op, *args)
+            formed.append(args)
+
+    def counted(row, table):
+        formed.append(row)
+        return reduce(row, table)
+
+    monkeypatch.setattr(polyform, "_Pending", Recorded)
+    monkeypatch.setattr(polyform, "_top_reduce", counted)
+    S.level(3)
+    assert len(formed) == sum(len(gens) - start for start in starts)

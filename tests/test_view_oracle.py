@@ -8,7 +8,10 @@ Every span reader also runs on a freshly built view level whose table
 still holds products not multiplied out, against the oracle's level.  A
 view's generators, mapped one generator level at a time, are checked
 against the reference substitution of each generator, and the
-substitutions a view makes are counted."""
+substitutions a view makes are counted.  Generated levels, which form only
+the ordered generator products, are checked against the reference that
+forms every product, and so is the product of a span that is not a full
+level with a level, which forms every product too."""
 
 import sys
 from fractions import Fraction
@@ -25,6 +28,7 @@ from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
     pending_rows,
+    reference_generated_levels,
     reference_inverse,
     reference_span_reduce,
     reference_substitute_linear,
@@ -102,6 +106,48 @@ def test_view_levels_match_oracle(data):
             return s.veronese(b).subtract_flag_divisor(a).restrict_to_flag_divisor()
 
         assert_same_levels(restricted(view), restricted(oracle), K // b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, phases=PHASES)
+@given(st.data())
+def test_generated_levels_match_all_products(data):
+    """A generated level multiplies each row only by the generator rows
+    from its signature on, and spans what every product spans, with
+    generators at one or two levels, under the standard flag and a flag
+    view."""
+    d = data.draw(st.integers(1, 3), label="d")
+    twist = data.draw(st.integers(1, 1 if d == 3 else 2), label="twist")
+    K = data.draw(st.integers(2, 3 if d == 3 else 4), label="K")
+    gens = {1: data.draw(forms(d + 1, twist, 4, False), label="level 1")}
+    if data.draw(st.booleans(), label="level 2"):
+        gens[2] = data.draw(forms(d + 1, 2 * twist, 2, False), label="level 2")
+    series = GradedSeries.generated(d, twist, gens)
+    flag = data.draw(flags(d + 1), label="flag")
+    view = series.under_flag(flag)
+    inverse = reference_inverse(flag.matrix)
+    moved = {
+        j: [reference_substitute_linear(g, inverse) for g in forms]
+        for j, forms in gens.items()
+    }
+    for got, want in (
+        (series, reference_generated_levels(d + 1, twist, gens, K)),
+        (view, reference_generated_levels(d + 1, twist, moved, K)),
+    ):
+        for k, basis in enumerate(want, start=1):
+            assert got.level(k).basis == basis
+
+
+def test_product_of_a_part_of_a_level_forms_every_product():
+    """The signature rule needs the full level on the left: a subspace of a
+    view level times the view's generators keeps every product."""
+    x1, x2, x3 = (HomogeneousForm.variable(3, i) for i in range(3))
+    series = GradedSeries.generated(2, 1, [x1 + x2, x2 + x3.scaled(2), x1 - x3])
+    view = series.under_flag(Flag.random(2, 3))
+    A, B = view.level(2).subspace_with_min_exponent(1), view.level(1)
+    assert A.dim == 3
+    want = FormSpan(3, 3, [a * b for a in A.basis for b in B.basis])
+    assert want.dim == 6
+    assert A * B == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, phases=PHASES)
