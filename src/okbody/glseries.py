@@ -128,17 +128,17 @@ class GradedSeries:
         return HilbertData(dims, False, None)
 
     def validate_multiplicative(self, K: int) -> None:
-        """Check S_i * S_j lands inside S_{i+j} for all levels up to K."""
+        """Check S_i * S_j lands inside S_{i+j} for all levels up to K: each
+        product of a row of S_i and a row of S_j is top-reduced against the
+        rows of S_{i+j} (`FormSpan.contains_products`)."""
         for i in range(1, K):
             for j in range(i, K - i + 1):
-                prod = self.level(i) * self.level(j)
-                target = self.level(i + j)
-                for f in prod.basis:
-                    if not target.contains(f):
-                        raise InputError(
-                            f"series: level {i} times level {j} leaves "
-                            f"level {i + j}"
-                        )
+                factors = self.level(i), self.level(j)
+                if not self.level(i + j).contains_products(*factors):
+                    raise InputError(
+                        f"series: level {i} times level {j} leaves "
+                        f"level {i + j}"
+                    )
 
     # -- constructors ----------------------------------------------------------
 
@@ -168,9 +168,10 @@ class GradedSeries:
 
         generators may be a flat sequence (all level 1) or a mapping from
         level to forms; S_k is the sum of G_j * S_{k-j} over generator
-        levels j (`_generated_level`, every product reduced, as no
-        dimension is known), so levels not reachable as sums of generator
-        levels are zero.
+        levels j (`_generated_level`: as no dimension is known, every
+        product that the signature rule forms and whose lead is taken is
+        reduced), so levels not reachable as sums of generator levels are
+        zero.
         """
         if not isinstance(generators, dict):
             generators = {1: list(generators)}
@@ -420,13 +421,11 @@ def _generated_level(
     """Level k of a series generated by gspans (generator level -> span):
     the products of its level k - j with the span at each generator level
     j <= k, level 0 being the constants.  A known dim stops and
-    cross-checks the subduction (`FormSpan.subducted`), which is ordered,
-    as each factor on the left is a full level."""
+    cross-checks the subduction (`FormSpan.subducted`), whose signature
+    rule holds as each factor on the left is a full level."""
     factors = [
         (series.level(k - j) if j < k else FormSpan.complete(series.d + 1, 0), gspan)
         for j, gspan in gspans.items()
         if j <= k
     ]
-    return FormSpan.subducted(
-        series.d + 1, k * series.twist, dim, factors, ordered=True
-    )
+    return FormSpan.subducted(series.d + 1, k * series.twist, dim, factors)

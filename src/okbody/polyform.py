@@ -21,10 +21,12 @@ add and shifts and cuts by the first variable keep leads apart without any
 reduction.  A row may be kept pending, its lead known without its terms: an
 operation and the rows it applies to, which `_terms` computes once, when a
 reduction or a reader needs the terms, keeping the rows.  A pending product
-is `_mul_terms` of two rows of a subduction; in a level of a generated
-series the second is its signature, the generator row it entered with, and
-the next level multiplies it only by that row and the generator rows after
-it.  A quotient by a power of the first variable and a cut that sets it to
+is `_mul_terms` of two rows of a subduction, which builds the levels of a
+generated series: the second is its signature, the generator row it
+entered with, and the next level multiplies it only by that row and the
+generator rows after it.  `*` multiplies every pair of rows out, and
+`contains_products` top-reduces each such product against a span's rows.
+A quotient by a power of the first variable and a cut that sets it to
 zero are pending rows of one row: they apply at once to a term row and are
 deferred on a pending one.  The canonical basis, the reduced row echelon
 form over ascending lex exponent columns, is computed only when `basis` or
@@ -582,60 +584,54 @@ class FormSpan:
         degree: int,
         dim: int | None,
         factors: Sequence[tuple[FormSpan, FormSpan]],
-        ordered: bool = False,
     ) -> FormSpan:
         """The span of the products a * b of the rows of each pair of spans
-        (A, B), whose degrees add up to degree.
+        (A, B), whose degrees add up to degree: a level of a generated
+        series (`_generated_level`), the B being its generator spans.
 
         Lex order is a monomial order, so the lead of a * b is the sum of
         the leads, and packed keys add: each lead is one integer sum.  One
         product per distinct lead goes into the table unreduced and not
         multiplied out, as a pending product (a product of two monomial
         rows is the monomial row {lead: ca * cb}, and a product with a
-        constant is the other row, up to scale); products of primitive rows
-        are primitive (Gauss), so the table holds primitive integer rows.
-        The other products, largest lead first, are multiplied out and
-        top-reduced against the table, which multiplies out each table row
-        they reach: all of them when dim is None, otherwise only until the
-        table holds dim rows.  A product of two monomials whose lead holds
-        a product of two monomials is zero after reduction and never
+        constant A is the row of B, up to scale); products of primitive
+        rows are primitive (Gauss), so the table holds primitive integer
+        rows.  The other products, largest lead first, are multiplied out
+        and top-reduced against the table, which multiplies out each table
+        row they reach: all of them when dim is None, otherwise only until
+        the table holds dim rows.  A product of two monomials whose lead
+        holds a product of two monomials is zero after reduction and never
         queued.  With dim given, too many distinct leads, or too few rows
         once the products run out, mean that the products do not span a
         dim-dimensional space: InvariantError.
 
-        ordered is for a level of a generated series (`_generated_level`):
-        each A is a full level and the rows of the B, the generator spans,
-        take one fixed order.  A row of A with signature g, the generator
-        row it entered with (itself, or the second factor of a pending
-        product), is multiplied only by g and the generator rows after it,
-        any other row by all.  The span is the same: the row is g * r', so
-        for u before g, u * (g * r') = g * (u * r'), and u * r' is a sum of
-        rows s of a full level, whose products g * s are formed or, for
-        s = h * s' with h after g, expand the same way with a rising
-        generator row.  This needs each A to be a full level, so `__mul__`
-        forms every product."""
+        The rows of all the B take one fixed order, pair by pair.  A row of
+        A with signature g, the row of a B it entered with (itself, or the
+        second factor of a pending product), is multiplied only by g and
+        the rows after it, any other row by all.  The precondition: a row
+        of A that carries a signature comes from the full level of the
+        series the B generate.  The span is then the same: the row is
+        g * r', so for u before g, u * (g * r') = g * (u * r'), and u * r'
+        is a sum of rows s of a full level, whose products g * s are formed
+        or, for s = h * s' with h after g, expand the same way with a
+        rising row.  Rows of spans built from forms carry no signature."""
         check_degree(degree, "subduction")
         table: dict = {}
         rest = []
         get, queue = table.get, rest.append
-        order: dict = {}
-        if ordered:
-            for _, B in factors:
-                for rb in B._rows.values():
-                    order[id(rb)] = len(order)
-        signature = order.get
+        rows_of_b = (rb for _, B in factors for rb in B._rows.values())
+        signature = {id(rb): i for i, rb in enumerate(rows_of_b)}.get
         offset = 0
         for A, B in factors:
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
-            constant = A.degree == 0 or B.degree == 0
             rows_b = [
                 (pb, rb, _mono_coefficient(rb, pb)) for pb, rb in B._rows.items()
             ]
             for pa, ra in A._rows.items():
                 ca = _mono_coefficient(ra, pa)
                 later = rows_b
-                # a one-term row keeps no signature: monomial series run unordered
+                # a one-term row keeps no signature: it meets every row of B
                 if ca is None:
                     start = signature(id(ra if type(ra) is dict else ra.args[-1]), 0)
                     if start > offset:
@@ -644,9 +640,8 @@ class FormSpan:
                     lead = pa + pb
                     first = get(lead)
                     if first is None:
-                        if constant:
-                            # a constant factor: the other row, up to scale
-                            first = rb if A.degree == 0 else ra
+                        if A.degree == 0:
+                            first = rb  # a constant A: the row of B, up to scale
                         elif ca is None or cb is None:
                             first = _Pending(_mul_terms, ra, rb)
                         else:
@@ -728,10 +723,27 @@ class FormSpan:
         return self._of(self.nvars, self.degree, table)
 
     def __mul__(self, other: FormSpan) -> FormSpan:
+        """The span of the products of every row of self with every row of
+        other, each multiplied out and entered by `_insert`."""
         if self.nvars != other.nvars:
             raise InputError("span product: nvars mismatch")
-        return self.subducted(
-            self.nvars, self.degree + other.degree, None, [(self, other)]
+        degree = self.degree + other.degree
+        check_degree(degree, "span product")
+        rows_b = other._term_rows()
+        rows = [_mul_terms(a, b) for a in self._term_rows() for b in rows_b]
+        return self._of(self.nvars, degree, _insert({}, rows))
+
+    def contains_products(self, A: FormSpan, B: FormSpan) -> bool:
+        """Whether every product a * b of a row of A and a row of B lies in
+        the span.  The rows have distinct leads, so a product does exactly
+        when its top reduction against them ends empty."""
+        if {A.nvars, B.nvars} != {self.nvars} or A.degree + B.degree != self.degree:
+            raise InputError("contains_products: factors of the wrong shape")
+        rows_b = B._term_rows()
+        return not any(
+            _top_reduce(_mul_terms(a, b), self._rows)
+            for a in A._term_rows()
+            for b in rows_b
         )
 
     def transformed(self, matrix: Sequence[Sequence[Fraction]]) -> FormSpan:

@@ -1,15 +1,17 @@
 """Graded series construction, derived series, and dimension data tests."""
 
+import functools
 import importlib
 import json
 import math
+import operator
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from okbody import cli, convbody, polyform
+from okbody import cli, convbody, glseries, polyform
 from okbody.cli import _slice_sides, parse_series
 from okbody.convbody import okounkov_body
 from okbody.errors import InputError, InvariantError, TruncationError
@@ -274,14 +276,29 @@ def test_tracer_multiplies_out_no_more_rows(products, monkeypatch):
 
 
 MUL_TERMS, TOP_REDUCE = polyform._mul_terms, polyform._top_reduce
+GENERATED_LEVEL = glseries._generated_level
 
 
-def subduction_work(monkeypatch, K: int):
-    """Bodies of two birational monomial nets under seeded flags, with the
-    products multiplied out and, of the top reductions that subductions
-    run, how many there were and how many ended in zero."""
+def by_products(series, k, gspans, dim):
+    """Level k of a generated series as the sum over generator levels j of
+    level(k - j) * G_j, built by `*` and `+` alone."""
+    unit = FormSpan.complete(series.d + 1, 0)
+    parts = [
+        (series.level(k - j) if j < k else unit) * gspan
+        for j, gspan in gspans.items()
+        if j <= k
+    ]
+    return functools.reduce(operator.add, parts)
+
+
+def subduction_work(monkeypatch, K: int, build=GENERATED_LEVEL):
+    """Bodies of two birational monomial nets under seeded flags, each
+    generated level built by build, with the products multiplied out and,
+    of the top reductions run while a level is built, how many there were
+    and how many ended in zero."""
     work = {"products": 0, "reductions": 0, "zeros": 0}
     mul, reduce = MUL_TERMS, TOP_REDUCE
+    building = []
 
     def counted_mul(a, b):
         work["products"] += 1
@@ -289,13 +306,21 @@ def subduction_work(monkeypatch, K: int):
 
     def counted_reduce(row, table):
         out = reduce(row, table)
-        if sys._getframe(1).f_code.co_name == "subducted":
+        if building:
             work["reductions"] += 1
             work["zeros"] += not out
         return out
 
+    def counted_level(*args):
+        building.append(args)
+        try:
+            return build(*args)
+        finally:
+            building.pop()
+
     monkeypatch.setattr(polyform, "_mul_terms", counted_mul)
     monkeypatch.setattr(polyform, "_top_reduce", counted_reduce)
+    monkeypatch.setattr(glseries, "_generated_level", counted_level)
     bodies = []
     for name in ("p2_except_x2x3", "p2_o2_cremona"):
         S = parse_series(json.loads((CORPUS / f"{name}.json").read_text()))
@@ -307,18 +332,13 @@ def subduction_work(monkeypatch, K: int):
 def test_flag_views_reduce_no_regrouped_product(monkeypatch):
     """A flag-view level multiplies a row only by the generator rows from
     its signature on, so it forms no product that merely regroups the
-    generators of another, and no subduction of a flag view reduces to
-    zero; with the ordering off, some do, and more products are multiplied
-    out for the same bodies."""
+    generators of another, and no reduction that builds a flag-view level
+    ends in zero; building the same levels as sums of level(k - j) * G_j
+    by `*` and `+`, some do, and more products are multiplied out for the
+    same bodies."""
     work, bodies = subduction_work(monkeypatch, 7)
     assert work["reductions"] and not work["zeros"]
-    subducted = FormSpan.subducted.__func__
-
-    def every_product(cls, nvars, degree, dim, factors, ordered=False):
-        return subducted(cls, nvars, degree, dim, factors)
-
-    monkeypatch.setattr(FormSpan, "subducted", classmethod(every_product))
-    control, control_bodies = subduction_work(monkeypatch, 7)
+    control, control_bodies = subduction_work(monkeypatch, 7, by_products)
     assert control_bodies == bodies
     assert control["zeros"] and control["products"] > work["products"]
 
@@ -473,6 +493,32 @@ def test_validate_multiplicative():
     bad = GradedSeries.explicit(2, 1, {1: [x], 2: [y * y]})
     with pytest.raises(InputError):
         bad.validate_multiplicative(2)
+
+
+def test_validate_multiplicative_beyond_monomials():
+    """Every product of a row of S_i and a row of S_j is top-reduced against
+    the rows of S_{i+j}: the check passes on a flag view of a birational
+    net and on a series of dense quadrics, and fails on an explicit series
+    whose level 2 misses the square of its one generator, f^2, though the
+    lead of f^2, and its lead after one reduction step, are leads of level
+    2: only the second step leaves a remainder, X1^2."""
+    S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
+    S.under_flag(Flag.random(2, 1)).validate_multiplicative(6)
+    x, y, z = (HF.variable(3, i) for i in range(3))
+    quadrics = [
+        x * x + (x * y).scaled(3) - (y * z).scaled(2) + z * z,
+        (x * z).scaled(5) + y * y - (y * z) + (z * z).scaled(2),
+        x * x - (x * y) + (x * z).scaled(2) - (y * y).scaled(3) + y * z,
+    ]
+    GradedSeries.generated(2, 2, quadrics).validate_multiplicative(4)
+    f = x + y + z
+    bad = GradedSeries.explicit(2, 1, {
+        1: [f],
+        2: [z * z + (y * z).scaled(2) + y * y, (x * z + x * y).scaled(2)],
+    })
+    with pytest.raises(InputError, match="level 1 times level 1 leaves level 2"):
+        bad.validate_multiplicative(2)
+    assert bad.level(2).contains(f * f - x * x)
 
 
 def test_level_guards():

@@ -181,8 +181,9 @@ def test_span_operations_on_pending_rows_match_oracle(data):
     """The same readers on the span of the products of two spans of forms
     of several terms, built afresh for each reader by subduction, whose
     table still holds products that no reduction multiplied out."""
-    # a product with a constant is the other row, never pending, so both
-    # factors have positive degree
+    # a product with a constant on the left is the row of B, never
+    # pending, and one on the right only repeats the row, so both factors
+    # have positive degree
     nvars, degree = shape(data, least=2)
     low = data.draw(st.integers(1, degree - 1), label="low")
     a1 = data.draw(forms(nvars, low, 2), label="a1")

@@ -154,6 +154,8 @@ def test_long_product_chain_multiplies_out_without_recursion():
     for _ in range(3000):
         span = FormSpan.subducted(2, 1, None, [(span, unit)])
     assert span.pivots == ((0, 1),)
+    (row,) = span._rows.values()
+    assert type(row) is polyform._Pending and row.row is None
     assert span.basis == ((x.scaled(F(1, 2)) + y),)
 
 
@@ -277,9 +279,9 @@ def test_packed_keys_keep_lex_order_and_sums(data):
 
 
 def test_degrees_at_the_packing_bound_are_refused():
-    """A span, a substitution or a series level of degree DEGREE_BOUND or
-    more is refused with an InputError naming the bound, before any row is
-    built; one degree less packs."""
+    """A span, a span product, a substitution or a series level of degree
+    DEGREE_BOUND or more is refused with an InputError naming the bound,
+    before any row is built; one degree less packs."""
     x = HF.monomial(2, (DEGREE_BOUND, 0))
     bound = f"bound {DEGREE_BOUND}"
     with pytest.raises(InputError, match=bound):
@@ -289,7 +291,10 @@ def test_degrees_at_the_packing_bound_are_refused():
     with pytest.raises(InputError, match=bound):
         x.substitute_linear([[1, 0], [0, 1]])
     below = HF.monomial(2, (DEGREE_BOUND - 1, 0))
-    assert FormSpan(2, DEGREE_BOUND - 1, [below]).pivots == ((DEGREE_BOUND - 1, 0),)
+    top = FormSpan(2, DEGREE_BOUND - 1, [below])
+    assert top.pivots == ((DEGREE_BOUND - 1, 0),)
+    with pytest.raises(InputError, match=bound):
+        top * FormSpan(2, 1, [HF.variable(2, 0)])
     S = GradedSeries.complete(2)
     with pytest.raises(InputError, match=bound):
         S.level(DEGREE_BOUND)
@@ -303,8 +308,9 @@ def test_degrees_at_the_packing_bound_are_refused():
 def test_generated_levels_form_ordered_products(monkeypatch):
     """A generated level multiplies a row that entered with a generator row
     only by that row and the generator rows after it: level 3 of four
-    linear forms spanning three reduces 2 products, where `*`, which forms
-    every product, reduces 8 for the same span."""
+    linear forms spanning three reduces 2 products, where `*`, which
+    multiplies every pair of rows out, reduces all 6 * 3 = 18 for the same
+    span."""
     reduced = []
     original = polyform._top_reduce
 
@@ -321,7 +327,7 @@ def test_generated_levels_form_ordered_products(monkeypatch):
     assert len(reduced) == 2
     reduced.clear()
     every = below * gens
-    assert len(reduced) == 8
+    assert len(reduced) == 18
     assert level == every and level.is_complete
 
 
