@@ -27,7 +27,7 @@ from .errors import InputError, InvariantError, UnsupportedModeError
 from .flagval import Flag, filtered_dimension
 from .glseries import GradedSeries
 from .monideal import full_volume_check, is_birational_monomial, sheafify, stable_base_locus
-from .polyform import FormSpan, HomogeneousForm, check_degree
+from .polyform import FormSpan, HomogeneousForm, check_degree, unpack
 from .surfacezar import SurfaceLattice, classify_boundary, surface_body
 
 SCHEMA = 1
@@ -37,8 +37,8 @@ SCHEMA = 1
 
 
 def fr_str(value) -> str:
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as "p/q", read off its lowest terms."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -75,6 +75,21 @@ def _int_field(value, where: str, minimum: int) -> int:
     return value
 
 
+_GROUP_KEYS = frozenset({"degree", "forms"})
+_TERM_KEYS = frozenset({"exp", "num", "den"})
+
+
+def _place(where: str, i: int, j: int | None = None, a: int | None = None) -> str:
+    """The location of generator group i of a series description, of form j
+    of that group, and of term a of that form."""
+    place = f"{where}.generators[{i}]"
+    if j is not None:
+        place += f".forms[{j}]"
+    if a is not None:
+        place += f"[{a}]"
+    return place
+
+
 def parse_series(data, *, where: str = "series") -> GradedSeries:
     """Build a graded series from its JSON description.
 
@@ -100,58 +115,78 @@ def parse_series(data, *, where: str = "series") -> GradedSeries:
         raise InputError(f"{where}.generators: expected a list")
 
     groups: dict[int, list[HomogeneousForm]] = {}
+    n = d + 1
+    # locations are formatted only for an error message (`_place`)
     for i, entry in enumerate(groups_raw):
-        here = f"{where}.generators[{i}]"
         if not isinstance(entry, dict):
-            raise InputError(f"{here}: expected an object")
-        extra = sorted(set(entry) - {"degree", "forms"})
-        if extra:
-            raise InputError(f"{here}: unknown keys {extra}")
-        k = _int_field(_need(entry, "degree", here), f"{here}.degree", 1)
+            raise InputError(f"{_place(where, i)}: expected an object")
+        if not _GROUP_KEYS.issuperset(entry):
+            extra = sorted(set(entry) - _GROUP_KEYS)
+            raise InputError(f"{_place(where, i)}: unknown keys {extra}")
+        if "degree" not in entry:
+            _need(entry, "degree", _place(where, i))
+        k = entry["degree"]
+        if type(k) is not int or k < 1:
+            k = _int_field(k, f"{_place(where, i)}.degree", 1)
         if k in groups:
-            raise InputError(f"{here}: duplicate degree {k}")
-        forms_raw = _need(entry, "forms", here)
+            raise InputError(f"{_place(where, i)}: duplicate degree {k}")
+        if "forms" not in entry:
+            _need(entry, "forms", _place(where, i))
+        forms_raw = entry["forms"]
         if not isinstance(forms_raw, list) or not forms_raw:
-            raise InputError(f"{here}.forms: expected a nonempty list")
+            raise InputError(f"{_place(where, i)}.forms: expected a nonempty list")
+        degree = k * twist
         forms: list[HomogeneousForm] = []
         for j, terms_raw in enumerate(forms_raw):
-            spot = f"{here}.forms[{j}]"
             if not isinstance(terms_raw, list) or not terms_raw:
-                raise InputError(f"{spot}: expected a nonempty list of terms")
+                raise InputError(
+                    f"{_place(where, i, j)}: expected a nonempty list of terms"
+                )
             terms: dict[tuple[int, ...], Fraction] = {}
             for a, term in enumerate(terms_raw):
-                slot = f"{spot}[{a}]"
                 if not isinstance(term, dict):
-                    raise InputError(f"{slot}: expected an object")
-                extra = sorted(set(term) - {"exp", "num", "den"})
-                if extra:
-                    raise InputError(f"{slot}: unknown keys {extra}")
-                exp_raw = _need(term, "exp", slot)
-                if not isinstance(exp_raw, list) or len(exp_raw) != d + 1:
-                    raise InputError(f"{slot}.exp: expected {d + 1} exponents")
-                exp = tuple(
-                    _int_field(e, f"{slot}.exp[{b}]", 0)
-                    for b, e in enumerate(exp_raw)
-                )
-                if sum(exp) != k * twist:
+                    raise InputError(f"{_place(where, i, j, a)}: expected an object")
+                if not _TERM_KEYS.issuperset(term):
+                    extra = sorted(set(term) - _TERM_KEYS)
+                    raise InputError(f"{_place(where, i, j, a)}: unknown keys {extra}")
+                if "exp" not in term:
+                    _need(term, "exp", _place(where, i, j, a))
+                exp_raw = term["exp"]
+                if not isinstance(exp_raw, list) or len(exp_raw) != n:
                     raise InputError(
-                        f"{slot}.exp: degree {sum(exp)} != level {k} "
-                        f"* divisor degree {twist}"
+                        f"{_place(where, i, j, a)}.exp: expected {n} exponents"
                     )
-                num = _need(term, "num", slot)
+                if not all(type(e) is int and e >= 0 for e in exp_raw):
+                    slot = _place(where, i, j, a)
+                    for b, e in enumerate(exp_raw):
+                        _int_field(e, f"{slot}.exp[{b}]", 0)
+                exp = tuple(exp_raw)
+                if sum(exp) != degree:
+                    raise InputError(
+                        f"{_place(where, i, j, a)}.exp: degree {sum(exp)} != "
+                        f"level {k} * divisor degree {twist}"
+                    )
+                if "num" not in term:
+                    _need(term, "num", _place(where, i, j, a))
+                num = term["num"]
                 den = term.get("den", 1)
-                for name, v in (("num", num), ("den", den)):
-                    if isinstance(v, bool) or not isinstance(v, int):
-                        raise InputError(f"{slot}.{name}: expected an integer")
+                if type(num) is not int or type(den) is not int:
+                    for name, v in (("num", num), ("den", den)):
+                        if isinstance(v, bool) or not isinstance(v, int):
+                            raise InputError(
+                                f"{_place(where, i, j, a)}.{name}: expected an integer"
+                            )
                 if den == 0:
-                    raise InputError(f"{slot}.den: zero denominator")
+                    raise InputError(f"{_place(where, i, j, a)}.den: zero denominator")
                 if num == 0:
-                    raise InputError(f"{slot}.num: zero coefficient")
+                    raise InputError(f"{_place(where, i, j, a)}.num: zero coefficient")
                 if exp in terms:
-                    raise InputError(f"{slot}.exp: duplicate exponent {list(exp)}")
+                    raise InputError(
+                        f"{_place(where, i, j, a)}.exp: duplicate exponent {list(exp)}"
+                    )
                 terms[exp] = Fraction(num, den)
             # every exponent, degree and coefficient is checked above
-            forms.append(HomogeneousForm._of(d + 1, terms, k * twist))
+            forms.append(HomogeneousForm._of(n, terms, degree))
         groups[k] = forms
 
     if not groups:
@@ -162,34 +197,35 @@ def parse_series(data, *, where: str = "series") -> GradedSeries:
     return GradedSeries.generated(d, twist, groups, label=label)
 
 
+def _terms_json(terms) -> list[dict]:
+    """The JSON terms of (exponent, rational coefficient) pairs."""
+    return [{"exp": list(e), "num": c.numerator, "den": c.denominator} for e, c in terms]
+
+
 def serialize_series(series: GradedSeries) -> dict:
     """The JSON description of a series, inverse to parse_series.
 
-    Generated series serialize their generators; explicitly listed
-    series serialize every stored level.
+    Generated series serialize their generators, each form's terms in
+    ascending lex order; explicitly listed series serialize the canonical
+    rows of every stored level (`FormSpan.canonical_rows`), whose packed
+    keys are already in that order and are unpacked once each.
     """
     groups = series.generators
-    if groups is None:
-        if series.max_level is None:
-            raise UnsupportedModeError(
-                "serialize: series has no finite presentation"
-            )
-        groups = {}
+    if groups is not None:
+        out = [
+            {"degree": k, "forms": [_terms_json(sorted(f.terms.items())) for f in groups[k]]}
+            for k in sorted(groups)
+        ]
+    elif series.max_level is None:
+        raise UnsupportedModeError("serialize: series has no finite presentation")
+    else:
+        n = series.d + 1
+        out = []
         for k in range(1, series.max_level + 1):
-            basis = series.level(k).basis
-            if basis:
-                groups[k] = basis
-    out = []
-    for k in sorted(groups):
-        forms = []
-        for f in groups[k]:
-            forms.append(
-                [
-                    {"exp": list(e), "num": c.numerator, "den": c.denominator}
-                    for e, c in sorted(f.terms.items())
-                ]
-            )
-        out.append({"degree": k, "forms": forms})
+            rows = series.level(k).canonical_rows
+            if rows:
+                forms = [_terms_json((unpack(e, n), c) for e, c in row.items()) for row in rows]
+                out.append({"degree": k, "forms": forms})
     return {
         "ambient_dim": series.d,
         "divisor_degree": series.twist,
@@ -955,34 +991,42 @@ def dumps(value) -> str:
 
 
 def _write(value, pad: str, out: list[str]) -> None:
-    """Append the JSON text of value, whose lines start with pad."""
-    if isinstance(value, str):
+    """Append the JSON text of value, whose lines start with pad.  The
+    writer dispatches on the exact type: a bool is not an int here, and a
+    list is written flat when its first element is an int or a str and
+    every element has that type."""
+    kind = type(value)
+    if kind is str:
         out.append(_quote(value))
-    elif value is None or value is True or value is False:
-        out.append(_CONSTANTS[value])
-    elif isinstance(value, int):
+    elif kind is int:
         out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
         inner, sep = pad + "  ", "{"
         for key in sorted(value):
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"envelope: key {key!r} is not a string")
-            out += (sep, inner, _quote(key), ": ")
-            _write(value[key], inner, out)
+            item = value[key]
+            # strings and ints, most of the values, are written in place
+            if type(item) is str:
+                out += (sep, inner, _quote(key), ": ", _quote(item))
+            elif type(item) is int:
+                out += (sep, inner, _quote(key), ": ", int.__repr__(item))
+            else:
+                out += (sep, inner, _quote(key), ": ")
+                _write(item, inner, out)
             sep = ","
         out.append(pad + "}")
-    elif isinstance(value, list):
+    elif kind is list:
         if not value:
             out.append("[]")
             return
         inner = pad + "  "
-        if all(type(v) is int for v in value):
-            items = map(int.__repr__, value)
-        elif all(type(v) is str for v in value):
-            items = map(_quote, value)
+        first = type(value[0])
+        if (first is int or first is str) and set(map(type, value)) == {first}:
+            items = map(int.__repr__ if first is int else _quote, value)
         else:
             sep = "["
             for v in value:
@@ -992,8 +1036,10 @@ def _write(value, pad: str, out: list[str]) -> None:
             out.append(pad + "]")
             return
         out += ("[", inner, ("," + inner).join(items), pad, "]")
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
     else:
-        raise TypeError(f"envelope: cannot write a {type(value).__name__}")
+        raise TypeError(f"envelope: cannot write a {kind.__name__}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

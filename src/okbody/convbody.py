@@ -533,21 +533,18 @@ def okounkov_body(
     )
     certificate = "truncation"
     note = "hull of value points up to the truncation; inner approximation"
-    gens = view.generators
-    if gens is not None:
-        k0 = max(gens)
-        monomial = all(g.is_monomial for forms in gens.values() for g in forms)
-        if monomial and k0 <= K:
-            if any(k > k0 for _, k in kept):
-                raise InvariantError(
-                    "okounkov_body: monomial generator hull grew past its "
-                    "generation level"
-                )
-            certificate = "exact"
-            note = (
-                f"monomial generators in levels <= {k0}; "
-                "truncated hull is the limit body"
+    k0 = view.monomial_generator_level
+    if k0 is not None and k0 <= K:
+        if any(k > k0 for _, k in kept):
+            raise InvariantError(
+                "okounkov_body: monomial generator hull grew past its "
+                "generation level"
             )
+        certificate = "exact"
+        note = (
+            f"monomial generators in levels <= {k0}; "
+            "truncated hull is the limit body"
+        )
     counts = sg.counts()
     return BodyReport(
         body=body,

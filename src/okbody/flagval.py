@@ -15,7 +15,6 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from operator import ge
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -150,13 +149,21 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
 
     sigma may bound any prefix of the valuation coordinates; the count is
     the number of echelon pivots whose first len(sigma) entries are all at
-    least the corresponding entry of sigma.
+    least the corresponding entry of sigma.  The pivots are read as packed
+    keys: with the spare top bit of each of those fields set, subtracting
+    the key of sigma leaves the bit set exactly where the entry is at least
+    sigma's, and no field borrows from the next.
     """
-    d = span.nvars - 1
+    n = span.nvars
     r = len(sigma)
-    if r < 1 or r > d:
+    if r < 1 or r >= n:
         raise InputError("filtered_dimension: sigma length out of range")
-    return sum(all(map(ge, p, sigma)) for p in span.pivots)
+    if any(x >= DEGREE_BOUND for x in sigma):
+        return 0  # every pivot entry is below the bound
+    shifts = [WIDTH * (n - 1 - i) for i in range(r)]
+    spare = sum(DEGREE_BOUND << s for s in shifts)
+    key = sum(max(x, 0) << s for x, s in zip(sigma, shifts))
+    return len([p for p in span.pivot_keys if ((p | spare) - key) & spare == spare])
 
 
 def _value_key(vector: Sequence[int], d: int) -> int | None:

@@ -8,14 +8,19 @@ parent lazily and keep their own level caches, so the computations made on
 one derived series share work; the parent keeps nothing of them.  A
 generated series and a flag view of a series with generators build each
 level on one path, `_generated_level`: the span of the products of lower
-levels with the generator spans, found by subduction, in which a row that
-entered with a generator row (its signature) meets only that row and the
-later ones, as u * (g * r) = g * (u * r).  A view knows the level's
-dimension from its parent, so it stops as soon as the products' leads reach
-it, most often without any reduction.  The products it keeps stay pending
-(`FormSpan.subducted`): the valuation sets are their leads, and only a
-reduction or a reader of the terms multiplies one out.  A flag view maps
-its generators by one integer substitution per generator level.
+levels with the generator spans.  When every generator row is one term,
+the levels are spans of monomials, and level k is the set of key sums of
+the levels below and the generators, held as packed keys from start to
+finish.  Otherwise it is found by subduction, in which a row that entered
+with a generator row (its signature) meets only that row and the later
+ones, as u * (g * r) = g * (u * r).  A view knows the level's dimension
+from its parent, so it cross-checks the key sums, and stops a subduction as
+soon as the products' leads reach it, most often without any reduction.
+The products it keeps stay pending (`FormSpan.subducted`): the valuation
+sets are their leads, and only a reduction or a reader of the terms
+multiplies one out.  A flag view maps its generators by one integer
+substitution per generator level, and builds their exact images only when
+its `generators` are read.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .polyform import (
     HomogeneousForm,
     all_exponents,
     check_degree,
-    substitute_forms,
+    substitution,
 )
 
 Provider = Callable[["GradedSeries", int], FormSpan]
@@ -44,14 +49,18 @@ class HilbertData(NamedTuple):
 
 
 class GradedSeries:
-    """Section spaces S_k of degree k * twist forms in d + 1 variables."""
+    """Section spaces S_k of degree k * twist forms in d + 1 variables.
+
+    `monomial_generator_level` is the top generator level when the series
+    has generators and every one is a monomial, else None."""
 
     __slots__ = (
         "d",
         "twist",
         "label",
-        "generators",
         "max_level",
+        "monomial_generator_level",
+        "_generators",
         "_provider",
         "_levels",
     )
@@ -86,11 +95,25 @@ class GradedSeries:
                         raise InputError("series: generator of wrong shape")
                 clean[j] = forms
             generators = clean
-        self.generators = generators
+        self._generators = generators
+        self.monomial_generator_level = None
+        if generators and all(
+            g.is_monomial for forms in generators.values() for g in forms
+        ):
+            self.monomial_generator_level = max(generators)
         self._provider = provider
         self._levels: dict[int, FormSpan] = {}
 
     # -- access --------------------------------------------------------------
+
+    @property
+    def generators(self) -> dict[int, tuple[HomogeneousForm, ...]] | None:
+        """The generator forms by level, or None.  A flag view builds the
+        images of its parent's generators on the first read."""
+        gens = self._generators
+        if callable(gens):
+            gens = self._generators = gens()
+        return gens
 
     def level(self, k: int) -> FormSpan:
         if k < 1:
@@ -238,23 +261,23 @@ class GradedSeries:
         generators, the change of flag is a ring map, so the view is
         generated by the transformed generators and its level k is built
         on the path of `generated` (`_generated_level`), with the parent
-        level's dimension to stop and cross-check the subduction.  The
-        generators of each level go through one integer substitution
-        (`substitute_forms`, under the flag's integer lines), which gives
-        both their span and the exact transformed forms, with no form
-        re-validated.  Other series transform each parent level."""
+        level's dimension to stop and cross-check it.  The generators of
+        each level go through one integer substitution (`substitution`,
+        under the flag's integer lines), whose rows give their span and
+        whether every image is a monomial; the exact transformed forms are
+        built on the first read of the view's `generators`.  Other series
+        transform each parent level."""
         if flag.d != self.d:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
             return self
-        tgens = gspans = None
+        gspans = None
         if self.generators is not None:
-            images = {
-                j: substitute_forms(forms, flag.lines, flag.den)
+            subs = {
+                j: substitution(forms, flag.lines, flag.den)
                 for j, forms in self.generators.items()
             }
-            tgens = {j: forms for j, (forms, _) in images.items()}
-            gspans = {j: images[j][1] for j in sorted(images)}
+            gspans = {j: span for j, (span, _, _) in sorted(subs.items())}
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
             span = self.level(k)
@@ -264,14 +287,18 @@ class GradedSeries:
                 return span.transformed(flag.lines)
             return _generated_level(series, k, gspans, span.dim)
 
-        return GradedSeries(
+        view = GradedSeries(
             self.d,
             self.twist,
             provider,
             label=f"{self.label}|flag",
-            generators=tgens,
             max_level=self.max_level,
         )
+        if gspans is not None:
+            view._generators = lambda: {j: images() for j, (_, _, images) in subs.items()}
+            if all(monomial for _, monomial, _ in subs.values()):
+                view.monomial_generator_level = max(subs)
+        return view
 
     def veronese(self, b: int) -> GradedSeries:
         """The b-th graded subseries: level k is the parent level b * k."""
@@ -420,12 +447,32 @@ def _generated_level(
 ) -> FormSpan:
     """Level k of a series generated by gspans (generator level -> span):
     the products of its level k - j with the span at each generator level
-    j <= k, level 0 being the constants.  A known dim stops and
-    cross-checks the subduction (`FormSpan.subducted`), whose signature
-    rule holds as each factor on the left is a full level."""
+    j <= k, level 0 being the constants.
+
+    When every generator row is a one-term row, every level is the span of
+    its pivot monomials (a complete level is too), so level k is the span
+    of the key sums: each pivot key of level k - j plus each key of G_j,
+    and the keys of G_k, entered as one-term rows.  A known dim
+    cross-checks their count.  Otherwise the level is found by subduction
+    (`FormSpan.subducted`), whose signature rule holds as each factor on
+    the left is a full level, and a known dim stops and cross-checks it."""
+    n, degree = series.d + 1, k * series.twist
+    if all(len(row) == 1 for gspan in gspans.values() for row in gspan._rows.values()):
+        keys: set[int] = set()
+        for j, gspan in gspans.items():
+            if j < k:
+                low = series.level(k - j).pivot_keys
+                keys.update({a + b for b in gspan.pivot_keys for a in low})
+            elif j == k:
+                keys.update(gspan.pivot_keys)
+        if dim is not None and len(keys) != dim:
+            raise InvariantError(
+                f"key sums: {len(keys)} distinct keys, but the dimension is {dim}"
+            )
+        return FormSpan._of(n, degree, {e: {e: 1} for e in sorted(keys)})
     factors = [
-        (series.level(k - j) if j < k else FormSpan.complete(series.d + 1, 0), gspan)
+        (series.level(k - j) if j < k else FormSpan.complete(n, 0), gspan)
         for j, gspan in gspans.items()
         if j <= k
     ]
-    return FormSpan.subducted(series.d + 1, k * series.twist, dim, factors)
+    return FormSpan.subducted(n, degree, dim, factors)

@@ -342,7 +342,7 @@ def sheafify(series: GradedSeries, K: int) -> GradedSeries:
     for k in range(1, K + 1):
         keys = _monomial_level(series, k).pivot_keys
         piece = set.intersection(*(_colon_piece(keys, n, i) for i in range(n)))
-        spans[k] = FormSpan._of(n, k * series.twist, {e: {e: 1} for e in piece})
+        spans[k] = FormSpan._of(n, k * series.twist, {e: {e: 1} for e in sorted(piece)})
     return GradedSeries._of_spans(
         series.d, series.twist, spans, label=f"{series.label} sheafified"
     )

@@ -11,8 +11,11 @@ the first variable is cut (its field is 0) and loses power << (WIDTH * (n -
 1)) in a quotient by X1^power.  Degrees stay below DEGREE_BOUND, half the
 range of a field, so the top bit of every field is spare: the difference of
 two keys is a key exactly when no field borrows, and an InputError refuses
-any degree at or past the bound.  Keys are unpacked only at the edges: `pivots`, `basis`,
-and the forms that `substitute_linear` and `substitute_forms` return.
+any degree at or past the bound.  Keys are unpacked, by one shift-and-mask
+loop, only at the edges: `pivots`, `basis`, the forms that
+`substitute_linear` and `substitution` build, and the CLI's serializer,
+which reads `canonical_rows` (packed keys in ascending order, Fraction
+coefficients).
 
 The leads are the pivots the valuation layer reads off, so the ordering
 convention is load bearing.  Every span operation builds its rows through
@@ -29,11 +32,13 @@ generator rows after it.  `*` multiplies every pair of rows out, and
 A quotient by a power of the first variable and a cut that sets it to
 zero are pending rows of one row: they apply at once to a term row and are
 deferred on a pending one.  The canonical basis, the reduced row echelon
-form over ascending lex exponent columns, is computed only when `basis` or
-`==` reads it.  Forms are built only at the edges (input, `basis`), and
-linear substitution maps every row through one table of monomial images:
-`substitute_forms` maps a list of forms as primitive integer rows under
-integer lines, and gives their span and their exact images from the same rows.
+form over ascending lex exponent columns, is computed only when it is read;
+a span of one-term rows (`is_monomial_span`) reads it off its pivots.
+Forms are built only at the edges (input, `basis`), and linear substitution
+maps every row through one table of monomial images: `substitution` maps a
+list of forms as primitive integer rows under integer lines, and gives their
+span, whether every image is a monomial, and their exact images, built from
+the same rows only when asked for.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError
 from .exactnum import cleared_rows, integer_row, kernel, rref_rows
@@ -71,8 +76,17 @@ def pack(exponent: Sequence[int]) -> int:
 
 
 def unpack(key: int, nvars: int) -> Exponent:
-    """The exponent tuple of nvars entries that `pack` maps to key."""
-    return tuple(key >> s & _MASK for s in range(WIDTH * (nvars - 1), -1, -WIDTH))
+    """The exponent tuple of nvars entries that `pack` maps to key: the
+    fields are masked off from the last, the rest of the key being the
+    first entry.  nvars is positive, as for every form."""
+    out = [key] * nvars
+    i = nvars - 1
+    while i > 0:
+        out[i] = key & _MASK
+        key >>= WIDTH
+        i -= 1
+    out[0] = key
+    return tuple(out)
 
 
 def check_degree(degree: int, what: str) -> None:
@@ -397,7 +411,7 @@ def _keys_of_degree(nvars: int, degree: int) -> list[int]:
 def _primitive(row: dict) -> dict[int, int]:
     """The row scaled to coprime integers."""
     den = math.lcm(*(v.denominator for v in row.values()))
-    return _content_free({e: int(v * den) for e, v in row.items()})
+    return _content_free({e: v.numerator * (den // v.denominator) for e, v in row.items()})
 
 
 def _content_free(row: dict[int, int]) -> dict[int, int]:
@@ -529,7 +543,9 @@ class FormSpan:
             raise InputError("span: negative degree")
         self.nvars = nvars
         self.degree = degree
-        self._rows = {p: table[p] for p in sorted(table)}
+        keys = sorted(table)
+        # a table built in pivot order is kept as it is
+        self._rows = table if keys == list(table) else {p: table[p] for p in keys}
         self._pivots = self._reduced = None
         return self
 
@@ -549,7 +565,7 @@ class FormSpan:
         """The pivot exponents, in ascending lex order."""
         if self._pivots is None:
             n = self.nvars
-            self._pivots = tuple(unpack(p, n) for p in self._rows)
+            self._pivots = tuple([unpack(p, n) for p in self._rows])
         return self._pivots
 
     def _term_rows(self) -> list[dict]:
@@ -557,11 +573,12 @@ class FormSpan:
         return [_terms(row) for row in self._rows.values()]
 
     @property
-    def _canonical(self) -> tuple[dict, ...]:
-        """The canonical basis rows in reduced row echelon form."""
+    def canonical_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """The canonical basis rows in reduced row echelon form: each maps
+        packed keys, in ascending order, to Fraction coefficients."""
         if self._reduced is None:
             if self.is_monomial_span:
-                self._reduced = tuple({p: _ONE} for p in self._rows)
+                self._reduced = tuple([{p: _ONE} for p in self._rows])
             else:
                 rows = self._term_rows()
                 cols = sorted({e for row in rows for e in row})
@@ -679,7 +696,7 @@ class FormSpan:
             HomogeneousForm._of(
                 n, {unpack(e, n): c for e, c in row.items()}, self.degree
             )
-            for row in self._canonical
+            for row in self.canonical_rows
         )
 
     @property
@@ -693,9 +710,14 @@ class FormSpan:
     @property
     def is_monomial_span(self) -> bool:
         """Every term of every row is a pivot, so the span is that of the
-        pivot monomials."""
+        pivot monomials.  A one-term row is its pivot, so only the terms of
+        the other rows are looked up."""
         rows = self._rows
-        return all(e in rows for row in rows.values() for e in _terms(row))
+        keys = rows.keys()
+        return all(
+            (type(row) is dict and len(row) == 1) or _terms(row).keys() <= keys
+            for row in rows.values()
+        )
 
     def contains(self, form: HomogeneousForm) -> bool:
         if form.is_zero:
@@ -710,7 +732,7 @@ class FormSpan:
             and self.nvars == other.nvars
             and self.degree == other.degree
             and self._rows.keys() == other._rows.keys()
-            and self._canonical == other._canonical
+            and self.canonical_rows == other.canonical_rows
         )
 
     def __hash__(self) -> int:
@@ -828,26 +850,43 @@ class FormSpan:
         return f"FormSpan({shape})"
 
 
-def substitute_forms(
+def substitution(
     forms: Sequence[HomogeneousForm], lines: Sequence[Sequence[int]], den: int
-) -> tuple[tuple[HomogeneousForm, ...], FormSpan]:
-    """Nonzero forms of one shape under X -> M Y, with M = lines / den, and
-    their span, from one table of monomial images.  Each form enters as its
-    primitive integer row p, with f = c * p, so f(M y) is c / den^D times the
-    integer row p(lines y)."""
+) -> tuple[FormSpan, bool, Callable[[], tuple[HomogeneousForm, ...]]]:
+    """Nonzero forms of one shape under X -> M Y, with M = lines / den, from
+    one table of monomial images: their span, whether every image is a
+    monomial, and a function that builds the exact images.  Each form
+    enters as its primitive integer row p, with f = c * p, so f(M y) is
+    c / den^D times the integer row p(lines y); the span and the monomial
+    test read those rows, and no image is built until the function is
+    called."""
     nvars, degree = forms[0].nvars, forms[0].degree
     prims = [_primitive(_packed(f.terms)) for f in forms]
     rows = _substitute(prims, lines, degree)
-    images = []
-    for f, p, row in zip(forms, prims, rows):
-        lead, c = next(iter(f.terms.items()))
-        scale = c / p[pack(lead)]
-        num, dd = scale.numerator, scale.denominator * den**degree
-        images.append(
-            HomogeneousForm._of(
-                nvars,
-                {unpack(e, nvars): Fraction(num * v, dd) for e, v in row.items()},
-                degree,
+
+    def images() -> tuple[HomogeneousForm, ...]:
+        out = []
+        for f, p, row in zip(forms, prims, rows):
+            lead, c = next(iter(f.terms.items()))
+            scale = c / p[pack(lead)]
+            num, dd = scale.numerator, scale.denominator * den**degree
+            out.append(
+                HomogeneousForm._of(
+                    nvars,
+                    {unpack(e, nvars): Fraction(num * v, dd) for e, v in row.items()},
+                    degree,
+                )
             )
-        )
-    return tuple(images), FormSpan._of(nvars, degree, _insert({}, rows))
+        return tuple(out)
+
+    monomial = all(len(row) == 1 for row in rows)
+    return FormSpan._of(nvars, degree, _insert({}, rows)), monomial, images
+
+
+def substitute_forms(
+    forms: Sequence[HomogeneousForm], lines: Sequence[Sequence[int]], den: int
+) -> tuple[tuple[HomogeneousForm, ...], FormSpan]:
+    """The exact images of nonzero forms of one shape under X -> M Y, with
+    M = lines / den, and their span (`substitution`)."""
+    span, _, images = substitution(forms, lines, den)
+    return images(), span

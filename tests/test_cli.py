@@ -25,6 +25,7 @@ from okbody.cli import (
 from okbody.errors import InputError
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
+from okbody.monideal import sheafify
 from okbody.polyform import DEGREE_BOUND, FormSpan, HomogeneousForm
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -333,6 +334,49 @@ class TestSeriesSchema:
             assert again.label == series.label
             for k in range(1, 5):
                 assert again.level(k) == series.level(k)
+
+    def test_explicit_series_serialize_their_canonical_rows(self):
+        """An explicit series serializes each nonzero level's canonical rows:
+        the same description as its `basis` forms with their terms sorted,
+        on monomial and non-monomial levels, a gap level and a sheafified
+        series."""
+
+        def by_basis(series):
+            groups = []
+            for k in range(1, series.max_level + 1):
+                basis = series.level(k).basis
+                if basis:
+                    forms = [
+                        [
+                            {"exp": list(e), "num": c.numerator, "den": c.denominator}
+                            for e, c in sorted(f.terms.items())
+                        ]
+                        for f in basis
+                    ]
+                    groups.append({"degree": k, "forms": forms})
+            return {
+                "ambient_dim": series.d,
+                "divisor_degree": series.twist,
+                "label": series.label,
+                "generators": groups,
+            }
+
+        x, y, z = (HomogeneousForm.variable(3, i) for i in range(3))
+        half = Fraction(1, 2)
+        monomial = {1: [x, z.scaled(3)], 3: [x * x * y, (y * z * z).scaled(-half)]}
+        mixed = {
+            1: [x + y.scaled(half), y - z.scaled(3), x + z],
+            2: [x * x + y * z.scaled(-2), (x * y).scaled(half) + z * z],
+        }
+        cremona = json.loads((CORPUS / "p2_o2_cremona.json").read_text())
+        sheaf = sheafify(parse_series(cremona), 3)
+        for series in (
+            GradedSeries.explicit(2, 1, monomial),
+            GradedSeries.explicit(2, 1, mixed),
+            sheaf,
+        ):
+            assert series.generators is None
+            assert serialize_series(series) == by_basis(series)
 
     def test_zero_series(self):
         data = {"ambient_dim": 2, "divisor_degree": 1, "generators": []}

@@ -16,7 +16,7 @@ from okbody.flagval import (
     valuation,
     valuation_set,
 )
-from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents
+from okbody.polyform import DEGREE_BOUND, FormSpan, HomogeneousForm as HF, all_exponents
 from oracles import (
     reference_filtered_dimension,
     reference_indecomposables,
@@ -150,6 +150,9 @@ def test_filtered_dimension_matches_oracle():
         sigma = tuple(rng.randint(0, degree + 1) for _ in range(r))
         assert filtered_dimension(span, sigma) == reference_filtered_dimension(span, sigma)
         assert filtered_dimension(span, list(sigma)) == reference_filtered_dimension(span, sigma)
+        # an entry below zero bounds nothing, one at the degree bound everything
+        for edge in ((-1,) + sigma[1:], sigma[:-1] + (DEGREE_BOUND,)):
+            assert filtered_dimension(span, edge) == reference_filtered_dimension(span, edge)
     assert lengths == {(d, r) for d in (1, 2, 3) for r in range(1, d + 1)}
 
 

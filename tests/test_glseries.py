@@ -10,6 +10,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from okbody import cli, convbody, glseries, polyform
 from okbody.cli import _slice_sides, parse_series
@@ -17,7 +19,7 @@ from okbody.convbody import okounkov_body
 from okbody.errors import InputError, InvariantError, TruncationError
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
-from okbody.polyform import FormSpan, HomogeneousForm as HF
+from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents, substitute_forms
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
@@ -140,6 +142,18 @@ def test_complete_level_shortcut_under_flag():
     assert view.level(2) is C.level(2)
 
 
+def crossed_view(gens, provided, flag):
+    """A view under flag of a series with the monomial generators gens,
+    whose provider's level k is spanned by the k-th powers of the provided
+    monomials."""
+
+    def provider(series, k):
+        return FormSpan(3, k, [mono(tuple(k * x for x in e)) for e in provided])
+
+    series = GradedSeries(2, 1, provider, generators={1: [mono(e) for e in gens]})
+    return series.under_flag(flag)
+
+
 @pytest.mark.parametrize(
     "gens, provided, message",
     [
@@ -148,15 +162,24 @@ def test_complete_level_shortcut_under_flag():
     ],
 )
 def test_view_level_cross_checks_the_parent_dimension(gens, provided, message):
-    """The provider's level k is spanned by the k-th powers of the provided
-    monomials, which the generators' products fall short of or exceed."""
-
-    def provider(series, k):
-        return FormSpan(3, k, [mono(tuple(k * x for x in e)) for e in provided])
-
-    series = GradedSeries(2, 1, provider, generators={1: [mono(e) for e in gens]})
+    """The generators' products fall short of or exceed the provider's
+    level."""
     with pytest.raises(InvariantError, match=message):
-        series.under_flag(Flag.random(2, 1)).level(1)
+        crossed_view(gens, provided, Flag.random(2, 1)).level(1)
+
+
+@pytest.mark.parametrize(
+    "gens, provided, message",
+    [
+        ([(1, 0, 0)], [(1, 0, 0), (0, 1, 0)], "1 distinct keys, but the dimension is 2"),
+        ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0)], "2 distinct keys, but the dimension is 1"),
+    ],
+)
+def test_key_sum_view_level_cross_checks_the_parent_dimension(gens, provided, message):
+    """Under a permutation flag the generator images are monomials, and the
+    key sums fall short of or exceed the provider's level."""
+    with pytest.raises(InvariantError, match=message):
+        crossed_view(gens, provided, permutation_flag((2, 0, 1))).level(1)
 
 
 @pytest.fixture
@@ -195,10 +218,10 @@ def test_generated_view_levels_need_no_elimination(eliminations):
 
 
 def test_monomial_levels_multiply_out_no_rows(monkeypatch):
-    """Under the standard flag every level of a monomial series is a
-    subduction of monomial rows: each product is written down as one term,
-    and no product row is multiplied out.  A seeded-flag view of the same
-    series has rows of several terms, and multiplies them out."""
+    """Under the standard flag every level of a monomial series is built
+    from key sums, so no product row is multiplied out.  A seeded-flag view
+    of the same series has rows of several terms, and multiplies them
+    out."""
     calls = []
     original = polyform._mul_terms
     monkeypatch.setattr(
@@ -210,6 +233,139 @@ def test_monomial_levels_multiply_out_no_rows(monkeypatch):
     assert rep.dims == S.dims(8)
     assert okounkov_body(S, Flag.random(2, 1), 8).dims == rep.dims
     assert calls
+
+
+def by_subduction(d, twist, gspans, dims=None):
+    """The series generated by gspans (generator level -> span) with every
+    level built by `FormSpan.subducted`, as levels were before key sums;
+    with dims, a series whose level dimensions stop and cross-check it."""
+
+    def provider(series, k):
+        unit = FormSpan.complete(d + 1, 0)
+        factors = [
+            (series.level(k - j) if j < k else unit, gspan)
+            for j, gspan in gspans.items()
+            if j <= k
+        ]
+        dim = None if dims is None else dims.level(k).dim
+        return FormSpan.subducted(d + 1, k * twist, dim, factors)
+
+    return GradedSeries(d, twist, provider)
+
+
+def permutation_flag(perm):
+    n = len(perm)
+    return Flag([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=60,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+@given(st.data())
+def test_key_sum_levels_match_subduction(data):
+    """Levels of a series generated by monomials are the key sums of the
+    levels below and the generators: the same spans, pivot for pivot, as
+    the subduction path, with generators at one or several levels and
+    levels that no sum reaches, and on a permutation-flag view, whose
+    generator images are monomials and whose parent gives each dim."""
+    d = data.draw(st.integers(1, 3), label="d")
+    twist = data.draw(st.integers(1, 1 if d == 3 else 2), label="twist")
+    K = 4 if d == 3 else 5
+    levels = data.draw(st.sets(st.integers(1, 3), min_size=1), label="levels")
+    coeff = st.sampled_from([1, -1, 2, F(-3, 2)])
+    gens = {}
+    for j in sorted(levels):
+        exps = list(all_exponents(d + 1, j * twist))
+        picked = data.draw(
+            st.lists(st.sampled_from(exps), min_size=1, max_size=3), label=f"G{j}"
+        )
+        gens[j] = [HF.monomial(d + 1, e, data.draw(coeff)) for e in picked]
+    series = GradedSeries.generated(d, twist, gens)
+    spans = {j: FormSpan(d + 1, j * twist, forms) for j, forms in gens.items()}
+    reference = by_subduction(d, twist, spans)
+    for k in range(1, K + 1):
+        assert series.level(k).pivots == reference.level(k).pivots
+        assert series.level(k) == reference.level(k)
+    perm = data.draw(st.permutations(range(d + 1)), label="perm")
+    view = series.under_flag(permutation_flag(perm))
+    assert view.monomial_generator_level == max(gens)
+    images = {
+        j: FormSpan(d + 1, j * twist, forms) for j, forms in view.generators.items()
+    }
+    view_reference = by_subduction(d, twist, images, series)
+    for k in range(1, K + 1):
+        assert view.level(k).pivots == view_reference.level(k).pivots
+        assert view.level(k) == view_reference.level(k)
+
+
+def drop_key(series, k, gspans, dim):
+    """A mutant: the level without its least key."""
+    span = GENERATED_LEVEL(series, k, gspans, dim)
+    keys = list(span.pivot_keys)[1:]
+    return FormSpan._of(span.nvars, span.degree, {e: {e: 1} for e in keys})
+
+
+def drop_generator_level(series, k, gspans, dim):
+    """A mutant: the level without the products of its top generator level,
+    when there are several."""
+    if len(gspans) > 1:
+        gspans = dict(list(gspans.items())[:-1])
+    return GENERATED_LEVEL(series, k, gspans, dim)
+
+
+@pytest.mark.parametrize("mutant", [drop_key, drop_generator_level])
+def test_key_sum_property_catches_mutants(monkeypatch, mutant):
+    monkeypatch.setattr(glseries, "_generated_level", mutant)
+    with pytest.raises((AssertionError, InvariantError)):
+        test_key_sum_levels_match_subduction()
+
+
+def test_monomial_corpus_commands_run_no_subduction(monkeypatch, capsys):
+    """body, volume, slice and base-locus on the monomial corpus series
+    build every level from key sums: no call to FormSpan.subducted."""
+    calls = []
+    subducted = FormSpan.subducted.__func__
+
+    def counted(cls, *args):
+        calls.append(args[:2])
+        return subducted(cls, *args)
+
+    monkeypatch.setattr(FormSpan, "subducted", classmethod(counted))
+    for path in sorted(CORPUS.glob("*.json")):
+        if ".surface." in path.name:
+            continue
+        series = parse_series(json.loads(path.read_text()))
+        assert series.monomial_generator_level == 1, path.name
+        s = str(path)
+        argvs = [["body", s, "-K", "6"], ["volume", s], ["base-locus", s]]
+        if series.d >= 2:
+            argvs.append(["slice", s, "-K", "6", "--t", "1/2"])
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []
+    # positive control: a seeded flag's generator images are not monomials
+    cli.main(["body", str(CORPUS / "p2_o2_cremona.json"), "--flag-seed", "1"])
+    capsys.readouterr()
+    assert calls
+
+
+def test_flag_view_builds_generator_images_on_first_read():
+    """A view's levels and its monomial test read the substituted integer
+    rows; the exact images are built when `generators` is first read, and
+    equal those of `substitute_forms`."""
+    S = no_x2x3_series()
+    for flag, level in ((Flag.random(2, 7), None), (permutation_flag((2, 0, 1)), 1)):
+        view = S.under_flag(flag)
+        assert view.monomial_generator_level == level
+        assert view.dims(4) == S.dims(4)
+        assert callable(view._generators)
+        gens = view.generators
+        assert gens == {1: substitute_forms(S.generators[1], flag.lines, flag.den)[0]}
+        assert view.generators is gens
 
 
 @pytest.fixture

@@ -257,7 +257,7 @@ def test_packed_keys_keep_lex_order_and_sums(data):
     entries stay below the bound packs to the sum of the keys.  The
     difference of two keys is a key below the bound exactly when no entry
     of the difference is negative, and is then the key of the difference."""
-    nvars = data.draw(st.integers(1, 5), label="nvars")
+    nvars = data.draw(st.integers(1, 6), label="nvars")
     high = data.draw(st.sampled_from([6, DEGREE_BOUND - 1]), label="high")
     entry = st.integers(0, high)
     exponent = st.tuples(*[entry] * nvars)
