@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from .errors import InputError
 from .exactnum import cleared_rows, det, inverse_lines
-from .polyform import DEGREE_BOUND, WIDTH, FormSpan, HomogeneousForm, pack, unpack
+from .polyform import DEGREE_BOUND, WIDTH, FormSpan, HomogeneousForm, pack, spare_bits, unpack
 
 Vector = tuple[int, ...]
 
@@ -150,9 +150,10 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
     sigma may bound any prefix of the valuation coordinates; the count is
     the number of echelon pivots whose first len(sigma) entries are all at
     least the corresponding entry of sigma.  The pivots are read as packed
-    keys: with the spare top bit of each of those fields set, subtracting
-    the key of sigma leaves the bit set exactly where the entry is at least
-    sigma's, and no field borrows from the next.
+    keys: with the spare top bit of each of those fields set
+    (`polyform.spare_bits`), subtracting the key of sigma leaves the bit set
+    exactly where the entry is at least sigma's, and no field borrows from
+    the next.
     """
     n = span.nvars
     r = len(sigma)
@@ -160,9 +161,8 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
         raise InputError("filtered_dimension: sigma length out of range")
     if any(x >= DEGREE_BOUND for x in sigma):
         return 0  # every pivot entry is below the bound
-    shifts = [WIDTH * (n - 1 - i) for i in range(r)]
-    spare = sum(DEGREE_BOUND << s for s in shifts)
-    key = sum(max(x, 0) << s for x, s in zip(sigma, shifts))
+    spare = spare_bits(n, r)
+    key = pack([max(x, 0) for x in sigma] + [0] * (n - r))
     return len([p for p in span.pivot_keys if ((p | spare) - key) & spare == spare])
 
 

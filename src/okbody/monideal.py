@@ -1,9 +1,11 @@
 """Monomial ideal machinery: base ideals, saturation, stable base loci,
 sheafification, and the lattice birationality test for monomial series.
 
-Everything here works with exponent vectors over d+1 homogeneous variables.
-Base ideals are only formed for series whose levels are spanned by monomials;
-general levels are refused with a typed error rather than approximated.
+Everything here works with packed exponent keys (`polyform.pack`), as a
+level's pivots are; exponent tuples appear only at the edges, the generators
+an ideal is built from and the `generators` it reports.  Base ideals are
+only formed for series whose levels are spanned by monomials; general
+levels are refused with a typed error rather than approximated.
 """
 
 from __future__ import annotations
@@ -11,109 +13,117 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import le
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, UnsupportedModeError
 from .exactnum import hermite_normal_form
 from .glseries import GradedSeries
-from .polyform import WIDTH, FormSpan, all_exponents, check_degree
+from .polyform import (DEGREE_BOUND, FormSpan, all_exponents, check_degree, field_mask, pack,
+                       spare_bits, unit_key, unpack)
 
 Exponent = tuple[int, ...]
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(map(le, a, b))
+def _undivided(keys: Iterable[int], divisors: Sequence[int], spare: int) -> list[int]:
+    """The keys that no key of divisors divides, spare being the
+    `spare_bits` of their length."""
+    return [
+        b for b in keys
+        if not any(((b | spare) - a) & spare == spare for a in divisors)
+    ]
 
 
-def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(max, a, b))
-
-
-def _minimalize(gens: set[Exponent]) -> tuple[Exponent, ...]:
-    # keep divisibility-minimal elements; scanning in degree order means a
-    # kept generator can never be divided by a later one, and two distinct
-    # exponents of equal degree never divide each other, so a candidate is
-    # tested only against the kept generators of lower degree
-    kept: list[Exponent] = []
-    degree, lower = -1, 0
-    for g in sorted(gens, key=lambda e: (sum(e), e)):
-        if sum(g) != degree:
-            degree, lower = sum(g), len(kept)
-        if not any(_divides(h, g) for h in kept[:lower]):
+def _minimalize(keys: Iterable[int], spare: int) -> tuple[int, ...]:
+    # keep divisibility-minimal keys; a divisor is lex-smaller, so scanning
+    # in ascending order a kept key is never divided by a later one, and a
+    # key is tested only against the kept ones
+    kept: list[int] = []
+    for g in sorted(keys):
+        if _undivided((g,), kept, spare):
             kept.append(g)
-    return tuple(sorted(kept))
+    return tuple(kept)
 
 
 class MonomialIdeal:
-    """Monomial ideal held by its minimal generating set."""
+    """Monomial ideal held by the packed keys of its minimal generators, in
+    ascending order; `generators` unpacks them."""
 
-    __slots__ = ("nvars", "generators")
+    __slots__ = ("nvars", "_keys")
 
     def __init__(self, nvars: int, generators: Sequence[Exponent] = ()):
         if nvars < 1:
             raise InputError("monomial ideal: need at least one variable")
-        clean: set[Exponent] = set()
+        keys: set[int] = set()
         for g in generators:
             e = tuple(int(x) for x in g)
             if len(e) != nvars:
                 raise InputError("monomial ideal: generator length != nvars")
-            if any(x < 0 for x in e):
-                raise InputError("monomial ideal: negative exponent")
-            clean.add(e)
+            if not all(0 <= x < DEGREE_BOUND for x in e):
+                raise InputError(f"monomial ideal: exponent outside [0, {DEGREE_BOUND})")
+            keys.add(pack(e))
         self.nvars = nvars
-        self.generators = _minimalize(clean)
+        self._keys = _minimalize(keys, spare_bits(nvars))
 
     @classmethod
-    def _of(cls, nvars: int, generators: tuple[Exponent, ...]) -> MonomialIdeal:
-        """The ideal of generators the library made: already minimal, in
+    def _of(cls, nvars: int, keys: tuple[int, ...]) -> MonomialIdeal:
+        """The ideal of generator keys the library made: already minimal, in
         ascending order, and of the right length; nothing is checked."""
         ideal = object.__new__(cls)
         ideal.nvars = nvars
-        ideal.generators = generators
+        ideal._keys = keys
         return ideal
 
     @property
+    def generators(self) -> tuple[Exponent, ...]:
+        """The minimal generators, in ascending lex order."""
+        return tuple([unpack(g, self.nvars) for g in self._keys])
+
+    @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self._keys
 
     @property
     def is_unit(self) -> bool:
-        return self.generators == ((0,) * self.nvars,)
+        return self._keys == (0,)
 
     def contains_monomial(self, e: Sequence[int]) -> bool:
         e = tuple(int(x) for x in e)
         if len(e) != self.nvars:
             raise InputError("monomial ideal: exponent length != nvars")
-        return any(_divides(g, e) for g in self.generators)
+        if any(x < 0 for x in e):
+            return False
+        # every generator entry is below the bound, so clamping there keeps
+        # the answer and gives a key
+        key = pack([min(x, DEGREE_BOUND - 1) for x in e])
+        return not _undivided((key,), self._keys, spare_bits(self.nvars))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.nvars == other.nvars and self.generators == other.generators
+        return self.nvars == other.nvars and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.generators))
+        return hash((self.nvars, self._keys))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            body = "0"
-        else:
-            body = ", ".join(str(g) for g in self.generators)
+        body = ", ".join(map(str, self.generators)) or "0"
         return f"MonomialIdeal({self.nvars}; {body})"
 
     # -- ideal arithmetic ------------------------------------------------------
 
     def plus(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check(other)
-        return self._of(
-            self.nvars, _minimalize({*self.generators, *other.generators})
-        )
+        keys = _minimalize({*self._keys, *other._keys}, spare_bits(self.nvars))
+        return self._of(self.nvars, keys)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check(other)
-        lcms = {_lcm(g, h) for g in self.generators for h in other.generators}
-        return self._of(self.nvars, _minimalize(lcms))
+        lcms = {
+            pack([max(x, y) for x, y in zip(g, h)])
+            for g in self.generators
+            for h in other.generators
+        }
+        return self._of(self.nvars, _minimalize(lcms, spare_bits(self.nvars)))
 
     def quotient_monomial(self, m: Sequence[int]) -> MonomialIdeal:
         """Colon ideal (I : m) for a single monomial m."""
@@ -121,16 +131,18 @@ class MonomialIdeal:
         if len(m) != self.nvars or any(x < 0 for x in m):
             raise InputError("monomial ideal: bad colon monomial")
         shifted = {
-            tuple(max(x - y, 0) for x, y in zip(g, m)) for g in self.generators
+            pack([max(x - y, 0) for x, y in zip(g, m)]) for g in self.generators
         }
-        return self._of(self.nvars, _minimalize(shifted))
+        return self._of(self.nvars, _minimalize(shifted, spare_bits(self.nvars)))
 
     def saturate_variable(self, i: int) -> MonomialIdeal:
-        """(I : X_i^inf): generators with the i-th exponent removed."""
+        """(I : X_i^inf): generators with the i-th exponent removed, their
+        field i cleared."""
         if not 0 <= i < self.nvars:
             raise InputError("monomial ideal: variable index out of range")
-        gens = {g[:i] + (0,) + g[i + 1 :] for g in self.generators}
-        return self._of(self.nvars, _minimalize(gens))
+        kept = ~field_mask(self.nvars, i)
+        keys = _minimalize({g & kept for g in self._keys}, spare_bits(self.nvars))
+        return self._of(self.nvars, keys)
 
     def saturate(self) -> MonomialIdeal:
         """Saturation with respect to the irrelevant ideal (X_1,...,X_n).
@@ -138,8 +150,6 @@ class MonomialIdeal:
         For monomial ideals this is the intersection of the variable-wise
         saturations (I : X_i^inf).
         """
-        if self.is_zero:
-            return self
         out = self.saturate_variable(0)
         for i in range(1, self.nvars):
             out = out.intersect(self.saturate_variable(i))
@@ -151,20 +161,15 @@ class MonomialIdeal:
         """All exponents of the given total degree lying in the ideal."""
         if degree < 0:
             raise InputError("monomial ideal: negative degree")
-        return [
-            e
-            for e in all_exponents(self.nvars, degree)
-            if any(_divides(g, e) for g in self.generators)
-        ]
+        return [e for e in all_exponents(self.nvars, degree) if self.contains_monomial(e)]
 
     def vanishes_at(self, point: Sequence[Fraction]) -> bool:
-        """Whether every generator evaluates to zero at the point."""
+        """Whether every generator evaluates to zero at the point: each
+        meets the fields of the point's zero coordinates."""
         if len(point) != self.nvars:
             raise InputError("monomial ideal: point length != nvars")
-        zeros = {i for i, x in enumerate(point) if x == 0}
-        return all(
-            any(g[i] > 0 for i in zeros) for g in self.generators
-        )
+        zeros = sum(field_mask(self.nvars, i) for i, x in enumerate(point) if x == 0)
+        return all(g & zeros for g in self._keys)
 
     def _check(self, other: MonomialIdeal) -> None:
         if self.nvars != other.nvars:
@@ -187,7 +192,7 @@ def base_ideal(series: GradedSeries, k: int) -> MonomialIdeal:
     level are its monomials, sorted and all of one degree, so they are the
     minimal generators as they stand.
     """
-    return MonomialIdeal._of(series.d + 1, _monomial_level(series, k).pivots)
+    return MonomialIdeal._of(series.d + 1, tuple(_monomial_level(series, k).pivot_keys))
 
 
 def _monomial_level(series: GradedSeries, k: int) -> FormSpan:
@@ -205,23 +210,25 @@ def locus_components(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
 
     Each component is a coordinate subspace, encoded as the sorted tuple of
     vanishing variable indices; the components are the minimal hitting sets
-    of the generator supports.  The zero ideal vanishes everywhere (one
-    component with no constraints); the unit ideal vanishes nowhere.
+    of the generator supports, a set of indices hitting a generator's
+    support when the generator's key meets the OR of their fields' masks.
+    The zero ideal vanishes everywhere (one component with no constraints);
+    the unit ideal vanishes nowhere.
     """
     if ideal.is_zero:
         return ((),)
-    supports = [frozenset(i for i, x in enumerate(g) if x > 0) for g in ideal.generators]
-    if any(not s for s in supports):
+    keys, n = ideal._keys, ideal.nvars
+    if keys[0] == 0:  # a generator with empty support, the least key
         return ()
-    hits: list[tuple[int, ...]] = []
-    for size in range(1, ideal.nvars + 1):
-        for combo in combinations(range(ideal.nvars), size):
-            chosen = set(combo)
-            if any(set(h) <= chosen for h in hits):
+    hits: dict[int, tuple[int, ...]] = {}  # the mask of a hitting set -> its indices
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            chosen = sum(field_mask(n, i) for i in combo)
+            if any(h & chosen == h for h in hits):
                 continue
-            if all(chosen & s for s in supports):
-                hits.append(combo)
-    return tuple(sorted(hits))
+            if all(g & chosen for g in keys):
+                hits[chosen] = combo
+    return tuple(sorted(hits.values()))
 
 
 class BaseLocusReport(NamedTuple):
@@ -258,36 +265,28 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
         raise InputError("stable base locus: need K >= 1")
     check_degree(K * series.twist, f"stable base locus to level {K}")
     n = series.d + 1
+    spare = spare_bits(n)
     ideals: dict[int, MonomialIdeal] = {}
-    gens: tuple[Exponent, ...] = ()
+    gens: tuple[int, ...] = ()  # the keys of the running sum's generators
     components: tuple[tuple[int, ...], ...] = ((),)  # the zero sum's locus
     loci: dict[int, tuple[tuple[int, ...], ...]] = {}
     scanned = series.generators
     for k in range(1, K + 1):
         ideals[k] = base_ideal(series, k)
-        if scanned is not None and k not in scanned:
-            loci[k] = components
-            continue
-        new = [
-            g for g in ideals[k].generators
-            if not any(_divides(h, g) for h in gens)
-        ]
-        if new:
-            gens = tuple(sorted((*gens, *new)))
-            components = locus_components(MonomialIdeal._of(n, gens))
+        if scanned is None or k in scanned:
+            new = _undivided(ideals[k]._keys, gens, spare)
+            if new:
+                gens = tuple(sorted((*gens, *new)))
+                components = locus_components(MonomialIdeal._of(n, gens))
         loci[k] = components
-    stabilized_at = None
-    for k in range(1, K // 2 + 1):
-        if loci[k] == loci[2 * k] == components:
-            stabilized_at = k
-            break
-    empty = all(len(c) == n for c in components)
+    halves = range(1, K // 2 + 1)
+    stabilized_at = next((k for k in halves if loci[k] == loci[2 * k] == components), None)
     return BaseLocusReport(
         truncation=K,
         base_ideals=ideals,
         cumulative=MonomialIdeal._of(n, gens),
         components=components,
-        empty=empty,
+        empty=all(len(c) == n for c in components),
         stabilized=stabilized_at is not None,
         stabilized_at=stabilized_at,
     )
@@ -309,14 +308,13 @@ def _colon_piece(keys, n: int, i: int) -> set[int]:
     under those moves, each one integer sum on a key whose field i is
     nonzero.
     """
-    shift = WIDTH * (n - 1 - i)
-    mask = (1 << WIDTH) - 1
-    moves = [(1 << WIDTH * (n - 1 - j)) - (1 << shift) for j in range(n) if j != i]
+    field = field_mask(n, i)
+    moves = [unit_key(n, j) - unit_key(n, i) for j in range(n) if j != i]
     seen = set(keys)
     todo = list(keys)
     while todo:
         e = todo.pop()
-        if e >> shift & mask:
+        if e & field:
             for move in moves:
                 g = e + move
                 if g not in seen:
@@ -371,27 +369,19 @@ def is_birational_monomial(
     (first coordinate dropped; differences have coordinate sum zero).  The
     returned basis rows are the Hermite form of the difference lattice.
     """
-    k0 = None
-    for k in range(1, k_max + 1):
-        if series.level(k).dim > 0:
-            k0 = k
-            break
+    k0 = next((k for k in range(1, k_max + 1) if series.level(k).dim > 0), None)
     if k0 is None:
         raise InputError("birationality: no nonzero level found")
-    exps = list(_monomial_level(series, k0).pivots)
-    first = exps[0]
-    diffs = [
-        tuple(x - y for x, y in zip(e, first))[1:] for e in exps[1:]
-    ]
-    d = series.d
-    nonzero = [list(v) for v in diffs if any(v)]
-    if not nonzero:
+    first, *rest = _monomial_level(series, k0).pivots
+    # distinct exponents of one degree also differ off the first coordinate,
+    # so no difference is zero
+    if not rest:
         return BirationalityReport(False, k0, None, ())
-    H, _ = hermite_normal_form(nonzero)
+    H, _ = hermite_normal_form([[x - y for x, y in zip(e[1:], first[1:])] for e in rest])
     basis = tuple(tuple(row) for row in H if any(row))
     # H is triangular: the index is the product of its leads at full rank d
     leads = [next(x for x in row if x) for row in basis]
-    index = math.prod(leads) if len(leads) == d else None
+    index = math.prod(leads) if len(leads) == series.d else None
     return BirationalityReport(index == 1, k0, index, basis)
 
 

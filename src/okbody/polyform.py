@@ -11,11 +11,12 @@ the first variable is cut (its field is 0) and loses power << (WIDTH * (n -
 1)) in a quotient by X1^power.  Degrees stay below DEGREE_BOUND, half the
 range of a field, so the top bit of every field is spare: the difference of
 two keys is a key exactly when no field borrows, and an InputError refuses
-any degree at or past the bound.  Keys are unpacked, by one shift-and-mask
+any degree at or past the bound; other modules read the layout from `unit_key`,
+`field_mask` and `spare_bits`.  Keys are unpacked, by one shift-and-mask
 loop, only at the edges: `pivots`, `basis`, the forms that
-`substitute_linear` and `substitution` build, and the CLI's serializer,
-which reads `canonical_rows` (packed keys in ascending order, Fraction
-coefficients).
+`substitute_linear` and `substitution` build, `MonomialIdeal.generators`,
+and the CLI's serializer, which reads `canonical_rows` (packed keys in
+ascending order, Fraction coefficients).
 
 The leads are the pivots the valuation layer reads off, so the ordering
 convention is load bearing.  Every span operation builds its rows through
@@ -87,6 +88,25 @@ def unpack(key: int, nvars: int) -> Exponent:
         i -= 1
     out[0] = key
     return tuple(out)
+
+
+def unit_key(nvars: int, i: int) -> int:
+    """The key of the variable X_i (i from 0) among nvars."""
+    return 1 << WIDTH * (nvars - 1 - i)
+
+
+def field_mask(nvars: int, i: int) -> int:
+    """The bits of field i of a key of nvars fields."""
+    return _MASK * unit_key(nvars, i)
+
+
+def spare_bits(nvars: int, fields: int | None = None) -> int:
+    """The spare top bit of each of the first `fields` fields (all by
+    default) of a key of nvars fields.  For entries below DEGREE_BOUND and a
+    zero past those fields, no field of (b | spare) - a borrows, and one
+    keeps its bit exactly where b's entry is at least a's: with every
+    field, a divides b iff ((b | spare) - a) & spare == spare."""
+    return DEGREE_BOUND * sum(unit_key(nvars, i) for i in range(fields or nvars))
 
 
 def check_degree(degree: int, what: str) -> None:
@@ -355,7 +375,7 @@ def _substitute(
     image is a dense list over its degree's keys in ascending order."""
     check_degree(degree, "substitution")
     n = len(matrix)
-    units = [1 << s for s in range(WIDTH * (n - 1), -1, -WIDTH)]
+    units = [unit_key(n, j) for j in range(n)]
     firsts = {}  # key -> (j, key - u_j)
     need = {e for row in rows for e in row}
     chains = [need]
@@ -519,14 +539,14 @@ class FormSpan:
     cut of a pending row.  Every reader of the terms goes through `_terms`
     (or `_top_reduce`) to compute it; the pivot keys, `dim` and the
     valuation layer never need it.  `pivots` unpacks the keys to exponent
-    tuples when first read.  Every operation builds its table of rows with
+    tuples each time it is read.  Every operation builds its table of rows with
     `_insert` (or keeps or shifts rows whose leads stay distinct).  The
     canonical basis is the reduced row echelon form over ascending lex
     exponent columns, computed and cached when `basis` or `==` first reads
     it.
     """
 
-    __slots__ = ("nvars", "degree", "_rows", "_pivots", "_reduced")
+    __slots__ = ("nvars", "degree", "_rows", "_reduced")
 
     def __init__(
         self, nvars: int, degree: int, forms: Iterable[HomogeneousForm] = ()
@@ -546,7 +566,7 @@ class FormSpan:
         keys = sorted(table)
         # a table built in pivot order is kept as it is
         self._rows = table if keys == list(table) else {p: table[p] for p in keys}
-        self._pivots = self._reduced = None
+        self._reduced = None
         return self
 
     @classmethod
@@ -563,10 +583,7 @@ class FormSpan:
     @property
     def pivots(self) -> tuple[Exponent, ...]:
         """The pivot exponents, in ascending lex order."""
-        if self._pivots is None:
-            n = self.nvars
-            self._pivots = tuple([unpack(p, n) for p in self._rows])
-        return self._pivots
+        return tuple([unpack(p, self.nvars) for p in self._rows])
 
     def _term_rows(self) -> list[dict]:
         """The term rows in pivot order, pending rows computed."""
@@ -784,7 +801,7 @@ class FormSpan:
         0, in one fewer variable."""
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
-        bound = 1 << WIDTH * (self.nvars - 1)  # the key of X1
+        bound = unit_key(self.nvars, 0)  # the key of X1
 
         def cut(row: dict) -> dict:
             return _content_free({e: c for e, c in row.items() if e < bound})
@@ -801,7 +818,7 @@ class FormSpan:
         row (`_apply`)."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
-        shift = power << WIDTH * (self.nvars - 1)  # the key of X1^power
+        shift = power * unit_key(self.nvars, 0)  # the key of X1^power
         if self._rows and next(iter(self._rows)) < shift:
             raise InputError("divided_by_variable: an element is not divisible")
 
@@ -882,11 +899,3 @@ def substitution(
     monomial = all(len(row) == 1 for row in rows)
     return FormSpan._of(nvars, degree, _insert({}, rows)), monomial, images
 
-
-def substitute_forms(
-    forms: Sequence[HomogeneousForm], lines: Sequence[Sequence[int]], den: int
-) -> tuple[tuple[HomogeneousForm, ...], FormSpan]:
-    """The exact images of nonzero forms of one shape under X -> M Y, with
-    M = lines / den, and their span (`substitution`)."""
-    span, _, images = substitution(forms, lines, den)
-    return images(), span

@@ -52,9 +52,16 @@ the matrix beside the identity.
 `reference_filtered_dimension` is `flagval.filtered_dimension` as it
 counted the pivots dominating sigma, one index at a time.
 
+`ReferenceIdeal` is `monideal.MonomialIdeal` as it held its minimal
+generators as exponent tuples: divisibility a comparison per entry
+(`_divides`), an lcm a max per entry (`_lcm`), and a minimalization that
+scans in degree order and tests a candidate only against the kept
+generators of lower degree (`_minimalize`); `reference_locus_components` is
+`monideal.locus_components` as it hit frozenset supports.
 `reference_stable_base_locus` is `monideal.stable_base_locus` as it summed
-the base ideals: one `MonomialIdeal.plus` per level, which re-sorts and
-re-minimalizes the whole running sum, and one `locus_components` per level.
+the base ideals on those tuple ideals: one `plus` per level, which re-sorts
+and re-minimalizes the whole running sum, and one locus per level; its
+report holds the library ideals of the same generators.
 
 `reference_maximize` is `exactnum.maximize` as it ran on a Fraction
 tableau: `_fraction_pivot` scales the pivot row to a 1 and clears the
@@ -74,6 +81,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import le
 from typing import NamedTuple, Sequence
 
 from okbody.convbody import RationalPolytope
@@ -90,12 +98,7 @@ from okbody.exactnum import (
     rref_rows,
 )
 from okbody import polyform
-from okbody.monideal import (
-    BaseLocusReport,
-    MonomialIdeal,
-    base_ideal,
-    locus_components,
-)
+from okbody.monideal import BaseLocusReport, MonomialIdeal
 from okbody.polyform import HomogeneousForm
 from okbody.surfacezar import zariski
 
@@ -1012,19 +1015,135 @@ def reference_filtered_dimension(span, sigma) -> int:
     )
 
 
-# the base-locus oracle
+# the monomial-ideal and base-locus oracle
+
+
+def _divides(a: Exponent, b: Exponent) -> bool:
+    return all(map(le, a, b))
+
+
+def _lcm(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(map(max, a, b))
+
+
+def _minimalize(gens: set[Exponent]) -> tuple[Exponent, ...]:
+    # keep divisibility-minimal elements; scanning in degree order means a
+    # kept generator can never be divided by a later one, and two distinct
+    # exponents of equal degree never divide each other, so a candidate is
+    # tested only against the kept generators of lower degree
+    kept: list[Exponent] = []
+    degree, lower = -1, 0
+    for g in sorted(gens, key=lambda e: (sum(e), e)):
+        if sum(g) != degree:
+            degree, lower = sum(g), len(kept)
+        if not any(_divides(h, g) for h in kept[:lower]):
+            kept.append(g)
+    return tuple(sorted(kept))
+
+
+class ReferenceIdeal:
+    """Monomial ideal held by its minimal generating set of exponent tuples."""
+
+    __slots__ = ("nvars", "generators")
+
+    def __init__(self, nvars: int, generators: Sequence[Exponent] = ()):
+        if nvars < 1:
+            raise InputError("monomial ideal: need at least one variable")
+        clean: set[Exponent] = set()
+        for g in generators:
+            e = tuple(int(x) for x in g)
+            if len(e) != nvars:
+                raise InputError("monomial ideal: generator length != nvars")
+            if any(x < 0 for x in e):
+                raise InputError("monomial ideal: negative exponent")
+            clean.add(e)
+        self.nvars = nvars
+        self.generators = _minimalize(clean)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.generators
+
+    @property
+    def is_unit(self) -> bool:
+        return self.generators == ((0,) * self.nvars,)
+
+    def contains_monomial(self, e: Sequence[int]) -> bool:
+        e = tuple(int(x) for x in e)
+        if len(e) != self.nvars:
+            raise InputError("monomial ideal: exponent length != nvars")
+        return any(_divides(g, e) for g in self.generators)
+
+    def plus(self, other: ReferenceIdeal) -> ReferenceIdeal:
+        return ReferenceIdeal(self.nvars, {*self.generators, *other.generators})
+
+    def intersect(self, other: ReferenceIdeal) -> ReferenceIdeal:
+        lcms = {_lcm(g, h) for g in self.generators for h in other.generators}
+        return ReferenceIdeal(self.nvars, lcms)
+
+    def quotient_monomial(self, m: Sequence[int]) -> ReferenceIdeal:
+        shifted = {
+            tuple(max(x - y, 0) for x, y in zip(g, m)) for g in self.generators
+        }
+        return ReferenceIdeal(self.nvars, shifted)
+
+    def saturate_variable(self, i: int) -> ReferenceIdeal:
+        gens = {g[:i] + (0,) + g[i + 1 :] for g in self.generators}
+        return ReferenceIdeal(self.nvars, gens)
+
+    def saturate(self) -> ReferenceIdeal:
+        if self.is_zero:
+            return self
+        out = self.saturate_variable(0)
+        for i in range(1, self.nvars):
+            out = out.intersect(self.saturate_variable(i))
+        return out
+
+    def degree_piece(self, degree: int) -> list[Exponent]:
+        return [
+            e
+            for e in polyform.all_exponents(self.nvars, degree)
+            if any(_divides(g, e) for g in self.generators)
+        ]
+
+    def vanishes_at(self, point: Sequence[Fraction]) -> bool:
+        zeros = {i for i, x in enumerate(point) if x == 0}
+        return all(
+            any(g[i] > 0 for i in zeros) for g in self.generators
+        )
+
+
+def reference_locus_components(ideal) -> tuple[tuple[int, ...], ...]:
+    """The minimal hitting sets of the generator supports."""
+    if ideal.is_zero:
+        return ((),)
+    supports = [frozenset(i for i, x in enumerate(g) if x > 0) for g in ideal.generators]
+    if any(not s for s in supports):
+        return ()
+    hits: list[tuple[int, ...]] = []
+    for size in range(1, ideal.nvars + 1):
+        for combo in itertools.combinations(range(ideal.nvars), size):
+            chosen = set(combo)
+            if any(set(h) <= chosen for h in hits):
+                continue
+            if all(chosen & s for s in supports):
+                hits.append(combo)
+    return tuple(sorted(hits))
 
 
 def reference_stable_base_locus(series, K: int):
-    """The stable base locus report, summed level by level through `plus`."""
+    """The stable base locus report of a monomial series, summed level by
+    level through `ReferenceIdeal.plus`."""
     n = series.d + 1
     ideals = {}
-    cumulative = MonomialIdeal(n)
+    cumulative = ReferenceIdeal(n)
     loci = {}
     for k in range(1, K + 1):
-        ideals[k] = base_ideal(series, k)
+        level = series.level(k)
+        assert level.is_monomial_span
+        ideals[k] = ReferenceIdeal(n, level.pivots)
         cumulative = cumulative.plus(ideals[k])
-        loci[k] = locus_components(cumulative)
+        loci[k] = reference_locus_components(cumulative)
     components = loci[K]
     stabilized_at = None
     for k in range(1, K // 2 + 1):
@@ -1033,8 +1152,8 @@ def reference_stable_base_locus(series, K: int):
             break
     return BaseLocusReport(
         truncation=K,
-        base_ideals=ideals,
-        cumulative=cumulative,
+        base_ideals={k: MonomialIdeal(n, I.generators) for k, I in ideals.items()},
+        cumulative=MonomialIdeal(n, cumulative.generators),
         components=components,
         empty=all(len(c) == n for c in components),
         stabilized=stabilized_at is not None,

@@ -88,8 +88,10 @@ README_RUNS = [
 ]
 
 # further envelopes across the corpus: P^3 bodies, slices and volumes,
-# bodies and slices under seeded flags, the remaining plane commands, and
-# volume, fujita and filtered-dims under seeded flags
+# bodies and slices under seeded flags, the remaining plane commands,
+# volume, fujita and filtered-dims under seeded flags, and base-locus and
+# volume at K = 8 on the monomial series not pinned above (the last, in
+# P^3, reads the key fields of four variables)
 CORPUS_RUNS = [
     (
         ["body", "p3_o1_complete.json", "-K", "5"],
@@ -177,6 +179,56 @@ CORPUS_RUNS = [
     (
         ["generic-test", "p2_o2_cremona.json", "-K", "6", "--flags", "3"],
         "d72f06c3c6de2b6fbaa7593db6512dde4e08139cff0eb89f29785bacf65ed08c",
+        None,
+    ),
+    (
+        ["base-locus", "p2_o2_no_x3sq.json", "-K", "8"],
+        "b96ec017d0aaf7d136ea3327e41dd9d0b9dc49425ec96fc38c59d5e80f7fda45",
+        None,
+    ),
+    (
+        ["volume", "p2_o2_no_x3sq.json", "-K", "8"],
+        "0fa583ee54e8c65483280b58d0d490e74e55d16cda4e920f06fdab20f59afcc8",
+        None,
+    ),
+    (
+        ["base-locus", "p2_o2_squares.json", "-K", "8"],
+        "b529da54d5395bee1731f3c8f4a33f1838de9cae96688a29a96d6339e1c5ad1c",
+        None,
+    ),
+    (
+        ["volume", "p2_o2_squares.json", "-K", "8"],
+        "0f4376b0cbef77c6f683dcb2deb158d4a45aa7b804238165bd5d2e45d89b4d8e",
+        None,
+    ),
+    (
+        ["base-locus", "p2_o2_x1_fixed.json", "-K", "8"],
+        "2fce48eb9e29409efab8944f255e91a25ba9127523e6ca8a601bf0dc92dbcfd2",
+        None,
+    ),
+    (
+        ["volume", "p2_o2_x1_fixed.json", "-K", "8"],
+        "74ff0c1aa0ecd3db637ec61b475ccc763039d1b256356f6265485c3221333487",
+        None,
+    ),
+    (
+        ["base-locus", "p2_o2_complete.json", "-K", "8"],
+        "a840dab530871126b154f0c0157dbd686eb52223534e3a368934a41df64a0dcf",
+        None,
+    ),
+    (
+        ["volume", "p2_o2_complete.json", "-K", "8"],
+        "9a825a015dfca33e37cd901da74ec391ca4c38f30f6e2d272aaa1454c5ca094c",
+        None,
+    ),
+    (
+        ["base-locus", "p3_o1_complete.json", "-K", "8"],
+        "6ba0534b06d48f78b64c177b1da93f57d186f15312c8caa616e3062f501fb62c",
+        None,
+    ),
+    (
+        ["volume", "p3_o1_complete.json", "-K", "8"],
+        "0f8a429b1a575912c13079480588ca6d435aabbd475e1baa052ad8a617e5f655",
         None,
     ),
 ]

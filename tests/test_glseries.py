@@ -19,7 +19,7 @@ from okbody.convbody import okounkov_body
 from okbody.errors import InputError, InvariantError, TruncationError
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
-from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents, substitute_forms
+from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents, substitution
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
@@ -356,7 +356,7 @@ def test_monomial_corpus_commands_run_no_subduction(monkeypatch, capsys):
 def test_flag_view_builds_generator_images_on_first_read():
     """A view's levels and its monomial test read the substituted integer
     rows; the exact images are built when `generators` is first read, and
-    equal those of `substitute_forms`."""
+    equal those of `substitution`."""
     S = no_x2x3_series()
     for flag, level in ((Flag.random(2, 7), None), (permutation_flag((2, 0, 1)), 1)):
         view = S.under_flag(flag)
@@ -364,7 +364,8 @@ def test_flag_view_builds_generator_images_on_first_read():
         assert view.dims(4) == S.dims(4)
         assert callable(view._generators)
         gens = view.generators
-        assert gens == {1: substitute_forms(S.generators[1], flag.lines, flag.den)[0]}
+        _, _, images = substitution(S.generators[1], flag.lines, flag.den)
+        assert gens == {1: images()}
         assert view.generators is gens
 
 

@@ -14,7 +14,7 @@ from okbody.errors import InputError
 from okbody.exactnum import cleared_rows, det
 from okbody import polyform
 from okbody.flagval import valuation_set
-from okbody.polyform import FormSpan, HomogeneousForm, all_exponents, substitute_forms
+from okbody.polyform import FormSpan, HomogeneousForm, all_exponents, substitution
 from oracles import (
     _mul_terms,
     pending_rows,
@@ -102,7 +102,8 @@ def test_edge_readers_give_tuple_exponents(data):
     assert tuple_keyed(moved.terms, nvars)
     assert moved == reference_substitute_linear(f, matrix)
     lines, _ = cleared_rows(matrix)
-    images, image_span = substitute_forms(a, lines, 1)
+    image_span, _, build = substitution(a, lines, 1)
+    images = build()
     assert all(tuple_keyed(h.terms, nvars) for h in images)
     assert images == tuple(reference_substitute_linear(h, lines) for h in a)
     assert image_span == FormSpan(nvars, degree, images)

@@ -1,5 +1,6 @@
 """Tests for monomial ideals, base loci, sheafification, birationality."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,8 +23,8 @@ from okbody.monideal import (
     sheafify,
     stable_base_locus,
 )
-from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
-from oracles import reference_stable_base_locus
+from okbody.polyform import DEGREE_BOUND, FormSpan, HomogeneousForm, all_exponents
+from oracles import ReferenceIdeal, reference_locus_components, reference_stable_base_locus
 
 F = Fraction
 
@@ -71,7 +72,7 @@ def saturation_member_oracle(ideal, e, tmax):
 def count_calls(monkeypatch):
     """Count calls of monideal's minimalization, divisibility test and
     locus from now on."""
-    counts = dict.fromkeys(("_minimalize", "_divides", "locus_components"), 0)
+    counts = dict.fromkeys(("_minimalize", "_undivided", "locus_components"), 0)
     for name in counts:
         real = getattr(monideal, name)
 
@@ -117,9 +118,11 @@ class TestMonomialIdeal:
         # a single-degree set, as a monomial level gives, needs no
         # divisibility test at all
         calls = []
-        real = monideal._divides
+        real = monideal._undivided
         monkeypatch.setattr(
-            monideal, "_divides", lambda a, b: calls.append(1) or real(a, b)
+            monideal,
+            "_undivided",
+            lambda keys, divisors, spare: calls.append(1) or real(keys, divisors, spare),
         )
         S = mono_series(2, 2, [(2, 0, 0), (1, 1, 0), (0, 1, 1)])
         assert base_ideal(S, 3).generators
@@ -140,6 +143,28 @@ class TestMonomialIdeal:
             MonomialIdeal(3, [(1, 0)])
         with pytest.raises(InputError):
             MonomialIdeal(3, [(-1, 0, 0)])
+
+    def test_exponent_bound_refused(self):
+        # a key field holds entries below DEGREE_BOUND; one at or past it
+        # would carry into the next field, so the constructor refuses it
+        top = DEGREE_BOUND - 1
+        assert MonomialIdeal(2, [(top, 0), (0, top)]).generators == ((0, top), (top, 0))
+        for bad in [(DEGREE_BOUND, 0), (0, DEGREE_BOUND), (3 * DEGREE_BOUND, 1)]:
+            with pytest.raises(InputError):
+                MonomialIdeal(2, [(1, 1), bad])
+
+    def test_membership_edges(self):
+        I = MonomialIdeal(3, [(1, 1, 0), (2, 0, 0)])
+        # a negative exponent lies in no ideal, the unit one included
+        assert not I.contains_monomial((5, -1, 0))
+        assert not MonomialIdeal(3, [(0, 0, 0)]).contains_monomial((0, 0, -1))
+        # exponents past the key bound are still answered exactly
+        assert I.contains_monomial((DEGREE_BOUND, 0, 0))
+        assert I.contains_monomial((1, 10 * DEGREE_BOUND, 0))
+        assert not I.contains_monomial((0, 10 * DEGREE_BOUND, DEGREE_BOUND))
+        for wrong in [(1, 1), (1, 1, 0, 0), ()]:
+            with pytest.raises(InputError):
+                I.contains_monomial(wrong)
 
     def test_sum_and_intersection(self):
         A = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0)])
@@ -380,7 +405,7 @@ class TestStableBaseLocus:
                 gens[j] = mono(*rng.sample(pool, rng.randint(1, min(len(pool), 3))))
             cases.append(GradedSeries.generated(2, twist, gens))
         level = [0]
-        real_base_ideal, real_divides = monideal.base_ideal, monideal._divides
+        real_base_ideal, real_undivided = monideal.base_ideal, monideal._undivided
 
         def tracked(series, k):
             level[0] = k
@@ -389,7 +414,10 @@ class TestStableBaseLocus:
         scans = []
         monkeypatch.setattr(monideal, "base_ideal", tracked)
         monkeypatch.setattr(
-            monideal, "_divides", lambda a, b: scans.append(level[0]) or real_divides(a, b)
+            monideal,
+            "_undivided",
+            lambda keys, divisors, spare: scans.append(level[0])
+            or real_undivided(keys, divisors, spare),
         )
         later = 0
         for S in cases:
@@ -488,7 +516,7 @@ class TestSheafify:
         for d in (1, 2, 3):
             sheafify(random_explicit(rng, d, 2, 3), 3)
             sheafify(mono_series(d, 2, rng.sample(list(all_exponents(d + 1, 2)), 3)), 3)
-        assert counts == {"_minimalize": 0, "_divides": 0, "locus_components": 0}
+        assert counts == {"_minimalize": 0, "_undivided": 0, "locus_components": 0}
 
     def test_preserves_body(self, flagship):
         # sheafification can only add sections that do not move the body
@@ -590,3 +618,68 @@ class TestFullVolume:
     def test_complete_both_true(self):
         rep = full_volume_check(GradedSeries.complete(2, 2), 8)
         assert rep.volume_full and rep.criterion and rep.agree
+
+
+def near_bound(rng, nvars, past=False):
+    """An exponent whose entries are small or just below DEGREE_BOUND, where
+    the spare bit of a key's field decides a divisibility test; with past,
+    entries may also be negative or at or past the bound."""
+    pool = [0, 1, 2, 3] + [DEGREE_BOUND - 1 - j for j in range(3)]
+    if past:
+        pool += [-1, DEGREE_BOUND, 3 * DEGREE_BOUND + 1]
+    return tuple(rng.choice(pool) for _ in range(nvars))
+
+
+class TestAgainstTupleOracle:
+    """The packed-key ideals against the tuple ideals they replaced
+    (`oracles.ReferenceIdeal`), on every public operation, in 1 to 4
+    variables with entries up to DEGREE_BOUND - 1."""
+
+    def test_ideal_operations(self):
+        rng = random.Random(3101)
+        units = spare = 0
+        for trial in range(400):
+            nvars = 1 + trial % 4
+            gens = [near_bound(rng, nvars) for _ in range(rng.randint(0, 6))]
+            if trial % 20 == 0:
+                gens.append((0,) * nvars)
+            other = [near_bound(rng, nvars) for _ in range(rng.randint(0, 4))]
+            A, B = MonomialIdeal(nvars, gens), MonomialIdeal(nvars, other)
+            RA, RB = ReferenceIdeal(nvars, gens), ReferenceIdeal(nvars, other)
+            assert A.generators == RA.generators, (gens, A)
+            assert (A.is_zero, A.is_unit) == (RA.is_zero, RA.is_unit)
+            units += A.is_unit
+            spare += any(x >= DEGREE_BOUND - 3 for g in A.generators for x in g)
+            assert A.plus(B).generators == RA.plus(RB).generators
+            assert A.intersect(B).generators == RA.intersect(RB).generators
+            m = tuple(abs(x) for x in near_bound(rng, nvars, past=True))
+            assert A.quotient_monomial(m).generators == RA.quotient_monomial(m).generators
+            for i in range(nvars):
+                assert A.saturate_variable(i).generators == RA.saturate_variable(i).generators
+            assert A.saturate().generators == RA.saturate().generators
+            probes = [near_bound(rng, nvars, past=True) for _ in range(10)] + gens
+            for e in probes:
+                assert A.contains_monomial(e) == RA.contains_monomial(e), (A, e)
+            for degree in range(4):
+                assert A.degree_piece(degree) == RA.degree_piece(degree)
+            for point in itertools.product((0, F(1, 2)), repeat=nvars):
+                assert A.vanishes_at(point) == RA.vanishes_at(point)
+            assert locus_components(A) == reference_locus_components(RA)
+        assert units >= 10 and spare >= 200
+
+    def test_stable_base_locus(self):
+        rng = random.Random(3102)
+        for trial in range(60):
+            d = 1 + trial % 3
+            twist = rng.randint(1, 2)
+            K = {1: 6, 2: 5, 3: 3}[d]
+            if trial % 2:
+                S = random_explicit(rng, d, twist, K)
+            else:
+                level = list(all_exponents(d + 1, twist))
+                S = mono_series(d, twist, rng.sample(level, rng.randint(1, min(len(level), 5))))
+            rep = stable_base_locus(S, K)
+            assert rep == reference_stable_base_locus(S, K)
+            assert rep.contains_point((0,) * d + (1,)) == ReferenceIdeal(
+                d + 1, rep.cumulative.generators
+            ).vanishes_at((0,) * d + (1,))
