@@ -150,8 +150,8 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
     sigma may bound any prefix of the valuation coordinates; the count is
     the number of echelon pivots whose first len(sigma) entries are all at
     least the corresponding entry of sigma.  The pivots are read as packed
-    keys: with the spare top bit of each of those fields set
-    (`polyform.spare_bits`), subtracting the key of sigma leaves the bit set
+    keys: with the spare top bit of every field set (`polyform.spare_bits`),
+    subtracting the key of sigma, zero past its entries, leaves the bit set
     exactly where the entry is at least sigma's, and no field borrows from
     the next.
     """
@@ -161,7 +161,7 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
         raise InputError("filtered_dimension: sigma length out of range")
     if any(x >= DEGREE_BOUND for x in sigma):
         return 0  # every pivot entry is below the bound
-    spare = spare_bits(n, r)
+    spare = spare_bits(n)
     key = pack([max(x, 0) for x in sigma] + [0] * (n - r))
     return len([p for p in span.pivot_keys if ((p | spare) - key) & spare == spare])
 

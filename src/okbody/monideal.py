@@ -24,22 +24,23 @@ from .polyform import (DEGREE_BOUND, FormSpan, all_exponents, check_degree, fiel
 Exponent = tuple[int, ...]
 
 
-def _undivided(keys: Iterable[int], divisors: Sequence[int], spare: int) -> list[int]:
-    """The keys that no key of divisors divides, spare being the
-    `spare_bits` of their length."""
+def _undivided(keys: Iterable[int], divisors: Sequence[int], nvars: int) -> list[int]:
+    """The keys of nvars fields that no key of divisors divides."""
+    spare = spare_bits(nvars)
     return [
         b for b in keys
         if not any(((b | spare) - a) & spare == spare for a in divisors)
     ]
 
 
-def _minimalize(keys: Iterable[int], spare: int) -> tuple[int, ...]:
+def _minimalize(keys: Iterable[int], nvars: int) -> tuple[int, ...]:
     # keep divisibility-minimal keys; a divisor is lex-smaller, so scanning
     # in ascending order a kept key is never divided by a later one, and a
-    # key is tested only against the kept ones
+    # key is tested only against the kept ones (the test of `_undivided`)
+    spare = spare_bits(nvars)
     kept: list[int] = []
     for g in sorted(keys):
-        if _undivided((g,), kept, spare):
+        if not any(((g | spare) - a) & spare == spare for a in kept):
             kept.append(g)
     return tuple(kept)
 
@@ -62,7 +63,7 @@ class MonomialIdeal:
                 raise InputError(f"monomial ideal: exponent outside [0, {DEGREE_BOUND})")
             keys.add(pack(e))
         self.nvars = nvars
-        self._keys = _minimalize(keys, spare_bits(nvars))
+        self._keys = _minimalize(keys, nvars)
 
     @classmethod
     def _of(cls, nvars: int, keys: tuple[int, ...]) -> MonomialIdeal:
@@ -95,7 +96,7 @@ class MonomialIdeal:
         # every generator entry is below the bound, so clamping there keeps
         # the answer and gives a key
         key = pack([min(x, DEGREE_BOUND - 1) for x in e])
-        return not _undivided((key,), self._keys, spare_bits(self.nvars))
+        return not _undivided((key,), self._keys, self.nvars)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -106,24 +107,24 @@ class MonomialIdeal:
         return hash((self.nvars, self._keys))
 
     def __repr__(self) -> str:
-        body = ", ".join(map(str, self.generators)) or "0"
+        if self.is_zero:
+            body = "0"
+        else:
+            body = ", ".join(str(g) for g in self.generators)
         return f"MonomialIdeal({self.nvars}; {body})"
 
     # -- ideal arithmetic ------------------------------------------------------
 
     def plus(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check(other)
-        keys = _minimalize({*self._keys, *other._keys}, spare_bits(self.nvars))
+        keys = _minimalize({*self._keys, *other._keys}, self.nvars)
         return self._of(self.nvars, keys)
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         self._check(other)
-        lcms = {
-            pack([max(x, y) for x, y in zip(g, h)])
-            for g in self.generators
-            for h in other.generators
-        }
-        return self._of(self.nvars, _minimalize(lcms, spare_bits(self.nvars)))
+        gs, hs = self.generators, other.generators
+        lcms = {pack([max(x, y) for x, y in zip(g, h)]) for g in gs for h in hs}
+        return self._of(self.nvars, _minimalize(lcms, self.nvars))
 
     def quotient_monomial(self, m: Sequence[int]) -> MonomialIdeal:
         """Colon ideal (I : m) for a single monomial m."""
@@ -133,7 +134,7 @@ class MonomialIdeal:
         shifted = {
             pack([max(x - y, 0) for x, y in zip(g, m)]) for g in self.generators
         }
-        return self._of(self.nvars, _minimalize(shifted, spare_bits(self.nvars)))
+        return self._of(self.nvars, _minimalize(shifted, self.nvars))
 
     def saturate_variable(self, i: int) -> MonomialIdeal:
         """(I : X_i^inf): generators with the i-th exponent removed, their
@@ -141,7 +142,7 @@ class MonomialIdeal:
         if not 0 <= i < self.nvars:
             raise InputError("monomial ideal: variable index out of range")
         kept = ~field_mask(self.nvars, i)
-        keys = _minimalize({g & kept for g in self._keys}, spare_bits(self.nvars))
+        keys = _minimalize({g & kept for g in self._keys}, self.nvars)
         return self._of(self.nvars, keys)
 
     def saturate(self) -> MonomialIdeal:
@@ -265,7 +266,6 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
         raise InputError("stable base locus: need K >= 1")
     check_degree(K * series.twist, f"stable base locus to level {K}")
     n = series.d + 1
-    spare = spare_bits(n)
     ideals: dict[int, MonomialIdeal] = {}
     gens: tuple[int, ...] = ()  # the keys of the running sum's generators
     components: tuple[tuple[int, ...], ...] = ((),)  # the zero sum's locus
@@ -273,20 +273,26 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
     scanned = series.generators
     for k in range(1, K + 1):
         ideals[k] = base_ideal(series, k)
-        if scanned is None or k in scanned:
-            new = _undivided(ideals[k]._keys, gens, spare)
-            if new:
-                gens = tuple(sorted((*gens, *new)))
-                components = locus_components(MonomialIdeal._of(n, gens))
+        if scanned is not None and k not in scanned:
+            loci[k] = components
+            continue
+        new = _undivided(ideals[k]._keys, gens, n)
+        if new:
+            gens = tuple(sorted((*gens, *new)))
+            components = locus_components(MonomialIdeal._of(n, gens))
         loci[k] = components
-    halves = range(1, K // 2 + 1)
-    stabilized_at = next((k for k in halves if loci[k] == loci[2 * k] == components), None)
+    stabilized_at = None
+    for k in range(1, K // 2 + 1):
+        if loci[k] == loci[2 * k] == components:
+            stabilized_at = k
+            break
+    empty = all(len(c) == n for c in components)
     return BaseLocusReport(
         truncation=K,
         base_ideals=ideals,
         cumulative=MonomialIdeal._of(n, gens),
         components=components,
-        empty=all(len(c) == n for c in components),
+        empty=empty,
         stabilized=stabilized_at is not None,
         stabilized_at=stabilized_at,
     )
@@ -369,19 +375,28 @@ def is_birational_monomial(
     (first coordinate dropped; differences have coordinate sum zero).  The
     returned basis rows are the Hermite form of the difference lattice.
     """
-    k0 = next((k for k in range(1, k_max + 1) if series.level(k).dim > 0), None)
+    k0 = None
+    for k in range(1, k_max + 1):
+        if series.level(k).dim > 0:
+            k0 = k
+            break
     if k0 is None:
         raise InputError("birationality: no nonzero level found")
-    first, *rest = _monomial_level(series, k0).pivots
+    exps = list(_monomial_level(series, k0).pivots)
+    first = exps[0]
     # distinct exponents of one degree also differ off the first coordinate,
     # so no difference is zero
-    if not rest:
+    diffs = [
+        [x - y for x, y in zip(e, first)][1:] for e in exps[1:]
+    ]
+    d = series.d
+    if not diffs:
         return BirationalityReport(False, k0, None, ())
-    H, _ = hermite_normal_form([[x - y for x, y in zip(e[1:], first[1:])] for e in rest])
+    H, _ = hermite_normal_form(diffs)
     basis = tuple(tuple(row) for row in H if any(row))
     # H is triangular: the index is the product of its leads at full rank d
     leads = [next(x for x in row if x) for row in basis]
-    index = math.prod(leads) if len(leads) == series.d else None
+    index = math.prod(leads) if len(leads) == d else None
     return BirationalityReport(index == 1, k0, index, basis)
 
 

@@ -100,13 +100,12 @@ def field_mask(nvars: int, i: int) -> int:
     return _MASK * unit_key(nvars, i)
 
 
-def spare_bits(nvars: int, fields: int | None = None) -> int:
-    """The spare top bit of each of the first `fields` fields (all by
-    default) of a key of nvars fields.  For entries below DEGREE_BOUND and a
-    zero past those fields, no field of (b | spare) - a borrows, and one
-    keeps its bit exactly where b's entry is at least a's: with every
-    field, a divides b iff ((b | spare) - a) & spare == spare."""
-    return DEGREE_BOUND * sum(unit_key(nvars, i) for i in range(fields or nvars))
+def spare_bits(nvars: int) -> int:
+    """The spare top bit of each field of a key of nvars fields.  For
+    entries below DEGREE_BOUND no field of (b | spare) - a borrows, and one
+    keeps its bit exactly where b's entry is at least a's: a divides b iff
+    ((b | spare) - a) & spare == spare."""
+    return DEGREE_BOUND * sum(unit_key(nvars, i) for i in range(nvars))
 
 
 def check_degree(degree: int, what: str) -> None:

@@ -285,10 +285,8 @@ def test_packed_keys_keep_lex_order_and_sums(data):
 @given(st.data())
 def test_key_layout_helpers(data):
     """`unit_key` is the key of a variable, `field_mask` reads one entry of
-    a key, and with the `spare_bits` of the first r fields, subtracting the
-    key of a, zero past its first r entries, from b's keeps every spare bit
-    set exactly when each of b's first r entries is at least a's (with
-    r = nvars: when a divides b)."""
+    a key, and with the `spare_bits` set, subtracting the key of a from b's
+    keeps every spare bit set exactly when a divides b."""
     nvars = data.draw(st.integers(1, 5), label="nvars")
     entry = st.sampled_from([0, 1, 2, 3, DEGREE_BOUND - 2, DEGREE_BOUND - 1])
     a = data.draw(st.tuples(*[entry] * nvars), label="a")
@@ -296,13 +294,10 @@ def test_key_layout_helpers(data):
     for i in range(nvars):
         assert unit_key(nvars, i) == pack([int(j == i) for j in range(nvars)])
         assert pack(a) & field_mask(nvars, i) == a[i] * unit_key(nvars, i)
-    assert spare_bits(nvars) == pack([DEGREE_BOUND] * nvars)
-    for r in range(1, nvars + 1):
-        spare = spare_bits(nvars, r)
-        assert spare == pack([DEGREE_BOUND] * r + [0] * (nvars - r))
-        head = pack(a[:r] + (0,) * (nvars - r))
-        dominates = ((pack(b) | spare) - head) & spare == spare
-        assert dominates == all(x <= y for x, y in zip(a[:r], b[:r]))
+    spare = spare_bits(nvars)
+    assert spare == pack([DEGREE_BOUND] * nvars)
+    divides = ((pack(b) | spare) - pack(a)) & spare == spare
+    assert divides == all(x <= y for x, y in zip(a, b))
 
 
 def test_degrees_at_the_packing_bound_are_refused():
