@@ -5,14 +5,14 @@ section spaces on projective space) or a surface by its intersection
 lattice.  Every command writes a single JSON envelope with a stable key
 order, so identical invocations produce byte-identical output.  All
 rationals are serialized as "p/q" strings.  Typed failures map onto
-exit codes: bad input 2, unsupported mode 3, internal invariant 4.
+exit codes: bad input 2, unsupported mode or out of memory 3, internal
+invariant 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -20,6 +20,14 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 from typing import Any, Sequence
+
+try:  # the interpreter's own SHA-256: `hashlib` would load OpenSSL for it
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .convbody import BodyReport, RationalPolytope, okounkov_body
@@ -243,7 +251,7 @@ def load_json(path: str):
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise InputError(f"{path}: invalid JSON ({e})") from None
-    return data, hashlib.sha256(raw).hexdigest()
+    return data, sha256(raw).hexdigest()
 
 
 def _write_output(path: str, text: str) -> None:
@@ -417,10 +425,10 @@ def _slice_sides(series: GradedSeries, flag: Flag, t: Fraction, K: int):
     """Both sides of the slice identity at nu1 = t = a/b: the direct slice
     of the truncated body, and 1/b times the body of the restriction of
     the b-th compound series with a flag divisors removed.  The restricted
-    side is truncated at K // b so both sides see the same levels."""
+    side is truncated at K // b so both sides see the same levels.  It is
+    computed first: it reads the view's levels up to b * (K // b) through
+    `level`, which holds them for the direct side's single pass."""
     view = series.under_flag(flag)
-    rep = okounkov_body(view, Flag.standard(series.d), K)
-    direct = rep.body.slice_at(0, t)
     a, b = t.numerator, t.denominator
     restricted_series = (
         view.veronese(b).subtract_flag_divisor(a).restrict_to_flag_divisor()
@@ -429,6 +437,8 @@ def _slice_sides(series: GradedSeries, flag: Flag, t: Fraction, K: int):
         restricted_series, Flag.standard(series.d - 1), max(1, K // b)
     )
     restricted = sub_rep.body.scaled(Fraction(1, b))
+    rep = okounkov_body(view, Flag.standard(series.d), K)
+    direct = rep.body.slice_at(0, t)
     return rep, direct, sub_rep, restricted
 
 
@@ -464,6 +474,12 @@ def _cmd_slice(args):
 def _cmd_volume(args):
     series, digest = load_series(args.input)
     flag, flag_desc, seeds = _flag_payload(args, series.d)
+    # the full check reads the levels through `level`, which holds them for
+    # the body's single pass, so it runs first
+    try:
+        full = full_volume_check(series, args.truncation)
+    except UnsupportedModeError:
+        full = None
     rep = okounkov_body(series, flag, args.truncation)
     vol = rep.body.volume(ambient=True)
     scaled = math.factorial(series.d) * vol
@@ -485,9 +501,7 @@ def _cmd_volume(args):
         "hilbert": _hilbert_payload(rep.hilbert),
         "identity": identity,
     }
-    try:
-        full = full_volume_check(series, args.truncation)
-    except UnsupportedModeError:
+    if full is None:
         payload["full_check"] = None
         payload["full_check_note"] = (
             "criterion needs monomial levels for the base locus side"
@@ -1062,6 +1076,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 4
+    except MemoryError:
+        hint = "a lower -K" if hasattr(args, "truncation") else "a smaller input"
+        print(
+            f"error: {args.command}: out of memory; retry with {hint}",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

@@ -520,7 +520,9 @@ def okounkov_body(
     approximation ("truncation").  The lattice index is that of the group
     the kept points generate: each dropped point is a kept point plus a
     value point of a lower level, so by induction on the level the kept
-    points generate the group of all value points.
+    points generate the group of all value points.  The Hilbert data is
+    read off the value point counts, which are the level dimensions, as a
+    change of flag keeps them; the levels are read once (`semigroup`).
     """
     if K < 1:
         raise InputError("okounkov_body: truncation must be >= 1")
@@ -546,6 +548,7 @@ def okounkov_body(
             "truncated hull is the limit body"
         )
     counts = sg.counts()
+    dims = [counts[k] for k in range(1, K + 1)]
     return BodyReport(
         body=body,
         semigroup=sg,
@@ -553,8 +556,8 @@ def okounkov_body(
         certificate=certificate,
         certificate_note=note,
         lattice_index=lattice_index([v + (k,) for v, k in kept], sg.d + 1),
-        hilbert=series.hilbert_data(K),
-        dims=[counts[k] for k in range(1, K + 1)],
+        hilbert=HilbertData.of(dims, series.d),
+        dims=dims,
     )
 
 

@@ -21,6 +21,15 @@ sets are their leads, and only a reduction or a reader of the terms
 multiplies one out.  A flag view maps its generators by one integer
 substitution per generator level, and builds their exact images only when
 its `generators` are read.
+
+A series records the dimension of every level it builds, and holds the
+level spans read through `level` for the rest of its life, so a command
+that reads a level again finds it.  A single-pass read (`semigroup`, and a
+view's read of its parent's dimensions) holds a level it builds only while
+the series' own provider can still read it: the last `reach` levels, the
+top generator level of a generated series or a view.  Peak memory then
+grows with the largest level, not with the sum of all; a command that reads
+levels again reads them through `level` before its single pass.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .polyform import (
     HomogeneousForm,
     all_exponents,
     check_degree,
+    count_exponents,
     substitution,
 )
 
@@ -47,12 +57,31 @@ class HilbertData(NamedTuple):
     stabilized: bool
     volume: int | None
 
+    @classmethod
+    def of(cls, dims: list[int], d: int) -> HilbertData:
+        """Level dimensions of a series on P^d plus a stabilization check:
+        the d-th finite differences must be constant over the last three
+        values."""
+        window = 3
+        if len(dims) < d + window:
+            return cls(dims, False, None)
+        diffs = dims[:]
+        for _ in range(d):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        tail = diffs[-window:]
+        if all(v == tail[0] for v in tail):
+            return cls(dims, True, tail[0])
+        return cls(dims, False, None)
+
 
 class GradedSeries:
     """Section spaces S_k of degree k * twist forms in d + 1 variables.
 
     `monomial_generator_level` is the top generator level when the series
-    has generators and every one is a monomial, else None."""
+    has generators and every one is a monomial, else None.  The provider
+    of level k reads levels of the series itself no lower than k - reach.
+    `_levels` holds spans, `_dims` the dimension of every level built, and
+    `_loose` the held levels that a single-pass read built."""
 
     __slots__ = (
         "d",
@@ -62,7 +91,10 @@ class GradedSeries:
         "monomial_generator_level",
         "_generators",
         "_provider",
+        "_reach",
         "_levels",
+        "_dims",
+        "_loose",
     )
 
     def __init__(
@@ -74,6 +106,7 @@ class GradedSeries:
         label: str = "series",
         generators: dict[int, Sequence[HomogeneousForm]] | None = None,
         max_level: int | None = None,
+        reach: int = 0,
     ):
         if d < 1:
             raise InputError("series: projective dimension must be positive")
@@ -102,7 +135,10 @@ class GradedSeries:
         ):
             self.monomial_generator_level = max(generators)
         self._provider = provider
+        self._reach = reach
         self._levels: dict[int, FormSpan] = {}
+        self._dims: dict[int, int] = {}
+        self._loose: set[int] = set()
 
     # -- access --------------------------------------------------------------
 
@@ -116,39 +152,46 @@ class GradedSeries:
         return gens
 
     def level(self, k: int) -> FormSpan:
+        """Level k; a level built here is held for the rest of the series'
+        life."""
+        span = self._levels.get(k)
+        return self._build(k, False) if span is None else span
+
+    def _build(self, k: int, loose: bool) -> FormSpan:
+        """Level k, which the series does not hold, from the provider.  A
+        level built for a single-pass read (loose) is held only until the
+        series builds another loose level k' with k <= k' - reach, past
+        the reach of the provider; it is dropped at once when the reach is
+        0."""
         if k < 1:
             raise InputError("series level: k must be >= 1")
         if self.max_level is not None and k > self.max_level:
             raise TruncationError(
                 f"series defined only up to level {self.max_level}"
             )
-        span = self._levels.get(k)
-        if span is None:
-            check_degree(k * self.twist, f"series level {k}")
-            span = self._provider(self, k)
-            if span.nvars != self.d + 1 or span.degree != k * self.twist:
-                raise InvariantError("series: provider returned wrong shape")
-            self._levels[k] = span
+        check_degree(k * self.twist, f"series level {k}")
+        span = self._provider(self, k)
+        if span.nvars != self.d + 1 or span.degree != k * self.twist:
+            raise InvariantError("series: provider returned wrong shape")
+        self._dims[k] = span.dim
+        self._levels[k] = span
+        if loose:
+            self._loose.add(k)
+            for old in [j for j in self._loose if j <= k - self._reach]:
+                self._loose.discard(old)
+                del self._levels[old]
         return span
 
     def dims(self, K: int) -> list[int]:
+        """The dimensions of levels 1..K; a level with none yet is built and
+        held (`level`)."""
         check_degree(K * self.twist, f"series level {K}")
-        return [self.level(k).dim for k in range(1, K + 1)]
+        dims = self._dims
+        return [dims[k] if k in dims else self.level(k).dim for k in range(1, K + 1)]
 
     def hilbert_data(self, K: int) -> HilbertData:
-        """Level dimensions plus a stabilization check: the d-th finite
-        differences must be constant over the last three values."""
-        dims = self.dims(K)
-        window = 3
-        if K < self.d + window:
-            return HilbertData(dims, False, None)
-        diffs = dims[:]
-        for _ in range(self.d):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        tail = diffs[-window:]
-        if all(v == tail[0] for v in tail):
-            return HilbertData(dims, True, tail[0])
-        return HilbertData(dims, False, None)
+        """Level dimensions plus a stabilization check (`HilbertData.of`)."""
+        return HilbertData.of(self.dims(K), self.d)
 
     def validate_multiplicative(self, K: int) -> None:
         """Check S_i * S_j lands inside S_{i+j} for all levels up to K: each
@@ -211,7 +254,9 @@ class GradedSeries:
         def provider(series: GradedSeries, k: int) -> FormSpan:
             return _generated_level(series, k, spans, None)
 
-        return cls(d, twist, provider, label=label, generators=gens)
+        return cls(
+            d, twist, provider, label=label, generators=gens, reach=max(gens)
+        )
 
     @classmethod
     def explicit(
@@ -257,7 +302,8 @@ class GradedSeries:
         computes its levels from the parent and caches them itself, so a
         caller builds it once and holds it.
 
-        A complete parent level is its own image.  When the series has
+        A complete parent level is its own image, or a complete span once
+        the parent no longer holds it.  When the series has
         generators, the change of flag is a ring map, so the view is
         generated by the transformed generators and its level k is built
         on the path of `generated` (`_generated_level`), with the parent
@@ -265,8 +311,10 @@ class GradedSeries:
         each level go through one integer substitution (`substitution`,
         under the flag's integer lines), whose rows give their span and
         whether every image is a monomial; the exact transformed forms are
-        built on the first read of the view's `generators`.  Other series
-        transform each parent level."""
+        built on the first read of the view's `generators`.  Such a view
+        reads only the parent's dimensions, so the parent holds the
+        levels it builds for them loosely.  Other series transform each
+        parent level."""
         if flag.d != self.d:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
@@ -280,12 +328,16 @@ class GradedSeries:
             gspans = {j: span for j, (span, _, _) in sorted(subs.items())}
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
-            span = self.level(k)
-            if span.is_complete:
-                return span
             if gspans is None:
-                return span.transformed(flag.lines)
-            return _generated_level(series, k, gspans, span.dim)
+                span = self.level(k)
+                return span if span.is_complete else span.transformed(flag.lines)
+            span = self._levels.get(k)
+            if span is None and k not in self._dims:
+                span = self._build(k, True)
+            dim = self._dims[k]
+            if dim == count_exponents(self.d + 1, k * self.twist):
+                return span or FormSpan.complete(self.d + 1, k * self.twist)
+            return _generated_level(series, k, gspans, dim)
 
         view = GradedSeries(
             self.d,
@@ -293,6 +345,7 @@ class GradedSeries:
             provider,
             label=f"{self.label}|flag",
             max_level=self.max_level,
+            reach=0 if gspans is None else max(gspans),
         )
         if gspans is not None:
             view._generators = lambda: {j: images() for j, (_, _, images) in subs.items()}
@@ -427,12 +480,16 @@ class GradedSeries:
     # -- valuation data ----------------------------------------------------------
 
     def semigroup(self, flag: Flag, K: int) -> ValueSemigroup:
-        """Value points of levels 1..K under the flag valuation."""
+        """Value points of levels 1..K under the flag valuation, read in
+        one pass: the view holds the levels it builds for it loosely."""
         if K < 1:
             raise InputError("semigroup: truncation must be >= 1")
         check_degree(K * self.twist, f"semigroup to level {K}")
         view = self.under_flag(flag)
-        levels = {k: value_keys(view.level(k)) for k in range(1, K + 1)}
+        levels = {}
+        for k in range(1, K + 1):
+            span = view._levels.get(k)
+            levels[k] = value_keys(view._build(k, True) if span is None else span)
         return ValueSemigroup._of(self.d, K, levels)
 
     def __repr__(self) -> str:

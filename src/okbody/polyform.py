@@ -796,8 +796,8 @@ class FormSpan:
         lead has first exponent > 0 is divisible by X1 and vanishes, and
         every other row keeps its lead, so no reduction runs: each keeps
         its terms without X1, made primitive, deferred on a pending row
-        (`_apply`).  A term without X1 keeps its key, whose first field is
-        0, in one fewer variable."""
+        (`_apply`).  A one-term row kept is its own image.  A term without
+        X1 keeps its key, whose first field is 0, in one fewer variable."""
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
         bound = unit_key(self.nvars, 0)  # the key of X1
@@ -805,7 +805,11 @@ class FormSpan:
         def cut(row: dict) -> dict:
             return _content_free({e: c for e, c in row.items() if e < bound})
 
-        table = {p: _apply(cut, row) for p, row in self._rows.items() if p < bound}
+        table = {
+            p: row if type(row) is dict and len(row) == 1 else _apply(cut, row)
+            for p, row in self._rows.items()
+            if p < bound
+        }
         return self._of(self.nvars - 1, self.degree, table)
 
     def divided_by_variable(self, power: int) -> FormSpan:
@@ -814,7 +818,7 @@ class FormSpan:
         of its lead, so divisibility is read off the least pivot; lex order
         is translation invariant, so each row keeps its lead, and every key
         drops by the key of X1^power.  The shift is deferred on a pending
-        row (`_apply`)."""
+        row (`_apply`); a one-term row is shifted at once."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
         shift = power * unit_key(self.nvars, 0)  # the key of X1^power
@@ -824,7 +828,14 @@ class FormSpan:
         def divided(row: dict) -> dict:
             return {e - shift: c for e, c in row.items()}
 
-        table = {p - shift: _apply(divided, row) for p, row in self._rows.items()}
+        table = {
+            p - shift: (
+                {p - shift: row[p]}
+                if type(row) is dict and len(row) == 1
+                else _apply(divided, row)
+            )
+            for p, row in self._rows.items()
+        }
         return self._of(self.nvars, self.degree - power, table)
 
     def subspace_with_min_exponent(self, minimum: int) -> FormSpan:

@@ -63,6 +63,11 @@ the base ideals on those tuple ideals: one `plus` per level, which re-sorts
 and re-minimalizes the whole running sum, and one locus per level; its
 report holds the library ideals of the same generators.
 
+`pending_quotient_rows` and `pending_cut_rows` are the tables of
+`FormSpan.divided_by_variable` and `FormSpan.restricted` as they took every
+row through `polyform._apply`, one-term rows included: a closure call per
+row, and for a cut a gcd per row.
+
 `reference_maximize` is `exactnum.maximize` as it ran on a Fraction
 tableau: `_fraction_pivot` scales the pivot row to a 1 and clears the
 column from the others, and `_fraction_simplex_core` compares ratios as
@@ -1196,3 +1201,27 @@ def pending_rows(span) -> int:
         isinstance(row, polyform._Pending) and row.row is None
         for row in span._rows.values()
     )
+
+
+def pending_quotient_rows(span, power: int) -> dict:
+    """The table of span.divided_by_variable(power), every row shifted
+    through `_apply`."""
+    shift = power * polyform.unit_key(span.nvars, 0)
+
+    def divided(row: dict) -> dict:
+        return {e - shift: c for e, c in row.items()}
+
+    return {p - shift: polyform._apply(divided, row) for p, row in span._rows.items()}
+
+
+def pending_cut_rows(span) -> dict:
+    """The table of span.restricted(), every kept row cut through
+    `_apply`."""
+    bound = polyform.unit_key(span.nvars, 0)
+
+    def cut(row: dict) -> dict:
+        return polyform._content_free({e: c for e, c in row.items() if e < bound})
+
+    return {
+        p: polyform._apply(cut, row) for p, row in span._rows.items() if p < bound
+    }

@@ -752,6 +752,20 @@ class TestDeterminismAndIO:
         if svg_sha:
             assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
 
+    def test_input_digest_is_the_sha256_of_the_file(self, capsys):
+        """Every corpus input's envelope names the SHA-256 of its bytes, as
+        hashlib computes it."""
+        paths = sorted(CORPUS.glob("*.json"))
+        assert len(paths) > 1
+        for path in paths:
+            argv = ["surface", str(path)]
+            if ".surface." not in path.name:
+                argv = ["body", str(path), "-K", "1"]
+            rc, out, _ = invoke(capsys, *argv)
+            assert rc == 0
+            want = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert json.loads(out)["input_sha256"] == want, path.name
+
     def test_zero_series_under_seeded_flag_pinned(self, capsys, tmp_path):
         """A series with no generators is viewed by transforming each
         level; its body under a seeded flag is empty."""
@@ -924,6 +938,25 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert (rc, out) == (2, "")
         assert f"bound {DEGREE_BOUND} of packed exponent keys" in err
+
+    @pytest.mark.parametrize(
+        "argv,hint",
+        [
+            (["body", FLAGSHIP, "-K", "6"], "a lower -K"),
+            (["surface", str(CORPUS / "plane_conic.surface.json")], "a smaller input"),
+        ],
+    )
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, argv, hint):
+        """A command that runs out of memory exits 3 with one line naming
+        the command and what to lower."""
+
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, argv[0], exhausted)
+        rc, out, err = invoke(capsys, *argv)
+        assert (rc, out) == (3, "")
+        assert err == f"error: {argv[0]}: out of memory; retry with {hint}\n"
 
     def test_missing_input(self, capsys):
         rc, _, err = invoke(capsys, "body", str(CORPUS / "nope.json"))

@@ -1,5 +1,6 @@
 """Graded series construction, derived series, and dimension data tests."""
 
+import collections
 import functools
 import importlib
 import json
@@ -139,7 +140,13 @@ def test_complete_level_shortcut_under_flag():
     C = GradedSeries.complete(2)
     fl = Flag.random(2, 4)
     view = C.under_flag(fl)
-    assert view.level(2) is C.level(2)
+    held = C.level(2)
+    assert view.level(2) is held
+    # a parent level built only for the view is its level, and not held
+    assert view.level(3).is_complete and 3 not in C._levels
+    # a later view reads the dimension that the parent kept
+    other = C.under_flag(Flag.random(2, 5))
+    assert other.level(3) == view.level(3) and 3 not in C._levels
 
 
 def crossed_view(gens, provided, flag):
@@ -555,6 +562,81 @@ def test_body_and_slice_build_one_view(monkeypatch):
     rep, direct, sub_rep, restricted = _slice_sides(S, flag, F(1, 2), 8)
     assert built == [S]
     assert direct == restricted
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Provider calls per (series, level), over every series made while the
+    fixture is active; the keys keep each series alive, so no two share
+    an identity."""
+    calls = collections.Counter()
+    init = GradedSeries.__init__
+
+    def counting_init(self, d, twist, provider, **options):
+        def counted(series, k):
+            calls[series, k] += 1
+            return provider(series, k)
+
+        init(self, d, twist, counted, **options)
+
+    monkeypatch.setattr(GradedSeries, "__init__", counting_init)
+    return calls
+
+
+def test_commands_build_each_level_once(builds, capsys):
+    """body, volume, slice (standard and seeded flags, t = 1/2 and 1/3),
+    fujita and generic-test on every corpus series build each level of
+    each series they make once: a level a command reads again is held,
+    and a single pass drops only levels no later read needs."""
+    for path in sorted(CORPUS.glob("*.json")):
+        if ".surface." in path.name:
+            continue
+        s = str(path)
+        d = parse_series(json.loads(path.read_text())).d
+        argvs = [
+            ["body", s, "-K", "6"],
+            ["body", s, "-K", "6", "--flag-seed", "1"],
+            ["volume", s, "-K", "6"],
+            ["volume", s, "-K", "6", "--flag-seed", "1"],
+            ["fujita", s, "-K", "4", "--p", "2"],
+            ["fujita", s, "-K", "4", "--p", "2", "--flag-seed", "1"],
+            ["generic-test", s, "-K", "4", "--flags", "2"],
+        ]
+        if d >= 2:
+            for t in ("1/2", "1/3"):
+                argvs.append(["slice", s, "-K", "6", "--t", t])
+                argvs.append(["slice", s, "-K", "6", "--t", t, "--flag-seed", "1"])
+        for argv in argvs:
+            builds.clear()
+            assert cli.main(argv) == 0, argv
+            assert builds and set(builds.values()) == {1}, argv
+    capsys.readouterr()
+
+
+def test_single_pass_holds_levels_within_the_provider_reach():
+    """A body's single pass holds, of the levels it builds, only those the
+    provider can still read, and keeps every dimension; a level read
+    through `level` before stays held; the Hilbert data read off the
+    value counts is the series' own."""
+    S = no_x2x3_series()
+    rep = okounkov_body(S, Flag.standard(2), 8)
+    assert list(S._levels) == [8] and sorted(S._dims) == list(range(1, 9))
+    assert rep.hilbert == S.hilbert_data(8) and list(S._levels) == [8]
+    T = no_x2x3_series()
+    rep = okounkov_body(T, Flag.random(2, 1), 8)
+    assert list(T._levels) == [8] and rep.hilbert == T.hilbert_data(8)
+    U = no_x2x3_series()
+    U.level(5)
+    okounkov_body(U, Flag.standard(2), 8)
+    assert sorted(U._levels) == [1, 2, 3, 4, 5, 8]
+    # generators in levels 1 and 2: level k reads levels k - 1 and k - 2
+    V = GradedSeries.generated(1, 1, {1: [mono((1, 0))], 2: [mono((0, 2))]})
+    okounkov_body(V, Flag.standard(1), 6)
+    assert sorted(V._levels) == [5, 6]
+    # a complete series reads none of its own levels
+    C = GradedSeries.complete(2)
+    okounkov_body(C, Flag.standard(2), 5)
+    assert C._levels == {} and C.dims(5) == [3, 6, 10, 15, 21]
 
 
 def test_veronese():

@@ -5,6 +5,7 @@ readers run both on spans of forms and on spans of products whose table
 still holds products not multiplied out."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -17,6 +18,8 @@ from okbody.flagval import valuation_set
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents, substitution
 from oracles import (
     _mul_terms,
+    pending_cut_rows,
+    pending_quotient_rows,
     pending_rows,
     reference_contains,
     reference_span_reduce,
@@ -280,3 +283,50 @@ def test_span_operations_on_pending_rows_match_oracle(data):
             span.divided_by_variable(n),
             reference_span_reduce(nvars, degree - 1, down),
         )
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, phases=PHASES)
+@given(st.data())
+def test_one_term_rows_shift_and_cut_as_the_pending_path(data):
+    """A quotient by a power of X1 and the cut X1 -> 0 on spans of
+    monomials and forms, and on products of them whose table holds
+    one-term rows, term rows and pending products: the same table as
+    taking every row through `_apply`, row by row, and no one-term row
+    goes through `_apply`."""
+    nvars, degree = shape(data, least=2)
+    low = data.draw(st.integers(1, degree - 1), label="low")
+    x = HomogeneousForm.variable(nvars, 0)
+
+    def mixed(deg: int, most: int):
+        monomials = st.lists(
+            st.sampled_from(list(all_exponents(nvars, deg))), min_size=1, max_size=most
+        ).map(lambda es: [HomogeneousForm.monomial(nvars, e) for e in es])
+        return st.tuples(monomials, forms(nvars, deg, 2)).map(lambda t: t[0] + t[1])
+
+    a1 = data.draw(mixed(low, 3), label="a1")
+    a2 = data.draw(mixed(degree - low, 3), label="a2")
+    lift = data.draw(st.integers(0, 2), label="lift")
+    for _ in range(lift):
+        a1 = [f * x for f in a1]
+    A = FormSpan(nvars, low + lift, a1)
+    B = FormSpan(nvars, degree - low, a2)
+    applied = []
+    apply = polyform._apply
+
+    def counted(op, value):
+        applied.append(value)
+        return apply(op, value)
+
+    for span in (A, FormSpan.subducted(nvars, degree + lift, None, [(A, B)])):
+        power = data.draw(st.integers(0, lift), label="power")
+        cases = (
+            (lambda: span.divided_by_variable(power), pending_quotient_rows(span, power)),
+            (span.restricted, pending_cut_rows(span)),
+        )
+        for run, want in cases:
+            with mock.patch.object(polyform, "_apply", counted):
+                got = run()
+            assert list(got._rows) == list(want)
+            for p, row in got._rows.items():
+                assert polyform._terms(row) == polyform._terms(want[p])
+        assert not any(type(v) is dict and len(v) == 1 for v in applied)
