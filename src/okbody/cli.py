@@ -249,7 +249,9 @@ def load_json(path: str):
         raise InputError(f"{path}: cannot read input ({e.strerror})") from None
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    # ValueError: bad JSON or UTF-8, or an integer past the digit limit;
+    # RecursionError: nesting past the recursion limit
+    except (ValueError, RecursionError) as e:
         raise InputError(f"{path}: invalid JSON ({e})") from None
     return data, sha256(raw).hexdigest()
 
@@ -383,7 +385,7 @@ def _flag_payload(args, d: int) -> tuple[Flag, dict, list[int]]:
     if matrix is not None:
         try:
             rows = json.loads(matrix)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise InputError(f"flag matrix: invalid JSON ({e})") from None
         if not isinstance(rows, list):
             raise InputError("flag matrix: expected a list of rows")

@@ -24,11 +24,13 @@ one insertion reducer; lex order is a monomial order, so leads of products
 add and shifts and cuts by the first variable keep leads apart without any
 reduction.  A row may be kept pending, its lead known without its terms: an
 operation and the rows it applies to, which `_terms` computes once, when a
-reduction or a reader needs the terms, keeping the rows.  A pending product
-is `_mul_terms` of two rows of a subduction, which builds the levels of a
-generated series: the second is its signature, the generator row it
-entered with, and the next level multiplies it only by that row and the
-generator rows after it.  `*` multiplies every pair of rows out, and
+reduction or a reader needs the terms, keeping the rows.  Every product a
+subduction keeps, which builds the levels of a generated series, is such a
+pending product, `_mul_terms` of two rows, whatever their number of terms:
+the second is its signature, the generator row it entered with, and the
+next level multiplies it only by that row and the generator rows after
+it.  Only a remainder of a reduction, or a row of a span built from forms,
+carries no signature.  `*` multiplies every pair of rows out, and
 `contains_products` top-reduces each such product against a span's rows.
 A quotient by a power of the first variable and a cut that sets it to
 zero are pending rows of one row: they apply at once to a term row and are
@@ -483,14 +485,6 @@ def _apply(op, value):
     return _Pending(op, value)
 
 
-def _mono_coefficient(value, pivot):
-    """The coefficient of a table value that is a one-term row, at its
-    pivot, or None.  A pending row is taken as none: a pending product
-    never is one, as a product has one term exactly when both factors do
-    and `subducted` writes such a product down as a row."""
-    return value[pivot] if type(value) is dict and len(value) == 1 else None
-
-
 def _top_reduce(row: dict, table: dict) -> dict:
     """Cancel the lead of an integer row against the table (lead -> table
     value) until its lead is new; the remainder, made primitive after each
@@ -623,20 +617,18 @@ class FormSpan:
         series (`_generated_level`), the B being its generator spans.
 
         Lex order is a monomial order, so the lead of a * b is the sum of
-        the leads, and packed keys add: each lead is one integer sum.  One
-        product per distinct lead goes into the table unreduced and not
-        multiplied out, as a pending product (a product of two monomial
-        rows is the monomial row {lead: ca * cb}, and a product with a
+        the leads, and packed keys add: each lead is one integer sum.  The
+        first product of each distinct lead goes into the table unreduced
+        and not multiplied out, as a pending product (a product with a
         constant A is the row of B, up to scale); products of primitive
         rows are primitive (Gauss), so the table holds primitive integer
-        rows.  The other products, largest lead first, are multiplied out
-        and top-reduced against the table, which multiplies out each table
-        row they reach: all of them when dim is None, otherwise only until
-        the table holds dim rows.  A product of two monomials whose lead
-        holds a product of two monomials is zero after reduction and never
-        queued.  With dim given, too many distinct leads, or too few rows
-        once the products run out, mean that the products do not span a
-        dim-dimensional space: InvariantError.
+        rows.  Every other product is queued; the queue, largest lead
+        first, is multiplied out and top-reduced against the table, which
+        multiplies out each table row it reaches: all of it when dim is
+        None, otherwise only until the table holds dim rows.  With dim
+        given, too many distinct leads, or too few rows once the products
+        run out, mean that the products do not span a dim-dimensional
+        space: InvariantError.
 
         The rows of all the B take one fixed order, pair by pair.  A row of
         A with signature g, the row of a B it entered with (itself, or the
@@ -647,44 +639,33 @@ class FormSpan:
         g * r', so for u before g, u * (g * r') = g * (u * r'), and u * r'
         is a sum of rows s of a full level, whose products g * s are formed
         or, for s = h * s' with h after g, expand the same way with a
-        rising row.  Rows of spans built from forms carry no signature."""
+        rising row.  This holds for a row of one term as for any other.
+        Only remainders of a reduction and rows of spans built from forms
+        carry no signature."""
         check_degree(degree, "subduction")
         table: dict = {}
         rest = []
-        get, queue = table.get, rest.append
+        queue = rest.append
         rows_of_b = (rb for _, B in factors for rb in B._rows.values())
         signature = {id(rb): i for i, rb in enumerate(rows_of_b)}.get
         offset = 0
         for A, B in factors:
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
-            rows_b = [
-                (pb, rb, _mono_coefficient(rb, pb)) for pb, rb in B._rows.items()
-            ]
+            rows_b = list(B._rows.items())
             for pa, ra in A._rows.items():
-                ca = _mono_coefficient(ra, pa)
                 later = rows_b
-                # a one-term row keeps no signature: it meets every row of B
-                if ca is None:
-                    start = signature(id(ra if type(ra) is dict else ra.args[-1]), 0)
-                    if start > offset:
-                        later = rows_b[start - offset :]
-                for pb, rb, cb in later:
+                start = signature(id(ra if type(ra) is dict else ra.args[-1]), 0)
+                if start > offset:
+                    later = rows_b[start - offset :]
+                for pb, rb in later:
                     lead = pa + pb
-                    first = get(lead)
-                    if first is None:
-                        if A.degree == 0:
-                            first = rb  # a constant A: the row of B, up to scale
-                        elif ca is None or cb is None:
-                            first = _Pending(_mul_terms, ra, rb)
-                        else:
-                            first = {lead: ca * cb}
-                        table[lead] = first
-                    elif (
-                        ca is None or cb is None
-                        or type(first) is not dict or len(first) != 1
-                    ):
+                    if lead in table:
                         queue((lead, ra, rb))
+                    elif A.degree == 0:
+                        table[lead] = rb  # a constant A: the row of B, up to scale
+                    else:
+                        table[lead] = _Pending(_mul_terms, ra, rb)
             offset += len(rows_b)
         if dim is not None and len(table) > dim:
             raise InvariantError(

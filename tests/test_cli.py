@@ -986,6 +986,33 @@ class TestExitCodes:
         assert rc == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "text,why",
+        [
+            ("[" * 100_000, "recursion depth"),
+            ("[" + "9" * 5_000 + "]", "4300 digits"),
+        ],
+        ids=["deep", "long-int"],
+    )
+    @pytest.mark.parametrize("site", ["body", "surface", "flag-matrix"])
+    def test_json_the_decoder_refuses_past_its_limits(
+        self, capsys, tmp_path, site, text, why
+    ):
+        """Nesting past the recursion limit and an integer past the
+        interpreter's digit limit are invalid JSON, in an input file and
+        in a flag matrix: exit 2, one error line, no traceback."""
+        if site == "flag-matrix":
+            argv = ["body", FLAGSHIP, "-K", "2", "--flag-matrix", text]
+            where = "flag matrix"
+        else:
+            path = tmp_path / "input.json"
+            path.write_text(text)
+            argv, where = [site, str(path)], str(path)
+        rc, out, err = invoke(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {where}: invalid JSON (") and why in err
+        assert err.count("\n") == 1
+
     def test_schema_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"ambient_dim": 2}))

@@ -330,9 +330,14 @@ def test_degrees_at_the_packing_bound_are_refused():
 def test_generated_levels_form_ordered_products(monkeypatch):
     """A generated level multiplies a row that entered with a generator row
     only by that row and the generator rows after it: level 3 of four
-    linear forms spanning three reduces 2 products, where `*`, which
+    linear forms spanning three reduces no product, where `*`, which
     multiplies every pair of rows out, reduces all 6 * 3 = 18 for the same
-    span."""
+    span.  The one-term row x^2 of level 2 is the pending product x * x
+    and keeps its signature x, the last generator row, so it meets x alone;
+    written down as a one-term row with no signature, it met every
+    generator row, and its products with the rows led by z and y, whose
+    leads x^2 z and x^2 y other products already held, were reduced to
+    zero: 2 reductions."""
     reduced = []
     original = polyform._top_reduce
 
@@ -346,7 +351,7 @@ def test_generated_levels_form_ordered_products(monkeypatch):
     below, gens = S.level(2), S.level(1)
     reduced.clear()
     level = S.level(3)
-    assert len(reduced) == 2
+    assert len(reduced) == 0
     reduced.clear()
     every = below * gens
     assert len(reduced) == 18
@@ -395,3 +400,36 @@ def test_ordered_products_start_at_the_signature(monkeypatch):
     monkeypatch.setattr(polyform, "_top_reduce", counted)
     S.level(3)
     assert len(formed) == sum(len(gens) - start for start in starts)
+
+
+def test_one_term_products_keep_their_signature(monkeypatch):
+    """A product of two one-term rows is a pending product like any other
+    and keeps its signature.  mixed5 (X1^2, X2^2, X3^2, X1X2 and
+    X2X3 - X1X3 in P^2, twist 2) has four one-term generator rows and one
+    of two terms, so its levels go through subduction; levels 1 to 8 make
+    56 reductions, every one zero.  With a one-term product written down
+    as a row with no signature, each such row met every generator row,
+    and the same levels made 224 zero reductions."""
+
+    def q(*e):
+        return HF.monomial(3, e)
+
+    S = GradedSeries.generated(
+        2, 2, [q(2, 0, 0), q(0, 2, 0), q(0, 0, 2), q(1, 1, 0), q(0, 1, 1) - q(1, 0, 1)]
+    )
+    remainders = []
+    original = polyform._top_reduce
+
+    def counted(row, table):
+        remainders.append(original(row, table))
+        return remainders[-1]
+
+    monkeypatch.setattr(polyform, "_top_reduce", counted)
+    dims = [S.level(k).dim for k in range(1, 9)]
+    assert dims == [5, 13, 25, 41, 61, 85, 113, 145]
+    assert len(remainders) == 56 and not any(remainders)
+    assert all(
+        type(row) is polyform._Pending
+        for k in range(2, 9)
+        for row in S.level(k)._rows.values()
+    )

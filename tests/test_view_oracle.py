@@ -10,7 +10,8 @@ view's generators, mapped one generator level at a time, are checked
 against the reference substitution of each generator, and the
 substitutions a view makes are counted.  Generated levels, which form only
 the ordered generator products, are checked against the reference that
-forms every product, and so is the product of a span that is not a full
+forms every product, among them series of one-term and longer generators
+under sparse flags, and so is the product of a span that is not a full
 level with a level, which forms every product too."""
 
 import sys
@@ -50,9 +51,38 @@ def forms(nvars: int, degree: int, most: int, monomial: bool):
     return st.lists(form, min_size=1, max_size=most)
 
 
+def mixed_forms(nvars: int, degree: int):
+    """One-term forms and forms of two or more terms in one list, at least
+    one of each."""
+    exps = list(all_exponents(nvars, degree))
+    terms = st.dictionaries(st.sampled_from(exps), nonzero, min_size=2, max_size=3)
+    form = terms.map(lambda t: HomogeneousForm(nvars, t, degree))
+    longer = st.lists(form, min_size=1, max_size=2)
+    return st.tuples(forms(nvars, degree, 3, True), longer).map(lambda p: p[0] + p[1])
+
+
 def flags(n: int):
     matrix = st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
     return matrix.filter(lambda m: det(m) != 0).map(Flag)
+
+
+def sparse_flags(n: int):
+    """A scaled permutation, at times with one more entry off the
+    permutation (still invertible), which keeps most one-term rows one
+    term; the standard flag among them."""
+
+    def build(perm, scales, extra):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            m[i][j] = scales[i]
+        i, j, c = extra
+        if j != perm[i]:
+            m[i][j] = c
+        return Flag(m)
+
+    scales = st.one_of(st.just([Fraction(1)] * n), st.lists(nonzero, min_size=n, max_size=n))
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), small)
+    return st.builds(build, st.permutations(range(n)), scales, extra)
 
 
 def oracle_view(series: GradedSeries, flag: Flag) -> GradedSeries:
@@ -114,15 +144,22 @@ def test_generated_levels_match_all_products(data):
     """A generated level multiplies each row only by the generator rows
     from its signature on, and spans what every product spans, with
     generators at one or two levels, under the standard flag and a flag
-    view."""
+    view.  The mixed arm puts one-term generators and longer ones in one
+    series, under a sparse flag, so that products of one-term rows, and
+    one-term rows with a signature, reach the subduction of the series
+    and of its view."""
     d = data.draw(st.integers(1, 3), label="d")
     twist = data.draw(st.integers(1, 1 if d == 3 else 2), label="twist")
     K = data.draw(st.integers(2, 3 if d == 3 else 4), label="K")
-    gens = {1: data.draw(forms(d + 1, twist, 4, False), label="level 1")}
+    mixed = data.draw(st.booleans(), label="mixed")
+    if mixed:
+        gens = {1: data.draw(mixed_forms(d + 1, twist), label="level 1")}
+    else:
+        gens = {1: data.draw(forms(d + 1, twist, 4, False), label="level 1")}
     if data.draw(st.booleans(), label="level 2"):
-        gens[2] = data.draw(forms(d + 1, 2 * twist, 2, False), label="level 2")
+        gens[2] = data.draw(forms(d + 1, 2 * twist, 2, mixed), label="level 2")
     series = GradedSeries.generated(d, twist, gens)
-    flag = data.draw(flags(d + 1), label="flag")
+    flag = data.draw((sparse_flags if mixed else flags)(d + 1), label="flag")
     view = series.under_flag(flag)
     inverse = reference_inverse(flag.matrix)
     moved = {
