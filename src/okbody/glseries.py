@@ -5,22 +5,23 @@ products must land in level sums, which holds by construction for the
 complete and finitely generated providers and is checkable for explicit
 input.  Derived series (flag views, twists, restrictions, punctures) wrap a
 parent lazily and keep their own level caches, so the computations made on
-one derived series share work; the parent keeps nothing of them.  A
-generated series and a flag view of a series with generators build each
-level on one path, `_generated_level`: the span of the products of lower
-levels with the generator spans.  When every generator row is one term,
-the levels are spans of monomials, and level k is the set of key sums of
-the levels below and the generators, held as packed keys from start to
-finish.  Otherwise it is found by subduction, in which a row that entered
-with a generator row (its signature) meets only that row and the later
-ones, as u * (g * r) = g * (u * r).  A view knows the level's dimension
+one derived series share work; the parent keeps nothing of them.  A series
+with generators holds them as one span of integer term rows per generator
+level: a generated series the spans of its forms, a flag view the spans of
+its parent mapped by `FormSpan.transformed`, a Fujita approximation the
+term rows of its parent's level.  Each builds every level on one path,
+`_generated_level`: the span of the products of lower levels with the
+generator spans.  When every generator row is one term, the levels are
+spans of monomials, and level k is the set of key sums of the levels below
+and the generators, held as packed keys from start to finish.  Otherwise
+it is found by subduction, in which a row that entered with a generator
+row (its signature) meets only that row and the later ones, as
+u * (g * r) = g * (u * r).  A view knows the level's dimension
 from its parent, so it cross-checks the key sums, and stops a subduction as
 soon as the products' leads reach it, most often without any reduction.
 The products it keeps stay pending (`FormSpan.subducted`): the valuation
 sets are their leads, and only a reduction or a reader of the terms
-multiplies one out.  A flag view maps its generators by one integer
-substitution per generator level, and builds their exact images only when
-its `generators` are read.
+multiplies one out.
 
 A series records the dimension of every level it builds, and holds the
 level spans read through `level` for the rest of its life, so a command
@@ -43,10 +44,8 @@ from .flagval import Flag, ValueSemigroup, value_keys
 from .polyform import (
     FormSpan,
     HomogeneousForm,
-    all_exponents,
     check_degree,
     count_exponents,
-    substitution,
 )
 
 Provider = Callable[["GradedSeries", int], FormSpan]
@@ -77,11 +76,13 @@ class HilbertData(NamedTuple):
 class GradedSeries:
     """Section spaces S_k of degree k * twist forms in d + 1 variables.
 
-    `monomial_generator_level` is the top generator level when the series
-    has generators and every one is a monomial, else None.  The provider
-    of level k reads levels of the series itself no lower than k - reach.
-    `_levels` holds spans, `_dims` the dimension of every level built, and
-    `_loose` the held levels that a single-pass read built."""
+    A series with generators holds `_gspans`, generator level -> span of
+    term rows, none of them pending, and `_forms` the forms it was built
+    from, if any.  `monomial_generator_level` is the top generator level
+    when every row of every generator span is one term, else None.  The
+    provider of level k reads levels of the series itself no lower than
+    k - reach.  `_levels` holds spans, `_dims` the dimension of every level
+    built, and `_loose` the held levels that a single-pass read built."""
 
     __slots__ = (
         "d",
@@ -89,7 +90,8 @@ class GradedSeries:
         "label",
         "max_level",
         "monomial_generator_level",
-        "_generators",
+        "_gspans",
+        "_forms",
         "_provider",
         "_reach",
         "_levels",
@@ -116,6 +118,7 @@ class GradedSeries:
         self.twist = twist
         self.label = label
         self.max_level = max_level
+        self._forms = gspans = None
         if generators is not None:
             clean: dict[int, tuple[HomogeneousForm, ...]] = {}
             for j, forms in generators.items():
@@ -127,29 +130,35 @@ class GradedSeries:
                     if g.is_zero or g.nvars != d + 1 or g.degree != j * twist:
                         raise InputError("series: generator of wrong shape")
                 clean[j] = forms
-            generators = clean
-        self._generators = generators
-        self.monomial_generator_level = None
-        if generators and all(
-            g.is_monomial for forms in generators.values() for g in forms
-        ):
-            self.monomial_generator_level = max(generators)
+            self._forms = clean
+            gspans = {j: FormSpan(d + 1, j * twist, f) for j, f in sorted(clean.items())}
+        self._generate(gspans)
         self._provider = provider
         self._reach = reach
         self._levels: dict[int, FormSpan] = {}
         self._dims: dict[int, int] = {}
         self._loose: set[int] = set()
 
+    def _generate(self, gspans: dict[int, FormSpan] | None) -> GradedSeries:
+        """Hold the generator spans, and set `monomial_generator_level`,
+        which also chooses key sums in `_generated_level`."""
+        self._gspans = gspans
+        self.monomial_generator_level = None
+        if gspans and all(
+            len(row) == 1 for span in gspans.values() for row in span._rows.values()
+        ):
+            self.monomial_generator_level = max(gspans)
+        return self
+
     # -- access --------------------------------------------------------------
 
     @property
     def generators(self) -> dict[int, tuple[HomogeneousForm, ...]] | None:
-        """The generator forms by level, or None.  A flag view builds the
-        images of its parent's generators on the first read."""
-        gens = self._generators
-        if callable(gens):
-            gens = self._generators = gens()
-        return gens
+        """The generator forms by level, or None: the forms the series was
+        built from, or else the basis of each generator span."""
+        if self._forms is not None or self._gspans is None:
+            return self._forms
+        return {j: span.basis for j, span in self._gspans.items()}
 
     def level(self, k: int) -> FormSpan:
         """Level k; a level built here is held for the rest of the series'
@@ -213,13 +222,9 @@ class GradedSeries:
         def provider(series: GradedSeries, k: int) -> FormSpan:
             return FormSpan.complete(series.d + 1, k * series.twist)
 
-        gens = {
-            1: tuple(
-                HomogeneousForm.monomial(d + 1, e)
-                for e in all_exponents(d + 1, twist)
-            )
-        }
-        return cls(d, twist, provider, label=label, generators=gens)
+        return cls(d, twist, provider, label=label)._generate(
+            {1: FormSpan.complete(d + 1, twist)}
+        )
 
     @classmethod
     def generated(
@@ -240,22 +245,16 @@ class GradedSeries:
         zero.
         """
         if not isinstance(generators, dict):
-            generators = {1: list(generators)}
-        gens = {int(j): tuple(forms) for j, forms in generators.items()}
-        if not gens:
+            generators = {1: generators}
+        if not generators:
             raise InputError("generated series: no generators")
-        spans = {
-            j: FormSpan(d + 1, j * twist, forms) for j, forms in gens.items()
-        }
-        for j, s in spans.items():
-            if s.dim == 0:
-                raise InputError(f"generated series: level {j} generators are zero")
-
-        def provider(series: GradedSeries, k: int) -> FormSpan:
-            return _generated_level(series, k, spans, None)
-
         return cls(
-            d, twist, provider, label=label, generators=gens, reach=max(gens)
+            d,
+            twist,
+            _generated_level,
+            label=label,
+            generators=generators,
+            reach=max(map(int, generators)),
         )
 
     @classmethod
@@ -303,15 +302,12 @@ class GradedSeries:
         caller builds it once and holds it.
 
         A complete parent level is its own image, or a complete span once
-        the parent no longer holds it.  When the series has
-        generators, the change of flag is a ring map, so the view is
-        generated by the transformed generators and its level k is built
-        on the path of `generated` (`_generated_level`), with the parent
-        level's dimension to stop and cross-check it.  The generators of
-        each level go through one integer substitution (`substitution`,
-        under the flag's integer lines), whose rows give their span and
-        whether every image is a monomial; the exact transformed forms are
-        built on the first read of the view's `generators`.  Such a view
+        the parent no longer holds it.  When the series has generators,
+        the change of flag is a ring map, so the view is generated by the
+        transformed generators: it holds each generator span under the
+        flag's integer lines (`FormSpan.transformed`), and its level k is
+        built on the path of `generated` (`_generated_level`), with the
+        parent level's dimension to stop and cross-check it.  Such a view
         reads only the parent's dimensions, so the parent holds the
         levels it builds for them loosely.  Other series transform each
         parent level."""
@@ -319,13 +315,7 @@ class GradedSeries:
             raise InputError("under_flag: flag dimension mismatch")
         if flag.is_standard:
             return self
-        gspans = None
-        if self.generators is not None:
-            subs = {
-                j: substitution(forms, flag.lines, flag.den)
-                for j, forms in self.generators.items()
-            }
-            gspans = {j: span for j, (span, _, _) in sorted(subs.items())}
+        gspans = self._gspans
 
         def provider(series: GradedSeries, k: int) -> FormSpan:
             if gspans is None:
@@ -337,7 +327,7 @@ class GradedSeries:
             dim = self._dims[k]
             if dim == count_exponents(self.d + 1, k * self.twist):
                 return span or FormSpan.complete(self.d + 1, k * self.twist)
-            return _generated_level(series, k, gspans, dim)
+            return _generated_level(series, k, dim)
 
         view = GradedSeries(
             self.d,
@@ -347,11 +337,11 @@ class GradedSeries:
             max_level=self.max_level,
             reach=0 if gspans is None else max(gspans),
         )
-        if gspans is not None:
-            view._generators = lambda: {j: images() for j, (_, _, images) in subs.items()}
-            if all(monomial for _, monomial, _ in subs.values()):
-                view.monomial_generator_level = max(subs)
-        return view
+        if gspans is None:
+            return view
+        return view._generate(
+            {j: span.transformed(flag.lines) for j, span in gspans.items()}
+        )
 
     def veronese(self, b: int) -> GradedSeries:
         """The b-th graded subseries: level k is the parent level b * k."""
@@ -464,18 +454,22 @@ class GradedSeries:
 
     def fujita_subseries(self, p: int) -> GradedSeries:
         """The finitely generated approximation built from level p: its
-        level k is the span of k-fold products from level p."""
+        level k is the span of k-fold products from level p.  Its generator
+        span holds the term rows of level p under their pivots, or the
+        pivot monomials when they span level p, as its basis would be."""
         if p < 1:
             raise InputError("fujita_subseries: p must be >= 1")
         base = self.level(p)
         if base.dim == 0:
             raise InputError("fujita_subseries: level p is zero")
-        return GradedSeries.generated(
-            self.d,
-            self.twist * p,
-            {1: base.basis},
-            label=f"{self.label}[{p}]",
+        if base.is_monomial_span:
+            rows = {e: {e: 1} for e in base.pivot_keys}
+        else:
+            rows = dict(zip(base.pivot_keys, base._term_rows()))
+        series = GradedSeries(
+            self.d, base.degree, _generated_level, label=f"{self.label}[{p}]", reach=1
         )
+        return series._generate({1: FormSpan._of(base.nvars, base.degree, rows)})
 
     # -- valuation data ----------------------------------------------------------
 
@@ -500,11 +494,12 @@ class GradedSeries:
 
 
 def _generated_level(
-    series: GradedSeries, k: int, gspans: dict[int, FormSpan], dim: int | None
+    series: GradedSeries, k: int, dim: int | None = None
 ) -> FormSpan:
-    """Level k of a series generated by gspans (generator level -> span):
-    the products of its level k - j with the span at each generator level
-    j <= k, level 0 being the constants.
+    """Level k of a series with generators: the products of its level
+    k - j with its generator span at each generator level j <= k, level 0
+    being the constants.  With no dim it is the provider of a generated
+    series and of a Fujita approximation.
 
     When every generator row is a one-term row, every level is the span of
     its pivot monomials (a complete level is too), so level k is the span
@@ -514,7 +509,8 @@ def _generated_level(
     (`FormSpan.subducted`), whose signature rule holds as each factor on
     the left is a full level, and a known dim stops and cross-checks it."""
     n, degree = series.d + 1, k * series.twist
-    if all(len(row) == 1 for gspan in gspans.values() for row in gspan._rows.values()):
+    gspans = series._gspans
+    if series.monomial_generator_level is not None:
         keys: set[int] = set()
         for j, gspan in gspans.items():
             if j < k:

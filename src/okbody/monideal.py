@@ -270,7 +270,7 @@ def stable_base_locus(series: GradedSeries, K: int) -> BaseLocusReport:
     gens: tuple[int, ...] = ()  # the keys of the running sum's generators
     components: tuple[tuple[int, ...], ...] = ((),)  # the zero sum's locus
     loci: dict[int, tuple[tuple[int, ...], ...]] = {}
-    scanned = series.generators
+    scanned = series._gspans  # the generator levels, or None
     for k in range(1, K + 1):
         ideals[k] = base_ideal(series, k)
         if scanned is not None and k not in scanned:

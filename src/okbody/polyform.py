@@ -14,9 +14,9 @@ two keys is a key exactly when no field borrows, and an InputError refuses
 any degree at or past the bound; other modules read the layout from `unit_key`,
 `field_mask` and `spare_bits`.  Keys are unpacked, by one shift-and-mask
 loop, only at the edges: `pivots`, `basis`, the forms that
-`substitute_linear` and `substitution` build, `MonomialIdeal.generators`,
-and the CLI's serializer, which reads `canonical_rows` (packed keys in
-ascending order, Fraction coefficients).
+`substitute_linear` builds, `MonomialIdeal.generators`, and the CLI's
+serializer, which reads `canonical_rows` (packed keys in ascending order,
+Fraction coefficients).
 
 The leads are the pivots the valuation layer reads off, so the ordering
 convention is load bearing.  Every span operation builds its rows through
@@ -38,10 +38,8 @@ deferred on a pending one.  The canonical basis, the reduced row echelon
 form over ascending lex exponent columns, is computed only when it is read;
 a span of one-term rows (`is_monomial_span`) reads it off its pivots.
 Forms are built only at the edges (input, `basis`), and linear substitution
-maps every row through one table of monomial images: `substitution` maps a
-list of forms as primitive integer rows under integer lines, and gives their
-span, whether every image is a monomial, and their exact images, built from
-the same rows only when asked for.
+(`transformed`, `substitute_linear`) maps every row through one table of
+monomial images.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError
 from .exactnum import cleared_rows, integer_row, kernel, rref_rows
@@ -856,37 +854,4 @@ class FormSpan:
     def __repr__(self) -> str:
         shape = f"nvars={self.nvars}, degree={self.degree}, dim={self.dim}"
         return f"FormSpan({shape})"
-
-
-def substitution(
-    forms: Sequence[HomogeneousForm], lines: Sequence[Sequence[int]], den: int
-) -> tuple[FormSpan, bool, Callable[[], tuple[HomogeneousForm, ...]]]:
-    """Nonzero forms of one shape under X -> M Y, with M = lines / den, from
-    one table of monomial images: their span, whether every image is a
-    monomial, and a function that builds the exact images.  Each form
-    enters as its primitive integer row p, with f = c * p, so f(M y) is
-    c / den^D times the integer row p(lines y); the span and the monomial
-    test read those rows, and no image is built until the function is
-    called."""
-    nvars, degree = forms[0].nvars, forms[0].degree
-    prims = [_primitive(_packed(f.terms)) for f in forms]
-    rows = _substitute(prims, lines, degree)
-
-    def images() -> tuple[HomogeneousForm, ...]:
-        out = []
-        for f, p, row in zip(forms, prims, rows):
-            lead, c = next(iter(f.terms.items()))
-            scale = c / p[pack(lead)]
-            num, dd = scale.numerator, scale.denominator * den**degree
-            out.append(
-                HomogeneousForm._of(
-                    nvars,
-                    {unpack(e, nvars): Fraction(num * v, dd) for e, v in row.items()},
-                    degree,
-                )
-            )
-        return tuple(out)
-
-    monomial = all(len(row) == 1 for row in rows)
-    return FormSpan._of(nvars, degree, _insert({}, rows)), monomial, images
 

@@ -694,6 +694,21 @@ class TestCommands:
         pay = payload_of(out)
         assert pay["contained"] is True
 
+    def test_one_term_view_generator_spans_are_exact(self, capsys):
+        """Under this triangular flag the images of p2_o2_no_x3sq's quadrics
+        are not all monomials, but the rows of their span are one term each:
+        the body is the limit body, the same at K = 10, and says so."""
+        argv = ["body", str(CORPUS / "p2_o2_no_x3sq.json"), "--flag-matrix",
+                "[[1,1,0],[0,1,0],[0,0,1]]"]
+        bodies = []
+        for K in ("6", "10"):
+            rc, out, _ = invoke(capsys, *argv, "-K", K)
+            assert rc == 0
+            pay = payload_of(out)
+            assert pay["certificate"] == "exact"
+            bodies.append(pay["body"])
+        assert bodies[0] == bodies[1]
+
 
 class TestDeterminismAndIO:
     def test_byte_identical_reports(self, capsys):

@@ -20,13 +20,17 @@ from okbody.convbody import okounkov_body
 from okbody.errors import InputError, InvariantError, TruncationError
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
-from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents, substitution
+from okbody.polyform import FormSpan, HomogeneousForm as HF, all_exponents
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 sys.path.insert(0, str(CORPUS.parent / "perfbench"))
 
 import tracer  # noqa: E402
-from oracles import pending_rows, reference_inverse  # noqa: E402
+from oracles import (  # noqa: E402
+    pending_rows,
+    reference_inverse,
+    reference_substitute_linear,
+)
 
 
 def mono(e):
@@ -308,19 +312,24 @@ def test_key_sum_levels_match_subduction(data):
         assert view.level(k) == view_reference.level(k)
 
 
-def drop_key(series, k, gspans, dim):
+def drop_key(series, k, dim=None):
     """A mutant: the level without its least key."""
-    span = GENERATED_LEVEL(series, k, gspans, dim)
+    span = GENERATED_LEVEL(series, k, dim)
     keys = list(span.pivot_keys)[1:]
     return FormSpan._of(span.nvars, span.degree, {e: {e: 1} for e in keys})
 
 
-def drop_generator_level(series, k, gspans, dim):
+def drop_generator_level(series, k, dim=None):
     """A mutant: the level without the products of its top generator level,
-    when there are several."""
+    when there are several: the series' generator spans lack it while the
+    level is built."""
+    gspans = series._gspans
     if len(gspans) > 1:
-        gspans = dict(list(gspans.items())[:-1])
-    return GENERATED_LEVEL(series, k, gspans, dim)
+        series._gspans = dict(list(gspans.items())[:-1])
+    try:
+        return GENERATED_LEVEL(series, k, dim)
+    finally:
+        series._gspans = gspans
 
 
 @pytest.mark.parametrize("mutant", [drop_key, drop_generator_level])
@@ -361,19 +370,21 @@ def test_monomial_corpus_commands_run_no_subduction(monkeypatch, capsys):
 
 
 def test_flag_view_builds_generator_images_on_first_read():
-    """A view's levels and its monomial test read the substituted integer
-    rows; the exact images are built when `generators` is first read, and
-    equal those of `substitution`."""
+    """A view's levels and its monomial test read its generator spans, the
+    parent's under the flag's integer lines; the canonical basis of a span
+    is reduced only when `generators` is read, and spans what the parent's
+    generators moved by the reference substitution span."""
     S = no_x2x3_series()
     for flag, level in ((Flag.random(2, 7), None), (permutation_flag((2, 0, 1)), 1)):
         view = S.under_flag(flag)
         assert view.monomial_generator_level == level
         assert view.dims(4) == S.dims(4)
-        assert callable(view._generators)
-        gens = view.generators
-        _, _, images = substitution(S.generators[1], flag.lines, flag.den)
-        assert gens == {1: images()}
-        assert view.generators is gens
+        assert view._gspans[1]._reduced is None
+        assert view._gspans == {1: S._gspans[1].transformed(flag.lines)}
+        inverse = reference_inverse(flag.matrix)
+        moved = [reference_substitute_linear(g, inverse) for g in S.generators[1]]
+        assert view.generators == {1: FormSpan(3, 2, moved).basis}
+        assert view._gspans[1]._reduced is not None
 
 
 @pytest.fixture
@@ -443,13 +454,13 @@ MUL_TERMS, TOP_REDUCE = polyform._mul_terms, polyform._top_reduce
 GENERATED_LEVEL = glseries._generated_level
 
 
-def by_products(series, k, gspans, dim):
+def by_products(series, k, dim=None):
     """Level k of a generated series as the sum over generator levels j of
     level(k - j) * G_j, built by `*` and `+` alone."""
     unit = FormSpan.complete(series.d + 1, 0)
     parts = [
         (series.level(k - j) if j < k else unit) * gspan
-        for j, gspan in gspans.items()
+        for j, gspan in series._gspans.items()
         if j <= k
     ]
     return functools.reduce(operator.add, parts)

@@ -1,8 +1,8 @@
 """Span operations on reduced term rows and the monomial-table substitution
-against the slow form-based reference in `oracles.py`, on small random
-non-monomial forms in 2 to 4 variables of degree at most 4.  The span
-readers run both on spans of forms and on spans of products whose table
-still holds products not multiplied out."""
+(`transformed`, `substitute_linear`) against the slow form-based reference
+in `oracles.py`, on small random non-monomial forms in 2 to 4 variables of
+degree at most 4.  The span readers run both on spans of forms and on
+spans of products whose table still holds products not multiplied out."""
 
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +15,7 @@ from okbody.errors import InputError
 from okbody.exactnum import cleared_rows, det
 from okbody import polyform
 from okbody.flagval import valuation_set
-from okbody.polyform import FormSpan, HomogeneousForm, all_exponents, substitution
+from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
     _mul_terms,
     pending_cut_rows,
@@ -105,11 +105,10 @@ def test_edge_readers_give_tuple_exponents(data):
     assert tuple_keyed(moved.terms, nvars)
     assert moved == reference_substitute_linear(f, matrix)
     lines, _ = cleared_rows(matrix)
-    image_span, _, build = substitution(a, lines, 1)
-    images = build()
+    images = span.transformed(lines).basis
     assert all(tuple_keyed(h.terms, nvars) for h in images)
-    assert images == tuple(reference_substitute_linear(h, lines) for h in a)
-    assert image_span == FormSpan(nvars, degree, images)
+    moved = [reference_substitute_linear(h, lines) for h in a]
+    assert images == reference_span_reduce(nvars, degree, moved)[0]
 
 
 def check_span_operations(data, nvars: int, degree: int, a, fresh):

@@ -6,13 +6,16 @@ Views of series without generators, which transform each parent level
 themselves, are checked against the reference substitution and span.
 Every span reader also runs on a freshly built view level whose table
 still holds products not multiplied out, against the oracle's level.  A
-view's generators, mapped one generator level at a time, are checked
-against the reference substitution of each generator, and the
+view's generator spans, mapped one generator level at a time, are checked
+against the spans of the reference substitution of each generator, and the
 substitutions a view makes are counted.  Generated levels, which form only
 the ordered generator products, are checked against the reference that
 forms every product, among them series of one-term and longer generators
 under sparse flags, and so is the product of a span that is not a full
-level with a level, which forms every product too."""
+level with a level, which forms every product too.  A view that claims
+monomial generators is checked to have key-sum levels and a body that no
+longer grows, and a Fujita approximation against the series generated by
+its level's basis."""
 
 import sys
 from fractions import Fraction
@@ -22,7 +25,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from okbody import polyform
-from okbody.convbody import valuative_witness
+from okbody.convbody import okounkov_body, valuative_witness
 from okbody.exactnum import det
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
@@ -312,10 +315,10 @@ def random_form(rng, nvars: int, degree: int, rational: bool) -> HomogeneousForm
 
 
 def test_view_generators_match_per_generator_substitution():
-    """A view maps each generator level by one integer substitution; its
-    generators equal the reference substitution of each generator under
-    the flag, exactly and with Fraction coefficients, and its levels those
-    of the series generated by them."""
+    """A view maps each generator span by one integer substitution; each
+    equals the span of the reference substitution of the generators under
+    the flag, its basis has Fraction coefficients, and the view's levels
+    are those of the series generated by the reference images."""
     rng = Random(19)
     seen = set()
     for case in range(80):
@@ -333,7 +336,9 @@ def test_view_generators_match_per_generator_substitution():
             j: tuple(reference_substitute_linear(g, inverse) for g in forms)
             for j, forms in gens.items()
         }
-        assert view.generators == want
+        assert view._gspans == {
+            j: FormSpan(d + 1, j * twist, images) for j, images in want.items()
+        }
         assert all(
             type(c) is Fraction for forms in view.generators.values() for g in forms
             for c in g.terms.values()
@@ -386,3 +391,104 @@ def test_view_substitutes_once_per_generator_level(monkeypatch):
     gens[1][0].substitute_linear(reference_inverse(Flag.random(2, 1).matrix))
     HomogeneousForm.variable(3, 0)
     assert calls == {"_substitute": 4, "__init__": 1}
+
+
+def matrix_flag(rng, n: int, kind: str) -> Flag:
+    """A permutation matrix, a diagonal matrix or an upper triangular one,
+    with nonzero integer entries on its diagonal."""
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        return Flag([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    diagonal = [rng.choice((-2, -1, 1, 2, 3)) for _ in range(n)]
+    return Flag([
+        [diagonal[i] if i == j else rng.randint(-2, 2) * (kind == "triangular" and i < j)
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def test_monomial_view_certificates_are_consistent():
+    """Seeded series of three to six quadric monomials in P^2 under
+    permutation, diagonal and triangular matrix flags.  Whenever a view has `monomial_generator_level` set, each
+    level is the key sums of the level below and the generator pivots,
+    every form of the reference level of the moved generators is a
+    monomial, and the body at K equals the body at K + 4, certified exact.
+    Permutation and diagonal views always set it; triangular views on some
+    series and not on others."""
+    rng = Random(35)
+    claimed = {kind: [] for kind in ("permutation", "diagonal", "triangular")}
+    for case in range(36):
+        kind = list(claimed)[case % 3]
+        n, twist = 3, 2
+        exps = rng.sample(list(all_exponents(n, twist)), rng.randint(3, 6))
+        gens = [HomogeneousForm.monomial(n, e) for e in exps]
+        series = GradedSeries.generated(n - 1, twist, gens)
+        flag = matrix_flag(rng, n, kind)
+        view = series.under_flag(flag)
+        claimed[kind].append(view.monomial_generator_level is not None)
+        if view.monomial_generator_level is None:
+            continue
+        K = 2
+        inverse = reference_inverse(flag.matrix)
+        moved = {1: [reference_substitute_linear(g, inverse) for g in gens]}
+        lower = [(0,) * n]
+        top = view.level(1).pivots
+        for k, basis in enumerate(reference_generated_levels(n, twist, moved, K + 2), start=1):
+            pivots = view.level(k).pivots
+            assert set(pivots) == {tuple(map(sum, zip(a, b))) for a in lower for b in top}
+            assert all(len(f.terms) == 1 for f in basis)
+            assert view.level(k).basis == basis
+            lower = pivots
+        rep = okounkov_body(series, flag, K)
+        assert rep.certificate == "exact"
+        assert rep.body == okounkov_body(series, flag, K + 4).body
+    assert all(claimed["permutation"]) and all(claimed["diagonal"])
+    assert set(claimed["triangular"]) == {False, True}
+
+
+def dense_or_mixed_forms(rng, nvars: int, degree: int, dense: bool):
+    """Dense: monomials under one integer change of coordinates, as relations
+    among monomials survive it.  Mixed: one-term forms and one form of two
+    or three terms."""
+    exps = list(all_exponents(nvars, degree))
+    picked = rng.sample(exps, rng.randint(3, min(len(exps), 5)))
+    monomials = [HomogeneousForm.monomial(nvars, e) for e in picked]
+    if dense:
+        matrix = random_flag(rng, nvars, False).matrix
+        return [m.substitute_linear(matrix) for m in monomials]
+    return monomials[1:] + [random_form(rng, nvars, degree, False) + monomials[0]]
+
+
+def test_fujita_levels_match_the_series_of_their_level_basis(monkeypatch):
+    """On seeded dense and mixed series of three to five quadrics in P^2, the
+    levels of `fujita_subseries(p)` up to K = 5 are those of the series
+    generated by the basis of level p, and so is whether its generators
+    are monomials: also on a series whose level 1 is spanned by monomials
+    though its rows are not one term each.  The approximation takes the
+    term rows of level p, so building it and its levels never reads
+    `FormSpan.basis`."""
+    reads = []
+    basis = FormSpan.basis
+    monkeypatch.setattr(
+        FormSpan, "basis", property(lambda span: reads.append(span) or basis.fget(span))
+    )
+    rng = Random(36)
+    cases = [dense_or_mixed_forms(rng, 3, 2, dense=case % 2 == 0) for case in range(12)]
+    x = [HomogeneousForm.monomial(3, e) for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2))]
+    cases.append([x[0] + x[1], *x[1:]])
+    for case, gens in enumerate(cases):
+        series = GradedSeries.generated(2, 2, gens)
+        p = 1 + case // 2 % 2
+        approximation = series.fujita_subseries(p)
+        levels = [approximation.level(k) for k in range(1, 6)]
+        assert reads == []
+        reference = GradedSeries.generated(2, 2 * p, {1: series.level(p).basis})
+        assert approximation.monomial_generator_level == reference.monomial_generator_level
+        for k, got in enumerate(levels, start=1):
+            assert got.pivots == reference.level(k).pivots
+            assert got == reference.level(k)
+        # positive control: the reference read the basis of level p
+        assert reads
+        reads.clear()
+    assert any(len(row) > 1 for row in series.level(1)._rows.values())
+    assert approximation.monomial_generator_level == 1
