@@ -254,9 +254,6 @@ class ValueSemigroup:
         d = self.d
         return [(unpack(v, d), k) for v, k in kept]
 
-    def cone_points(self) -> list[tuple[int, ...]]:
-        return [v + (k,) for v, k in self.points()]
-
     def counts(self) -> dict[int, int]:
         return {k: len(vs) for k, vs in sorted(self._keys.items())}
 

@@ -2,23 +2,24 @@
 
 A series assigns to each level k a space of forms of degree k * twist; level
 products must land in level sums, which holds by construction for the
-complete and finitely generated providers and is checkable for explicit
-input.  Derived series (flag views, twists, restrictions, punctures) wrap a
-parent lazily and keep their own level caches, so the computations made on
-one derived series share work; the parent keeps nothing of them.  A series
-with generators holds them as one span of integer term rows per generator
-level: a generated series the spans of its forms, a flag view the spans of
-its parent mapped by `FormSpan.transformed`, a Fujita approximation the
-term rows of its parent's level.  Each builds every level on one path,
-`_generated_level`: the span of the products of lower levels with the
-generator spans.  When every generator row is one term, the levels are
-spans of monomials, and level k is the set of key sums of the levels below
+complete and finitely generated providers and is the caller's to ensure
+for explicit input.  Derived series (flag views, twists, restrictions,
+punctures) wrap a parent lazily and keep their own level caches, so the
+computations made on one derived series share work; the parent keeps
+nothing of them.  A series with generators holds them as one span of
+integer term rows per generator level: a generated series the spans of its
+forms, a flag view the spans of its parent mapped by
+`FormSpan.transformed`, a Fujita approximation the term rows of its
+parent's level.  Each builds every level on one path, `_generated_level`:
+the span of the products of lower levels with the generator spans.  When
+every generator span is spanned by monomials (`FormSpan.is_monomial_span`),
+so are the levels, and level k is the set of key sums of the levels below
 and the generators, held as packed keys from start to finish.  Otherwise
 it is found by subduction, in which a row that entered with a generator
 row (its signature) meets only that row and the later ones, as
-u * (g * r) = g * (u * r).  A view knows the level's dimension
-from its parent, so it cross-checks the key sums, and stops a subduction as
-soon as the products' leads reach it, most often without any reduction.
+u * (g * r) = g * (u * r).  A view knows the level's dimension from its
+parent, so it cross-checks the key sums, and stops a subduction as soon as
+the products' leads reach it, most often without any reduction.
 The products it keeps stay pending (`FormSpan.subducted`): the valuation
 sets are their leads, and only a reduction or a reader of the terms
 multiplies one out.
@@ -79,7 +80,7 @@ class GradedSeries:
     A series with generators holds `_gspans`, generator level -> span of
     term rows, none of them pending, and `_forms` the forms it was built
     from, if any.  `monomial_generator_level` is the top generator level
-    when every row of every generator span is one term, else None.  The
+    when every generator span is a monomial span, else None.  The
     provider of level k reads levels of the series itself no lower than
     k - reach.  `_levels` holds spans, `_dims` the dimension of every level
     built, and `_loose` the held levels that a single-pass read built."""
@@ -144,9 +145,7 @@ class GradedSeries:
         which also chooses key sums in `_generated_level`."""
         self._gspans = gspans
         self.monomial_generator_level = None
-        if gspans and all(
-            len(row) == 1 for span in gspans.values() for row in span._rows.values()
-        ):
+        if gspans and all(span.is_monomial_span for span in gspans.values()):
             self.monomial_generator_level = max(gspans)
         return self
 
@@ -201,19 +200,6 @@ class GradedSeries:
     def hilbert_data(self, K: int) -> HilbertData:
         """Level dimensions plus a stabilization check (`HilbertData.of`)."""
         return HilbertData.of(self.dims(K), self.d)
-
-    def validate_multiplicative(self, K: int) -> None:
-        """Check S_i * S_j lands inside S_{i+j} for all levels up to K: each
-        product of a row of S_i and a row of S_j is top-reduced against the
-        rows of S_{i+j} (`FormSpan.contains_products`)."""
-        for i in range(1, K):
-            for j in range(i, K - i + 1):
-                factors = self.level(i), self.level(j)
-                if not self.level(i + j).contains_products(*factors):
-                    raise InputError(
-                        f"series: level {i} times level {j} leaves "
-                        f"level {i + j}"
-                    )
 
     # -- constructors ----------------------------------------------------------
 
@@ -455,17 +441,14 @@ class GradedSeries:
     def fujita_subseries(self, p: int) -> GradedSeries:
         """The finitely generated approximation built from level p: its
         level k is the span of k-fold products from level p.  Its generator
-        span holds the term rows of level p under their pivots, or the
-        pivot monomials when they span level p, as its basis would be."""
+        span holds the term rows of level p under their pivots, so the
+        approximation takes key sums when level p is a monomial span."""
         if p < 1:
             raise InputError("fujita_subseries: p must be >= 1")
         base = self.level(p)
         if base.dim == 0:
             raise InputError("fujita_subseries: level p is zero")
-        if base.is_monomial_span:
-            rows = {e: {e: 1} for e in base.pivot_keys}
-        else:
-            rows = dict(zip(base.pivot_keys, base._term_rows()))
+        rows = dict(zip(base.pivot_keys, base._term_rows()))
         series = GradedSeries(
             self.d, base.degree, _generated_level, label=f"{self.label}[{p}]", reach=1
         )
@@ -501,13 +484,14 @@ def _generated_level(
     being the constants.  With no dim it is the provider of a generated
     series and of a Fujita approximation.
 
-    When every generator row is a one-term row, every level is the span of
-    its pivot monomials (a complete level is too), so level k is the span
-    of the key sums: each pivot key of level k - j plus each key of G_j,
-    and the keys of G_k, entered as one-term rows.  A known dim
-    cross-checks their count.  Otherwise the level is found by subduction
-    (`FormSpan.subducted`), whose signature rule holds as each factor on
-    the left is a full level, and a known dim stops and cross-checks it."""
+    When every generator span is a monomial span, its pivot keys are its
+    monomials and every level is the span of its pivot monomials (a complete
+    level is too), so level k is the span of the key sums: each pivot key of
+    level k - j plus each pivot key of G_j, and the pivot keys of G_k,
+    entered as one-term rows.  A known dim cross-checks their count.
+    Otherwise the level is found by subduction (`FormSpan.subducted`),
+    whose signature rule holds as each factor on the left is a full level,
+    and a known dim stops and cross-checks it."""
     n, degree = series.d + 1, k * series.twist
     gspans = series._gspans
     if series.monomial_generator_level is not None:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import InputError, UnsupportedModeError
 from .exactnum import hermite_normal_form
 from .glseries import GradedSeries
-from .polyform import (DEGREE_BOUND, FormSpan, all_exponents, check_degree, field_mask, pack,
+from .polyform import (DEGREE_BOUND, FormSpan, check_degree, field_mask, pack,
                        spare_bits, unit_key, unpack)
 
 Exponent = tuple[int, ...]
@@ -83,10 +83,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self._keys
 
-    @property
-    def is_unit(self) -> bool:
-        return self._keys == (0,)
-
     def contains_monomial(self, e: Sequence[int]) -> bool:
         e = tuple(int(x) for x in e)
         if len(e) != self.nvars:
@@ -126,16 +122,6 @@ class MonomialIdeal:
         lcms = {pack([max(x, y) for x, y in zip(g, h)]) for g in gs for h in hs}
         return self._of(self.nvars, _minimalize(lcms, self.nvars))
 
-    def quotient_monomial(self, m: Sequence[int]) -> MonomialIdeal:
-        """Colon ideal (I : m) for a single monomial m."""
-        m = tuple(int(x) for x in m)
-        if len(m) != self.nvars or any(x < 0 for x in m):
-            raise InputError("monomial ideal: bad colon monomial")
-        shifted = {
-            pack([max(x - y, 0) for x, y in zip(g, m)]) for g in self.generators
-        }
-        return self._of(self.nvars, _minimalize(shifted, self.nvars))
-
     def saturate_variable(self, i: int) -> MonomialIdeal:
         """(I : X_i^inf): generators with the i-th exponent removed, their
         field i cleared."""
@@ -157,12 +143,6 @@ class MonomialIdeal:
         return out
 
     # -- geometry --------------------------------------------------------------
-
-    def degree_piece(self, degree: int) -> list[Exponent]:
-        """All exponents of the given total degree lying in the ideal."""
-        if degree < 0:
-            raise InputError("monomial ideal: negative degree")
-        return [e for e in all_exponents(self.nvars, degree) if self.contains_monomial(e)]
 
     def vanishes_at(self, point: Sequence[Fraction]) -> bool:
         """Whether every generator evaluates to zero at the point: each

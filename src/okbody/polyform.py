@@ -30,16 +30,15 @@ pending product, `_mul_terms` of two rows, whatever their number of terms:
 the second is its signature, the generator row it entered with, and the
 next level multiplies it only by that row and the generator rows after
 it.  Only a remainder of a reduction, or a row of a span built from forms,
-carries no signature.  `*` multiplies every pair of rows out, and
-`contains_products` top-reduces each such product against a span's rows.
-A quotient by a power of the first variable and a cut that sets it to
-zero are pending rows of one row: they apply at once to a term row and are
-deferred on a pending one.  The canonical basis, the reduced row echelon
-form over ascending lex exponent columns, is computed only when it is read;
-a span of one-term rows (`is_monomial_span`) reads it off its pivots.
-Forms are built only at the edges (input, `basis`), and linear substitution
-(`transformed`, `substitute_linear`) maps every row through one table of
-monomial images.
+carries no signature.  `*` multiplies every pair of rows out.  A quotient
+by a power of the first variable and a cut that sets it to zero are pending
+rows of one row: they apply at once to a term row and are deferred on a
+pending one.  The canonical basis, the reduced row echelon form over
+ascending lex exponent columns, is computed only when it is read; a
+monomial span, each of whose rows has only pivots as terms
+(`is_monomial_span`), reads it off its pivots.  Forms are built only at
+the edges (input, `basis`), and linear substitution (`transformed`,
+`substitute_linear`) maps every row through one table of monomial images.
 """
 
 from __future__ import annotations
@@ -214,13 +213,6 @@ class HomogeneousForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
-
     def canonical_terms(self) -> tuple[tuple[Exponent, Fraction], ...]:
         return tuple(sorted(self.terms.items()))
 
@@ -305,19 +297,6 @@ class HomogeneousForm:
         return HomogeneousForm._of(
             n, {unpack(e, n): c for e, c in terms.items()}, self.degree
         )
-
-    def set_variable_zero(self, i: int) -> HomogeneousForm:
-        """Restrict to the hyperplane where variable i vanishes; the variable
-        is dropped, so the result lives in one fewer variable."""
-        if self.nvars < 2:
-            raise InputError("set_variable_zero: need at least two variables")
-        terms = {
-            e[:i] + e[i + 1 :]: c
-            for e, c in self.terms.items()
-            if e[i] == 0
-        }
-        deg = self.degree if terms else None
-        return HomogeneousForm(self.nvars - 1, terms, deg)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.nvars:
@@ -749,19 +728,6 @@ class FormSpan:
         rows_b = other._term_rows()
         rows = [_mul_terms(a, b) for a in self._term_rows() for b in rows_b]
         return self._of(self.nvars, degree, _insert({}, rows))
-
-    def contains_products(self, A: FormSpan, B: FormSpan) -> bool:
-        """Whether every product a * b of a row of A and a row of B lies in
-        the span.  The rows have distinct leads, so a product does exactly
-        when its top reduction against them ends empty."""
-        if {A.nvars, B.nvars} != {self.nvars} or A.degree + B.degree != self.degree:
-            raise InputError("contains_products: factors of the wrong shape")
-        rows_b = B._term_rows()
-        return not any(
-            _top_reduce(_mul_terms(a, b), self._rows)
-            for a in A._term_rows()
-            for b in rows_b
-        )
 
     def transformed(self, matrix: Sequence[Sequence[Fraction]]) -> FormSpan:
         """The span under X -> M Y.  M is first scaled to integers by the

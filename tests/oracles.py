@@ -12,9 +12,10 @@ bodies, building every polytope through `reference_polytope`.
 The level oracle is the form layer `polyform` had before spans kept their
 reduced term rows: `substitute_linear` multiplying out per-form powers of
 the linear forms in `Fraction` dicts, and `span_reduce` going from forms to
-dense rows and back.  The span operations below are the old `FormSpan`
-method bodies on a reference basis, a tuple of forms in reduced row
-echelon form.
+dense rows and back; `reference_set_variable_zero` cuts a form to a
+coordinate hyperplane term by term.  The span operations below are the old
+`FormSpan` method bodies on a reference basis, a tuple of forms in reduced
+row echelon form.
 
 The view-level oracle is how flag views built their levels before
 subduction: each parent level written in flag coordinates by one
@@ -891,6 +892,13 @@ def reference_substitute_linear(
     return HomogeneousForm(n, total, self.degree)
 
 
+def reference_set_variable_zero(form: HomogeneousForm, i: int) -> HomogeneousForm:
+    """The restriction of a form to the hyperplane where variable i
+    vanishes, that variable dropped: one fewer variable."""
+    terms = {e[:i] + e[i + 1 :]: c for e, c in form.terms.items() if e[i] == 0}
+    return HomogeneousForm(form.nvars - 1, terms, form.degree if terms else None)
+
+
 def reference_span_reduce(
     nvars: int, degree: int, forms
 ) -> tuple[tuple[HomogeneousForm, ...], tuple[Exponent, ...]]:
@@ -903,7 +911,7 @@ def reference_span_reduce(
         kept.append(f)
     if not kept:
         return (), ()
-    if all(f.is_monomial for f in kept):
+    if all(len(f.terms) == 1 for f in kept):
         exps = sorted({next(iter(f.terms)) for f in kept})
         basis = tuple(HomogeneousForm.monomial(nvars, e) for e in exps)
         return basis, tuple(exps)
@@ -943,7 +951,7 @@ def _combine(
 def reference_contains(basis, pivots, form: HomogeneousForm) -> bool:
     rem = form
     for f, p in zip(basis, pivots):
-        c = rem.coefficient(p)
+        c = rem.terms.get(p, 0)
         if c:
             rem = rem - f.scaled(c)
     return rem.is_zero
@@ -958,7 +966,7 @@ def reference_subspace_with_min_exponent(
     if not low:
         return reference_span_reduce(nvars, degree, basis)
     rows = [
-        [f.coefficient(e) for f in basis] for e in low
+        [f.terms.get(e, 0) for f in basis] for e in low
     ]
     combos = nullspace(rows)
     forms = [
@@ -1069,10 +1077,6 @@ class ReferenceIdeal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    @property
-    def is_unit(self) -> bool:
-        return self.generators == ((0,) * self.nvars,)
-
     def contains_monomial(self, e: Sequence[int]) -> bool:
         e = tuple(int(x) for x in e)
         if len(e) != self.nvars:
@@ -1085,12 +1089,6 @@ class ReferenceIdeal:
     def intersect(self, other: ReferenceIdeal) -> ReferenceIdeal:
         lcms = {_lcm(g, h) for g in self.generators for h in other.generators}
         return ReferenceIdeal(self.nvars, lcms)
-
-    def quotient_monomial(self, m: Sequence[int]) -> ReferenceIdeal:
-        shifted = {
-            tuple(max(x - y, 0) for x, y in zip(g, m)) for g in self.generators
-        }
-        return ReferenceIdeal(self.nvars, shifted)
 
     def saturate_variable(self, i: int) -> ReferenceIdeal:
         gens = {g[:i] + (0,) + g[i + 1 :] for g in self.generators}

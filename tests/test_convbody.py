@@ -460,10 +460,15 @@ class TestOkounkovBody:
         assert rep.hilbert.volume == 1
 
     def test_random_flag_downgrades_certificate(self):
-        rep = okounkov_body(GradedSeries.complete(2), Flag.random(2, 7), 4)
-        assert rep.body == RationalPolytope.from_points([(0, 0), (1, 0), (0, 1)])
+        # the view's generator span is no monomial span, and its hull still
+        # grows with K
+        S, flag = p2_except_x2x3(), Flag.random(2, 7)
+        assert not S.under_flag(flag)._gspans[1].is_monomial_span
+        rep = okounkov_body(S, flag, 4)
+        assert rep.body == RationalPolytope.from_points([(0, 0), (F(7, 4), 0), (1, 1), (0, 2)])
         assert rep.certificate == "truncation"
         assert rep.certificate_note
+        assert okounkov_body(S, flag, 6).body.volume() > rep.body.volume()
 
     def test_report_carries_semigroup(self):
         S = monomial_series(2, 2, [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
@@ -580,7 +585,7 @@ class TestLatticeIndex:
         indices = []
         for flag in flags:
             rep = okounkov_body(S, flag, K)
-            points = rep.semigroup.cone_points()
+            points = [v + (k,) for v, k in rep.semigroup.points()]
             assert len(rep.semigroup.indecomposables()) < len(points)
             assert rep.lattice_index == lattice_index(points, S.d + 1)
             indices.append(rep.lattice_index)

@@ -736,41 +736,6 @@ def test_explicit_series_gap_levels_are_zero():
     assert E.dims(3) == [0, 0, 1]
 
 
-def test_validate_multiplicative():
-    no_x2x3_series().validate_multiplicative(4)
-    GradedSeries.complete(2).validate_multiplicative(3)
-    x, y = HF.variable(3, 0), HF.variable(3, 1)
-    bad = GradedSeries.explicit(2, 1, {1: [x], 2: [y * y]})
-    with pytest.raises(InputError):
-        bad.validate_multiplicative(2)
-
-
-def test_validate_multiplicative_beyond_monomials():
-    """Every product of a row of S_i and a row of S_j is top-reduced against
-    the rows of S_{i+j}: the check passes on a flag view of a birational
-    net and on a series of dense quadrics, and fails on an explicit series
-    whose level 2 misses the square of its one generator, f^2, though the
-    lead of f^2, and its lead after one reduction step, are leads of level
-    2: only the second step leaves a remainder, X1^2."""
-    S = parse_series(json.loads((CORPUS / "p2_except_x2x3.json").read_text()))
-    S.under_flag(Flag.random(2, 1)).validate_multiplicative(6)
-    x, y, z = (HF.variable(3, i) for i in range(3))
-    quadrics = [
-        x * x + (x * y).scaled(3) - (y * z).scaled(2) + z * z,
-        (x * z).scaled(5) + y * y - (y * z) + (z * z).scaled(2),
-        x * x - (x * y) + (x * z).scaled(2) - (y * y).scaled(3) + y * z,
-    ]
-    GradedSeries.generated(2, 2, quadrics).validate_multiplicative(4)
-    f = x + y + z
-    bad = GradedSeries.explicit(2, 1, {
-        1: [f],
-        2: [z * z + (y * z).scaled(2) + y * y, (x * z + x * y).scaled(2)],
-    })
-    with pytest.raises(InputError, match="level 1 times level 1 leaves level 2"):
-        bad.validate_multiplicative(2)
-    assert bad.level(2).contains(f * f - x * x)
-
-
 def test_level_guards():
     C = GradedSeries.complete(2)
     with pytest.raises(InputError):

@@ -97,16 +97,6 @@ def test_substitution_matches_evaluation():
         assert f.substitute_linear(M).evaluate(p) == f.evaluate(Mp)
 
 
-def test_set_variable_zero_matches_evaluation():
-    rng = random.Random(44)
-    for _ in range(20):
-        f = random_form(rng, 3, 2)
-        p = [F(rng.randint(-3, 3)) for _ in range(2)]
-        r = f.set_variable_zero(1)
-        assert r.nvars == 2
-        assert r.evaluate(p) == f.evaluate([p[0], F(0), p[1]])
-
-
 def test_span_canonical_and_order_free():
     rng = random.Random(45)
     for _ in range(20):

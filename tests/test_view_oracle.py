@@ -13,9 +13,10 @@ the ordered generator products, are checked against the reference that
 forms every product, among them series of one-term and longer generators
 under sparse flags, and so is the product of a span that is not a full
 level with a level, which forms every product too.  A view that claims
-monomial generators is checked to have key-sum levels and a body that no
-longer grows, and a Fujita approximation against the series generated by
-its level's basis."""
+monomial generators, its generator spans monomial spans whether or not
+their rows are one term, is checked to have key-sum levels equal to the
+subduction of those spans and a body that no longer grows, and a Fujita
+approximation against the series generated by its level's basis."""
 
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from okbody import polyform
 from okbody.convbody import okounkov_body, valuative_witness
 from okbody.exactnum import det
 from okbody.flagval import Flag
-from okbody.glseries import GradedSeries
+from okbody.glseries import GradedSeries, _generated_level
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
     pending_rows,
@@ -407,14 +408,47 @@ def matrix_flag(rng, n: int, kind: str) -> Flag:
     ])
 
 
-def test_monomial_view_certificates_are_consistent():
-    """Seeded series of three to six quadric monomials in P^2 under
-    permutation, diagonal and triangular matrix flags.  Whenever a view has `monomial_generator_level` set, each
-    level is the key sums of the level below and the generator pivots,
+def check_monomial_view(series: GradedSeries, flag: Flag, K: int) -> bool:
+    """Whether the view of the series claims monomial generators; if it
+    does, each level up to K + 2 is the key sums of the level below and
+    the generator pivots, the same as the subduction of its generator spans,
     every form of the reference level of the moved generators is a
     monomial, and the body at K equals the body at K + 4, certified exact.
-    Permutation and diagonal views always set it; triangular views on some
-    series and not on others."""
+    The series has generators at level 1 only."""
+    view = series.under_flag(flag)
+    if view.monomial_generator_level is None:
+        return False
+    n = series.d + 1
+    subduced = GradedSeries(series.d, series.twist, _generated_level, reach=1)
+    subduced._generate(view._gspans)
+    subduced.monomial_generator_level = None  # subduction, not key sums
+    inverse = reference_inverse(flag.matrix)
+    moved = {1: [reference_substitute_linear(g, inverse) for g in series.generators[1]]}
+    lower = [(0,) * n]
+    top = view.level(1).pivots
+    for k, basis in enumerate(reference_generated_levels(n, series.twist, moved, K + 2), start=1):
+        pivots = view.level(k).pivots
+        assert set(pivots) == {tuple(map(sum, zip(a, b))) for a in lower for b in top}
+        assert view.level(k) == subduced.level(k)
+        assert all(len(f.terms) == 1 for f in basis)
+        assert view.level(k).basis == basis
+        lower = pivots
+    rep = okounkov_body(series, flag, K)
+    assert rep.certificate == "exact"
+    assert rep.body == okounkov_body(series, flag, K + 4).body
+    return True
+
+
+def test_monomial_view_certificates_are_consistent():
+    """Seeded series of three to six quadric monomials in P^2 under
+    permutation, diagonal and triangular matrix flags
+    (`check_monomial_view`).  Permutation and diagonal views always claim
+    monomial generators; triangular views on some series and not on others.
+    Views whose generator spans are monomial spans with rows of more than
+    one term claim them too: the four complete corpus series under seeded
+    flags, and X1^2 + X1X2, X1X2, X2^2, X3^2 under the standard flag.  A
+    series whose first generator span is a monomial span and whose second
+    is not claims nothing, and its levels are those of every product."""
     rng = Random(35)
     claimed = {kind: [] for kind in ("permutation", "diagonal", "triangular")}
     for case in range(36):
@@ -423,27 +457,30 @@ def test_monomial_view_certificates_are_consistent():
         exps = rng.sample(list(all_exponents(n, twist)), rng.randint(3, 6))
         gens = [HomogeneousForm.monomial(n, e) for e in exps]
         series = GradedSeries.generated(n - 1, twist, gens)
-        flag = matrix_flag(rng, n, kind)
-        view = series.under_flag(flag)
-        claimed[kind].append(view.monomial_generator_level is not None)
-        if view.monomial_generator_level is None:
-            continue
-        K = 2
-        inverse = reference_inverse(flag.matrix)
-        moved = {1: [reference_substitute_linear(g, inverse) for g in gens]}
-        lower = [(0,) * n]
-        top = view.level(1).pivots
-        for k, basis in enumerate(reference_generated_levels(n, twist, moved, K + 2), start=1):
-            pivots = view.level(k).pivots
-            assert set(pivots) == {tuple(map(sum, zip(a, b))) for a in lower for b in top}
-            assert all(len(f.terms) == 1 for f in basis)
-            assert view.level(k).basis == basis
-            lower = pivots
-        rep = okounkov_body(series, flag, K)
-        assert rep.certificate == "exact"
-        assert rep.body == okounkov_body(series, flag, K + 4).body
+        claimed[kind].append(check_monomial_view(series, matrix_flag(rng, n, kind), 2))
     assert all(claimed["permutation"]) and all(claimed["diagonal"])
     assert set(claimed["triangular"]) == {False, True}
+
+    for d, twist in ((1, 1), (2, 1), (2, 2), (3, 1)):
+        gens = [HomogeneousForm.monomial(d + 1, e) for e in all_exponents(d + 1, twist)]
+        complete = GradedSeries.generated(d, twist, gens)
+        for seed in (1, 2, 5):
+            flag = Flag.random(d, seed)
+            span = complete.under_flag(flag)._gspans[1]
+            assert any(len(row) > 1 for row in span._rows.values())
+            assert check_monomial_view(complete, flag, 2)
+    x = [HomogeneousForm.monomial(3, e) for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2))]
+    series = GradedSeries.generated(2, 2, [x[0] + x[1], *x[1:]])
+    assert any(len(row) > 1 for row in series._gspans[1]._rows.values())
+    assert check_monomial_view(series, Flag.standard(2), 6)
+
+    gens = {1: x[1:], 2: [x[0] * x[3] + x[0] * x[0]]}
+    series = GradedSeries.generated(2, 2, gens)
+    assert series._gspans[1].is_monomial_span and not series._gspans[2].is_monomial_span
+    assert series.monomial_generator_level is None
+    for k, basis in enumerate(reference_generated_levels(3, 2, gens, 4), start=1):
+        assert series.level(k).basis == basis
+    assert okounkov_body(series, Flag.standard(2), 4).certificate == "truncation"
 
 
 def dense_or_mixed_forms(rng, nvars: int, degree: int, dense: bool):
@@ -463,10 +500,10 @@ def test_fujita_levels_match_the_series_of_their_level_basis(monkeypatch):
     """On seeded dense and mixed series of three to five quadrics in P^2, the
     levels of `fujita_subseries(p)` up to K = 5 are those of the series
     generated by the basis of level p, and so is whether its generators
-    are monomials: also on a series whose level 1 is spanned by monomials
-    though its rows are not one term each.  The approximation takes the
-    term rows of level p, so building it and its levels never reads
-    `FormSpan.basis`."""
+    are monomials: also on a generated and an explicit series whose level 1
+    is spanned by monomials though the rows of the explicit one's level 1
+    are not one term each.  The approximation takes the term rows of level
+    p, so building it and its levels never reads `FormSpan.basis`."""
     reads = []
     basis = FormSpan.basis
     monkeypatch.setattr(
@@ -476,8 +513,9 @@ def test_fujita_levels_match_the_series_of_their_level_basis(monkeypatch):
     cases = [dense_or_mixed_forms(rng, 3, 2, dense=case % 2 == 0) for case in range(12)]
     x = [HomogeneousForm.monomial(3, e) for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2))]
     cases.append([x[0] + x[1], *x[1:]])
-    for case, gens in enumerate(cases):
-        series = GradedSeries.generated(2, 2, gens)
+    all_series = [GradedSeries.generated(2, 2, gens) for gens in cases]
+    all_series.append(GradedSeries.explicit(2, 2, {1: cases[-1]}))
+    for case, series in enumerate(all_series):
         p = 1 + case // 2 % 2
         approximation = series.fujita_subseries(p)
         levels = [approximation.level(k) for k in range(1, 6)]
