@@ -2,10 +2,12 @@
 space, with a Zariski-decomposition engine for surfaces.
 
 The package computes truncated Okounkov bodies with exactness
-certificates, value semigroups and their lattice indices, slices and
-restricted series, base loci and sheafifications of monomial series,
-volume identities, and piecewise linear body descriptions on surfaces
-given by an intersection lattice.  All arithmetic is exact rational.
+certificates, as hulls of the indecomposable points of truncated value
+semigroups read one level at a time, the lattice indices of the value
+groups, slices and restricted series, base loci and sheafifications of
+monomial series, volume identities, and piecewise linear body
+descriptions on surfaces given by an intersection lattice.  All
+arithmetic is exact rational.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .polyform import FormSpan, HomogeneousForm
-from .flagval import Flag, ValueSemigroup, filtered_dimension, valuation
+from .flagval import Flag, filtered_dimension, valuation
 from .glseries import GradedSeries, HilbertData
 from .convbody import (
     BodyReport,
@@ -61,7 +63,6 @@ __all__ = [
     "HomogeneousForm",
     "FormSpan",
     "Flag",
-    "ValueSemigroup",
     "valuation",
     "filtered_dimension",
     "GradedSeries",

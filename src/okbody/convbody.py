@@ -59,7 +59,7 @@ from .exactnum import (
     lattice_index,
     smith_normal_form,
 )
-from .flagval import Flag, ValueSemigroup
+from .flagval import Flag, indecomposables
 from .glseries import GradedSeries, HilbertData
 from .polyform import HomogeneousForm, check_degree
 
@@ -497,7 +497,6 @@ def _cones(
 
 class BodyReport(NamedTuple):
     body: RationalPolytope
-    semigroup: ValueSemigroup
     truncation: int
     certificate: str  # "exact" or "truncation"
     certificate_note: str
@@ -512,23 +511,25 @@ def okounkov_body(
     """Truncated Newton-Okounkov body with an exactness certificate.
 
     The body is the hull of the indecomposable value points nu(s) / k up
-    to level K (`ValueSemigroup.indecomposables`), which span the hull of
-    all of them.  The certificate is "exact" when the flag transformed
-    series is visibly generated by monomials in levels <= k0 <= K: no
-    value point above k0 is then indecomposable, so the truncated hull
-    equals the limit body.  Otherwise the hull is a certified inner
-    approximation ("truncation").  The lattice index is that of the group
-    the kept points generate: each dropped point is a kept point plus a
-    value point of a lower level, so by induction on the level the kept
-    points generate the group of all value points.  The Hilbert data is
-    read off the value point counts, which are the level dimensions, as a
-    change of flag keeps them; the levels are read once (`semigroup`).
+    to level K (`flagval.indecomposables`), which span the hull of all of
+    them.  The certificate is "exact" when the flag transformed series is
+    visibly generated by monomials in levels <= k0 <= K: no value point
+    above k0 is then indecomposable, so the truncated hull equals the
+    limit body.  Otherwise the hull is a certified inner approximation
+    ("truncation").  The lattice index is that of the group the kept
+    points generate: each dropped point is a kept point plus a value point
+    of a lower level, so by induction on the level the kept points
+    generate the group of all value points.  The levels are read once
+    (`GradedSeries.value_levels`), which records their dimensions: the
+    Hilbert data is read off them, as the value point counts are the
+    level dimensions and a change of flag keeps them.
     """
     if K < 1:
         raise InputError("okounkov_body: truncation must be >= 1")
+    check_degree(K * series.twist, f"okounkov body to level {K}")
     view = series.under_flag(flag)
-    sg = view.semigroup(Flag.standard(series.d), K)
-    kept = sg.indecomposables()
+    kept = indecomposables(view.value_levels(K), series.d)
+    dims = view.dims(K)
     den = math.lcm(*(k for _, k in kept))
     body = RationalPolytope._from_integer_points(
         [tuple(x * (den // k) for x in v) for v, k in kept], den, series.d
@@ -547,15 +548,12 @@ def okounkov_body(
             f"monomial generators in levels <= {k0}; "
             "truncated hull is the limit body"
         )
-    counts = sg.counts()
-    dims = [counts[k] for k in range(1, K + 1)]
     return BodyReport(
         body=body,
-        semigroup=sg,
         truncation=K,
         certificate=certificate,
         certificate_note=note,
-        lattice_index=lattice_index([v + (k,) for v, k in kept], sg.d + 1),
+        lattice_index=lattice_index([v + (k,) for v, k in kept], series.d + 1),
         hilbert=HilbertData.of(dims, series.d),
         dims=dims,
     )

@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .exactnum import cleared_rows, det, inverse_lines
@@ -166,104 +166,39 @@ def filtered_dimension(span: FormSpan, sigma: Sequence[int]) -> int:
     return len([p for p in span.pivot_keys if ((p | spare) - key) & spare == spare])
 
 
-def _value_key(vector: Sequence[int], d: int) -> int | None:
-    """The packed key of a value vector of d entries, or None when it has
-    another length or an entry that is no integer in [0, DEGREE_BOUND)."""
-    if len(vector) != d or not all(
-        isinstance(x, int) and 0 <= x < DEGREE_BOUND for x in vector
-    ):
-        return None
-    return pack(vector)
-
-
-class ValueSemigroup:
-    """Value points (nu(s), k) of a graded series up to a truncation level.
-
-    Each level is held as the packed keys (`polyform.pack`) of its value
-    vectors, in the order given; `levels`, `level` and `points` unpack
-    them."""
-
-    __slots__ = ("d", "truncation", "_keys")
-
-    def __init__(
-        self,
-        d: int,
-        truncation: int,
-        levels: dict[int, Sequence[Sequence[int]]],
-    ):
-        keys = {}
-        for k, vs in levels.items():
-            keys[k] = [_value_key(v, d) for v in vs]
-            if None in keys[k]:
-                raise InputError(
-                    f"value semigroup: level {k} holds a vector that is not "
-                    f"{d} entries in [0, {DEGREE_BOUND})"
-                )
-        self._set(d, truncation, keys)
-
-    def _set(self, d: int, truncation: int, keys: dict[int, list[int]]) -> ValueSemigroup:
-        self.d = d
-        self.truncation = truncation
-        self._keys = keys
-        return self
-
-    @classmethod
-    def _of(cls, d: int, truncation: int, keys: dict[int, list[int]]) -> ValueSemigroup:
-        """The semigroup of value keys the library computed (`value_keys`),
-        taken without checks."""
-        return object.__new__(cls)._set(d, truncation, keys)
-
-    @property
-    def levels(self) -> dict[int, tuple[Vector, ...]]:
-        return {k: self.level(k) for k in self._keys}
-
-    def level(self, k: int) -> tuple[Vector, ...]:
-        d = self.d
-        return tuple(unpack(v, d) for v in self._keys.get(k, ()))
-
-    def points(self) -> Iterator[tuple[Vector, int]]:
-        for k in sorted(self._keys):
-            for v in self.level(k):
-                yield v, k
-
-    def indecomposables(self) -> list[tuple[Vector, int]]:
-        """Value points less each (v, k) with v - g in level k - j for a kept
-        (g, j), 2j <= k: v / k lies between g / j and (v - g) / (k - j), so
-        the kept points span the hull of all.  When value sets add, every
-        sum (u, j) + (w, k - j), 2j <= k, splits off a kept point and drops.
-        Only kept points of levels j <= k / 2 filter level k, and those
-        levels are done before level k starts, so a level is filtered as a
-        whole, one kept point at a time, by one set lookup per point still
-        in it; the kept list and its order are those of a point-by-point
-        scan.  The lookup is of the packed difference v - g, one integer
-        subtraction: where an entry of v - g is negative, some field
-        borrows, and the difference is negative or has a field at or above
-        DEGREE_BOUND, so it is no key of a value vector.  The kept points
-        are unpacked."""
-        sets = {k: set(vs) for k, vs in self._keys.items()}
-        kept: list[tuple[int, int]] = []
-        for k in sorted(self._keys):
-            rest = self._keys[k]
-            for g, j in kept:
-                if 2 * j > k or not rest:
-                    break
-                lower = sets.get(k - j)
-                if lower:
-                    rest = [v for v in rest if v - g not in lower]
+def indecomposables(levels: Iterable[Sequence[int]], d: int) -> list[tuple[Vector, int]]:
+    """The indecomposable value points of levels 1, 2, ..., given as each
+    level's value keys (`value_keys`) in order and read one level at a
+    time: the value points less each (v, k) with v - g in level k - j for a
+    kept (g, j), 2j <= k.  v / k lies between g / j and (v - g) / (k - j), so the kept
+    points span the hull of all.  When value sets add, every sum (u, j) +
+    (w, k - j), 2j <= k, splits off a kept point and drops.  Only kept
+    points of levels j <= k / 2 filter level k, and those levels are done
+    before level k starts, so a level is filtered as a whole, one kept
+    point at a time, by one set lookup per point still in it; the kept list
+    and its order are those of a point-by-point scan.  The lookup is of the
+    packed difference v - g, one integer subtraction: where an entry of
+    v - g is negative, some field borrows, and the difference is negative
+    or has a field at or above DEGREE_BOUND, so it is no key of a value
+    vector.  Level m is read only to filter level m + j for a kept j <= m,
+    and every kept level known after level k is at most top, the highest
+    level with a kept point, so the set of level k - top is then dropped:
+    the sets held span the last top levels.  The kept points are
+    unpacked."""
+    sets: dict[int, set[int]] = {}
+    kept: list[tuple[int, int]] = []
+    top = 0
+    for k, keys in enumerate(levels, 1):
+        rest = keys
+        for g, j in kept:
+            if 2 * j > k or not rest:
+                break
+            lower = sets.get(k - j)
+            if lower:
+                rest = [v for v in rest if v - g not in lower]
+        if rest:
             kept.extend((v, k) for v in rest)
-        d = self.d
-        return [(unpack(v, d), k) for v, k in kept]
-
-    def counts(self) -> dict[int, int]:
-        return {k: len(vs) for k, vs in sorted(self._keys.items())}
-
-    def contains(self, vector: Sequence[int], k: int) -> bool:
-        key = _value_key(tuple(vector), self.d)
-        return key is not None and key in self._keys.get(k, ())
-
-    def __repr__(self) -> str:
-        total = sum(len(v) for v in self._keys.values())
-        return (
-            f"ValueSemigroup(d={self.d}, truncation={self.truncation}, "
-            f"points={total})"
-        )
+            top = k
+        sets[k] = set(keys)
+        sets.pop(k - top, None)
+    return [(unpack(v, d), k) for v, k in kept]

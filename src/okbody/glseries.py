@@ -26,8 +26,8 @@ multiplies one out.
 
 A series records the dimension of every level it builds, and holds the
 level spans read through `level` for the rest of its life, so a command
-that reads a level again finds it.  A single-pass read (`semigroup`, and a
-view's read of its parent's dimensions) holds a level it builds only while
+that reads a level again finds it.  A single-pass read (`value_levels`, and
+a view's read of its parent's dimensions) holds a level it builds only while
 the series' own provider can still read it: the last `reach` levels, the
 top generator level of a generated series or a view.  Peak memory then
 grows with the largest level, not with the sum of all; a command that reads
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InvariantError, TruncationError
-from .flagval import Flag, ValueSemigroup, value_keys
+from .flagval import Flag, value_keys
 from .polyform import (
     FormSpan,
     HomogeneousForm,
@@ -456,18 +456,13 @@ class GradedSeries:
 
     # -- valuation data ----------------------------------------------------------
 
-    def semigroup(self, flag: Flag, K: int) -> ValueSemigroup:
-        """Value points of levels 1..K under the flag valuation, read in
-        one pass: the view holds the levels it builds for it loosely."""
-        if K < 1:
-            raise InputError("semigroup: truncation must be >= 1")
-        check_degree(K * self.twist, f"semigroup to level {K}")
-        view = self.under_flag(flag)
-        levels = {}
+    def value_levels(self, K: int) -> Iterator[list[int]]:
+        """The value keys (`flagval.value_keys`) of levels 1..K, level by
+        level, read in one pass: the series holds the levels it builds for
+        them loosely, and records every level's dimension."""
         for k in range(1, K + 1):
-            span = view._levels.get(k)
-            levels[k] = value_keys(view._build(k, True) if span is None else span)
-        return ValueSemigroup._of(self.d, K, levels)
+            span = self._levels.get(k)
+            yield value_keys(self._build(k, True) if span is None else span)
 
     def __repr__(self) -> str:
         return (

@@ -693,13 +693,6 @@ class FormSpan:
             for row in rows.values()
         )
 
-    def contains(self, form: HomogeneousForm) -> bool:
-        if form.is_zero:
-            return True
-        if form.nvars != self.nvars or form.degree != self.degree:
-            return False
-        return not _top_reduce(_primitive(_packed(form.terms)), self._rows)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FormSpan)

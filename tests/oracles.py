@@ -45,8 +45,11 @@ term by term.
 and scaled before it kept its hull's facet incidences: by a second hull of
 its moved vertices (`RationalPolytope.from_points`).
 
-`reference_indecomposables` is `ValueSemigroup.indecomposables` as it
-scanned the value points one at a time, each against every kept point;
+`value_points` is the value semigroup of a series up to a truncation, as
+a dict of each level's value vectors (`flagval.valuation_set`), every level
+held at once.  `reference_indecomposables` is `flagval.indecomposables` as
+it scanned such a dict's points one at a time, each against every kept
+point;
 `reference_inverse` is how a `Flag` inverted its matrix, by `rref_rows` on
 the matrix beside the identity.
 
@@ -103,6 +106,7 @@ from okbody.exactnum import (
     maximize,
     rref_rows,
 )
+from okbody.flagval import valuation_set
 from okbody import polyform
 from okbody.monideal import BaseLocusReport, MonomialIdeal
 from okbody.polyform import HomogeneousForm
@@ -719,10 +723,14 @@ def reference_scaled(poly: RationalPolytope, factor: Fraction) -> RationalPolyto
 # the Fraction route of the beneath-beyond hull
 
 
-def normalized_value_points(semigroup, upto: int) -> list[Point]:
-    """The value points nu(s) / k of levels k <= upto, as Fractions."""
+def normalized_value_points(levels: dict, upto: int) -> list[Point]:
+    """The value points nu(s) / k of levels k <= upto of a dict of value
+    vectors by level (`value_points`), as Fractions."""
     return [
-        tuple(Fraction(x, k) for x in v) for v, k in semigroup.points() if k <= upto
+        tuple(Fraction(x, k) for x in v)
+        for k, vs in sorted(levels.items())
+        if k <= upto
+        for v in vs
     ]
 
 
@@ -990,17 +998,25 @@ def reference_subspace_vanishing_at(basis, nvars: int, degree: int, points):
 # the value-point and flag oracles
 
 
-def reference_indecomposables(semigroup) -> list[tuple[tuple[int, ...], int]]:
-    """The value points less each (v, k) with v - g in level k - j for an
-    already kept (g, j), 2j <= k, point by point."""
-    sets = {k: set(vs) for k, vs in semigroup.levels.items()}
+def value_points(series, flag, K: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """The value vectors of levels 1..K of a series under a flag, by level."""
+    view = series.under_flag(flag)
+    return {k: valuation_set(view.level(k)) for k in range(1, K + 1)}
+
+
+def reference_indecomposables(levels: dict) -> list[tuple[tuple[int, ...], int]]:
+    """The value points of a dict of value vectors by level, less each
+    (v, k) with v - g in level k - j for an already kept (g, j), 2j <= k,
+    point by point."""
+    sets = {k: set(vs) for k, vs in levels.items()}
     kept: list[tuple[tuple[int, ...], int]] = []
-    for v, k in semigroup.points():
-        if not any(
-            2 * j <= k and tuple(x - y for x, y in zip(v, g)) in sets.get(k - j, ())
-            for g, j in kept
-        ):
-            kept.append((v, k))
+    for k, vs in sorted(levels.items()):
+        for v in vs:
+            if not any(
+                2 * j <= k and tuple(x - y for x, y in zip(v, g)) in sets.get(k - j, ())
+                for g, j in kept
+            ):
+                kept.append((v, k))
     return kept
 
 

@@ -43,6 +43,7 @@ from okbody.exactnum import (
 from okbody.monideal import locus_components
 from okbody.surfacezar import volume as surface_volume
 from okbody.cli import _slice_sides, load_json, parse_series
+from oracles import value_points
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -454,14 +455,15 @@ def test_pun1_puncture(announce):
     check(failures, s0.evaluate(x) == 0, "witness section misses x")
     v0 = valuation(s0, flag)
     check(failures, v0 == (0, 2), f"witness value {v0}")
-    sgx = Sx.semigroup(flag, K + 1)
-    for v, k in rep.semigroup.points():
-        shifted = tuple(a + b for a, b in zip(v, v0))
-        check(
-            failures,
-            sgx.contains(shifted, k + 1),
-            f"shifted value point {shifted} missing at level {k + 1}",
-        )
+    levelsx = value_points(Sx, flag, K + 1)
+    for k, vs in value_points(S, flag, K).items():
+        for v in vs:
+            shifted = tuple(a + b for a, b in zip(v, v0))
+            check(
+                failures,
+                shifted in levelsx[k + 1],
+                f"shifted value point {shifted} missing at level {k + 1}",
+            )
 
     # (b) the punctured body sits inside the original at equal truncation
     check(failures, rep.body.contains(repx.body), "punctured body escapes")
@@ -793,8 +795,7 @@ def prop_glseries(rng: random.Random, count: int, failures: list[str]) -> int:
         flag = Flag.random(2, seed=rng.randint(1, 10_000))
         view = S.under_flag(flag)
         ok = ok and all(view.level(k).dim == dims[k - 1] for k in range(1, 5))
-        sg = S.semigroup(Flag.standard(2), 4)
-        ok = ok and all(len(sg.level(k)) == dims[k - 1] for k in range(1, 5))
+        ok = ok and [len(keys) for keys in S.value_levels(4)] == dims[:4]
         if not ok:
             failures.append(f"glseries trial {trial}")
         done += 1

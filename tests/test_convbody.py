@@ -15,10 +15,15 @@ from okbody.convbody import (
 )
 from okbody.errors import InputError, InvariantError
 from okbody.exactnum import det, lattice_index, smith_normal_form
-from okbody.flagval import Flag
+from okbody.flagval import Flag, indecomposables
 from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm
-from oracles import fraction_route_polytope, normalized_value_points
+from oracles import (
+    fraction_route_polytope,
+    normalized_value_points,
+    reference_indecomposables,
+    value_points,
+)
 
 F = Fraction
 
@@ -474,7 +479,7 @@ class TestOkounkovBody:
         S = monomial_series(2, 2, [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
         rep = okounkov_body(S, Flag.standard(2), 4)
         assert rep.truncation == 4
-        assert rep.semigroup.counts()[1] == 3
+        # the value semigroup's level counts, the level dimensions
         assert rep.dims == [3, 6, 10, 15]
 
 
@@ -521,8 +526,8 @@ class TestWitness:
 class TestBodyProperties:
     def test_monomial_bodies_match_exponent_hulls(self):
         # for monomial series the truncated body at K equals the hull of
-        # v/k over all semigroup points with k <= K; spot-check by
-        # recomputing the hull directly from the semigroup
+        # v/k over all value points with k <= K; spot-check by
+        # recomputing the hull directly from the value points
         rng = random.Random(515)
         for _ in range(6):
             deg = rng.randint(1, 3)
@@ -540,8 +545,7 @@ class TestBodyProperties:
                 continue
             K = 4
             rep = okounkov_body(S, Flag.standard(2), K)
-            sg = S.semigroup(Flag.standard(2), K)
-            pts = [tuple(F(x, k) for x in v) for v, k in sg.points()]
+            pts = normalized_value_points(value_points(S, Flag.standard(2), K), K)
             hull = RationalPolytope.from_points(pts)
             assert rep.body == hull
 
@@ -585,8 +589,9 @@ class TestLatticeIndex:
         indices = []
         for flag in flags:
             rep = okounkov_body(S, flag, K)
-            points = [v + (k,) for v, k in rep.semigroup.points()]
-            assert len(rep.semigroup.indecomposables()) < len(points)
+            levels = value_points(S, flag, K)
+            points = [v + (k,) for k, vs in levels.items() for v in vs]
+            assert len(reference_indecomposables(levels)) < len(points)
             assert rep.lattice_index == lattice_index(points, S.d + 1)
             indices.append(rep.lattice_index)
         assert indices[0] == index
@@ -601,26 +606,30 @@ class TestIndecomposableHull:
     reference is the Fraction route on every normalized value point."""
 
     @staticmethod
-    def check(rep, d):
-        sg = rep.semigroup
-        want = fraction_route_polytope(normalized_value_points(sg, rep.truncation), d)
+    def check(series, flag, K):
+        """The body at K against the Fraction route on every value point,
+        and each point the one-pass filter drops against a decomposition;
+        returns the value points and the kept ones."""
+        rep = okounkov_body(series, flag, K)
+        levels = value_points(series, flag, K)
+        want = fraction_route_polytope(normalized_value_points(levels, K), series.d)
         assert canonical(rep.body) == canonical(want)
-        kept = set(sg.indecomposables())
-        for v, k in sg.points():
-            if (v, k) not in kept:
+        kept = indecomposables(series.under_flag(flag).value_levels(K), series.d)
+        for k, vs in levels.items():
+            for v in set(vs) - {u for u, j in kept if j == k}:
                 # a dropped point is a sum of two value points at lower levels
                 assert any(
-                    tuple(x - y for x, y in zip(v, u)) in sg.level(k - j)
+                    tuple(x - y for x, y in zip(v, u)) in levels[k - j]
                     for j in range(1, k)
-                    for u in sg.level(j)
+                    for u in levels[j]
                 )
+        return levels, kept
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generated_series_under_generic_flags(self, seed):
-        rep = okounkov_body(p2_except_x2x3(), Flag.random(2, seed), 8)
+        _, kept = self.check(p2_except_x2x3(), Flag.random(2, seed), 8)
         # a subduction remainder at every level, so every level keeps points
-        assert {k for _, k in rep.semigroup.indecomposables()} == set(range(1, 9))
-        self.check(rep, 2)
+        assert {k for _, k in kept} == set(range(1, 9))
 
     def test_explicit_levels_not_closed_under_products(self):
         def m(*exps):
@@ -636,10 +645,9 @@ class TestIndecomposableHull:
                 4: m((4, 0, 0), (1, 1, 2)),
             },
         )
-        rep = okounkov_body(S, Flag.standard(2), 4)
-        assert not rep.semigroup.contains((2, 0), 2)  # X0 * X0 is missing
-        assert ((4, 0), 4) in rep.semigroup.indecomposables()
-        self.check(rep, 2)
+        levels, kept = self.check(S, Flag.standard(2), 4)
+        assert (2, 0) not in levels[2]  # X0 * X0 is missing
+        assert ((4, 0), 4) in kept
 
     @pytest.mark.parametrize(
         "derived",
@@ -649,13 +657,15 @@ class TestIndecomposableHull:
         ],
     )
     def test_derived_series(self, derived):
-        self.check(okounkov_body(derived(GradedSeries.complete(2)), Flag.standard(2), 8), 2)
+        self.check(derived(GradedSeries.complete(2)), Flag.standard(2), 8)
 
     def test_restricted_side_of_slice_identity(self):
-        _, _, sub_rep, _ = cli._slice_sides(
-            p2_except_x2x3(), Flag.random(2, 1), F(1, 2), 8
-        )
-        self.check(sub_rep, 1)
+        flag = Flag.random(2, 1)
+        _, _, sub_rep, _ = cli._slice_sides(p2_except_x2x3(), flag, F(1, 2), 8)
+        view = p2_except_x2x3().under_flag(flag)
+        restricted = view.veronese(2).subtract_flag_divisor(1).restrict_to_flag_divisor()
+        self.check(restricted, Flag.standard(1), 4)
+        assert sub_rep.body == okounkov_body(restricted, Flag.standard(1), 4).body
 
     def test_p3_body_hulls_four_points(self, capsys, monkeypatch):
         original = RationalPolytope._from_integer_points.__func__

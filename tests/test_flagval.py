@@ -11,12 +11,12 @@ from okbody.errors import InputError
 from okbody.exactnum import cleared_rows, det, inverse_lines, lattice_index
 from okbody.flagval import (
     Flag,
-    ValueSemigroup,
     filtered_dimension,
+    indecomposables,
     valuation,
     valuation_set,
 )
-from okbody.polyform import DEGREE_BOUND, FormSpan, HomogeneousForm as HF, all_exponents
+from okbody.polyform import DEGREE_BOUND, FormSpan, HomogeneousForm as HF, all_exponents, pack
 from oracles import (
     reference_filtered_dimension,
     reference_indecomposables,
@@ -167,39 +167,24 @@ def test_filtered_dimension_antitone():
     assert filtered_dimension(span, (0, 0)) == span.dim
 
 
-def test_value_semigroup_container():
-    sg = ValueSemigroup(2, 2, {1: ((0, 0), (1, 0)), 2: ((0, 0), (2, 1))})
-    assert sg.level(1) == ((0, 0), (1, 0))
-    assert sg.level(5) == ()
-    assert list(sg.points()) == [
-        ((0, 0), 1),
-        ((1, 0), 1),
-        ((0, 0), 2),
-        ((2, 1), 2),
-    ]
-    assert sg.counts() == {1: 2, 2: 2}
-    assert sg.contains((1, 0), 1) and not sg.contains((1, 0), 2)
-
-
 def test_kept_points_generate_the_value_group():
     # points on the doubled lattice in the first coordinate; level 2 is all
     # sums, so only level 1 is kept, and it generates the same group
-    sg = ValueSemigroup(1, 2, {1: ((0,), (2,)), 2: ((0,), (2,), (4,))})
-    kept = [v + (k,) for v, k in sg.indecomposables()]
+    kept = [v + (k,) for v, k in indecomposables([[0, 2], [0, 2, 4]], 1)]
     assert kept == [(0, 1), (2, 1)]
-    points = [v + (k,) for v, k in sg.points()]
+    points = [(0, 1), (2, 1), (0, 2), (2, 2), (4, 2)]
     assert lattice_index(kept, 2) == lattice_index(points, 2) == 2
-    empty = ValueSemigroup(1, 1, {1: ()})
-    assert empty.indecomposables() == []
+    assert indecomposables([[]], 1) == [] == indecomposables([], 1)
     assert lattice_index([], 2) is None
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
 def test_indecomposables_match_pointwise_scan(data):
-    """The level-by-level filter keeps the points the point-by-point scan
-    keeps, in the same order, on value sets with empty and missing levels
-    and with levels that hold sums of lower ones."""
+    """The one-pass filter keeps the points the point-by-point scan keeps,
+    in the same order, on value sets with empty and missing levels and with
+    levels that hold sums of lower ones; it reads the levels in order, a
+    missing level as an empty one."""
     d = data.draw(st.integers(1, 3), label="d")
     K = data.draw(st.integers(1, 8), label="K")
     levels: dict[int, tuple] = {}
@@ -220,8 +205,8 @@ def test_indecomposables_match_pointwise_scan(data):
                 for w in levels.get(k - j, ())
             ]
         levels[k] = tuple(dict.fromkeys(points))
-    sg = ValueSemigroup(d, K, levels)
-    assert sg.indecomposables() == reference_indecomposables(sg)
+    keys = ([pack(v) for v in levels.get(k, ())] for k in range(1, K + 1))
+    assert indecomposables(keys, d) == reference_indecomposables(levels)
 
 
 def seeded_matrix(rng: random.Random, n: int) -> list[list[F]]:

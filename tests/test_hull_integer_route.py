@@ -12,7 +12,7 @@ from okbody.convbody import RationalPolytope, okounkov_body
 from okbody.flagval import Flag
 from okbody.glseries import GradedSeries
 from okbody.polyform import HomogeneousForm, all_exponents
-from oracles import fraction_route_polytope, normalized_value_points
+from oracles import fraction_route_polytope, normalized_value_points, value_points
 
 # no shrinking: a failure is reported as found
 PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
@@ -77,6 +77,6 @@ def test_body_matches_fraction_normalized_value_points(data):
     seed = data.draw(st.none() | st.integers(1, 60), label="flag seed")
     flag = Flag.standard(d) if seed is None else Flag.random(d, seed)
     rep = okounkov_body(series, flag, K)
-    pts = normalized_value_points(rep.semigroup, K)
+    pts = normalized_value_points(value_points(series, flag, K), K)
     assert canonical(rep.body) == canonical(RationalPolytope.from_points(pts, d))
     assert canonical(rep.body) == canonical(fraction_route_polytope(pts, d))
