@@ -6,23 +6,22 @@ complete and finitely generated providers and is the caller's to ensure
 for explicit input.  Derived series (flag views, twists, restrictions,
 punctures) wrap a parent lazily and keep their own level caches, so the
 computations made on one derived series share work; the parent keeps
-nothing of them.  A series with generators holds them as one span of
-integer term rows per generator level: a generated series the spans of its
-forms, a flag view the spans of its parent mapped by
-`FormSpan.transformed`, a Fujita approximation the term rows of its
-parent's level.  Each builds every level on one path, `_generated_level`:
-the span of the products of lower levels with the generator spans.  When
-every generator span is spanned by monomials (`FormSpan.is_monomial_span`),
-so are the levels, and level k is the set of key sums of the levels below
-and the generators, held as packed keys from start to finish.  Otherwise
-it is found by subduction, in which a row that entered with a generator
-row (its signature) meets only that row and the later ones, as
-u * (g * r) = g * (u * r).  A view knows the level's dimension from its
-parent, so it cross-checks the key sums, and stops a subduction as soon as
-the products' leads reach it, most often without any reduction.
-The products it keeps stay pending (`FormSpan.subducted`): the valuation
-sets are their leads, and only a reduction or a reader of the terms
-multiplies one out.
+nothing of them.  A series with generators holds them as one span per
+generator level: a generated series the spans of its forms, a flag view
+the spans of its parent mapped by `FormSpan.transformed`, a Fujita
+approximation its parent's level.  Each builds every level on one path,
+`_generated_level`: the span of the products of lower levels with the
+generator spans.  When every generator span is spanned by monomials
+(`FormSpan.is_monomial_span`), so are the levels, and level k is the set of
+key sums of the levels below and the generators, a span of packed keys
+alone (`FormSpan._of_keys`) from start to finish.  Otherwise it is found by
+subduction, in which a row that entered with a generator row (its
+signature) meets only that row and the later ones, as u * (g * r) =
+g * (u * r).  A view knows the level's dimension from its parent, so it
+cross-checks the key sums, and stops a subduction as soon as the products'
+leads reach it, most often without any reduction.  The products it keeps
+stay pending (`FormSpan.subducted`): the valuation sets are their leads,
+and only a reduction or a reader of the terms multiplies one out.
 
 A series records the dimension of every level it builds, and holds the
 level spans read through `level` for the rest of its life, so a command
@@ -441,18 +440,17 @@ class GradedSeries:
     def fujita_subseries(self, p: int) -> GradedSeries:
         """The finitely generated approximation built from level p: its
         level k is the span of k-fold products from level p.  Its generator
-        span holds the term rows of level p under their pivots, so the
-        approximation takes key sums when level p is a monomial span."""
+        span is level p itself, so the approximation takes key sums when
+        level p is a monomial span."""
         if p < 1:
             raise InputError("fujita_subseries: p must be >= 1")
         base = self.level(p)
         if base.dim == 0:
             raise InputError("fujita_subseries: level p is zero")
-        rows = dict(zip(base.pivot_keys, base._term_rows()))
         series = GradedSeries(
             self.d, base.degree, _generated_level, label=f"{self.label}[{p}]", reach=1
         )
-        return series._generate({1: FormSpan._of(base.nvars, base.degree, rows)})
+        return series._generate({1: base})
 
     # -- valuation data ----------------------------------------------------------
 
@@ -481,9 +479,9 @@ def _generated_level(
 
     When every generator span is a monomial span, its pivot keys are its
     monomials and every level is the span of its pivot monomials (a complete
-    level is too), so level k is the span of the key sums: each pivot key of
-    level k - j plus each pivot key of G_j, and the pivot keys of G_k,
-    entered as one-term rows.  A known dim cross-checks their count.
+    level is too), so level k is the span of the key sums, held as keys
+    alone: each pivot key of level k - j plus each pivot key of G_j, and the
+    pivot keys of G_k.  A known dim cross-checks their count.
     Otherwise the level is found by subduction (`FormSpan.subducted`),
     whose signature rule holds as each factor on the left is a full level,
     and a known dim stops and cross-checks it."""
@@ -501,7 +499,7 @@ def _generated_level(
             raise InvariantError(
                 f"key sums: {len(keys)} distinct keys, but the dimension is {dim}"
             )
-        return FormSpan._of(n, degree, {e: {e: 1} for e in sorted(keys)})
+        return FormSpan._of_keys(n, degree, sorted(keys))
     factors = [
         (series.level(k - j) if j < k else FormSpan.complete(n, 0), gspan)
         for j, gspan in gspans.items()

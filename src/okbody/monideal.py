@@ -317,6 +317,7 @@ def sheafify(series: GradedSeries, K: int) -> GradedSeries:
     the ideals (I : X_i^inf), so its degree-D piece is the intersection of
     theirs, each the closure of the level's pivots under the moves of
     `_colon_piece`; no colon ideal is built and no divisibility is tested.
+    Each level is the span of the piece's keys alone (`FormSpan._of_keys`).
     """
     if K < 1:
         raise InputError("sheafify: need K >= 1")
@@ -326,7 +327,7 @@ def sheafify(series: GradedSeries, K: int) -> GradedSeries:
     for k in range(1, K + 1):
         keys = _monomial_level(series, k).pivot_keys
         piece = set.intersection(*(_colon_piece(keys, n, i) for i in range(n)))
-        spans[k] = FormSpan._of(n, k * series.twist, {e: {e: 1} for e in sorted(piece)})
+        spans[k] = FormSpan._of_keys(n, k * series.twist, sorted(piece))
     return GradedSeries._of_spans(
         series.d, series.twist, spans, label=f"{series.label} sheafified"
     )

@@ -22,22 +22,21 @@ The leads are the pivots the valuation layer reads off, so the ordering
 convention is load bearing.  Every span operation builds its rows through
 one insertion reducer; lex order is a monomial order, so leads of products
 add and shifts and cuts by the first variable keep leads apart without any
-reduction.  A row may be kept pending, its lead known without its terms: an
-operation and the rows it applies to, which `_terms` computes once, when a
-reduction or a reader needs the terms, keeping the rows.  Every product a
-subduction keeps, which builds the levels of a generated series, is such a
-pending product, `_mul_terms` of two rows, whatever their number of terms:
-the second is its signature, the generator row it entered with, and the
-next level multiplies it only by that row and the generator rows after
-it.  Only a remainder of a reduction, or a row of a span built from forms,
-carries no signature.  `*` multiplies every pair of rows out.  A quotient
-by a power of the first variable and a cut that sets it to zero are pending
-rows of one row: they apply at once to a term row and are deferred on a
-pending one.  The canonical basis, the reduced row echelon form over
-ascending lex exponent columns, is computed only when it is read; a
-monomial span, each of whose rows has only pivots as terms
-(`is_monomial_span`), reads it off its pivots.  Forms are built only at
-the edges (input, `basis`), and linear substitution (`transformed`,
+reduction.  A row that is its lead monomial is kept as its key alone, the
+table value None (`FormSpan._of_keys`: complete spans, key-sum levels);
+`_terms` expands it from the lead its caller holds.  A row may be kept
+pending, its lead known without its terms: an operation and the rows it
+applies to, which `_terms` computes once, when a reduction or a reader
+needs the terms, keeping the rows.  Every product a subduction keeps is
+such a pending product, `_mul_terms` of two rows, whatever their number of
+terms, the second its signature (`FormSpan.subducted`).  `*` multiplies
+every pair of rows out.  A quotient by a power of the first variable and a
+cut that sets it to zero keep a keys-only row, apply at once to a term row
+and are deferred on a pending one.  The canonical basis, the reduced row
+echelon form over ascending lex exponent columns, is computed only when it
+is read; a monomial span, each of whose rows has only pivots as terms
+(`is_monomial_span`), reads it off its pivots.  Forms are built only at the
+edges (input, `basis`), and linear substitution (`transformed`,
 `substitute_linear`) maps every row through one table of monomial images.
 """
 
@@ -45,6 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -429,12 +429,15 @@ class _Pending:
         self.op, self.args, self.row = op, args, None
 
 
-def _terms(value) -> dict:
-    """The term row of a table value: the row itself, or a pending row
-    computed once, after the pending rows it applies to.  The row is cached
-    in the pending row, which keeps its args: they are rows of cached
-    spans, and `subducted` reads a product's second factor.  An explicit
-    stack does the work, as a level-K row rests on K levels of products."""
+def _terms(key: int, value) -> dict:
+    """The term row of a table value under its lead key: {key: 1} for a
+    keys-only row (None), the row itself, or a pending row computed once,
+    after the pending rows it applies to and cached in it; it keeps its
+    args, rows of cached spans, as `subducted` reads a product's second
+    factor.  An explicit stack does the work, as a level-K row rests on K
+    levels of products."""
+    if value is None:
+        return {key: 1}
     if type(value) is dict:
         return value
     stack = [value]
@@ -468,10 +471,9 @@ def _top_reduce(row: dict, table: dict) -> dict:
     step, or an empty row."""
     while row:
         lead = min(row)
-        top = table.get(lead)
-        if top is None:
+        if lead not in table:
             return row
-        top = _terms(top)
+        top = _terms(lead, table[lead])
         g = math.gcd(top[lead], row[lead])
         a, b = top[lead] // g, row[lead] // g
         out = {e: a * v for e, v in row.items()}
@@ -505,15 +507,15 @@ class FormSpan:
     integer term row keyed the same way whose lead (lex-least exponent,
     least key) it is, in ascending order; the pivots double as the
     valuation set of the space for the standard coordinate flag.  A row may
-    be pending (`_Pending`): a product from `subducted`, or a quotient or
-    cut of a pending row.  Every reader of the terms goes through `_terms`
-    (or `_top_reduce`) to compute it; the pivot keys, `dim` and the
-    valuation layer never need it.  `pivots` unpacks the keys to exponent
-    tuples each time it is read.  Every operation builds its table of rows with
-    `_insert` (or keeps or shifts rows whose leads stay distinct).  The
-    canonical basis is the reduced row echelon form over ascending lex
-    exponent columns, computed and cached when `basis` or `==` first reads
-    it.
+    be keys-only (None), the monomial of its pivot, or pending (`_Pending`):
+    a product from `subducted`, or a quotient or cut of a pending row.
+    Every reader of the terms goes through `_terms` (or `_top_reduce`) to
+    expand or compute it; the pivot keys, `dim` and the valuation layer
+    never need it.  `pivots` unpacks the keys to exponent tuples each time
+    it is read.  Every operation builds its table of rows with `_insert`
+    (or keeps or shifts rows whose leads stay distinct).  The canonical
+    basis is the reduced row echelon form over ascending lex exponent
+    columns, computed and cached when `basis` or `==` first reads it.
     """
 
     __slots__ = ("nvars", "degree", "_rows", "_reduced")
@@ -542,8 +544,13 @@ class FormSpan:
     @classmethod
     def _of(cls, nvars: int, degree: int, table: dict) -> FormSpan:
         """The span of the rows of a table (lead key -> primitive integer
-        row, or a pending row)."""
+        row, a pending row, or None for a keys-only row)."""
         return object.__new__(cls)._set(nvars, degree, table)
+
+    @classmethod
+    def _of_keys(cls, nvars: int, degree: int, keys: Iterable[int]) -> FormSpan:
+        """The span of the monomials of ascending packed keys, keys-only."""
+        return cls._of(nvars, degree, dict.fromkeys(keys))
 
     @property
     def pivot_keys(self):
@@ -557,7 +564,7 @@ class FormSpan:
 
     def _term_rows(self) -> list[dict]:
         """The term rows in pivot order, pending rows computed."""
-        return [_terms(row) for row in self._rows.values()]
+        return [_terms(p, row) for p, row in self._rows.items()]
 
     @property
     def canonical_rows(self) -> tuple[dict[int, Fraction], ...]:
@@ -578,8 +585,7 @@ class FormSpan:
     @classmethod
     def complete(cls, nvars: int, degree: int) -> FormSpan:
         check_degree(degree, "span")
-        rows = {e: {e: 1} for e in _keys_of_degree(nvars, degree)}
-        return cls._of(nvars, degree, rows)
+        return cls._of_keys(nvars, degree, _keys_of_degree(nvars, degree))
 
     @classmethod
     def subducted(
@@ -617,20 +623,22 @@ class FormSpan:
         is a sum of rows s of a full level, whose products g * s are formed
         or, for s = h * s' with h after g, expand the same way with a
         rising row.  This holds for a row of one term as for any other.
-        Only remainders of a reduction and rows of spans built from forms
-        carry no signature."""
+        Only remainders of a reduction, rows of spans built from forms and
+        keys-only rows carry no signature: each call expands (`_terms`) a
+        keys-only row of A, and of B before it takes the rows' identity."""
         check_degree(degree, "subduction")
         table: dict = {}
         rest = []
         queue = rest.append
-        rows_of_b = (rb for _, B in factors for rb in B._rows.values())
-        signature = {id(rb): i for i, rb in enumerate(rows_of_b)}.get
+        rows_of_b = [list(zip(B.pivot_keys, B._term_rows())) for _, B in factors]
+        signature = {id(rb): i for i, (_, rb) in enumerate(chain(*rows_of_b))}.get
         offset = 0
-        for A, B in factors:
+        for (A, B), rows_b in zip(factors, rows_of_b):
             if nvars != A.nvars or nvars != B.nvars or degree != A.degree + B.degree:
                 raise InputError("subducted: factors of the wrong shape")
-            rows_b = list(B._rows.items())
             for pa, ra in A._rows.items():
+                if ra is None:
+                    ra = _terms(pa, ra)
                 later = rows_b
                 start = signature(id(ra if type(ra) is dict else ra.args[-1]), 0)
                 if start > offset:
@@ -638,7 +646,7 @@ class FormSpan:
                 for pb, rb in later:
                     lead = pa + pb
                     if lead in table:
-                        queue((lead, ra, rb))
+                        queue((lead, pa, ra, rb))
                     elif A.degree == 0:
                         table[lead] = rb  # a constant A: the row of B, up to scale
                     else:
@@ -650,12 +658,10 @@ class FormSpan:
                 f"dimension {dim}"
             )
         rest.sort(key=itemgetter(0), reverse=True)
-        for _, ra, rb in rest:
+        for _, pa, ra, rb in rest:
             if len(table) == dim:
                 break
-            row = _top_reduce(_mul_terms(_terms(ra), _terms(rb)), table)
-            if row:
-                table[min(row)] = row
+            _insert(table, [_mul_terms(_terms(pa, ra), rb)])
         if dim is not None and len(table) < dim:
             raise InvariantError(
                 f"subduction: the products span {len(table)} of {dim} "
@@ -684,13 +690,12 @@ class FormSpan:
     @property
     def is_monomial_span(self) -> bool:
         """Every term of every row is a pivot, so the span is that of the
-        pivot monomials.  A one-term row is its pivot, so only the terms of
+        pivot monomials.  A keys-only row is its pivot, so only the terms of
         the other rows are looked up."""
-        rows = self._rows
-        keys = rows.keys()
+        keys = self._rows.keys()
         return all(
-            (type(row) is dict and len(row) == 1) or _terms(row).keys() <= keys
-            for row in rows.values()
+            row is None or _terms(p, row).keys() <= keys
+            for p, row in self._rows.items()
         )
 
     def __eq__(self, other: object) -> bool:
@@ -734,7 +739,7 @@ class FormSpan:
         lead has first exponent > 0 is divisible by X1 and vanishes, and
         every other row keeps its lead, so no reduction runs: each keeps
         its terms without X1, made primitive, deferred on a pending row
-        (`_apply`).  A one-term row kept is its own image.  A term without
+        (`_apply`); a keys-only row kept is its own image.  A term without
         X1 keeps its key, whose first field is 0, in one fewer variable."""
         if self.nvars < 2:
             raise InputError("restricted: need at least two variables")
@@ -744,7 +749,7 @@ class FormSpan:
             return _content_free({e: c for e, c in row.items() if e < bound})
 
         table = {
-            p: row if type(row) is dict and len(row) == 1 else _apply(cut, row)
+            p: row if row is None else _apply(cut, row)
             for p, row in self._rows.items()
             if p < bound
         }
@@ -756,7 +761,7 @@ class FormSpan:
         of its lead, so divisibility is read off the least pivot; lex order
         is translation invariant, so each row keeps its lead, and every key
         drops by the key of X1^power.  The shift is deferred on a pending
-        row (`_apply`); a one-term row is shifted at once."""
+        row (`_apply`); a keys-only row stays keys-only."""
         if power < 0:
             raise InputError("divided_by_variable: negative power")
         shift = power * unit_key(self.nvars, 0)  # the key of X1^power
@@ -767,11 +772,7 @@ class FormSpan:
             return {e - shift: c for e, c in row.items()}
 
         table = {
-            p - shift: (
-                {p - shift: row[p]}
-                if type(row) is dict and len(row) == 1
-                else _apply(divided, row)
-            )
+            p - shift: row if row is None else _apply(divided, row)
             for p, row in self._rows.items()
         }
         return self._of(self.nvars, self.degree - power, table)
@@ -788,27 +789,23 @@ class FormSpan:
     def subspace_vanishing_at(
         self, points: Sequence[Sequence[Fraction]]
     ) -> FormSpan:
+        """Elements whose row coefficients c satisfy conditions . c = 0, a
+        condition per point: the values of the term rows there."""
         rows = self._term_rows()
         if not points or not rows:
             return self
         n = self.nvars
         terms = [[(unpack(e, n), c) for e, c in r.items()] for r in rows]
-        return self._kernel(
-            [integer_row([_evaluate(t, p) for t in terms]) for p in points]
-        )
-
-    def _kernel(self, conditions: list[list[int]]) -> FormSpan:
-        """Elements whose row coefficients c satisfy conditions . c = 0."""
-        terms = self._term_rows()
-        rows = []
-        for combo in kernel(conditions, len(terms)):
+        conditions = [integer_row([_evaluate(t, p) for t in terms]) for p in points]
+        out = []
+        for combo in kernel(conditions, len(rows)):
             total: dict[int, int] = {}
-            for row, c in zip(terms, combo):
+            for row, c in zip(rows, combo):
                 if c:
                     for e, v in row.items():
                         total[e] = total.get(e, 0) + c * v
-            rows.append({e: v for e, v in total.items() if v})
-        return self._of(self.nvars, self.degree, _insert({}, rows))
+            out.append({e: v for e, v in total.items() if v})
+        return self._of(self.nvars, self.degree, _insert({}, out))
 
     def __repr__(self) -> str:
         shape = f"nvars={self.nvars}, degree={self.degree}, dim={self.dim}"

@@ -68,9 +68,10 @@ and re-minimalizes the whole running sum, and one locus per level; its
 report holds the library ideals of the same generators.
 
 `pending_quotient_rows` and `pending_cut_rows` are the tables of
-`FormSpan.divided_by_variable` and `FormSpan.restricted` as they took every
-row through `polyform._apply`, one-term rows included: a closure call per
-row, and for a cut a gcd per row.
+`FormSpan.divided_by_variable` and `FormSpan.restricted` with every term or
+pending row taken through `polyform._apply`, one-term rows included: a
+closure call per row, and for a cut a gcd per row.  A keys-only row (None)
+passes through, as it does in both.
 
 `reference_maximize` is `exactnum.maximize` as it ran on a Fraction
 tableau: `_fraction_pivot` scales the pivot row to a 1 and clears the
@@ -1218,24 +1219,29 @@ def pending_rows(span) -> int:
 
 
 def pending_quotient_rows(span, power: int) -> dict:
-    """The table of span.divided_by_variable(power), every row shifted
-    through `_apply`."""
+    """The table of span.divided_by_variable(power), every term or pending
+    row shifted through `_apply`, keys-only rows kept."""
     shift = power * polyform.unit_key(span.nvars, 0)
 
     def divided(row: dict) -> dict:
         return {e - shift: c for e, c in row.items()}
 
-    return {p - shift: polyform._apply(divided, row) for p, row in span._rows.items()}
+    return {
+        p - shift: row if row is None else polyform._apply(divided, row)
+        for p, row in span._rows.items()
+    }
 
 
 def pending_cut_rows(span) -> dict:
-    """The table of span.restricted(), every kept row cut through
-    `_apply`."""
+    """The table of span.restricted(), every kept term or pending row cut
+    through `_apply`, keys-only rows kept."""
     bound = polyform.unit_key(span.nvars, 0)
 
     def cut(row: dict) -> dict:
         return polyform._content_free({e: c for e, c in row.items() if e < bound})
 
     return {
-        p: polyform._apply(cut, row) for p, row in span._rows.items() if p < bound
+        p: row if row is None else polyform._apply(cut, row)
+        for p, row in span._rows.items()
+        if p < bound
     }

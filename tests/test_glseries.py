@@ -316,8 +316,7 @@ def test_key_sum_levels_match_subduction(data):
 def drop_key(series, k, dim=None):
     """A mutant: the level without its least key."""
     span = GENERATED_LEVEL(series, k, dim)
-    keys = list(span.pivot_keys)[1:]
-    return FormSpan._of(span.nvars, span.degree, {e: {e: 1} for e in keys})
+    return FormSpan._of_keys(span.nvars, span.degree, list(span.pivot_keys)[1:])
 
 
 def drop_generator_level(series, k, dim=None):

@@ -2,7 +2,8 @@
 (`transformed`, `substitute_linear`) against the slow form-based reference
 in `oracles.py`, on small random non-monomial forms in 2 to 4 variables of
 degree at most 4.  The span readers run both on spans of forms and on
-spans of products whose table still holds products not multiplied out."""
+spans of products whose table still holds products not multiplied out, and
+on spans whose table holds keys-only rows."""
 
 from fractions import Fraction
 from unittest import mock
@@ -15,6 +16,7 @@ from okbody.errors import InputError
 from okbody.exactnum import cleared_rows, det
 from okbody import polyform
 from okbody.flagval import valuation_set
+from okbody.glseries import GradedSeries
 from okbody.polyform import FormSpan, HomogeneousForm, all_exponents
 from oracles import (
     _mul_terms,
@@ -22,6 +24,7 @@ from oracles import (
     pending_quotient_rows,
     pending_rows,
     reference_contains,
+    reference_generated_levels,
     reference_set_variable_zero,
     reference_span_reduce,
     reference_subspace_vanishing_at,
@@ -287,30 +290,119 @@ def test_span_operations_on_pending_rows_match_oracle(data):
         )
 
 
+def monomials(nvars: int, degree: int, most: int):
+    exps = st.sampled_from(list(all_exponents(nvars, degree)))
+    return st.lists(exps, min_size=1, max_size=most).map(
+        lambda es: [HomogeneousForm.monomial(nvars, e) for e in es]
+    )
+
+
+def keys_only(nvars: int, degree: int, monos) -> FormSpan:
+    """The span of the monomials, every row keys-only."""
+    keys = {polyform.pack(e) for f in monos for e in f.terms}
+    return FormSpan._of_keys(nvars, degree, sorted(keys))
+
+
+KEYS_ONLY_KINDS = ("keys", "complete", "key sums", "mixed", "products", "one-term")
+
+
+@pytest.mark.parametrize("kind", KEYS_ONLY_KINDS)
+@settings(derandomize=True, deadline=None, max_examples=25, phases=PHASES)
+@given(data=st.data())
+def test_span_operations_on_keys_only_rows_match_oracle(kind, data):
+    """The span readers on tables that hold keys-only rows: a span of
+    monomials given by their keys, a complete span, a level of a series
+    generated by monomials (key sums), the sum of a span of keys and a
+    span of forms, and the products of a span of keys with such a sum by
+    subduction, which expands the keys-only rows; and on the same
+    monomials as explicit one-term rows."""
+    nvars, degree = shape(data, least=2 if kind == "products" else 1)
+    monos = data.draw(monomials(nvars, degree, 4), label="monos")
+    a = monos
+    if kind == "keys":
+        fresh = lambda: keys_only(nvars, degree, monos)  # noqa: E731
+    elif kind == "complete":
+        a = [HomogeneousForm.monomial(nvars, e) for e in all_exponents(nvars, degree)]
+        fresh = lambda: FormSpan.complete(nvars, degree)  # noqa: E731
+    elif kind == "key sums":
+        twist = data.draw(
+            st.sampled_from([t for t in range(1, degree + 1) if degree % t == 0]),
+            label="twist",
+        )
+        gens = data.draw(monomials(nvars, twist, 3), label="gens")
+        k = degree // twist
+        a = list(reference_generated_levels(nvars, twist, {1: gens}, k)[-1])
+        fresh = lambda: GradedSeries.generated(nvars - 1, twist, gens).level(k)  # noqa: E731
+    elif kind == "mixed":
+        b = data.draw(forms(nvars, degree, 2), label="b")
+        a = monos + b
+        fresh = lambda: keys_only(nvars, degree, monos) + FormSpan(nvars, degree, b)  # noqa: E731
+    elif kind == "products":
+        low = data.draw(st.integers(1, degree - 1), label="low")
+        a1 = data.draw(monomials(nvars, low, 2), label="a1")
+        a2 = data.draw(monomials(nvars, degree - low, 2), label="a2")
+        b = data.draw(forms(nvars, degree - low, 2), label="b")
+        a = [f * g for f in a1 for g in a2 + b]
+
+        def fresh() -> FormSpan:
+            B = keys_only(nvars, degree - low, a2) + FormSpan(nvars, degree - low, b)
+            assert None in B._rows.values()
+            return FormSpan.subducted(nvars, degree, None, [(keys_only(nvars, low, a1), B)])
+    else:
+        fresh = lambda: FormSpan(nvars, degree, monos)  # noqa: E731
+    span = fresh()
+    keys_only_rows = [row is None for row in span._rows.values()]
+    assert any(keys_only_rows) == (kind not in ("products", "one-term"))
+    assert all(keys_only_rows) == (kind in ("keys", "complete", "key sums"))
+    check_span_operations(data, nvars, degree, a, fresh)
+
+
+TERMS = polyform._terms
+
+
+def misplaced_terms(key: int, value) -> dict:
+    """A mutant expander: a keys-only row as another monomial of its degree,
+    one unit moved from the variable of its last nonzero field to the next
+    field (or from the last variable to the one before it)."""
+    if value is not None:
+        return TERMS(key, value)
+    field = ((key & -key).bit_length() - 1) // polyform.WIDTH
+    if field:
+        return {key - (1 << field * polyform.WIDTH) + 1: 1}
+    return {key - 1 + (1 << polyform.WIDTH): 1}
+
+
+@pytest.mark.parametrize("kind", ["keys", "mixed", "products"])
+def test_keys_only_oracle_catches_a_misplaced_expansion(monkeypatch, kind):
+    monkeypatch.setattr(polyform, "_terms", misplaced_terms)
+    with pytest.raises(AssertionError):
+        test_span_operations_on_keys_only_rows_match_oracle(kind)
+
+
 @settings(derandomize=True, deadline=None, max_examples=120, phases=PHASES)
 @given(st.data())
-def test_one_term_rows_shift_and_cut_as_the_pending_path(data):
-    """A quotient by a power of X1 and the cut X1 -> 0 on spans of
-    monomials and forms, and on products of them whose table holds
-    one-term rows, term rows and pending products: the same table as
-    taking every row through `_apply`, row by row, and no one-term row
-    goes through `_apply`."""
+def test_keys_only_rows_pass_through_shifts_and_cuts(data):
+    """A quotient by a power of X1 and the cut X1 -> 0 on spans whose table
+    holds keys-only rows, one-term and other term rows (a span of keys plus
+    a span of monomials and forms), and on products of them, whose table
+    holds term rows and pending products: the same table as taking every
+    term or pending row through `_apply`, row by row.  No keys-only row
+    reaches `_apply`, and each stays keys-only."""
     nvars, degree = shape(data, least=2)
     low = data.draw(st.integers(1, degree - 1), label="low")
+    lift = data.draw(st.integers(0, 2), label="lift")
     x = HomogeneousForm.variable(nvars, 0)
 
-    def mixed(deg: int, most: int):
-        monomials = st.lists(
-            st.sampled_from(list(all_exponents(nvars, deg))), min_size=1, max_size=most
-        ).map(lambda es: [HomogeneousForm.monomial(nvars, e) for e in es])
-        return st.tuples(monomials, forms(nvars, deg, 2)).map(lambda t: t[0] + t[1])
+    def lifted(forms):
+        for _ in range(lift):
+            forms = [f * x for f in forms]
+        return forms
 
-    a1 = data.draw(mixed(low, 3), label="a1")
-    a2 = data.draw(mixed(degree - low, 3), label="a2")
-    lift = data.draw(st.integers(0, 2), label="lift")
-    for _ in range(lift):
-        a1 = [f * x for f in a1]
-    A = FormSpan(nvars, low + lift, a1)
+    keys = lifted(data.draw(monomials(nvars, low, 3), label="keys"))
+    a1 = data.draw(monomials(nvars, low, 3), label="ones")
+    a1 += data.draw(forms(nvars, low, 2), label="a1")
+    a2 = data.draw(forms(nvars, degree - low, 2), label="a2")
+    A = keys_only(nvars, low + lift, keys) + FormSpan(nvars, low + lift, lifted(a1))
     B = FormSpan(nvars, degree - low, a2)
     applied = []
     apply = polyform._apply
@@ -319,6 +411,7 @@ def test_one_term_rows_shift_and_cut_as_the_pending_path(data):
         applied.append(value)
         return apply(op, value)
 
+    assert None in A._rows.values()
     for span in (A, FormSpan.subducted(nvars, degree + lift, None, [(A, B)])):
         power = data.draw(st.integers(0, lift), label="power")
         cases = (
@@ -330,5 +423,6 @@ def test_one_term_rows_shift_and_cut_as_the_pending_path(data):
                 got = run()
             assert list(got._rows) == list(want)
             for p, row in got._rows.items():
-                assert polyform._terms(row) == polyform._terms(want[p])
-        assert not any(type(v) is dict and len(v) == 1 for v in applied)
+                assert (row is None) == (want[p] is None)
+                assert polyform._terms(p, row) == polyform._terms(p, want[p])
+        assert None not in applied

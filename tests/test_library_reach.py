@@ -41,7 +41,7 @@ SHARED = {
     "_of": {
         "monideal.MonomialIdeal": "reader: monideal.base_ideal",
         "polyform.HomogeneousForm": "reader: cli.parse_series",
-        "polyform.FormSpan": "reader: glseries._generated_level",
+        "polyform.FormSpan": "reader: polyform.FormSpan._of_keys",
     },
     "complete": {
         "glseries.GradedSeries": "keep: the complete series of a twist, the first example of "

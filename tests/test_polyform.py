@@ -369,13 +369,13 @@ def test_ordered_products_start_at_the_signature(monkeypatch):
     ])
     gens = list(S.level(1)._rows.values())
     position = {id(g): i for i, g in enumerate(gens)}
-    below = list(S.level(2)._rows.values())
+    below = list(S.level(2)._rows.items())
     starts = [
         position[id(row.args[1])] if type(row) is polyform._Pending else 0
-        for row in below
+        for _, row in below
     ]
-    assert min(map(len, gens)) > 1 and all(len(polyform._terms(r)) > 1 for r in below)
-    assert dict in map(type, below) and max(starts) == len(gens) - 1
+    assert min(map(len, gens)) > 1 and all(len(polyform._terms(*r)) > 1 for r in below)
+    assert dict in [type(row) for _, row in below] and max(starts) == len(gens) - 1
     formed = []
     pending, reduce = polyform._Pending, polyform._top_reduce
 
